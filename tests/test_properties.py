@@ -1,0 +1,263 @@
+"""Property tests for the invariants that define the simulator.
+
+Each property holds on every instance, not only on the fixed seeds of the
+other test modules: random graphs with 2-20 nodes, random failure masks,
+symmetric delay schedules with tau_bar 0-4 in all three modes, the shipped
+sector maps, and mixed quadratic and quartic costs with no, box or
+smooth-log penalty.  The examples are derandomized (see conftest.py).
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dra_sim import (
+    BoxPenalty,
+    ClampCounter,
+    CostSet,
+    DelaySchedule,
+    LocalCost,
+    ScenarioConfig,
+    SectorMap,
+    SmoothLogPenalty,
+    WeightedGraph,
+    central_solve,
+    edge_flow,
+    erdos_renyi,
+    failure_mask,
+    identity_map,
+    init_delayed_state,
+    laplacian,
+    log_quantizer,
+    quadratic_cost,
+    quartic_cost,
+    run,
+    saturation,
+    sign_power,
+    smoothness_bound,
+    spectral_summary,
+    step_delay_free,
+    step_delayed,
+    trace_to_csv,
+)
+
+SHIPPED_MAPS = [
+    identity_map(),
+    log_quantizer(0.25),
+    log_quantizer(1.0 / 8.0),
+    log_quantizer(1.0),
+    saturation(1.0, 5.0),
+    saturation(2.0, 4.0),
+    sign_power(0.5, 1e-6, 1e3),
+    sign_power(1.0, 1e-3, 10.0),
+]
+
+DELAY_MODES = ("uniform", "fixed", "per_link")
+STEPS = 30
+
+seeds = st.integers(0, 2**32 - 1)
+maps = st.sampled_from(SHIPPED_MAPS)
+failure_rates = st.floats(0.0, 0.95)
+
+
+@st.composite
+def penalties(draw):
+    kind = draw(st.sampled_from(("none", "box", "smooth_log")))
+    if kind == "none":
+        return None
+    lo = draw(st.floats(-5.0, 4.0))
+    hi = lo + draw(st.floats(0.5, 10.0))
+    if kind == "box":
+        return BoxPenalty(lo, hi, draw(st.floats(0.5, 40.0)), draw(st.sampled_from((2, 3, 4))))
+    return SmoothLogPenalty(lo, hi, draw(st.floats(0.5, 10.0)))
+
+
+@st.composite
+def local_costs(draw) -> LocalCost:
+    pen = draw(penalties())
+    if draw(st.booleans()):
+        return quadratic_cost(
+            draw(st.floats(0.1, 2.0)), draw(st.floats(-3.0, 3.0)), draw(st.floats(-1.0, 1.0)), penalty=pen
+        )
+    return quartic_cost(draw(st.floats(0.001, 0.05)), draw(st.floats(-3.0, 3.0)), penalty=pen)
+
+
+@dataclass
+class Instance:
+    graph: WeightedGraph
+    costs: list
+    node_map: SectorMap
+    link_map: SectorMap
+    total: float
+    x0: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    def tolerance(self) -> float:
+        return 1e-9 * (1.0 + abs(self.total)) * math.log2(self.n + 1)
+
+    def eta(self, tau_bar: int) -> float:
+        """A step rate at which the state stays near x0 for the test horizon."""
+        lam_max = spectral_summary(laplacian(self.graph)).lambda_max
+        domain = (float(self.x0.min()) - 5.0, float(self.x0.max()) + 5.0)
+        curv = smoothness_bound(self.costs, domain).max_curvature
+        gain = self.node_map.big_k * self.link_map.big_k
+        return 0.5 / ((1.0 + curv) * max(lam_max, 1.0) * gain * (tau_bar + 1))
+
+
+@st.composite
+def instances(draw) -> Instance:
+    n = draw(st.integers(2, 20))
+    graph = erdos_renyi(n, draw(st.floats(0.0, 1.0)), (0.5, 1.0), seed=draw(seeds))
+    costs = draw(st.lists(local_costs(), min_size=n, max_size=n))
+    total = draw(st.floats(-50.0, 50.0))
+    noise = np.random.default_rng(draw(seeds)).uniform(-5.0, 5.0, n)
+    x0 = total / n + (noise - noise.mean())
+    x0[-1] = total - math.fsum(x0[:-1].tolist())
+    return Instance(graph, costs, draw(maps), draw(maps), total, x0)
+
+
+@given(instances(), st.integers(0, 4), st.sampled_from(DELAY_MODES), failure_rates, seeds)
+@settings(max_examples=60)
+def test_total_conserved_at_every_step(inst, tau_bar, mode, p_fail, seed):
+    cs = CostSet(inst.costs)
+    sched = DelaySchedule(tau_bar, mode, seed=seed)
+    state = init_delayed_state(inst.x0, tau_bar, cs, inst.link_map)
+    eta = inst.eta(tau_bar)
+    m = len(inst.graph.edges()[0])
+    rng = np.random.default_rng(seed)
+    tol = inst.tolerance()
+    for _ in range(STEPS):
+        keep = rng.random(m) >= p_fail
+        state = step_delayed(
+            state, inst.graph, sched, cs, inst.node_map, inst.link_map, eta, failure_keep=keep
+        )
+        assert abs(math.fsum(state.x.tolist()) - inst.total) <= tol
+
+
+@given(
+    st.floats(1e-3, 10.0),
+    st.floats(-1e3, 1e3),
+    st.floats(-1e3, 1e3),
+    maps,
+    maps,
+)
+@settings(max_examples=200)
+def test_edge_flow_antisymmetric(weight, grad_a, grad_b, node_map, link_map):
+    forward = edge_flow(weight, grad_a, grad_b, node_map, link_map)
+    assert forward == -edge_flow(weight, grad_b, grad_a, node_map, link_map)
+
+
+@given(instances(), st.sampled_from(DELAY_MODES), failure_rates, seeds)
+@settings(max_examples=60)
+def test_zero_delay_is_delay_free_bit_for_bit(inst, mode, p_fail, seed):
+    cs = CostSet(inst.costs)
+    sched = DelaySchedule(0, mode, seed=seed)
+    state = init_delayed_state(inst.x0, 0, cs, inst.link_map)
+    eta = inst.eta(0)
+    m = len(inst.graph.edges()[0])
+    # failure_mask draws one uniform per link in link order, as the keep
+    # mask below does, so both sides drop the same links.
+    rng_keep = np.random.default_rng(seed)
+    rng_mask = np.random.default_rng(seed)
+    x = inst.x0.copy()
+    counters = [ClampCounter() for _ in range(4)]
+    for _ in range(STEPS):
+        keep = rng_keep.random(m) >= p_fail
+        up = failure_mask(inst.graph, p_fail, rng_mask)
+        x = step_delay_free(
+            x, up, cs, inst.node_map, inst.link_map, eta,
+            node_counter=counters[0], link_counter=counters[1],
+        )
+        state = step_delayed(
+            state, inst.graph, sched, cs, inst.node_map, inst.link_map, eta, failure_keep=keep,
+            node_counter=counters[2], link_counter=counters[3],
+        )
+        assert state.x.tobytes() == x.tobytes()
+    assert counters[0].events == counters[2].events
+    assert counters[1].events == counters[3].events
+
+
+@st.composite
+def scenario_configs(draw) -> ScenarioConfig:
+    map_kinds = st.sampled_from(("identity", "log_quantizer", "saturation", "sign_power"))
+    return ScenarioConfig(
+        n=draw(st.integers(2, 12)),
+        total=draw(st.floats(-50.0, 200.0)),
+        eta=draw(st.floats(0.01, 1.0)),
+        horizon=draw(st.integers(1, 60)),
+        seed=draw(st.integers(0, 10**6)),
+        record_stride=draw(st.integers(1, 5)),
+        window=draw(st.integers(0, 3)),
+        topology_kind=draw(st.sampled_from(("er", "cycle"))),
+        topology_p=draw(st.floats(0.0, 1.0)),
+        topology_cycle_ps=tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))),
+        topology_switch_period=draw(st.integers(1, 10)),
+        costs_kind=draw(st.sampled_from(("quartic", "quadratic"))),
+        costs_penalty=draw(st.sampled_from(("none", "box", "smooth_log"))),
+        node_kind=draw(map_kinds),
+        link_kind=draw(map_kinds),
+        p_fail=draw(failure_rates),
+        tau_bar=draw(st.integers(0, 4)),
+        delay_mode=draw(st.sampled_from(DELAY_MODES)),
+        init_mode=draw(st.sampled_from(("equal", "random_simplex"))),
+    )
+
+
+@given(scenario_configs())
+@settings(max_examples=20)
+def test_same_config_gives_same_trace(cfg):
+    assert trace_to_csv(run(cfg).trace) == trace_to_csv(run(cfg).trace)
+
+
+@given(st.lists(local_costs(), min_size=1, max_size=20), st.floats(-50.0, 50.0))
+@settings(max_examples=60)
+def test_penalized_oracle_meets_kkt(costs, total):
+    sol = central_solve(costs, total, tol=1e-9, mode="penalized")
+    assert abs(math.fsum(sol.x.tolist()) - total) <= 1e-9
+    # Stationarity: every marginal cost equals the shared multiplier.
+    grads = CostSet(costs).grad(np.asarray(sol.x))
+    assert float(np.max(np.abs(grads - sol.multiplier))) <= 1e-8 * (1.0 + abs(sol.multiplier))
+
+
+@st.composite
+def boxed_problems(draw):
+    n = draw(st.integers(1, 20))
+    costs = [
+        LocalCost(c.kind, c.p1, c.p2, c.p3)
+        for c in draw(st.lists(local_costs(), min_size=n, max_size=n))
+    ]
+    lo = [draw(st.floats(-5.0, 4.0)) for _ in range(n)]
+    boxes = [(a, a + draw(st.floats(0.5, 10.0))) for a in lo]
+    floor = math.fsum(b[0] for b in boxes)
+    ceiling = math.fsum(b[1] for b in boxes)
+    total = floor + draw(st.floats(0.01, 0.99)) * (ceiling - floor)
+    return costs, boxes, total
+
+
+@given(boxed_problems())
+@settings(max_examples=60)
+def test_exact_box_oracle_meets_kkt(problem):
+    costs, boxes, total = problem
+    sol = central_solve(costs, total, boxes=boxes, tol=1e-9, mode="exact_box")
+    assert abs(math.fsum(sol.x.tolist()) - total) <= 1e-9
+    x = np.asarray(sol.x)
+    lo = np.array([b[0] for b in boxes])
+    hi = np.array([b[1] for b in boxes])
+    assert np.all((lo <= x) & (x <= hi))
+    # Complementary slackness: a coordinate clamped at its floor would
+    # rather go lower, one at its ceiling higher, and a free one sits at
+    # the multiplier.
+    nu = sol.multiplier
+    slack = 1e-8 * (1.0 + abs(nu))
+    g = CostSet(costs).base_grad(x)
+    at_lo, at_hi = x == lo, x == hi
+    free = ~(at_lo | at_hi)
+    assert np.all(g[at_lo] >= nu - slack)
+    assert np.all(g[at_hi] <= nu + slack)
+    assert np.all(np.abs(g[free] - nu) <= slack)
