@@ -26,6 +26,7 @@ from .scenario import (
     PRESET_SWEEPS,
     RunResult,
     ScenarioConfig,
+    _check_key,
     apply_key,
     build_instance,
     config_items,
@@ -54,8 +55,7 @@ _FALSE_WORDS = frozenset(("false", "0", "no", "off"))
 
 
 def _parse_value(key: str, raw: str, where: str):
-    spec = CONFIG_KEYS[key]
-    kind = spec.kind
+    kind = CONFIG_KEYS[key].kind
     raw = raw.strip()
     try:
         if kind == "int":
@@ -76,8 +76,7 @@ def _parse_value(key: str, raw: str, where: str):
             value = raw
     except ValueError as exc:
         raise ConfigurationError(f"{where}: bad value for {key}: {exc}") from None
-    if spec.valid is not None and not spec.valid(value):
-        raise ConfigurationError(f"{where}: {key} must be {spec.check}, got {raw!r}")
+    _check_key(key, value, where)
     return value
 
 

@@ -84,11 +84,11 @@ def _apply_chunks(x: np.ndarray, eta: float, chunks) -> np.ndarray:
     """
     if not chunks:
         return x.copy()
+    if len(chunks) == 1:
+        dec_idx, dec_phi, inc_idx, inc_phi = chunks[0]
+    else:
+        dec_idx, dec_phi, inc_idx, inc_phi = (np.concatenate(part) for part in zip(*chunks))
     n = x.shape[0]
-    dec_idx = np.concatenate([c[0] for c in chunks])
-    dec_phi = np.concatenate([c[1] for c in chunks])
-    inc_idx = np.concatenate([c[2] for c in chunks])
-    inc_phi = np.concatenate([c[3] for c in chunks])
     dec = np.bincount(dec_idx, weights=dec_phi, minlength=n)
     inc = np.bincount(inc_idx, weights=inc_phi, minlength=n)
     return x + eta * (inc - dec)
@@ -99,46 +99,7 @@ _EMPTY_F = np.zeros(0)
 
 
 # --------------------------------------------------------------------------
-# delay-free stepping
-# --------------------------------------------------------------------------
-
-
-def step_delay_free(
-    x: np.ndarray,
-    graph: WeightedGraph,
-    costs,
-    node_map: SectorMap,
-    link_map: SectorMap,
-    eta: float,
-    grads: np.ndarray | None = None,
-    edges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    node_counter: ClampCounter | None = None,
-    link_counter: ClampCounter | None = None,
-) -> np.ndarray:
-    """One synchronous update over all links of ``graph``.
-
-    ``grads`` and ``edges`` may be supplied when the caller already computed
-    them (the scenario loop does); otherwise they are derived here.  Returns
-    the next state; the input is not modified.
-    """
-    x = np.asarray(x, dtype=float)
-    cs = _as_costset(costs)
-    if x.shape != (cs.n,) or graph.n != cs.n:
-        raise ConfigurationError("state, graph, and costs must agree on n")
-    if not (eta > 0.0 and math.isfinite(eta)):
-        raise ConfigurationError(f"step rate must be positive and finite, got {eta}")
-    if grads is None:
-        grads = cs.grad(x)
-    if edges is None:
-        edges = graph.edges()
-    ei, ej, w = edges
-    gl = apply_map_array(link_map, grads, link_counter)
-    phi = _flows(gl, ei, ej, w, node_map, node_counter)
-    return _apply_chunks(x, eta, [(ei, phi, ej, phi)])
-
-
-# --------------------------------------------------------------------------
-# delayed stepping
+# stepping
 # --------------------------------------------------------------------------
 
 
@@ -200,48 +161,33 @@ class DelaySchedule:
 class DelayedNetworkState:
     """Simulation state of the delayed dynamics at step ``step``.
 
-    ``grad_history`` is a ring buffer of depth tau_bar + 1 over the
-    link-mapped gradients: row (s mod (tau_bar+1)) holds g_l(grad(x(s)))
-    for the most recent steps s, prefilled with the step-0 values.
     ``pending`` buckets flows by arrival step modulo (tau_bar + 1); each
     bucket is a list of (dec_idx, dec_phi, inc_idx, inc_phi) chunks in
-    emission order.
+    emission order.  :func:`step_delayed` advances the state in place.
     """
 
     x: np.ndarray
     step: int
     tau_bar: int
-    grad_history: np.ndarray
     pending: list = field(default_factory=list)
-
-    def history_slot(self, lag: int) -> np.ndarray:
-        """g_l(grad) as of ``lag`` steps before ``step`` (0 <= lag <= tau_bar)."""
-        if not 0 <= lag <= self.tau_bar:
-            raise DomainError(f"history holds lags 0..{self.tau_bar}, asked for {lag}")
-        s = self.step - lag
-        if s < 0:
-            s = 0
-        return self.grad_history[s % (self.tau_bar + 1)]
 
 
 def init_delayed_state(
     x0: np.ndarray, tau_bar: int, costs, link_map: SectorMap
 ) -> DelayedNetworkState:
-    """Fresh state at step 0 with history backfilled from the initial point."""
+    """Fresh state at step 0 with no flows in flight.
+
+    ``costs`` fixes the agent count that ``x0`` must match.  ``link_map``
+    is not read: every flow is computed from the gradients of the step
+    that emits it, so the state keeps no gradient history.
+    """
     if tau_bar < 0 or int(tau_bar) != tau_bar:
         raise ConfigurationError(f"tau_bar must be a nonnegative integer, got {tau_bar}")
     x0 = np.asarray(x0, dtype=float).copy()
-    cs = _as_costset(costs)
-    if x0.shape != (cs.n,):
+    if x0.shape != (_as_costset(costs).n,):
         raise ConfigurationError("initial state length must match the cost count")
-    gl0 = apply_map_array(link_map, cs.grad(x0))
-    hist = np.tile(gl0, (int(tau_bar) + 1, 1))
     return DelayedNetworkState(
-        x=x0,
-        step=0,
-        tau_bar=int(tau_bar),
-        grad_history=hist,
-        pending=[[] for _ in range(int(tau_bar) + 1)],
+        x=x0, step=0, tau_bar=int(tau_bar), pending=[[] for _ in range(int(tau_bar) + 1)]
     )
 
 
@@ -260,16 +206,20 @@ def step_delayed(
     node_counter: ClampCounter | None = None,
     link_counter: ClampCounter | None = None,
 ) -> DelayedNetworkState:
-    """One step of the delayed dynamics with message semantics.
+    """Advance ``state`` by one step of the delayed dynamics, in place.
 
     Every link active at the current step emits one flow computed from the
     current link-mapped gradients; the flow is applied to both endpoints
     with opposite signs at arrival, ``delay`` steps later, where ``delay``
-    comes from the schedule.  A zero delay reproduces the delay-free update
-    bit for bit.  ``failure_keep`` is an optional boolean mask over the
-    graph's links (row-major i < j order) selecting which are up this step;
-    emissions happen only on active links, but flows already in flight
-    arrive regardless of the link's later state.
+    comes from the schedule (no delays are drawn at tau_bar = 0).  The
+    delay-free update is the tau_bar = 0 case, see :func:`step_delay_free`.
+    ``failure_keep`` is an optional boolean mask over the graph's links
+    (row-major i < j order) selecting which are up this step; emissions
+    happen only on active links, but flows already in flight arrive
+    regardless of the link's later state.  ``grads`` and ``edges`` may be
+    supplied when the caller already computed them (the scenario loop
+    does).  The pending buckets are updated in place and ``state.x`` is
+    replaced by a new array; ``state`` itself is returned.
     """
     if schedule.tau_bar != state.tau_bar:
         raise ConfigurationError(
@@ -301,16 +251,13 @@ def step_delayed(
         ei, ej, w = ei[keep], ej[keep], w[keep]
 
     gl = apply_map_array(link_map, grads, link_counter)
-    hist = state.grad_history.copy()
-    hist[k % depth] = gl
-
-    buckets = [list(b) for b in state.pending]
     phi = _flows(gl, ei, ej, w, node_map, node_counter)
+    buckets = state.pending
     if schedule.symmetric:
-        delays = schedule.draw(k, ei, ej)
-        if state.tau_bar == 0:
-            buckets[k % depth].append((ei, phi, ej, phi))
+        if depth == 1:
+            buckets[0].append((ei, phi, ej, phi))
         else:
+            delays = schedule.draw(k, ei, ej)
             for d in range(depth):
                 sel = delays == d
                 if sel.any():
@@ -326,12 +273,43 @@ def step_delayed(
             if sel.any():
                 buckets[(k + d) % depth].append((_EMPTY_I, _EMPTY_F, ej[sel], phi[sel]))
 
-    due = buckets[k % depth]
-    x_new = _apply_chunks(x, eta, due)
-    buckets[k % depth] = []
-    return DelayedNetworkState(
-        x=x_new, step=k + 1, tau_bar=state.tau_bar, grad_history=hist, pending=buckets
-    )
+    slot = k % depth
+    state.x = _apply_chunks(x, eta, buckets[slot])
+    buckets[slot] = []
+    state.step = k + 1
+    return state
+
+
+_NO_DELAY = DelaySchedule(0)
+
+
+def step_delay_free(
+    x: np.ndarray,
+    graph: WeightedGraph,
+    costs,
+    node_map: SectorMap,
+    link_map: SectorMap,
+    eta: float,
+    grads: np.ndarray | None = None,
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    node_counter: ClampCounter | None = None,
+    link_counter: ClampCounter | None = None,
+) -> np.ndarray:
+    """One synchronous update over all links of ``graph``.
+
+    The zero-delay case of :func:`step_delayed`, run on a fresh state, so
+    both share one kernel and agree bit for bit.  ``grads`` and ``edges``
+    may be supplied when the caller already computed them.  Returns the
+    next state; the input is not modified.
+    """
+    cs = _as_costset(costs)
+    if graph.n != cs.n:
+        raise ConfigurationError("state, graph, and costs must agree on n")
+    state = init_delayed_state(x, 0, cs, link_map)
+    return step_delayed(
+        state, graph, _NO_DELAY, cs, node_map, link_map, eta,
+        grads=grads, edges=edges, node_counter=node_counter, link_counter=link_counter,
+    ).x
 
 
 # --------------------------------------------------------------------------

@@ -197,9 +197,8 @@ def spectral_summary(lap: np.ndarray, zero_tol: float | None = None) -> Spectral
 # --------------------------------------------------------------------------
 
 
-def _adjacency_lists(g: WeightedGraph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    ei, ej = np.nonzero(np.triu(g.weights, 1))
+def _adjacency_lists(n: int, ei: np.ndarray, ej: np.ndarray) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(n)]
     for i, j in zip(ei.tolist(), ej.tolist()):
         adj[i].append(j)
         adj[j].append(i)
@@ -223,8 +222,8 @@ def is_connected(g: WeightedGraph) -> bool:
     """True iff every node is reachable from node 0 over positive-weight links."""
     if g.n == 1:
         return True
-    dist = _bfs_hops(_adjacency_lists(g), 0, g.n)
-    return all(d >= 0 for d in dist)
+    ei, ej, _ = g.edges()
+    return -1 not in _bfs_hops(_adjacency_lists(g.n, ei, ej), 0, g.n)
 
 
 def diameter(g: WeightedGraph) -> int:
@@ -232,7 +231,8 @@ def diameter(g: WeightedGraph) -> int:
 
     Raises DomainError for disconnected graphs.
     """
-    adj = _adjacency_lists(g)
+    ei, ej, _ = g.edges()
+    adj = _adjacency_lists(g.n, ei, ej)
     worst = 0
     for s in range(g.n):
         dist = _bfs_hops(adj, s, g.n)

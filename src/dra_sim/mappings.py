@@ -30,8 +30,6 @@ __all__ = [
     "verify_sector",
 ]
 
-_KINDS = ("identity", "log_quantizer", "saturation", "sign_power")
-
 # Sampling half-width used by verify_sector for maps certified on all reals.
 _UNBOUNDED_SPAN = 1.0e3
 

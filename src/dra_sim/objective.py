@@ -140,104 +140,17 @@ def quartic_cost(
     return LocalCost("quartic", scale, target, 0.0, penalty)
 
 
-def _penalty_value(pen, x):
-    if pen is None:
-        return 0.0 * np.asarray(x, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if isinstance(pen, BoxPenalty):
-        up = np.maximum(0.0, x - pen.hi)
-        dn = np.maximum(0.0, pen.lo - x)
-        return pen.weight * (up**pen.exponent + dn**pen.exponent)
-    mu = pen.sharpness
-    return (_softplus(mu * (x - pen.hi)) + _softplus(mu * (pen.lo - x))) / mu
-
-
-def _penalty_grad(pen, x):
-    if pen is None:
-        return 0.0 * np.asarray(x, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if isinstance(pen, BoxPenalty):
-        m = pen.exponent
-        up = np.maximum(0.0, x - pen.hi)
-        dn = np.maximum(0.0, pen.lo - x)
-        return pen.weight * m * (up ** (m - 1) - dn ** (m - 1))
-    mu = pen.sharpness
-    return _sigmoid(mu * (x - pen.hi)) - _sigmoid(mu * (pen.lo - x))
-
-
-def _penalty_curvature(pen, x):
-    if pen is None:
-        return 0.0 * np.asarray(x, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if isinstance(pen, BoxPenalty):
-        m = pen.exponent
-        up = np.maximum(0.0, x - pen.hi)
-        dn = np.maximum(0.0, pen.lo - x)
-        if m == 2:
-            return pen.weight * 2.0 * ((up > 0) | (dn > 0)).astype(float)
-        return pen.weight * m * (m - 1) * (up ** (m - 2) + dn ** (m - 2))
-    mu = pen.sharpness
-    s1 = _sigmoid(mu * (x - pen.hi))
-    s2 = _sigmoid(mu * (pen.lo - x))
-    return mu * (s1 * (1.0 - s1) + s2 * (1.0 - s2))
-
-
-def _base_value(c: LocalCost, x):
-    x = np.asarray(x, dtype=float)
-    if c.kind == "quadratic":
-        return c.p1 * x**2 + c.p2 * x + c.p3
-    return c.p1 * (x - c.p2) ** 4
-
-
-def _base_grad(c: LocalCost, x):
-    x = np.asarray(x, dtype=float)
-    if c.kind == "quadratic":
-        return 2.0 * c.p1 * x + c.p2
-    return 4.0 * c.p1 * (x - c.p2) ** 3
-
-
-def _base_curvature(c: LocalCost, x):
-    x = np.asarray(x, dtype=float)
-    if c.kind == "quadratic":
-        return 2.0 * c.p1 + 0.0 * x
-    return 12.0 * c.p1 * (x - c.p2) ** 2
-
-
-def cost_value(c: LocalCost, x: float) -> float:
-    """f_i(x) including the penalty term if one is attached."""
-    return float(_base_value(c, x) + _penalty_value(c.penalty, x))
-
-
-def cost_grad(c: LocalCost, x: float) -> float:
-    """f_i'(x) including the penalty term; strictly increasing in x."""
-    return float(_base_grad(c, x) + _penalty_grad(c.penalty, x))
-
-
-def cost_curvature(c: LocalCost, x: float) -> float:
-    """f_i''(x) including the penalty term (one-sided at box corners)."""
-    return float(_base_curvature(c, x) + _penalty_curvature(c.penalty, x))
-
-
-def aggregate_cost(costs: list[LocalCost], x: np.ndarray) -> float:
-    """Sum of per-agent costs, accumulated with compensated summation."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (len(costs),):
-        raise ConfigurationError(
-            f"state length {x.shape} does not match {len(costs)} costs"
-        )
-    return math.fsum(cost_value(c, xi) for c, xi in zip(costs, x.tolist()))
-
-
 # --------------------------------------------------------------------------
 # vectorized view
 # --------------------------------------------------------------------------
 
 
 class CostSet:
-    """Array-backed view of a cost list for per-step evaluation.
+    """Array-backed view of a cost list: the one evaluator of the cost math.
 
-    Produces the same values as the scalar functions above, computed with
-    one vector expression per call; the simulation loop uses this view.
+    Every value, gradient and curvature in the package is computed here,
+    with one vector expression per call; the scalar ``cost_*`` functions
+    below are one-element calls into it.
     """
 
     def __init__(self, costs: list[LocalCost]):
@@ -278,64 +191,47 @@ class CostSet:
         self.pen_mu = mu
         self._box = kind == 1
         self._log = kind == 2
+        self._any_box = bool(self._box.any())
+        self._any_log = bool(self._log.any())
         # Homogeneous cost lists skip the two-branch select in the hot path.
         self._all_quadratic = not self.quartic.any()
         self._all_quartic = bool(self.quartic.all())
 
     # -- per-agent vector evaluations ------------------------------------
 
-    def value_per_agent(self, x: np.ndarray) -> np.ndarray:
+    def base_value(self, x: np.ndarray) -> np.ndarray:
+        """Per-agent base cost, without the penalty terms."""
         x = np.asarray(x, dtype=float)
         if self._all_quadratic:
-            base = self.p1 * x**2 + self.p2 * x + self.p3
-        elif self._all_quartic:
-            base = self.p1 * (x - self.p2) ** 4
-        else:
-            base = np.where(
-                self.quartic,
-                self.p1 * (x - self.p2) ** 4,
-                self.p1 * x**2 + self.p2 * x + self.p3,
-            )
-        out = base
-        if self._box.any():
+            return self.p1 * x**2 + self.p2 * x + self.p3
+        if self._all_quartic:
+            return self.p1 * (x - self.p2) ** 4
+        return np.where(
+            self.quartic,
+            self.p1 * (x - self.p2) ** 4,
+            self.p1 * x**2 + self.p2 * x + self.p3,
+        )
+
+    def value_per_agent(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = self.base_value(x)
+        if self._any_box:
             up = np.maximum(0.0, x - self.pen_hi)
             dn = np.maximum(0.0, self.pen_lo - x)
             pv = self.pen_weight * (up**self.pen_exponent + dn**self.pen_exponent)
             out = out + np.where(self._box, pv, 0.0)
-        if self._log.any():
+        if self._any_log:
             mu = self.pen_mu
             pv = (_softplus(mu * (x - self.pen_hi)) + _softplus(mu * (self.pen_lo - x))) / mu
             out = out + np.where(self._log, pv, 0.0)
         return out
 
     def total_value(self, x: np.ndarray) -> float:
+        """Sum of the per-agent costs, accumulated with compensated summation."""
         return math.fsum(self.value_per_agent(x).tolist())
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self._all_quadratic:
-            out = 2.0 * self.p1 * x + self.p2
-        elif self._all_quartic:
-            out = 4.0 * self.p1 * (x - self.p2) ** 3
-        else:
-            out = np.where(
-                self.quartic,
-                4.0 * self.p1 * (x - self.p2) ** 3,
-                2.0 * self.p1 * x + self.p2,
-            )
-        if self._box.any():
-            m = self.pen_exponent
-            up = np.maximum(0.0, x - self.pen_hi)
-            dn = np.maximum(0.0, self.pen_lo - x)
-            pg = self.pen_weight * m * (up ** (m - 1) - dn ** (m - 1))
-            out = out + np.where(self._box, pg, 0.0)
-        if self._log.any():
-            mu = self.pen_mu
-            pg = _sigmoid(mu * (x - self.pen_hi)) - _sigmoid(mu * (self.pen_lo - x))
-            out = out + np.where(self._log, pg, 0.0)
-        return out
-
     def base_grad(self, x: np.ndarray) -> np.ndarray:
+        """Per-agent base gradient, without the penalty terms."""
         x = np.asarray(x, dtype=float)
         if self._all_quadratic:
             return 2.0 * self.p1 * x + self.p2
@@ -347,14 +243,30 @@ class CostSet:
             2.0 * self.p1 * x + self.p2,
         )
 
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = self.base_grad(x)
+        if self._any_box:
+            m = self.pen_exponent
+            up = np.maximum(0.0, x - self.pen_hi)
+            dn = np.maximum(0.0, self.pen_lo - x)
+            pg = self.pen_weight * m * (up ** (m - 1) - dn ** (m - 1))
+            out = out + np.where(self._box, pg, 0.0)
+        if self._any_log:
+            mu = self.pen_mu
+            pg = _sigmoid(mu * (x - self.pen_hi)) - _sigmoid(mu * (self.pen_lo - x))
+            out = out + np.where(self._log, pg, 0.0)
+        return out
+
     def curvature(self, x: np.ndarray) -> np.ndarray:
+        """Per-agent second derivative (one-sided at box corners)."""
         x = np.asarray(x, dtype=float)
         out = np.where(
             self.quartic,
             12.0 * self.p1 * (x - self.p2) ** 2,
             2.0 * self.p1 + 0.0 * x,
         )
-        if self._box.any():
+        if self._any_box:
             m = self.pen_exponent
             up = np.maximum(0.0, x - self.pen_hi)
             dn = np.maximum(0.0, self.pen_lo - x)
@@ -364,13 +276,38 @@ class CostSet:
             dn_side = dn ** np.maximum(m - 2, 0) * (dn > 0)
             pc = self.pen_weight * m * (m - 1) * (up_side + dn_side)
             out = out + np.where(self._box, pc, 0.0)
-        if self._log.any():
+        if self._any_log:
             mu = self.pen_mu
             s1 = _sigmoid(mu * (x - self.pen_hi))
             s2 = _sigmoid(mu * (self.pen_lo - x))
             pc = mu * (s1 * (1.0 - s1) + s2 * (1.0 - s2))
             out = out + np.where(self._log, pc, 0.0)
         return out
+
+
+def cost_value(c: LocalCost, x: float) -> float:
+    """f_i(x) including the penalty term if one is attached."""
+    return float(CostSet([c]).value_per_agent(np.array([x], dtype=float))[0])
+
+
+def cost_grad(c: LocalCost, x: float) -> float:
+    """f_i'(x) including the penalty term; strictly increasing in x."""
+    return float(CostSet([c]).grad(np.array([x], dtype=float))[0])
+
+
+def cost_curvature(c: LocalCost, x: float) -> float:
+    """f_i''(x) including the penalty term (one-sided at box corners)."""
+    return float(CostSet([c]).curvature(np.array([x], dtype=float))[0])
+
+
+def aggregate_cost(costs: list[LocalCost], x: np.ndarray) -> float:
+    """Sum of per-agent costs, accumulated with compensated summation."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (len(costs),):
+        raise ConfigurationError(
+            f"state length {x.shape} does not match {len(costs)} costs"
+        )
+    return CostSet(costs).total_value(x)
 
 
 # --------------------------------------------------------------------------
@@ -567,13 +504,9 @@ def central_solve(
     x = _coordinate_roots(cs, nu, mode, lo_box, hi_box)
     gap = abs(math.fsum(x.tolist()) - total)
     if mode == "penalized":
-        value = math.fsum(cs.value_per_agent(x).tolist())
+        value = cs.total_value(x)
     else:
-        value = math.fsum(
-            np.where(
-                cs.quartic, cs.p1 * (x - cs.p2) ** 4, cs.p1 * x**2 + cs.p2 * x + cs.p3
-            ).tolist()
-        )
+        value = math.fsum(cs.base_value(x).tolist())
     x = np.asarray(x)
     x.flags.writeable = False
     return CentralSolution(

@@ -10,13 +10,12 @@ is restored in expectation; the Monte-Carlo routine measures it directly.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _adjacency_lists, _bfs_hops
 
 __all__ = [
     "PercolationProfile",
@@ -114,22 +113,8 @@ def min_window(p_fail: float, threshold: float) -> int:
 def _union_connected(
     edge_i: np.ndarray, edge_j: np.ndarray, keep: np.ndarray, n: int
 ) -> bool:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in zip(edge_i[keep].tolist(), edge_j[keep].tolist()):
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == n
+    adj = _adjacency_lists(n, edge_i[keep], edge_j[keep])
+    return -1 not in _bfs_hops(adj, 0, n)
 
 
 def mc_union_connectivity(

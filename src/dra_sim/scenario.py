@@ -25,7 +25,7 @@ from .dynamics import (
     step_delayed,
     step_rate_bound,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DraSimError
 from .graph import WeightedGraph, erdos_renyi, from_edge_list, laplacian, spectral_summary, union_graph
 from .mappings import ClampCounter, SectorMap, identity_map, log_quantizer, saturation, sign_power
 from .objective import (
@@ -70,7 +70,8 @@ class ScenarioConfig:
     """Complete description of one simulation run.
 
     Field names mirror the flat ``section.key`` grammar used by config files
-    and the CLI; see ``CONFIG_KEYS`` for the mapping and per-key checks.
+    and the CLI; see ``CONFIG_KEYS`` for the mapping and per-key checks,
+    which every construction runs.
     """
 
     n: int = 50
@@ -132,33 +133,8 @@ class ScenarioConfig:
     init_respect_boxes: bool = False
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ConfigurationError(f"n must be >= 2, got {self.n}")
-        if not (self.eta > 0.0 and math.isfinite(self.eta)):
-            raise ConfigurationError(f"eta must be positive, got {self.eta}")
-        if self.horizon < 1:
-            raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
-        if self.record_stride < 1:
-            raise ConfigurationError(f"record_stride must be >= 1, got {self.record_stride}")
-        if not 0.0 <= self.p_fail <= 1.0:
-            raise ConfigurationError(f"adversity.p_fail must be in [0, 1], got {self.p_fail}")
-        if self.tau_bar < 0:
-            raise ConfigurationError(f"adversity.tau_bar must be >= 0, got {self.tau_bar}")
-        if self.window < 0:
-            raise ConfigurationError(f"window must be >= 0, got {self.window}")
-        if self.topology_kind not in ("er", "cycle", "edges"):
-            raise ConfigurationError(f"unknown topology.kind {self.topology_kind!r}")
-        if self.costs_kind not in ("quartic", "quadratic", "csv"):
-            raise ConfigurationError(f"unknown costs.kind {self.costs_kind!r}")
-        if self.costs_penalty not in ("box", "smooth_log", "none"):
-            raise ConfigurationError(f"unknown costs.penalty {self.costs_penalty!r}")
-        for kind in (self.node_kind, self.link_kind):
-            if kind not in ("identity", "log_quantizer", "saturation", "sign_power"):
-                raise ConfigurationError(f"unknown map kind {kind!r}")
-        if self.delay_mode not in ("uniform", "fixed", "per_link"):
-            raise ConfigurationError(f"unknown adversity.delay_mode {self.delay_mode!r}")
-        if self.init_mode not in ("equal", "random_simplex"):
-            raise ConfigurationError(f"unknown init.mode {self.init_mode!r}")
+        for key, spec in CONFIG_KEYS.items():
+            _check_key(key, getattr(self, spec.attr))
 
 
 @dataclass(frozen=True)
@@ -239,13 +215,19 @@ CONFIG_KEYS: dict[str, _Key] = {
 }
 
 
+def _check_key(key: str, value, where: str = "") -> None:
+    """Raise ConfigurationError naming ``key`` unless ``value`` meets its rule."""
+    spec = CONFIG_KEYS[key]
+    if spec.valid is not None and not spec.valid(value):
+        prefix = f"{where}: " if where else ""
+        raise ConfigurationError(f"{prefix}{key} must be {spec.check}, got {value!r}")
+
+
 def apply_key(cfg: ScenarioConfig, key: str, value) -> ScenarioConfig:
     """Return a copy of ``cfg`` with one ``section.key`` entry replaced."""
     spec = CONFIG_KEYS.get(key)
     if spec is None:
         raise ConfigurationError(f"unknown config key {key!r}")
-    if spec.valid is not None and not spec.valid(value):
-        raise ConfigurationError(f"{key} must be {spec.check}, got {value!r}")
     return replace(cfg, **{spec.attr: value})
 
 
@@ -642,7 +624,7 @@ def _divergence_ratio(cfg, graphs, costs, node_map, link_map) -> float | None:
             window=cfg.window, tau_bar=cfg.tau_bar,
         )
         return cfg.eta / bound.eta_max
-    except Exception:
+    except DraSimError:
         return None
 
 

@@ -251,13 +251,6 @@ class TestStepDelayed:
         with pytest.raises(ConfigurationError):
             step_delayed(state, graph, sched, costs, IDM, IDM, 0.25)
 
-    def test_history_slot_bounds(self):
-        costs, _ = two_node_instance()
-        state = init_delayed_state(np.array([3.0, 1.0]), 2, costs, IDM)
-        assert state.history_slot(0).shape == (2,)
-        with pytest.raises(DomainError):
-            state.history_slot(3)
-
     def test_init_validation(self):
         costs, _ = two_node_instance()
         with pytest.raises(ConfigurationError):

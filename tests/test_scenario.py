@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from dra_sim import (
     to_edge_list,
     trace_to_csv,
 )
-from dra_sim.scenario import apply_key, config_items
+from dra_sim.scenario import CONFIG_KEYS, apply_key, config_items
 
 
 def small_static_config(**over):
@@ -40,22 +41,68 @@ def small_static_config(**over):
     return ScenarioConfig(**base)
 
 
+# One out-of-range value for every config key that has a rule.
+OUT_OF_RANGE = {
+    "n": 1,
+    "b": math.inf,
+    "eta": 0.0,
+    "horizon": 0,
+    "record_stride": 0,
+    "early_stop": -1e-3,
+    "window": -1,
+    "topology.kind": "torus",
+    "topology.p": 1.5,
+    "topology.cycle_ps": (0.5, 1.5),
+    "topology.switch_period": 0,
+    "topology.weight_lo": -1.0,
+    "topology.weight_hi": 0.0,
+    "costs.kind": "cubic",
+    "costs.scale_lo": -0.5,
+    "costs.scale_hi": 0.0,
+    "costs.target_lo": math.nan,
+    "costs.target_hi": -math.inf,
+    "costs.a_lo": 0.0,
+    "costs.a_hi": -1.0,
+    "costs.b_lo": math.inf,
+    "costs.b_hi": math.nan,
+    "costs.c": math.inf,
+    "costs.penalty": "l1",
+    "costs.box_lo": -math.inf,
+    "costs.box_hi": math.nan,
+    "costs.penalty_weight": 0.0,
+    "costs.penalty_exponent": 1,
+    "costs.penalty_sharpness": -2.0,
+    "maps.node.kind": "cubic",
+    "maps.node.rho": 0.0,
+    "maps.node.cap": -1.0,
+    "maps.node.d_min": 0.0,
+    "maps.node.d_max": math.inf,
+    "maps.node.nu": 1.5,
+    "maps.link.kind": "tanh",
+    "maps.link.rho": -0.125,
+    "maps.link.cap": 0.0,
+    "maps.link.d_min": -1e-6,
+    "maps.link.d_max": math.nan,
+    "maps.link.nu": 0.0,
+    "adversity.p_fail": 1.5,
+    "adversity.tau_bar": -1,
+    "adversity.delay_mode": "gaussian",
+    "adversity.seed": -2,
+    "init.mode": "zero",
+}
+
+
 class TestScenarioConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            small_static_config(eta=0.0)
-        with pytest.raises(ConfigurationError):
-            small_static_config(horizon=0)
-        with pytest.raises(ConfigurationError):
-            small_static_config(p_fail=1.5)
-        with pytest.raises(ConfigurationError):
-            small_static_config(tau_bar=-1)
-        with pytest.raises(ConfigurationError):
-            small_static_config(record_stride=0)
-        with pytest.raises(ConfigurationError):
-            small_static_config(topology_kind="torus")
-        with pytest.raises(ConfigurationError):
-            small_static_config(n=1)
+    def test_table_covers_every_rule(self):
+        ruled = {key for key, spec in CONFIG_KEYS.items() if spec.valid is not None}
+        assert set(OUT_OF_RANGE) == ruled
+
+    @pytest.mark.parametrize("key", sorted(OUT_OF_RANGE))
+    def test_validation(self, key):
+        # Direct construction runs the same rule as a config file or --set.
+        attr = CONFIG_KEYS[key].attr
+        with pytest.raises(ConfigurationError, match=rf"^{re.escape(key)} must be "):
+            ScenarioConfig(**{attr: OUT_OF_RANGE[key]})
 
     def test_apply_key_returns_new_config(self):
         cfg = preset("fig_dyn")
@@ -299,6 +346,18 @@ class TestRun:
         assert s.diverged_step is not None
         assert s.diverged_step <= s.executed_steps
         assert s.eta_bound_ratio is not None and s.eta_bound_ratio > 1.0
+
+    def test_divergence_report_does_not_hide_program_errors(self, monkeypatch):
+        # Only the package's own errors mean "no bound exists"; anything
+        # else is a fault and must reach the caller.
+        def broken(*args, **kwargs):
+            raise RuntimeError("spectrum failed")
+
+        monkeypatch.setattr("dra_sim.scenario.spectral_summary", broken)
+        cfg = apply_key(apply_key(preset("fig_delay"), "eta", 2.0),
+                        "adversity.tau_bar", 4)
+        with pytest.raises(RuntimeError, match="spectrum failed"):
+            run(cfg)
 
     def test_mostly_decreasing_windows_at_half_bound(self):
         # Delay-free at eta well below the certified rate: residual windows
