@@ -97,8 +97,24 @@ class TestScenarioConfig:
         ruled = {key for key, spec in CONFIG_KEYS.items() if spec.valid is not None}
         assert set(OUT_OF_RANGE) == ruled
 
+    def test_validation(self):
+        with pytest.raises(ConfigurationError):
+            small_static_config(eta=0.0)
+        with pytest.raises(ConfigurationError):
+            small_static_config(horizon=0)
+        with pytest.raises(ConfigurationError):
+            small_static_config(p_fail=1.5)
+        with pytest.raises(ConfigurationError):
+            small_static_config(tau_bar=-1)
+        with pytest.raises(ConfigurationError):
+            small_static_config(record_stride=0)
+        with pytest.raises(ConfigurationError):
+            small_static_config(topology_kind="torus")
+        with pytest.raises(ConfigurationError):
+            small_static_config(n=1)
+
     @pytest.mark.parametrize("key", sorted(OUT_OF_RANGE))
-    def test_validation(self, key):
+    def test_validation_per_key(self, key):
         # Direct construction runs the same rule as a config file or --set.
         attr = CONFIG_KEYS[key].attr
         with pytest.raises(ConfigurationError, match=rf"^{re.escape(key)} must be "):
