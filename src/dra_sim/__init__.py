@@ -6,190 +6,22 @@ while the aggregate cost descends to the constrained optimum.  The package
 provides the update dynamics (with link failures, delays, and nonlinear
 per-node and per-link transforms), the analytical bounds that certify them,
 a centralized oracle for ground truth, and a scenario runner with a CLI.
+
+Every name in a module's ``__all__`` is re-exported here.
 """
 
-from .dynamics import (
-    DelaySchedule,
-    DelayedNetworkState,
-    EquilibriumReport,
-    SectorDiagnostics,
-    StepRateBound,
-    edge_flow,
-    equilibrium_check,
-    feasible_init,
-    gradient_dispersion,
-    init_delayed_state,
-    max_delay_bound,
-    sector_diagnostics,
-    step_delay_free,
-    step_delayed,
-    step_rate_bound,
-    step_rate_from_sector,
-)
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    DraSimError,
-    InfeasibilityError,
-    NumericError,
-)
-from .graph import (
-    SpectralSummary,
-    WeightedGraph,
-    diameter,
-    dispersion,
-    erdos_renyi,
-    from_edge_list,
-    is_connected,
-    laplacian,
-    spectral_summary,
-    to_edge_list,
-    union_graph,
-)
-from .mappings import (
-    ClampCounter,
-    SectorCheck,
-    SectorMap,
-    apply_map,
-    apply_map_array,
-    first_order_sector_params,
-    identity_map,
-    log_quantizer,
-    saturation,
-    sector_params,
-    sign_power,
-    verify_sector,
-)
-from .objective import (
-    BoxPenalty,
-    CentralSolution,
-    CostSet,
-    LocalCost,
-    SmoothLogPenalty,
-    SmoothnessEstimate,
-    aggregate_cost,
-    central_solve,
-    cost_curvature,
-    cost_grad,
-    cost_value,
-    load_costs_csv,
-    quadratic_cost,
-    quartic_cost,
-    smoothness_bound,
-)
-from .percolation import (
-    McConnectivity,
-    PercolationProfile,
-    effective_failure,
-    er_threshold,
-    mc_union_connectivity,
-    min_window,
-)
-from .scenario import (
-    PRESET_NAMES,
-    PRESET_SWEEPS,
-    BenchmarkResult,
-    RunResult,
-    RunSummary,
-    ScenarioConfig,
-    TraceRecord,
-    build_instance,
-    failure_mask,
-    preset,
-    run,
-    scaling_benchmark,
-    summary_to_text,
-    trace_to_csv,
-)
+from . import dynamics, errors, graph, mappings, objective, percolation, scenario
+from .dynamics import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .graph import *  # noqa: F403
+from .mappings import *  # noqa: F403
+from .objective import *  # noqa: F403
+from .percolation import *  # noqa: F403
+from .scenario import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "DraSimError",
-    "ConfigurationError",
-    "DomainError",
-    "InfeasibilityError",
-    "NumericError",
-    # graph
-    "WeightedGraph",
-    "SpectralSummary",
-    "erdos_renyi",
-    "union_graph",
-    "laplacian",
-    "spectral_summary",
-    "is_connected",
-    "diameter",
-    "dispersion",
-    "to_edge_list",
-    "from_edge_list",
-    # mappings
-    "SectorMap",
-    "SectorCheck",
-    "ClampCounter",
-    "identity_map",
-    "log_quantizer",
-    "saturation",
-    "sign_power",
-    "apply_map",
-    "apply_map_array",
-    "sector_params",
-    "first_order_sector_params",
-    "verify_sector",
-    # objective
-    "LocalCost",
-    "CostSet",
-    "BoxPenalty",
-    "SmoothLogPenalty",
-    "quadratic_cost",
-    "quartic_cost",
-    "cost_value",
-    "cost_grad",
-    "cost_curvature",
-    "aggregate_cost",
-    "smoothness_bound",
-    "SmoothnessEstimate",
-    "central_solve",
-    "CentralSolution",
-    "load_costs_csv",
-    # percolation
-    "PercolationProfile",
-    "McConnectivity",
-    "er_threshold",
-    "effective_failure",
-    "min_window",
-    "mc_union_connectivity",
-    # dynamics
-    "edge_flow",
-    "step_delay_free",
-    "step_delayed",
-    "DelaySchedule",
-    "DelayedNetworkState",
-    "init_delayed_state",
-    "step_rate_bound",
-    "step_rate_from_sector",
-    "StepRateBound",
-    "max_delay_bound",
-    "feasible_init",
-    "equilibrium_check",
-    "EquilibriumReport",
-    "gradient_dispersion",
-    "sector_diagnostics",
-    "SectorDiagnostics",
-    # scenario
-    "ScenarioConfig",
-    "TraceRecord",
-    "RunSummary",
-    "RunResult",
-    "BenchmarkResult",
-    "PRESET_NAMES",
-    "PRESET_SWEEPS",
-    "preset",
-    "build_instance",
-    "run",
-    "failure_mask",
-    "trace_to_csv",
-    "summary_to_text",
-    "scaling_benchmark",
-]
+__all__ = ["__version__"]
+for _module in (errors, graph, mappings, objective, percolation, dynamics, scenario):
+    __all__ += _module.__all__
+del _module

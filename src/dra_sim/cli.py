@@ -21,19 +21,21 @@ from .mappings import first_order_sector_params, sector_params
 from .objective import smoothness_bound
 from .percolation import effective_failure, er_threshold, mc_union_connectivity, min_window
 from .scenario import (
-    CONFIG_KEYS,
     PRESET_NAMES,
     PRESET_SWEEPS,
     RunResult,
     ScenarioConfig,
-    _check_key,
+    _parse_value,
+    _render_value,
+    _split_item,
     apply_key,
     build_instance,
-    config_items,
     default_smoothness_domain,
+    parse_config,
     preset,
     run,
     scaling_benchmark,
+    serialize_config,
     summary_to_text,
     trace_to_csv,
 )
@@ -45,93 +47,17 @@ EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
 EXIT_NUMERIC = 3
 
-_TRUE_WORDS = frozenset(("true", "1", "yes", "on"))
-_FALSE_WORDS = frozenset(("false", "0", "no", "off"))
-
 
 # --------------------------------------------------------------------------
-# config text format
+# config sources
 # --------------------------------------------------------------------------
-
-
-def _parse_value(key: str, raw: str, where: str):
-    kind = CONFIG_KEYS[key].kind
-    raw = raw.strip()
-    try:
-        if kind == "int":
-            value = int(raw)
-        elif kind == "float":
-            value = float(raw)
-        elif kind == "bool":
-            low = raw.lower()
-            if low in _TRUE_WORDS:
-                value = True
-            elif low in _FALSE_WORDS:
-                value = False
-            else:
-                raise ValueError(f"expected a boolean, got {raw!r}")
-        elif kind == "floats":
-            value = tuple(float(part) for part in raw.split(",")) if raw else ()
-        else:
-            value = raw
-    except ValueError as exc:
-        raise ConfigurationError(f"{where}: bad value for {key}: {exc}") from None
-    _check_key(key, value, where)
-    return value
-
-
-def _render_value(key: str, value) -> str:
-    kind = CONFIG_KEYS[key].kind
-    if kind == "float":
-        return repr(float(value))
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "floats":
-        return ", ".join(repr(float(v)) for v in value)
-    return str(value)
-
-
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse the flat ``key = value`` scenario format.
-
-    Blank lines and ``#`` comments are skipped.  Unknown keys and malformed
-    lines are reported with their line number.  Values follow each key's
-    declared type; list-valued keys take comma separated floats.
-    """
-    values: dict[str, object] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigurationError(f"line {lineno}: expected 'key = value', got {stripped!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigurationError(f"line {lineno}: unknown config key {key!r}")
-        if key in values:
-            raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, raw, f"line {lineno}")
-    kwargs = {CONFIG_KEYS[k].attr: v for k, v in values.items()}
-    return ScenarioConfig(**kwargs)
-
-
-def serialize_config(cfg: ScenarioConfig) -> str:
-    """Render a config so that ``parse_config`` reproduces it exactly."""
-    lines = ["# dra-sim scenario"]
-    lines.extend(f"{key} = {_render_value(key, value)}" for key, value in config_items(cfg))
-    return "\n".join(lines) + "\n"
 
 
 def _apply_sets(cfg: ScenarioConfig, assignments: list[str]) -> ScenarioConfig:
     for item in assignments:
-        if "=" not in item:
-            raise ConfigurationError(f"--set needs key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigurationError(f"--set {item!r}: unknown config key {key!r}")
-        cfg = apply_key(cfg, key, _parse_value(key, raw, f"--set {item!r}"))
+        where = f"--set {item!r}"
+        key, raw = _split_item(item, where)
+        cfg = apply_key(cfg, key, _parse_value(key, raw, where))
     return cfg
 
 
@@ -233,17 +159,11 @@ def _cmd_sweep(args) -> int:
     grids: list[tuple[str, tuple]] = []
     if args.sweep:
         for item in args.sweep:
-            if "=" not in item:
-                raise ConfigurationError(f"--sweep needs key=v1,v2,..., got {item!r}")
-            key, _, raw = item.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigurationError(f"--sweep {item!r}: unknown config key {key!r}")
-            vals = tuple(
-                _parse_value(key, part, f"--sweep {item!r}") for part in raw.split(",") if part.strip()
-            )
+            where = f"--sweep {item!r}"
+            key, raw = _split_item(item, where)
+            vals = tuple(_parse_value(key, part, where) for part in raw.split(",") if part.strip())
             if not vals:
-                raise ConfigurationError(f"--sweep {item!r}: no values")
+                raise ConfigurationError(f"{where}: no values")
             grids.append((key, vals))
     elif args.preset and args.preset in PRESET_SWEEPS:
         grids = [(k, vs) for k, vs in PRESET_SWEEPS[args.preset].items()]

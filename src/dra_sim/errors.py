@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DraSimError", "ConfigurationError", "DomainError", "InfeasibilityError", "NumericError"]
+
 
 class DraSimError(Exception):
     """Base class for all errors raised by this package."""

@@ -431,8 +431,6 @@ def central_solve(
     Raises InfeasibilityError when no multiplier can meet the total (only
     possible with hard boxes) and NumericError if the tolerance is not met.
     """
-    if mode == "exact-box":
-        mode = "exact_box"
     if mode not in ("penalized", "exact_box"):
         raise ConfigurationError(f"unknown central_solve mode {mode!r}")
     if not costs:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -49,6 +50,8 @@ __all__ = [
     "PRESET_SWEEPS",
     "apply_key",
     "config_items",
+    "parse_config",
+    "serialize_config",
     "preset",
     "build_instance",
     "default_smoothness_domain",
@@ -65,72 +68,125 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
+_MAP_KINDS = ("identity", "log_quantizer", "saturation", "sign_power")
+
+
+def _positive(v) -> bool:
+    return v > 0 and math.isfinite(v)
+
+
+def _one_of(*choices: str) -> tuple[str, object]:
+    """The (check, valid) pair of a key that takes one of ``choices``."""
+    return "|".join(choices), choices.__contains__
+
+
+def _key(name: str, default, check: str = "", valid=None, cross_check: str = "", cross_valid=None):
+    """Declare a config field: its ``section.key`` name, default, and rules.
+
+    ``valid`` is a predicate on the value alone, described by ``check`` and
+    run at every construction.  ``cross_valid`` is a predicate on the whole
+    config, described by ``cross_check`` and run by ``build_instance``.
+    """
+    return field(default=default, metadata={"key": name, "rules": (check, valid, cross_check, cross_valid)})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of one simulation run.
 
-    Field names mirror the flat ``section.key`` grammar used by config files
-    and the CLI; see ``CONFIG_KEYS`` for the mapping and per-key checks,
-    which every construction runs.
+    Each field declares its flat ``section.key`` name in config files and the
+    CLI, its default, and its rules; ``CONFIG_KEYS`` is derived from the
+    fields.  Every construction runs each key's own rule.  The rules that
+    relate two keys run at the top of ``build_instance`` instead, so that
+    single-key edits may pass through states that are briefly inconsistent.
     """
 
-    n: int = 50
-    total: float = 200.0
-    eta: float = 0.1
-    horizon: int = 3000
-    seed: int = 1
-    record_stride: int = 1
-    early_stop_spread: float = 1e-8
-    window: int = 0
+    n: int = _key("n", 50, ">= 2", lambda v: v >= 2)
+    total: float = _key("b", 200.0, "finite", math.isfinite)
+    eta: float = _key("eta", 0.1, "> 0", _positive)
+    horizon: int = _key("horizon", 3000, ">= 1", lambda v: v >= 1)
+    seed: int = _key("seed", 1)
+    record_stride: int = _key("record_stride", 1, ">= 1", lambda v: v >= 1)
+    early_stop_spread: float = _key("early_stop", 1e-8, ">= 0", lambda v: v >= 0)
+    window: int = _key("window", 0, ">= 0", lambda v: v >= 0)
 
-    topology_kind: str = "er"
-    topology_p: float = 0.2
-    topology_cycle_ps: tuple[float, ...] = ()
-    topology_switch_period: int = 25
-    topology_weight_lo: float = 0.5
-    topology_weight_hi: float = 1.0
-    topology_edges_file: str = ""
+    topology_kind: str = _key("topology.kind", "er", *_one_of("er", "cycle", "edges"))
+    topology_p: float = _key("topology.p", 0.2, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+    topology_cycle_ps: tuple[float, ...] = _key(
+        "topology.cycle_ps", (), "each in [0, 1]", lambda vs: all(0.0 <= v <= 1.0 for v in vs),
+        "non-empty when topology.kind = cycle", lambda c: c.topology_kind != "cycle" or c.topology_cycle_ps != (),
+    )
+    topology_switch_period: int = _key("topology.switch_period", 25, ">= 1", lambda v: v >= 1)
+    topology_weight_lo: float = _key(
+        "topology.weight_lo", 0.5, "> 0", _positive, "<= topology.weight_hi unless topology.kind = edges",
+        lambda c: c.topology_kind == "edges" or c.topology_weight_lo <= c.topology_weight_hi,
+    )
+    topology_weight_hi: float = _key("topology.weight_hi", 1.0, "> 0", _positive)
+    topology_edges_file: str = _key(
+        "topology.edges_file", "", cross_check="set when topology.kind = edges",
+        cross_valid=lambda c: c.topology_kind != "edges" or c.topology_edges_file != "",
+    )
 
-    costs_kind: str = "quartic"
-    costs_scale_lo: float = 0.0
-    costs_scale_hi: float = 0.02
-    costs_target_lo: float = 0.0
-    costs_target_hi: float = 2.0
-    costs_a_lo: float = 0.5
-    costs_a_hi: float = 1.5
-    costs_b_lo: float = 0.0
-    costs_b_hi: float = 0.0
-    costs_c: float = 0.0
-    costs_csv: str = ""
-    costs_penalty: str = "box"
-    costs_box_lo: float = 1.0
-    costs_box_hi: float = 10.0
-    costs_penalty_weight: float = 20.0
-    costs_penalty_exponent: int = 2
-    costs_penalty_sharpness: float = 5.0
+    costs_kind: str = _key("costs.kind", "quartic", *_one_of("quartic", "quadratic", "csv"))
+    costs_scale_lo: float = _key("costs.scale_lo", 0.0, ">= 0", lambda v: v >= 0)
+    costs_scale_hi: float = _key("costs.scale_hi", 0.02, "> 0", _positive)
+    costs_target_lo: float = _key("costs.target_lo", 0.0, "finite", math.isfinite)
+    costs_target_hi: float = _key("costs.target_hi", 2.0, "finite", math.isfinite)
+    costs_a_lo: float = _key("costs.a_lo", 0.5, "> 0", _positive)
+    costs_a_hi: float = _key("costs.a_hi", 1.5, "> 0", _positive)
+    costs_b_lo: float = _key("costs.b_lo", 0.0, "finite", math.isfinite)
+    costs_b_hi: float = _key("costs.b_hi", 0.0, "finite", math.isfinite)
+    costs_c: float = _key("costs.c", 0.0, "finite", math.isfinite)
+    costs_csv: str = _key(
+        "costs.csv", "", cross_check="set when costs.kind = csv",
+        cross_valid=lambda c: c.costs_kind != "csv" or c.costs_csv != "",
+    )
+    costs_penalty: str = _key("costs.penalty", "box", *_one_of("box", "smooth_log", "none"))
+    costs_box_lo: float = _key(
+        "costs.box_lo", 1.0, "finite", math.isfinite, "< costs.box_hi unless costs.penalty = none",
+        lambda c: c.costs_penalty == "none" or c.costs_box_lo < c.costs_box_hi,
+    )
+    costs_box_hi: float = _key("costs.box_hi", 10.0, "finite", math.isfinite)
+    costs_penalty_weight: float = _key("costs.penalty_weight", 20.0, "> 0", _positive)
+    costs_penalty_exponent: int = _key("costs.penalty_exponent", 2, ">= 2", lambda v: v >= 2)
+    costs_penalty_sharpness: float = _key("costs.penalty_sharpness", 5.0, "> 0", _positive)
 
-    node_kind: str = "identity"
-    node_rho: float = 0.0009765625
-    node_cap: float = 1.0
-    node_d_min: float = 1e-6
-    node_d_max: float = 1e3
-    node_nu: float = 0.5
+    node_kind: str = _key("maps.node.kind", "identity", *_one_of(*_MAP_KINDS))
+    node_rho: float = _key("maps.node.rho", 0.0009765625, "> 0", _positive)
+    node_cap: float = _key(
+        "maps.node.cap", 1.0, "> 0", _positive, "< maps.node.d_max when maps.node.kind = saturation",
+        lambda c: c.node_kind != "saturation" or c.node_cap < c.node_d_max,
+    )
+    node_d_min: float = _key(
+        "maps.node.d_min", 1e-6, "> 0", _positive, "<= maps.node.d_max when maps.node.kind = sign_power",
+        lambda c: c.node_kind != "sign_power" or c.node_d_min <= c.node_d_max,
+    )
+    node_d_max: float = _key("maps.node.d_max", 1e3, "> 0", _positive)
+    node_nu: float = _key("maps.node.nu", 0.5, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
-    link_kind: str = "identity"
-    link_rho: float = 0.125
-    link_cap: float = 1.0
-    link_d_min: float = 1e-6
-    link_d_max: float = 1e3
-    link_nu: float = 0.5
+    link_kind: str = _key("maps.link.kind", "identity", *_one_of(*_MAP_KINDS))
+    link_rho: float = _key("maps.link.rho", 0.125, "> 0", _positive)
+    link_cap: float = _key(
+        "maps.link.cap", 1.0, "> 0", _positive, "< maps.link.d_max when maps.link.kind = saturation",
+        lambda c: c.link_kind != "saturation" or c.link_cap < c.link_d_max,
+    )
+    link_d_min: float = _key(
+        "maps.link.d_min", 1e-6, "> 0", _positive, "<= maps.link.d_max when maps.link.kind = sign_power",
+        lambda c: c.link_kind != "sign_power" or c.link_d_min <= c.link_d_max,
+    )
+    link_d_max: float = _key("maps.link.d_max", 1e3, "> 0", _positive)
+    link_nu: float = _key("maps.link.nu", 0.5, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
-    p_fail: float = 0.0
-    tau_bar: int = 0
-    delay_mode: str = "uniform"
-    delay_symmetric: bool = True
-    adversity_seed: int = -1
+    p_fail: float = _key("adversity.p_fail", 0.0, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+    tau_bar: int = _key("adversity.tau_bar", 0, ">= 0", lambda v: v >= 0)
+    delay_mode: str = _key("adversity.delay_mode", "uniform", *_one_of("uniform", "fixed", "per_link"))
+    adversity_seed: int = _key("adversity.seed", -1, "-1 derives from seed", lambda v: v >= -1)
 
-    init_mode: str = "equal"
-    init_respect_boxes: bool = False
+    init_mode: str = _key("init.mode", "equal", *_one_of("equal", "random_simplex"))
+    init_respect_boxes: bool = _key(
+        "init.respect_boxes", False, cross_check="false when costs.penalty = none",
+        cross_valid=lambda c: not (c.init_respect_boxes and c.costs_penalty == "none"),
+    )
 
     def __post_init__(self) -> None:
         for key, spec in CONFIG_KEYS.items():
@@ -139,79 +195,19 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class _Key:
+    """The declaration of one config key, read from its ``ScenarioConfig`` field."""
+
     attr: str
-    kind: str  # int | float | str | bool | floats
+    type: object  # the field annotation: int, float, str, bool or tuple[float, ...]
     check: str = ""  # human-readable constraint, paired with `valid`
-    valid: object = None  # predicate on the parsed value, or None
+    valid: object = None  # predicate on the value, or None
+    cross_check: str = ""  # human-readable constraint, paired with `cross_valid`
+    cross_valid: object = None  # predicate on the whole config, or None
 
 
-_MAP_KINDS = ("identity", "log_quantizer", "saturation", "sign_power")
-
-
-def _positive(v) -> bool:
-    return v > 0 and math.isfinite(v)
-
-
+_TYPES = get_type_hints(ScenarioConfig)
 CONFIG_KEYS: dict[str, _Key] = {
-    "n": _Key("n", "int", ">= 2", lambda v: v >= 2),
-    "b": _Key("total", "float", "finite", math.isfinite),
-    "eta": _Key("eta", "float", "> 0", _positive),
-    "horizon": _Key("horizon", "int", ">= 1", lambda v: v >= 1),
-    "seed": _Key("seed", "int"),
-    "record_stride": _Key("record_stride", "int", ">= 1", lambda v: v >= 1),
-    "early_stop": _Key("early_stop_spread", "float", ">= 0", lambda v: v >= 0),
-    "window": _Key("window", "int", ">= 0", lambda v: v >= 0),
-    "topology.kind": _Key("topology_kind", "str", "er|cycle|edges", ("er", "cycle", "edges").__contains__),
-    "topology.p": _Key("topology_p", "float", "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    "topology.cycle_ps": _Key(
-        "topology_cycle_ps", "floats", "each in [0, 1]", lambda vs: all(0.0 <= v <= 1.0 for v in vs)
-    ),
-    "topology.switch_period": _Key("topology_switch_period", "int", ">= 1", lambda v: v >= 1),
-    "topology.weight_lo": _Key("topology_weight_lo", "float", "> 0", _positive),
-    "topology.weight_hi": _Key("topology_weight_hi", "float", "> 0", _positive),
-    "topology.edges_file": _Key("topology_edges_file", "str"),
-    "costs.kind": _Key(
-        "costs_kind", "str", "quartic|quadratic|csv", ("quartic", "quadratic", "csv").__contains__
-    ),
-    "costs.scale_lo": _Key("costs_scale_lo", "float", ">= 0", lambda v: v >= 0),
-    "costs.scale_hi": _Key("costs_scale_hi", "float", "> 0", _positive),
-    "costs.target_lo": _Key("costs_target_lo", "float", "finite", math.isfinite),
-    "costs.target_hi": _Key("costs_target_hi", "float", "finite", math.isfinite),
-    "costs.a_lo": _Key("costs_a_lo", "float", "> 0", _positive),
-    "costs.a_hi": _Key("costs_a_hi", "float", "> 0", _positive),
-    "costs.b_lo": _Key("costs_b_lo", "float", "finite", math.isfinite),
-    "costs.b_hi": _Key("costs_b_hi", "float", "finite", math.isfinite),
-    "costs.c": _Key("costs_c", "float", "finite", math.isfinite),
-    "costs.csv": _Key("costs_csv", "str"),
-    "costs.penalty": _Key(
-        "costs_penalty", "str", "box|smooth_log|none", ("box", "smooth_log", "none").__contains__
-    ),
-    "costs.box_lo": _Key("costs_box_lo", "float", "finite", math.isfinite),
-    "costs.box_hi": _Key("costs_box_hi", "float", "finite", math.isfinite),
-    "costs.penalty_weight": _Key("costs_penalty_weight", "float", "> 0", _positive),
-    "costs.penalty_exponent": _Key("costs_penalty_exponent", "int", ">= 2", lambda v: v >= 2),
-    "costs.penalty_sharpness": _Key("costs_penalty_sharpness", "float", "> 0", _positive),
-    "maps.node.kind": _Key("node_kind", "str", "|".join(_MAP_KINDS), _MAP_KINDS.__contains__),
-    "maps.node.rho": _Key("node_rho", "float", "> 0", _positive),
-    "maps.node.cap": _Key("node_cap", "float", "> 0", _positive),
-    "maps.node.d_min": _Key("node_d_min", "float", "> 0", _positive),
-    "maps.node.d_max": _Key("node_d_max", "float", "> 0", _positive),
-    "maps.node.nu": _Key("node_nu", "float", "in (0, 1]", lambda v: 0.0 < v <= 1.0),
-    "maps.link.kind": _Key("link_kind", "str", "|".join(_MAP_KINDS), _MAP_KINDS.__contains__),
-    "maps.link.rho": _Key("link_rho", "float", "> 0", _positive),
-    "maps.link.cap": _Key("link_cap", "float", "> 0", _positive),
-    "maps.link.d_min": _Key("link_d_min", "float", "> 0", _positive),
-    "maps.link.d_max": _Key("link_d_max", "float", "> 0", _positive),
-    "maps.link.nu": _Key("link_nu", "float", "in (0, 1]", lambda v: 0.0 < v <= 1.0),
-    "adversity.p_fail": _Key("p_fail", "float", "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    "adversity.tau_bar": _Key("tau_bar", "int", ">= 0", lambda v: v >= 0),
-    "adversity.delay_mode": _Key(
-        "delay_mode", "str", "uniform|fixed|per_link", ("uniform", "fixed", "per_link").__contains__
-    ),
-    "adversity.symmetric": _Key("delay_symmetric", "bool"),
-    "adversity.seed": _Key("adversity_seed", "int", "-1 derives from seed", lambda v: v >= -1),
-    "init.mode": _Key("init_mode", "str", "equal|random_simplex", ("equal", "random_simplex").__contains__),
-    "init.respect_boxes": _Key("init_respect_boxes", "bool"),
+    f.metadata["key"]: _Key(f.name, _TYPES[f.name], *f.metadata["rules"]) for f in fields(ScenarioConfig)
 }
 
 
@@ -234,6 +230,84 @@ def apply_key(cfg: ScenarioConfig, key: str, value) -> ScenarioConfig:
 def config_items(cfg: ScenarioConfig) -> list[tuple[str, object]]:
     """All (key, value) pairs of a config in registry order."""
     return [(key, getattr(cfg, spec.attr)) for key, spec in CONFIG_KEYS.items()]
+
+
+# --------------------------------------------------------------------------
+# config text format
+# --------------------------------------------------------------------------
+
+_BOOL_WORDS = dict.fromkeys(("true", "1", "yes", "on"), True) | dict.fromkeys(("false", "0", "no", "off"), False)
+
+
+def _parse_bool(raw: str) -> bool:
+    value = _BOOL_WORDS.get(raw.lower())
+    if value is None:
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    return value
+
+
+# Keyed by field annotation; a type missing from _RENDERERS renders with str.
+_PARSERS = {
+    int: int, float: float, str: str, bool: _parse_bool,
+    tuple[float, ...]: lambda raw: tuple(float(part) for part in raw.split(",")) if raw else (),
+}
+_RENDERERS = {
+    float: lambda v: repr(float(v)),
+    bool: lambda v: "true" if v else "false",
+    tuple[float, ...]: lambda vs: ", ".join(repr(float(v)) for v in vs),
+}
+
+
+def _split_item(text: str, where: str) -> tuple[str, str]:
+    """Split a ``key = value`` item into a known key and its raw value text."""
+    key, eq, raw = text.partition("=")
+    key = key.strip()
+    if not eq:
+        raise ConfigurationError(f"{where}: expected 'key = value', got {text!r}")
+    if key not in CONFIG_KEYS:
+        raise ConfigurationError(f"{where}: unknown config key {key!r}")
+    return key, raw
+
+
+def _parse_value(key: str, raw: str, where: str):
+    """Parse the text of one value as its key's type, then run the key's rule."""
+    try:
+        value = _PARSERS[CONFIG_KEYS[key].type](raw.strip())
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}: bad value for {key}: {exc}") from None
+    _check_key(key, value, where)
+    return value
+
+
+def _render_value(key: str, value) -> str:
+    return _RENDERERS.get(CONFIG_KEYS[key].type, str)(value)
+
+
+def parse_config(text: str) -> ScenarioConfig:
+    """Parse the flat ``key = value`` scenario format.
+
+    Blank lines and ``#`` comments are skipped.  Unknown keys and malformed
+    lines are reported with their line number.  Values follow each key's
+    declared type; list-valued keys take comma separated floats.
+    """
+    values: dict[str, object] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        where = f"line {lineno}"
+        key, raw = _split_item(stripped, where)
+        if key in values:
+            raise ConfigurationError(f"{where}: duplicate key {key!r}")
+        values[key] = _parse_value(key, raw, where)
+    return ScenarioConfig(**{CONFIG_KEYS[k].attr: v for k, v in values.items()})
+
+
+def serialize_config(cfg: ScenarioConfig) -> str:
+    """Render a config so that ``parse_config`` reproduces it exactly."""
+    lines = ["# dra-sim scenario"]
+    lines.extend(f"{key} = {_render_value(key, value)}" for key, value in config_items(cfg))
+    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -494,14 +568,10 @@ def _build_graphs(cfg: ScenarioConfig) -> list[WeightedGraph]:
     if cfg.topology_kind == "er":
         return [erdos_renyi(cfg.n, cfg.topology_p, wr, seed=_child_seed(cfg.seed, _TAG_TOPOLOGY, 0))]
     if cfg.topology_kind == "cycle":
-        if not cfg.topology_cycle_ps:
-            raise ConfigurationError("topology.cycle_ps must list at least one probability")
         return [
             erdos_renyi(cfg.n, p, wr, seed=_child_seed(cfg.seed, _TAG_TOPOLOGY, i))
             for i, p in enumerate(cfg.topology_cycle_ps)
         ]
-    if not cfg.topology_edges_file:
-        raise ConfigurationError("topology.kind=edges needs topology.edges_file")
     g = from_edge_list(Path(cfg.topology_edges_file).read_text())
     if g.n != cfg.n:
         raise ConfigurationError(
@@ -522,8 +592,6 @@ def _build_penalty(cfg: ScenarioConfig):
 
 def _build_costs(cfg: ScenarioConfig) -> list[LocalCost]:
     if cfg.costs_kind == "csv":
-        if not cfg.costs_csv:
-            raise ConfigurationError("costs.kind=csv needs costs.csv")
         costs = load_costs_csv(
             cfg.costs_csv,
             penalty=cfg.costs_penalty if cfg.costs_penalty != "none" else "box",
@@ -569,7 +637,11 @@ def build_instance(
 
     Returns the topology cycle, the per-agent costs, and the node and link
     maps, exactly as ``run`` would construct them from the same config.
+    First checks the config's cross-key rules (see ``ScenarioConfig``).
     """
+    for key, spec in CONFIG_KEYS.items():
+        if spec.cross_valid is not None and not spec.cross_valid(cfg):
+            raise ConfigurationError(f"{key} must be {spec.cross_check}, got {getattr(cfg, spec.attr)!r}")
     graphs = _build_graphs(cfg)
     costs = _build_costs(cfg)
     node_map, link_map = _build_maps(cfg)
@@ -641,18 +713,12 @@ def run(cfg: ScenarioConfig) -> RunResult:
 
     oracle = central_solve(costs, cfg.total, tol=1e-9, mode="penalized")
 
-    boxes = None
-    if cfg.init_respect_boxes:
-        if cfg.costs_penalty == "none":
-            raise ConfigurationError("init.respect_boxes needs a penalty with a box")
-        boxes = [(cfg.costs_box_lo, cfg.costs_box_hi)] * cfg.n
+    boxes = [(cfg.costs_box_lo, cfg.costs_box_hi)] * cfg.n if cfg.init_respect_boxes else None
     x0 = feasible_init(cfg.n, cfg.total, cfg.init_mode, seed=_child_seed(cfg.seed, _TAG_INIT), boxes=boxes)
 
     adv_seed = cfg.adversity_seed if cfg.adversity_seed >= 0 else cfg.seed
     rng_fail = np.random.default_rng([_child_seed(adv_seed, _TAG_FAIL), 0xFA11])
-    schedule = DelaySchedule(
-        cfg.tau_bar, cfg.delay_mode, seed=_child_seed(adv_seed, _TAG_DELAY), symmetric=cfg.delay_symmetric
-    )
+    schedule = DelaySchedule(cfg.tau_bar, cfg.delay_mode, seed=_child_seed(adv_seed, _TAG_DELAY))
 
     edge_caches = [g.edges() for g in graphs]
     n_phases = len(graphs)

@@ -6,7 +6,7 @@ import pytest
 
 from dra_sim.cli import main, parse_config, serialize_config
 from dra_sim.errors import ConfigurationError
-from dra_sim.scenario import preset
+from dra_sim.scenario import PRESET_NAMES, preset
 
 MINIMAL = """\
 n = 10
@@ -86,7 +86,7 @@ class TestParseConfig:
 
 class TestSerializeConfig:
     def test_round_trip_every_preset(self):
-        for name in ("fig_dyn", "fig_fail", "dispatch_adversity"):
+        for name in PRESET_NAMES:
             cfg = preset(name)
             assert parse_config(serialize_config(cfg)) == cfg
 

@@ -91,6 +91,21 @@ OUT_OF_RANGE = {
     "init.mode": "zero",
 }
 
+# For every cross-key rule, a config that breaks only that rule (on top of
+# small_static_config, which has costs.penalty = none).
+CROSS_KEY_VIOLATIONS = {
+    "topology.weight_lo": dict(topology_weight_lo=2.0, topology_weight_hi=1.0),
+    "topology.cycle_ps": dict(topology_kind="cycle"),
+    "topology.edges_file": dict(topology_kind="edges"),
+    "costs.csv": dict(costs_kind="csv"),
+    "costs.box_lo": dict(costs_penalty="box", costs_box_lo=5.0, costs_box_hi=5.0),
+    "maps.node.cap": dict(node_kind="saturation", node_cap=5.0, node_d_max=1.0),
+    "maps.link.cap": dict(link_kind="saturation", link_cap=2.0, link_d_max=2.0),
+    "maps.node.d_min": dict(node_kind="sign_power", node_d_min=2.0, node_d_max=1.0),
+    "maps.link.d_min": dict(link_kind="sign_power", link_d_min=3.0, link_d_max=1.0),
+    "init.respect_boxes": dict(init_respect_boxes=True),
+}
+
 
 class TestScenarioConfig:
     def test_table_covers_every_rule(self):
@@ -119,6 +134,19 @@ class TestScenarioConfig:
         attr = CONFIG_KEYS[key].attr
         with pytest.raises(ConfigurationError, match=rf"^{re.escape(key)} must be "):
             ScenarioConfig(**{attr: OUT_OF_RANGE[key]})
+
+    def test_cross_key_table_covers_every_rule(self):
+        ruled = {key for key, spec in CONFIG_KEYS.items() if spec.cross_valid is not None}
+        assert set(CROSS_KEY_VIOLATIONS) == ruled
+
+    @pytest.mark.parametrize("key", sorted(CROSS_KEY_VIOLATIONS))
+    def test_cross_key_rule_checked_before_build(self, key):
+        # Construction accepts the config; building it names the key.
+        cfg = small_static_config(**CROSS_KEY_VIOLATIONS[key])
+        with pytest.raises(ConfigurationError, match=rf"^{re.escape(key)} must be "):
+            build_instance(cfg)
+        with pytest.raises(ConfigurationError, match=rf"^{re.escape(key)} must be "):
+            run(cfg)
 
     def test_apply_key_returns_new_config(self):
         cfg = preset("fig_dyn")
