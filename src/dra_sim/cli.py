@@ -21,6 +21,7 @@ from .mappings import first_order_sector_params, sector_params
 from .objective import smoothness_bound
 from .percolation import effective_failure, er_threshold, mc_union_connectivity, min_window
 from .scenario import (
+    CONFIG_KEYS,
     PRESET_NAMES,
     PRESET_SWEEPS,
     RunResult,
@@ -161,6 +162,8 @@ def _cmd_sweep(args) -> int:
         for item in args.sweep:
             where = f"--sweep {item!r}"
             key, raw = _split_item(item, where)
+            if CONFIG_KEYS[key].type == tuple[float, ...]:
+                raise ConfigurationError(f"{where}: {key} takes a list of values and cannot be swept")
             vals = tuple(_parse_value(key, part, where) for part in raw.split(",") if part.strip())
             if not vals:
                 raise ConfigurationError(f"{where}: no values")
@@ -261,10 +264,11 @@ def _cmd_bounds(args) -> int:
         spec = spectral_summary(laplacian(union_graph(graphs)))
         lam2, lam_max, connected = spec.lambda2, spec.lambda_max, spec.connected
         if args.domain:
-            parts = args.domain.split(",")
-            if len(parts) != 2:
-                raise ConfigurationError(f"--domain needs lo,hi, got {args.domain!r}")
-            domain = (float(parts[0]), float(parts[1]))
+            try:
+                lo, hi = (float(part) for part in args.domain.split(","))
+            except ValueError:
+                raise ConfigurationError(f"--domain needs two numbers lo,hi, got {args.domain!r}") from None
+            domain = (lo, hi)
         else:
             domain = default_smoothness_domain(cfg)
         smooth = smoothness_bound(costs, domain)
@@ -310,7 +314,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = tuple(int(part) for part in args.sizes.split(",") if part.strip())
+    try:
+        sizes = tuple(int(part) for part in args.sizes.split(",") if part.strip())
+    except ValueError:
+        raise ConfigurationError(f"--sizes needs comma separated integers, got {args.sizes!r}") from None
     result = scaling_benchmark(
         sizes, steps=args.steps, density=args.density, seed=args.seed, constant_degree=args.degree
     )
@@ -332,10 +339,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _add_config_source(p: argparse.ArgumentParser, with_preset: bool = True) -> None:
+def _add_config_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="scenario config file")
-    if with_preset:
-        p.add_argument("--preset", help="named preset to start from")
+    p.add_argument("--preset", help="named preset to start from")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
 
 

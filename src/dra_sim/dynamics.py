@@ -4,9 +4,10 @@ Each step, every link {i, j} carries one scalar flow
 w_ij * g_n(g_l(f_i'(x_i)) - g_l(f_j'(x_j))), subtracted from i and added to
 j scaled by the step rate.  Because both endpoints apply the same number,
 the state total is conserved to rounding at every step regardless of the
-topology, of which links fail, and of message delays, as long as delays are
-symmetric per link.  Gradients equalize at the fixed points, which is the
-optimality condition of the equality-coupled problem.
+topology, of which links fail, and of message delays: a delay is drawn once
+per link and emission, so both halves of a flow land at the same step.
+Gradients equalize at the fixed points, which is the optimality condition of
+the equality-coupled problem.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, InfeasibilityError
-from .graph import WeightedGraph, dispersion, laplacian
+from .graph import WeightedGraph, dispersion, laplacian, spectral_summary
 from .mappings import ClampCounter, SectorMap, apply_map_array
 from .objective import CostSet, LocalCost
 
@@ -75,8 +76,17 @@ def _flows(
     return w * apply_map_array(node_map, gl[ei] - gl[ej], counter)
 
 
+def _inflow(n: int, ei: np.ndarray, ej: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Net flow into each node when link k moves phi[k] from ei[k] to ej[k].
+
+    Each side is summed by ``bincount`` in input order, so the result is
+    reproducible bit for bit.
+    """
+    return np.bincount(ej, weights=phi, minlength=n) - np.bincount(ei, weights=phi, minlength=n)
+
+
 def _apply_chunks(x: np.ndarray, eta: float, chunks) -> np.ndarray:
-    """Apply queued flows pairwise: x_i -= eta*phi, x_j += eta*phi.
+    """Apply queued (i, j, phi) flows pairwise: x_i -= eta*phi, x_j += eta*phi.
 
     Flows are accumulated into a delta vector in a fixed order (emission
     step, then link order) before a single state update, so results are
@@ -84,18 +94,8 @@ def _apply_chunks(x: np.ndarray, eta: float, chunks) -> np.ndarray:
     """
     if not chunks:
         return x.copy()
-    if len(chunks) == 1:
-        dec_idx, dec_phi, inc_idx, inc_phi = chunks[0]
-    else:
-        dec_idx, dec_phi, inc_idx, inc_phi = (np.concatenate(part) for part in zip(*chunks))
-    n = x.shape[0]
-    dec = np.bincount(dec_idx, weights=dec_phi, minlength=n)
-    inc = np.bincount(inc_idx, weights=inc_phi, minlength=n)
-    return x + eta * (inc - dec)
-
-
-_EMPTY_I = np.zeros(0, dtype=int)
-_EMPTY_F = np.zeros(0)
+    ei, ej, phi = chunks[0] if len(chunks) == 1 else (np.concatenate(part) for part in zip(*chunks))
+    return x + eta * _inflow(x.shape[0], ei, ej, phi)
 
 
 # --------------------------------------------------------------------------
@@ -108,15 +108,12 @@ class DelaySchedule:
 
     mode "uniform" draws a fresh delay for every emission from a per-step
     derived stream; "fixed" always uses tau_bar; "per_link" draws one delay
-    per link once and keeps it for the whole run.  Delays are symmetric (one
-    draw per unordered link) unless ``symmetric=False``, an experimentation
-    mode in which the two endpoints of a link apply their halves of the flow
-    at different times.  Asymmetric schedules break step-by-step
-    conservation of the state total while messages are in flight, which is
-    why the stepper refuses them unless strict feasibility is switched off.
+    per link once and keeps it for the whole run.  A delay belongs to a
+    link, not to one of its endpoints: both apply the flow at the same step,
+    so the state total is conserved at every step while flows are in flight.
     """
 
-    def __init__(self, tau_bar: int, mode: str = "uniform", seed: int = 0, symmetric: bool = True):
+    def __init__(self, tau_bar: int, mode: str = "uniform", seed: int = 0):
         if tau_bar < 0 or int(tau_bar) != tau_bar:
             raise ConfigurationError(f"tau_bar must be a nonnegative integer, got {tau_bar}")
         if mode not in ("uniform", "fixed", "per_link"):
@@ -124,36 +121,29 @@ class DelaySchedule:
         self.tau_bar = int(tau_bar)
         self.mode = mode
         self.seed = int(seed)
-        self.symmetric = bool(symmetric)
         self._per_link: dict[tuple[int, int], int] = {}
 
-    def _per_link_delay(self, i: int, j: int, direction: int) -> int:
-        key = (i, j) if self.symmetric else (i, j, direction)
-        got = self._per_link.get(key)
+    # Both stream keys end in 0; changing a key would change every delay.
+    def _per_link_delay(self, i: int, j: int) -> int:
+        got = self._per_link.get((i, j))
         if got is None:
-            rng = np.random.default_rng([self.seed, 0xDE1A, i, j, direction])
+            rng = np.random.default_rng([self.seed, 0xDE1A, i, j, 0])
             got = int(rng.integers(0, self.tau_bar + 1))
-            self._per_link[key] = got
+            self._per_link[(i, j)] = got
         return got
 
-    def draw(self, step: int, ei: np.ndarray, ej: np.ndarray, direction: int = 0) -> np.ndarray:
-        """Delays for the given links emitted at ``step``.
-
-        ``direction`` selects the independent second stream in asymmetric
-        mode; symmetric schedules ignore it.
-        """
+    def draw(self, step: int, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
+        """Delays for the links (ei, ej) emitted at ``step``."""
         m = len(ei)
         if self.tau_bar == 0 or m == 0:
             return np.zeros(m, dtype=int)
         if self.mode == "fixed":
             return np.full(m, self.tau_bar, dtype=int)
         if self.mode == "per_link":
-            d = 0 if self.symmetric else direction
             return np.array(
-                [self._per_link_delay(i, j, d) for i, j in zip(ei.tolist(), ej.tolist())],
-                dtype=int,
+                [self._per_link_delay(i, j) for i, j in zip(ei.tolist(), ej.tolist())], dtype=int
             )
-        rng = np.random.default_rng([self.seed, 0xDE1A, int(step), direction])
+        rng = np.random.default_rng([self.seed, 0xDE1A, int(step), 0])
         return rng.integers(0, self.tau_bar + 1, size=m)
 
 
@@ -162,8 +152,9 @@ class DelayedNetworkState:
     """Simulation state of the delayed dynamics at step ``step``.
 
     ``pending`` buckets flows by arrival step modulo (tau_bar + 1); each
-    bucket is a list of (dec_idx, dec_phi, inc_idx, inc_phi) chunks in
-    emission order.  :func:`step_delayed` advances the state in place.
+    bucket is a list of (i, j, phi) chunks in emission order; a chunk moves
+    phi[k] from node i[k] to node j[k].  :func:`step_delayed` advances the
+    state in place.
     """
 
     x: np.ndarray
@@ -200,9 +191,7 @@ def step_delayed(
     link_map: SectorMap,
     eta: float,
     failure_keep: np.ndarray | None = None,
-    strict_feasibility: bool = True,
     grads: np.ndarray | None = None,
-    edges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     node_counter: ClampCounter | None = None,
     link_counter: ClampCounter | None = None,
 ) -> DelayedNetworkState:
@@ -216,32 +205,27 @@ def step_delayed(
     ``failure_keep`` is an optional boolean mask over the graph's links
     (row-major i < j order) selecting which are up this step; emissions
     happen only on active links, but flows already in flight arrive
-    regardless of the link's later state.  ``grads`` and ``edges`` may be
-    supplied when the caller already computed them (the scenario loop
-    does).  The pending buckets are updated in place and ``state.x`` is
-    replaced by a new array; ``state`` itself is returned.
+    regardless of the link's later state.  ``grads`` may be supplied when
+    the caller already computed them (the scenario loop does).  The pending
+    buckets are updated in place and ``state.x`` is replaced by a new
+    array; ``state`` itself is returned.
     """
     if schedule.tau_bar != state.tau_bar:
         raise ConfigurationError(
             f"schedule tau_bar {schedule.tau_bar} does not match state tau_bar {state.tau_bar}"
         )
-    if not schedule.symmetric and strict_feasibility:
-        raise ConfigurationError(
-            "asymmetric delay schedules break conservation of the state total; "
-            "pass strict_feasibility=False to run them anyway"
-        )
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ConfigurationError(f"step rate must be positive and finite, got {eta}")
     cs = _as_costset(costs)
     x = state.x
+    if not graph.n == cs.n == x.shape[0]:
+        raise ConfigurationError("state, graph, and costs must agree on n")
     k = state.step
     depth = state.tau_bar + 1
 
     if grads is None:
         grads = cs.grad(x)
-    if edges is None:
-        edges = graph.edges()
-    ei, ej, w = edges
+    ei, ej, w = graph.edges()
     if failure_keep is not None:
         keep = np.asarray(failure_keep, dtype=bool)
         if keep.shape != ei.shape:
@@ -253,25 +237,14 @@ def step_delayed(
     gl = apply_map_array(link_map, grads, link_counter)
     phi = _flows(gl, ei, ej, w, node_map, node_counter)
     buckets = state.pending
-    if schedule.symmetric:
-        if depth == 1:
-            buckets[0].append((ei, phi, ej, phi))
-        else:
-            delays = schedule.draw(k, ei, ej)
-            for d in range(depth):
-                sel = delays == d
-                if sel.any():
-                    buckets[(k + d) % depth].append((ei[sel], phi[sel], ej[sel], phi[sel]))
+    if depth == 1:
+        buckets[0].append((ei, ej, phi))
     else:
-        d_out = schedule.draw(k, ei, ej, direction=0)
-        d_in = schedule.draw(k, ei, ej, direction=1)
+        delays = schedule.draw(k, ei, ej)
         for d in range(depth):
-            sel = d_out == d
+            sel = delays == d
             if sel.any():
-                buckets[(k + d) % depth].append((ei[sel], phi[sel], _EMPTY_I, _EMPTY_F))
-            sel = d_in == d
-            if sel.any():
-                buckets[(k + d) % depth].append((_EMPTY_I, _EMPTY_F, ej[sel], phi[sel]))
+                buckets[(k + d) % depth].append((ei[sel], ej[sel], phi[sel]))
 
     slot = k % depth
     state.x = _apply_chunks(x, eta, buckets[slot])
@@ -291,24 +264,21 @@ def step_delay_free(
     link_map: SectorMap,
     eta: float,
     grads: np.ndarray | None = None,
-    edges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     node_counter: ClampCounter | None = None,
     link_counter: ClampCounter | None = None,
 ) -> np.ndarray:
     """One synchronous update over all links of ``graph``.
 
     The zero-delay case of :func:`step_delayed`, run on a fresh state, so
-    both share one kernel and agree bit for bit.  ``grads`` and ``edges``
-    may be supplied when the caller already computed them.  Returns the
-    next state; the input is not modified.
+    both share one kernel and agree bit for bit.  ``grads`` may be supplied
+    when the caller already computed it.  Returns the next state; the input
+    is not modified.
     """
     cs = _as_costset(costs)
-    if graph.n != cs.n:
-        raise ConfigurationError("state, graph, and costs must agree on n")
     state = init_delayed_state(x, 0, cs, link_map)
     return step_delayed(
         state, graph, _NO_DELAY, cs, node_map, link_map, eta,
-        grads=grads, edges=edges, node_counter=node_counter, link_counter=link_counter,
+        grads=grads, node_counter=node_counter, link_counter=link_counter,
     ).x
 
 
@@ -601,9 +571,7 @@ def sector_diagnostics(
     rng = np.random.default_rng([int(seed), 0xD1A6])
     ei, ej, w = graph.edges()
     lap = laplacian(graph)
-    eigs = np.linalg.eigvalsh(lap)
-    lam2 = float(eigs[1]) if len(eigs) > 1 else 0.0
-    lam_max = float(eigs[-1])
+    spec = spectral_summary(lap)
     ident = SectorMap("identity", 1.0, 1.0, (0.0, np.inf))
     lo_bound = node_map.kappa * link_map.kappa
     hi_bound = node_map.big_k * link_map.big_k
@@ -621,15 +589,9 @@ def sector_diagnostics(
         gl = apply_map_array(link_map, grads)
         phi = _flows(gl, ei, ej, w, node_map, None)
         phi_lin = _flows(grads, ei, ej, w, ident, None)
-        stacked = np.zeros(n)
-        stacked_lin = np.zeros(n)
-        np.add.at(stacked, ei, phi)
-        np.add.at(stacked, ej, -phi)
-        np.add.at(stacked_lin, ei, phi_lin)
-        np.add.at(stacked_lin, ej, -phi_lin)
-        den = float(grads @ stacked_lin)
+        den = float(grads @ _inflow(n, ei, ej, phi_lin))
         if abs(den) > 1e-12 * (1.0 + float(np.abs(grads).max()) ** 2):
-            r = float(grads @ stacked) / den
+            r = float(grads @ _inflow(n, ei, ej, phi)) / den
             ratios.append(r)
             flow_worst = max(flow_worst, lo_bound - r, r - hi_bound)
             used += 1
@@ -637,8 +599,8 @@ def sector_diagnostics(
         xd = dispersion(x)
         quad = float(x @ (lap @ apply_map_array(link_map, x)))
         nd = float(xd @ xd)
-        low = lam2 * link_map.kappa * nd
-        high = lam_max * link_map.big_k * nd
+        low = spec.lambda2 * link_map.kappa * nd
+        high = spec.lambda_max * link_map.big_k * nd
         slack = 1e-9 * max(abs(low), abs(high), 1.0)
         if quad < low - slack or quad > high + slack:
             ray_bad += 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,12 +71,24 @@ class WeightedGraph:
 
     @property
     def edge_count(self) -> int:
-        return int(np.count_nonzero(np.triu(self.weights, 1)))
+        return len(self.edges()[0])
 
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (i, j, w) arrays of the links with i < j, in row-major order."""
-        ei, ej = np.nonzero(np.triu(self.weights, 1))
-        return ei, ej, self.weights[ei, ej]
+        """Return (i, j, w) arrays of the links with i < j, in row-major order.
+
+        The arrays are computed on the first call, kept, and read-only.
+        """
+        return self._links
+
+    @cached_property
+    def _links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ii, jj = np.nonzero(self.weights)
+        upper = ii < jj
+        ei, ej = ii[upper], jj[upper]
+        links = (ei, ej, self.weights[ei, ej])
+        for a in links:
+            a.flags.writeable = False
+        return links
 
 
 @dataclass(frozen=True)
@@ -287,8 +300,10 @@ def from_edge_list(text: str) -> WeightedGraph:
         raise ConfigurationError("edge list must start with an 'n=<count>' line")
     try:
         n = int(lines[0][2:])
-    except ValueError as exc:
-        raise ConfigurationError(f"bad node count line: {lines[0]!r}") from exc
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigurationError(f"bad node count line (want n=<count> with count >= 1): {lines[0]!r}")
     weights = np.zeros((n, n))
     for ln in lines[1:]:
         parts = ln.split()

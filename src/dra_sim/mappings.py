@@ -59,19 +59,6 @@ class SectorMap:
     cap: float = 0.0
     exponent: float = 1.0
 
-    def label(self) -> str:
-        """Short human-readable form used in configs and summaries."""
-        if self.kind == "identity":
-            return "identity"
-        if self.kind == "log_quantizer":
-            return f"log_quantizer(rho={self.rho:g})"
-        if self.kind == "saturation":
-            return f"saturation(cap={self.cap:g}, d_max={self.abs_domain[1]:g})"
-        return (
-            f"sign_power(nu={self.exponent:g}, d_min={self.abs_domain[0]:g}, "
-            f"d_max={self.abs_domain[1]:g})"
-        )
-
 
 @dataclass(frozen=True)
 class SectorCheck:

@@ -532,7 +532,11 @@ def load_costs_csv(
     """
     path = Path(path)
     rows: dict[int, LocalCost] = {}
-    with path.open(newline="") as fh:
+    try:
+        fh = path.open(newline="")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read cost table {str(path)!r}: {exc.strerror}") from None
+    with fh:
         reader = csv.DictReader(fh)
         expected = ["i", "kind", "p1", "p2", "p3", "lo", "hi"]
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
@@ -546,16 +550,16 @@ def load_costs_csv(
                 p1 = float(row["p1"])
                 p2 = float(row["p2"]) if row["p2"].strip() else 0.0
                 p3 = float(row["p3"]) if row["p3"].strip() else 0.0
+                lo_s, hi_s = row["lo"].strip(), row["hi"].strip()
+                lo, hi = (float(lo_s), float(hi_s)) if lo_s and hi_s else (None, None)
             except (ValueError, AttributeError) as exc:
                 raise ConfigurationError(f"bad cost row at line {lineno}: {row}") from exc
             if idx in rows:
                 raise ConfigurationError(f"duplicate agent id {idx} at line {lineno}")
             pen = None
-            lo_s, hi_s = row["lo"].strip(), row["hi"].strip()
             if lo_s or hi_s:
                 if not (lo_s and hi_s):
                     raise ConfigurationError(f"line {lineno}: lo and hi must both be set or both empty")
-                lo, hi = float(lo_s), float(hi_s)
                 if penalty == "box":
                     pen = BoxPenalty(lo, hi, penalty_weight, penalty_exponent)
                 elif penalty == "smooth_log":

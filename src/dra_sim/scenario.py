@@ -572,7 +572,12 @@ def _build_graphs(cfg: ScenarioConfig) -> list[WeightedGraph]:
             erdos_renyi(cfg.n, p, wr, seed=_child_seed(cfg.seed, _TAG_TOPOLOGY, i))
             for i, p in enumerate(cfg.topology_cycle_ps)
         ]
-    g = from_edge_list(Path(cfg.topology_edges_file).read_text())
+    path = cfg.topology_edges_file
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigurationError(f"topology.edges_file: cannot read {path!r}: {exc.strerror}") from None
+    g = from_edge_list(text)
     if g.n != cfg.n:
         raise ConfigurationError(
             f"edge list has n={g.n} but the scenario says n={cfg.n}"
@@ -720,7 +725,6 @@ def run(cfg: ScenarioConfig) -> RunResult:
     rng_fail = np.random.default_rng([_child_seed(adv_seed, _TAG_FAIL), 0xFA11])
     schedule = DelaySchedule(cfg.tau_bar, cfg.delay_mode, seed=_child_seed(adv_seed, _TAG_DELAY))
 
-    edge_caches = [g.edges() for g in graphs]
     n_phases = len(graphs)
     switch = cfg.topology_switch_period
 
@@ -734,14 +738,10 @@ def run(cfg: ScenarioConfig) -> RunResult:
     max_gap = 0.0
     initial_residual = float("nan")
     steps_to_threshold = -1
-    early_stopped = False
-    diverged = False
-    diverged_step = -1
-    last_active = len(edge_caches[0][0])
-    final_step = 0
+    # Links up at the last step taken; the record of a final step repeats it.
+    active = graphs[0].edge_count
 
-    k = 0
-    while True:
+    for k in range(horizon + 1):
         x = state.x
         finite = bool(np.all(np.isfinite(x)))
         if finite:
@@ -762,28 +762,19 @@ def run(cfg: ScenarioConfig) -> RunResult:
             max_gap = max(max_gap, abs(gap))
             if steps_to_threshold < 0 and residual <= 0.01 * initial_residual:
                 steps_to_threshold = k
-        if not finite or (residual > 1e9 * (abs(initial_residual) + 1.0)):
-            diverged = True
-            diverged_step = k
-
-        stepping = (k < horizon) and not diverged
+        diverged = not finite or residual > 1e9 * (abs(initial_residual) + 1.0)
         stop_now = finite and spread <= cfg.early_stop_spread
-        if stepping and not stop_now:
-            phase = (k // switch) % n_phases
-            graph = graphs[phase]
-            ei, ej, w = edge_caches[phase]
+        done = diverged or stop_now or k == horizon
+        if not done:
+            graph = graphs[(k // switch) % n_phases]
             if cfg.p_fail > 0.0:
-                keep = rng_fail.random(len(ei)) >= cfg.p_fail
+                keep = rng_fail.random(graph.edge_count) >= cfg.p_fail
                 active = int(np.count_nonzero(keep))
             else:
                 keep = None
-                active = len(ei)
-            last_active = active
-        else:
-            keep = None
-            active = last_active
+                active = graph.edge_count
 
-        if k % cfg.record_stride == 0 or not stepping or stop_now:
+        if k % cfg.record_stride == 0 or done:
             records.append(
                 TraceRecord(
                     step=k,
@@ -796,30 +787,16 @@ def run(cfg: ScenarioConfig) -> RunResult:
                     active_links=active,
                 )
             )
-        final_step = k
-        if not stepping or stop_now:
-            early_stopped = stop_now and k < horizon
+        if done:
             break
-
         state = step_delayed(
-            state,
-            graph,
-            schedule,
-            cs,
-            node_map,
-            link_map,
-            cfg.eta,
-            failure_keep=keep,
-            grads=grads,
-            edges=(ei, ej, w),
-            node_counter=node_counter,
-            link_counter=link_counter,
+            state, graph, schedule, cs, node_map, link_map, cfg.eta, failure_keep=keep, grads=grads,
+            node_counter=node_counter, link_counter=link_counter,
         )
-        k += 1
 
     # Fraction of fixed-length windows over which the objective decreased.
     win = cfg.window + cfg.tau_bar + 1
-    executed = final_step
+    executed = k
     if executed >= win:
         starts = f_values[: executed - win + 1]
         ends = f_values[win : executed + 1]
@@ -828,13 +805,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
     else:
         frac_decreasing = float("nan")
 
-    ratio = None
-    if diverged:
-        ratio = _divergence_ratio(cfg, graphs, costs, node_map, link_map)
-
-    final_x = state.x
-    final_finite = bool(np.all(np.isfinite(final_x)))
-    final_grads = cs.grad(final_x) if final_finite else None
+    ratio = _divergence_ratio(cfg, graphs, costs, node_map, link_map) if diverged else None
     summary = RunSummary(
         n=cfg.n,
         total=cfg.total,
@@ -842,21 +813,21 @@ def run(cfg: ScenarioConfig) -> RunResult:
         horizon=horizon,
         executed_steps=executed,
         initial_residual=float(initial_residual),
-        final_residual=float(f_values[final_step] - oracle.value),
-        final_spread=float(final_grads.max() - final_grads.min()) if final_finite else float("nan"),
+        final_residual=float(residual),
+        final_spread=spread,
         steps_to_threshold=steps_to_threshold,
         max_feasibility_gap=float(max_gap),
         fraction_decreasing_windows=frac_decreasing,
         node_clamp_events=node_counter.events,
         link_clamp_events=link_counter.events,
-        early_stopped=early_stopped,
+        early_stopped=stop_now and k < horizon,
         diverged=diverged,
-        diverged_step=diverged_step,
+        diverged_step=k if diverged else -1,
         eta_bound_ratio=ratio,
         oracle_value=oracle.value,
         oracle_multiplier=oracle.multiplier,
     )
-    return RunResult(config=cfg, trace=records, summary=summary, final_state=final_x.copy())
+    return RunResult(config=cfg, trace=records, summary=summary, final_state=x.copy())
 
 
 # --------------------------------------------------------------------------
@@ -960,15 +931,14 @@ def scaling_benchmark(
         rng = np.random.default_rng([_child_seed(seed, _TAG_COSTS, n), 0xBE7C])
         costs = [LocalCost("quadratic", a, 0.0, 0.0) for a in 0.5 + rng.random(n)]
         cs = CostSet(costs)
-        edges = g.edges()
         lam = spectral_summary(laplacian(g)).lambda_max
         eta = 0.5 / max(lam, 1.0)
         x = feasible_init(n, float(n), "random_simplex", seed=seed)
         for _ in range(5):
-            x = step_delay_free(x, g, cs, node_map, link_map, eta, edges=edges)
+            x = step_delay_free(x, g, cs, node_map, link_map, eta)
         t0 = time.perf_counter()
         for _ in range(steps):
-            x = step_delay_free(x, g, cs, node_map, link_map, eta, edges=edges)
+            x = step_delay_free(x, g, cs, node_map, link_map, eta)
         elapsed = time.perf_counter() - t0
         timings.append(elapsed / steps)
     logs_n = np.log(np.asarray(sizes, dtype=float))

@@ -290,6 +290,14 @@ class TestSweepCommand:
                      "--out-dir", str(tmp_path / "y")]) == 1
         capsys.readouterr()
 
+    def test_list_valued_key_cannot_be_swept(self, tmp_path, capsys):
+        cfg = write_small_config(tmp_path, horizon=10)
+        out = tmp_path / "cycle"
+        assert main(["sweep", "--config", str(cfg), "--sweep", "topology.cycle_ps=0.5,0.25",
+                     "--out-dir", str(out)]) == 1
+        assert "topology.cycle_ps" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPercolationCommand:
     def test_threshold_and_window_output(self, capsys):
@@ -398,4 +406,63 @@ class TestBenchCommand:
     def test_bad_sizes_exit_one(self, capsys):
         assert main(["bench", "--sizes", "", "--steps", "20"]) == 1
         assert main(["bench", "--sizes", "16,32", "--steps", "0"]) == 1
+        capsys.readouterr()
+
+
+class TestOutsideInputErrors:
+    """Malformed or missing outside input ends in exit 1 with a message naming it."""
+
+    def run_error(self, capsys, argv):
+        assert main(argv) == 1
+        return capsys.readouterr().err
+
+    def test_bounds_domain_not_numbers(self, tmp_path, capsys):
+        cfg = write_small_config(tmp_path)
+        err = self.run_error(capsys, ["bounds", "--config", str(cfg), "--domain", "a,b"])
+        assert err.startswith("error: --domain")
+
+    def test_bench_sizes_not_integers(self, capsys):
+        err = self.run_error(capsys, ["bench", "--sizes", "50,x", "--steps", "20"])
+        assert err.startswith("error: --sizes")
+
+    def test_cost_table_bound_not_a_number(self, tmp_path, capsys):
+        table = tmp_path / "costs.csv"
+        rows = ["i,kind,p1,p2,p3,lo,hi"] + [f"{i},quadratic,1.0,0.0,0,x,5" for i in range(10)]
+        table.write_text("\n".join(rows) + "\n")
+        cfg = write_small_config(tmp_path, horizon=5)
+        err = self.run_error(capsys, ["run", "--config", str(cfg), "--set", "costs.kind=csv",
+                                      "--set", f"costs.csv={table}"])
+        assert "bad cost row at line 2" in err
+
+    def test_edge_list_negative_node_count(self, tmp_path, capsys):
+        edges = tmp_path / "net.edges"
+        edges.write_text("n=-2\n")
+        cfg = write_small_config(tmp_path, horizon=5)
+        err = self.run_error(capsys, ["run", "--config", str(cfg), "--set", "topology.kind=edges",
+                                      "--set", f"topology.edges_file={edges}"])
+        assert "'n=-2'" in err
+
+    @pytest.mark.parametrize("kind_key, kind, file_key", [
+        ("topology.kind", "edges", "topology.edges_file"),
+        ("costs.kind", "csv", "costs.csv"),
+    ])
+    def test_missing_input_file(self, tmp_path, capsys, kind_key, kind, file_key):
+        missing = tmp_path / "missing.txt"
+        cfg = write_small_config(tmp_path, horizon=5)
+        err = self.run_error(capsys, ["run", "--config", str(cfg), "--set", f"{kind_key}={kind}",
+                                      "--set", f"{file_key}={missing}"])
+        assert err.startswith("error: ") and str(missing) in err
+
+    def test_missing_input_file_in_sweep_is_a_job_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DRA_SIM_THREADS", "2")
+        missing = tmp_path / "missing.edges"
+        cfg = write_small_config(tmp_path, horizon=5)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--set", "topology.kind=edges",
+                     "--set", f"topology.edges_file={missing}",
+                     "--sweep", "seed=1,2", "--out-dir", str(out)]) == 1
+        rows = (out / "sweep_summary.csv").read_text().strip().splitlines()
+        assert len(rows) == 3
+        for row in rows[1:]:
+            assert f',"config: topology.edges_file: cannot read {str(missing)!r}' in row
         capsys.readouterr()

@@ -207,26 +207,6 @@ class TestStepDelayed:
         assert s2.x.tolist() == [2.5, 1.5]
         assert s2.step == 2
 
-    def test_asymmetric_schedule_refused_in_strict_mode(self):
-        costs, graph = two_node_instance()
-        sched = DelaySchedule(2, mode="uniform", seed=3, symmetric=False)
-        state = init_delayed_state(np.array([3.0, 1.0]), 2, costs, IDM)
-        with pytest.raises(ConfigurationError):
-            step_delayed(state, graph, sched, costs, IDM, IDM, 0.25)
-
-    def test_asymmetric_schedule_runs_when_strictness_waived(self):
-        costs, graph = two_node_instance()
-        sched = DelaySchedule(2, mode="uniform", seed=3, symmetric=False)
-        state = init_delayed_state(np.array([3.0, 1.0]), 2, costs, IDM)
-        drift = 0.0
-        for _ in range(30):
-            state = step_delayed(state, graph, sched, costs, IDM, IDM, 0.25,
-                                 strict_feasibility=False)
-            drift = max(drift, abs(math.fsum(state.x.tolist()) - 4.0))
-        # The halves of a flow land at different steps, so the total moves
-        # while messages are in flight.
-        assert drift > 0.01
-
     def test_conservation_under_delays_and_failures(self):
         rng = np.random.default_rng(1234)
         n = 20
@@ -243,6 +223,13 @@ class TestStepDelayed:
             keep = failure_mask(base, 0.5, rng)
             state = step_delayed(state, keep, sched, costs, q, q, 0.05)
             assert abs(math.fsum(state.x.tolist()) - total) <= tol
+
+    def test_graph_size_must_match_state(self):
+        costs, _ = two_node_instance()
+        path3 = WeightedGraph(3, np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+        state = init_delayed_state(np.array([3.0, 1.0]), 0, costs, IDM)
+        with pytest.raises(ConfigurationError, match="agree on n"):
+            step_delayed(state, path3, DelaySchedule(0), costs, IDM, IDM, 0.25)
 
     def test_tau_bar_mismatch_rejected(self):
         costs, graph = two_node_instance()

@@ -76,6 +76,17 @@ class TestWeightedGraph:
         assert w.tolist() == [0.25, 0.25]
         assert g.edge_count == 2
 
+    def test_edges_computed_once_and_read_only(self):
+        g = erdos_renyi(12, 0.5, (0.5, 1.0), seed=4)
+        links = g.edges()
+        assert g.edges() is links
+        for a in links:
+            with pytest.raises(ValueError):
+                a[0] = 0
+        ii, jj = np.nonzero(np.triu(g.weights, 1))
+        assert np.array_equal(links[0], ii) and np.array_equal(links[1], jj)
+        assert np.array_equal(links[2], g.weights[ii, jj])
+
 
 class TestErdosRenyi:
     def test_forced_single_link(self):
@@ -397,6 +408,11 @@ class TestEdgeListSerialization:
     def test_rejects_malformed_header(self):
         with pytest.raises(ConfigurationError):
             from_edge_list("nodes=3\n0 1 1.0\n")
+
+    def test_rejects_nonpositive_node_count(self):
+        for header in ("n=-2", "n=0"):
+            with pytest.raises(ConfigurationError, match="bad node count line"):
+                from_edge_list(header + "\n")
 
     def test_rejects_bad_edge_line(self):
         with pytest.raises(ConfigurationError):
