@@ -4,13 +4,16 @@ Each property holds on every instance, not only on the fixed seeds of the
 other test modules: random graphs with 2-20 nodes, random failure masks,
 symmetric delay schedules with tau_bar 0-4 in all three modes, the shipped
 sector maps, and mixed quadratic and quartic costs with no, box or
-smooth-log penalty.  The examples are derandomized (see conftest.py).
+smooth-log penalty.  The oracle and the smoothness scan are also checked
+against the plain one-point-at-a-time loops they must reproduce bit for bit.
+The examples are derandomized (see conftest.py).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +32,8 @@ from dra_sim import (
     erdos_renyi,
     failure_mask,
     identity_map,
+    InfeasibilityError,
+    NumericError,
     init_delayed_state,
     laplacian,
     log_quantizer,
@@ -261,3 +266,149 @@ def test_exact_box_oracle_meets_kkt(problem):
     assert np.all(g[at_lo] >= nu - slack)
     assert np.all(g[at_hi] <= nu + slack)
     assert np.all(np.abs(g[free] - nu) <= slack)
+
+
+# --------------------------------------------------------------------------
+# the oracle against the plain bisection
+# --------------------------------------------------------------------------
+
+
+def reference_roots(cs, nu, mode, lo_box, hi_box):
+    """Per-agent bisection for f_i'(x_i) = nu, one nu, every inner step taken."""
+    grad = cs.grad if mode == "penalized" else cs.base_grad
+    center = np.where(cs.quartic, cs.p2, -cs.p2 / (2.0 * cs.p1))
+    lo = center - 1.0
+    hi = center + 1.0
+    span = 1.0
+    for _ in range(200):
+        bad = grad(hi) < nu
+        if not bad.any():
+            break
+        span *= 2.0
+        hi = np.where(bad, center + span, hi)
+    else:
+        raise NumericError("upper bracket")
+    span = 1.0
+    for _ in range(200):
+        bad = grad(lo) > nu
+        if not bad.any():
+            break
+        span *= 2.0
+        lo = np.where(bad, center - span, lo)
+    else:
+        raise NumericError("lower bracket")
+    for _ in range(110):
+        mid = 0.5 * (lo + hi)
+        below = grad(mid) < nu
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    x = 0.5 * (lo + hi)
+    if mode == "exact_box":
+        x = np.clip(x, lo_box, hi_box)
+    return x
+
+
+def reference_solve(costs, total, boxes, mode, tol=1e-9):
+    """The multiplier bisection one nu at a time: (x, nu, value, gap, iterations)."""
+    cs = CostSet(costs)
+    if boxes is not None:
+        lo_box = np.array([b[0] for b in boxes])
+        hi_box = np.array([b[1] for b in boxes])
+    else:
+        lo_box = np.where(cs.pen_kind > 0, cs.pen_lo, -np.inf)
+        hi_box = np.where(cs.pen_kind > 0, cs.pen_hi, np.inf)
+    if mode == "exact_box":
+        if np.isfinite(lo_box).all() and total < float(lo_box.sum()) - tol:
+            raise InfeasibilityError("below the box floor")
+        if np.isfinite(hi_box).all() and total > float(hi_box.sum()) + tol:
+            raise InfeasibilityError("above the box ceiling")
+
+    def aggregate(nu):
+        return math.fsum(reference_roots(cs, nu, mode, lo_box, hi_box).tolist())
+
+    nu_lo, nu_hi, span = -1.0, 1.0, 1.0
+    for _ in range(200):
+        if aggregate(nu_hi) >= total:
+            break
+        span *= 2.0
+        nu_hi = span
+    else:
+        raise InfeasibilityError("from below")
+    span = 1.0
+    for _ in range(200):
+        if aggregate(nu_lo) <= total:
+            break
+        span *= 2.0
+        nu_lo = -span
+    else:
+        raise InfeasibilityError("from above")
+    for iterations in range(1, 321):
+        nu = 0.5 * (nu_lo + nu_hi)
+        s = aggregate(nu)
+        if abs(s - total) <= tol:
+            break
+        if s < total:
+            nu_lo = nu
+        else:
+            nu_hi = nu
+    else:
+        raise NumericError("multiplier bisection")
+    x = reference_roots(cs, nu, mode, lo_box, hi_box)
+    gap = abs(math.fsum(x.tolist()) - total)
+    value = cs.total_value(x) if mode == "penalized" else math.fsum(cs.base_value(x).tolist())
+    return x, nu, value, gap, iterations
+
+
+@st.composite
+def cost_lists(draw, max_size):
+    """Up to ``max_size`` costs: a few drawn ones, repeated to the drawn length.
+
+    Long lists reach the sizes where the oracle evaluates one multiplier per
+    call and the smoothness scan takes several blocks.
+    """
+    base = draw(st.lists(local_costs(), min_size=1, max_size=8))
+    n = draw(st.integers(1, max_size))
+    return [base[i % len(base)] for i in range(n)]
+
+
+@st.composite
+def oracle_problems(draw):
+    costs = draw(cost_lists(300))
+    mode = draw(st.sampled_from(("penalized", "exact_box")))
+    boxes = None
+    if draw(st.booleans()):
+        lo = [draw(st.floats(-5.0, 4.0)) for _ in costs]
+        boxes = [(a, a + draw(st.floats(0.5, 10.0))) for a in lo]
+    return costs, draw(st.floats(-50.0, 50.0)), boxes, mode
+
+
+@given(oracle_problems())
+@settings(max_examples=40)
+def test_oracle_matches_plain_bisection(problem):
+    costs, total, boxes, mode = problem
+    try:
+        want = reference_solve(costs, total, boxes, mode)
+    except (InfeasibilityError, NumericError) as exc:
+        with pytest.raises(type(exc)):
+            central_solve(costs, total, boxes=boxes, tol=1e-9, mode=mode)
+        return
+    sol = central_solve(costs, total, boxes=boxes, tol=1e-9, mode=mode)
+    x, nu, value, gap, iterations = want
+    assert np.asarray(sol.x).tobytes() == x.tobytes()
+    assert (sol.multiplier, sol.value, sol.gap, sol.iterations) == (nu, value, gap, iterations)
+
+
+@given(
+    cost_lists(2000),
+    st.floats(-20.0, 0.0),
+    st.floats(0.5, 30.0),
+    st.integers(100, 3000),
+)
+@settings(max_examples=40)
+def test_smoothness_scan_matches_pointwise_loop(costs, lo, width, grid_points):
+    cs = CostSet(costs)
+    worst = 0.0
+    for x in np.linspace(lo, lo + width, grid_points):
+        worst = max(worst, float(cs.curvature(np.full(cs.n, x)).max()))
+    est = smoothness_bound(costs, (lo, lo + width), grid_points)
+    assert (est.max_curvature, est.u) == (worst, 0.55 * worst)
