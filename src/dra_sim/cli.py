@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .dynamics import max_delay_bound, step_rate_from_sector
-from .errors import ConfigurationError, DraSimError, NumericError
+from .errors import ConfigurationError, DraSimError, NumericError, read_input_text
 from .graph import erdos_renyi, laplacian, spectral_summary, union_graph
 from .mappings import first_order_sector_params, sector_params
 from .objective import smoothness_bound
@@ -66,10 +66,7 @@ def _load_config(args) -> ScenarioConfig:
     if getattr(args, "preset", None):
         cfg = preset(args.preset)
     elif getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigurationError(f"config file not found: {path}")
-        cfg = parse_config(path.read_text())
+        cfg = parse_config(read_input_text(args.config, "--config"))
     else:
         raise ConfigurationError("give either --config FILE or --preset NAME")
     return _apply_sets(cfg, args.set or [])

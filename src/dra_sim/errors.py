@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the outside-file reader."""
 
 __all__ = ["DraSimError", "ConfigurationError", "DomainError", "InfeasibilityError", "NumericError"]
 
@@ -21,3 +21,20 @@ class InfeasibilityError(DraSimError):
 
 class NumericError(DraSimError):
     """A numerical routine failed to reach its tolerance."""
+
+
+def read_input_text(path, what: str, newline: str | None = None) -> str:
+    """The UTF-8 text of an outside input file.
+
+    A file that is missing, unreadable or not UTF-8 raises ConfigurationError
+    naming ``what`` and the path.  ``newline`` is passed to ``open``.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigurationError(f"{what}: cannot read {str(path)!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"{what}: {str(path)!r} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None

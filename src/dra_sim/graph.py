@@ -292,8 +292,12 @@ def to_edge_list(g: WeightedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_edge_list(text: str) -> WeightedGraph:
-    """Parse the format produced by :func:`to_edge_list`."""
+def from_edge_list(text: str, expect_n: int | None = None) -> WeightedGraph:
+    """Parse the format produced by :func:`to_edge_list`.
+
+    With ``expect_n`` the header must name that many nodes; it is checked
+    before the n x n weight matrix is allocated.
+    """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("n="):
@@ -304,7 +308,12 @@ def from_edge_list(text: str) -> WeightedGraph:
         n = 0
     if n < 1:
         raise ConfigurationError(f"bad node count line (want n=<count> with count >= 1): {lines[0]!r}")
-    weights = np.zeros((n, n))
+    if expect_n is not None and n != expect_n:
+        raise ConfigurationError(f"edge list has n={n} but n={expect_n} was expected")
+    try:
+        weights = np.zeros((n, n))
+    except MemoryError:
+        raise ConfigurationError(f"edge list has n={n}: an n x n weight matrix does not fit in memory") from None
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:

@@ -10,13 +10,14 @@ coordinate solutions are monotone in nu, so the aggregate is as well.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, InfeasibilityError, NumericError
+from .errors import ConfigurationError, InfeasibilityError, NumericError, read_input_text
 
 __all__ = [
     "BoxPenalty",
@@ -315,6 +316,9 @@ def aggregate_cost(costs: list[LocalCost], x: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 
 
+_SCAN_ELEMENTS = 1 << 15
+
+
 @dataclass(frozen=True)
 class SmoothnessEstimate:
     """Half the largest observed curvature, padded by a 10% safety factor."""
@@ -332,7 +336,10 @@ def smoothness_bound(
 
     Scans f_i'' for every agent on a uniform grid over ``domain`` and returns
     u = 1.1 * max(f'') / 2.  The grid must be fine enough to see the penalty
-    region, hence the minimum of 100 points.
+    region, hence the minimum of 100 points.  The grid is evaluated in blocks
+    of at most ``_SCAN_ELEMENTS`` agent-point pairs, one ``curvature`` call
+    per block, so memory stays flat in n and in the grid size; the maximum
+    is taken over the same per-point maxima as a point-by-point scan.
     """
     lo, hi = domain
     if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
@@ -341,9 +348,11 @@ def smoothness_bound(
         raise ConfigurationError(f"smoothness grid needs >= 100 points, got {grid_points}")
     xs = np.linspace(lo, hi, grid_points)
     cs = CostSet(costs)
+    rows = max(1, _SCAN_ELEMENTS // cs.n)
     worst = 0.0
-    for x in xs:
-        worst = max(worst, float(cs.curvature(np.full(cs.n, x)).max()))
+    for start in range(0, grid_points, rows):
+        block = cs.curvature(xs[start : start + rows, None])
+        worst = max([worst, *block.max(axis=1).tolist()])
     return SmoothnessEstimate(
         u=0.55 * worst, max_curvature=worst, domain=(float(lo), float(hi)), grid_points=grid_points
     )
@@ -369,15 +378,21 @@ class CentralSolution:
 _MAX_EXPAND = 200
 _INNER_ITERS = 110
 _OUTER_ITERS = 320
+_TREE_ELEMENTS = 400
 
 
-def _coordinate_roots(cs: CostSet, nu: float, mode: str, lo_box, hi_box) -> np.ndarray:
+def _coordinate_roots(cs: CostSet, nu, mode: str, lo_box, hi_box) -> np.ndarray:
     """Solve f_i'(x_i) = nu per agent by bracketed bisection (vectorized).
 
+    ``nu`` is a scalar, giving an (n,) result, or a (K, 1) column, giving a
+    (K, n) result whose row k solves for nu[k] with the same arithmetic.
     In "penalized" mode the gradient includes penalty terms; in "exact_box"
     mode the base gradient is used and the result is clipped into the box.
     Bisection tolerates the quartic's vanishing curvature at its target,
-    where Newton steps would stall.
+    where Newton steps would stall.  A bisection step maps (lo, hi) to a
+    pair that depends only on that pair and nu, so the loop stops at the
+    first step that leaves every pair unchanged: the rest of the
+    ``_INNER_ITERS`` steps would change nothing.
     """
     grad = cs.grad if mode == "penalized" else cs.base_grad
     center = np.where(cs.quartic, cs.p2, -cs.p2 / (2.0 * cs.p1))
@@ -404,6 +419,8 @@ def _coordinate_roots(cs: CostSet, nu: float, mode: str, lo_box, hi_box) -> np.n
     for _ in range(_INNER_ITERS):
         mid = 0.5 * (lo + hi)
         below = grad(mid) < nu
+        if (np.where(below, lo, hi) == mid).all():
+            break
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     x = 0.5 * (lo + hi)
@@ -427,6 +444,13 @@ def central_solve(
     the base gradient equation and are clipped, and nu is driven until the
     clipped aggregate meets ``total``.  Boxes default to each cost's penalty
     interval; agents without one are unbounded.
+
+    The result is the one-multiplier-at-a-time bisection's, bit for bit.  Each
+    call of the per-agent solver takes the midpoints of the next few levels
+    of the multiplier bisection at once, as rows of one (K, n) problem with
+    K * n near ``_TREE_ELEMENTS`` (K = 7 at n = 50, 1 at n >= 134), and the
+    bisection then walks that tree, visiting the same multipliers and
+    counting the same ``iterations``.
 
     Raises InfeasibilityError when no multiplier can meet the total (only
     possible with hard boxes) and NumericError if the tolerance is not met.
@@ -483,29 +507,39 @@ def central_solve(
     else:
         raise InfeasibilityError("no multiplier reaches the requested total from above")
 
-    iterations = 0
-    nu = 0.5 * (nu_lo + nu_hi)
+    # Each oracle call evaluates the midpoints of the next `depth` bisection
+    # levels, in heap order (node k's children are 2k+1 and 2k+2); the walk
+    # then visits the nodes that the one-at-a-time bisection would.
+    depth = max(1, (_TREE_ELEMENTS // n + 1).bit_length() - 1)
+    nus: list[float] = []
+    k = 0
     for iterations in range(1, _OUTER_ITERS + 1):
-        nu = 0.5 * (nu_lo + nu_hi)
-        s = aggregate(nu)
+        if k >= len(nus):
+            ends, nus, k = [(nu_lo, nu_hi)], [], 0
+            while len(nus) < 2**depth - 1:
+                a, b = ends[len(nus)]
+                nus.append(0.5 * (a + b))
+                ends += [(a, nus[-1]), (nus[-1], b)]
+            xs = _coordinate_roots(cs, np.array(nus)[:, None], mode, lo_box, hi_box)
+        nu, x = nus[k], xs[k]
+        s = math.fsum(x.tolist())
         if abs(s - total) <= tol:
             break
         if s < total:
-            nu_lo = nu
+            nu_lo, k = nu, 2 * k + 2
         else:
-            nu_hi = nu
+            nu_hi, k = nu, 2 * k + 1
     else:
         raise NumericError(
             f"multiplier bisection did not reach |sum - total| <= {tol}"
         )
 
-    x = _coordinate_roots(cs, nu, mode, lo_box, hi_box)
     gap = abs(math.fsum(x.tolist()) - total)
     if mode == "penalized":
         value = cs.total_value(x)
     else:
         value = math.fsum(cs.base_value(x).tolist())
-    x = np.asarray(x)
+    x = x.copy()
     x.flags.writeable = False
     return CentralSolution(
         x=x, multiplier=float(nu), value=float(value), mode=mode, gap=float(gap), iterations=iterations
@@ -532,41 +566,37 @@ def load_costs_csv(
     """
     path = Path(path)
     rows: dict[int, LocalCost] = {}
-    try:
-        fh = path.open(newline="")
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read cost table {str(path)!r}: {exc.strerror}") from None
-    with fh:
-        reader = csv.DictReader(fh)
-        expected = ["i", "kind", "p1", "p2", "p3", "lo", "hi"]
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
-            raise ConfigurationError(
-                f"cost table must have header {','.join(expected)}, got {reader.fieldnames}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                idx = int(row["i"])
-                kind = row["kind"].strip()
-                p1 = float(row["p1"])
-                p2 = float(row["p2"]) if row["p2"].strip() else 0.0
-                p3 = float(row["p3"]) if row["p3"].strip() else 0.0
-                lo_s, hi_s = row["lo"].strip(), row["hi"].strip()
-                lo, hi = (float(lo_s), float(hi_s)) if lo_s and hi_s else (None, None)
-            except (ValueError, AttributeError) as exc:
-                raise ConfigurationError(f"bad cost row at line {lineno}: {row}") from exc
-            if idx in rows:
-                raise ConfigurationError(f"duplicate agent id {idx} at line {lineno}")
-            pen = None
-            if lo_s or hi_s:
-                if not (lo_s and hi_s):
-                    raise ConfigurationError(f"line {lineno}: lo and hi must both be set or both empty")
-                if penalty == "box":
-                    pen = BoxPenalty(lo, hi, penalty_weight, penalty_exponent)
-                elif penalty == "smooth_log":
-                    pen = SmoothLogPenalty(lo, hi, penalty_sharpness)
-                else:
-                    raise ConfigurationError(f"unknown penalty kind {penalty!r}")
-            rows[idx] = LocalCost(kind, p1, p2, p3, pen)
+    text = read_input_text(path, "cost table", newline="")
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    expected = ["i", "kind", "p1", "p2", "p3", "lo", "hi"]
+    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
+        raise ConfigurationError(
+            f"cost table must have header {','.join(expected)}, got {reader.fieldnames}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            idx = int(row["i"])
+            kind = row["kind"].strip()
+            p1 = float(row["p1"])
+            p2 = float(row["p2"]) if row["p2"].strip() else 0.0
+            p3 = float(row["p3"]) if row["p3"].strip() else 0.0
+            lo_s, hi_s = row["lo"].strip(), row["hi"].strip()
+            lo, hi = (float(lo_s), float(hi_s)) if lo_s and hi_s else (None, None)
+        except (ValueError, AttributeError) as exc:
+            raise ConfigurationError(f"bad cost row at line {lineno}: {row}") from exc
+        if idx in rows:
+            raise ConfigurationError(f"duplicate agent id {idx} at line {lineno}")
+        pen = None
+        if lo_s or hi_s:
+            if not (lo_s and hi_s):
+                raise ConfigurationError(f"line {lineno}: lo and hi must both be set or both empty")
+            if penalty == "box":
+                pen = BoxPenalty(lo, hi, penalty_weight, penalty_exponent)
+            elif penalty == "smooth_log":
+                pen = SmoothLogPenalty(lo, hi, penalty_sharpness)
+            else:
+                raise ConfigurationError(f"unknown penalty kind {penalty!r}")
+        rows[idx] = LocalCost(kind, p1, p2, p3, pen)
     n = len(rows)
     if n == 0:
         raise ConfigurationError(f"cost table {path} has no rows")

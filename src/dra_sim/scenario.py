@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -26,7 +25,7 @@ from .dynamics import (
     step_delayed,
     step_rate_bound,
 )
-from .errors import ConfigurationError, DraSimError
+from .errors import ConfigurationError, DraSimError, read_input_text
 from .graph import WeightedGraph, erdos_renyi, from_edge_list, laplacian, spectral_summary, union_graph
 from .mappings import ClampCounter, SectorMap, identity_map, log_quantizer, saturation, sign_power
 from .objective import (
@@ -572,17 +571,7 @@ def _build_graphs(cfg: ScenarioConfig) -> list[WeightedGraph]:
             erdos_renyi(cfg.n, p, wr, seed=_child_seed(cfg.seed, _TAG_TOPOLOGY, i))
             for i, p in enumerate(cfg.topology_cycle_ps)
         ]
-    path = cfg.topology_edges_file
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigurationError(f"topology.edges_file: cannot read {path!r}: {exc.strerror}") from None
-    g = from_edge_list(text)
-    if g.n != cfg.n:
-        raise ConfigurationError(
-            f"edge list has n={g.n} but the scenario says n={cfg.n}"
-        )
-    return [g]
+    return [from_edge_list(read_input_text(cfg.topology_edges_file, "topology.edges_file"), expect_n=cfg.n)]
 
 
 def _build_penalty(cfg: ScenarioConfig):

@@ -453,6 +453,32 @@ class TestOutsideInputErrors:
                                       "--set", f"{file_key}={missing}"])
         assert err.startswith("error: ") and str(missing) in err
 
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_bytes(b"\xff\xfe" + MINIMAL.encode("utf-16-le"))
+        err = self.run_error(capsys, ["run", "--config", str(cfg)])
+        assert err.startswith("error: --config: ") and f"{str(cfg)!r} is not UTF-8 text" in err
+
+    @pytest.mark.parametrize("kind_key, kind, file_key", [
+        ("topology.kind", "edges", "topology.edges_file"),
+        ("costs.kind", "csv", "costs.csv"),
+    ])
+    def test_input_file_not_utf8(self, tmp_path, capsys, kind_key, kind, file_key):
+        data = tmp_path / "data.txt"
+        data.write_bytes(b"\xff\xfe" + "n=10\n".encode("utf-16-le"))
+        cfg = write_small_config(tmp_path, horizon=5)
+        err = self.run_error(capsys, ["run", "--config", str(cfg), "--set", f"{kind_key}={kind}",
+                                      "--set", f"{file_key}={data}"])
+        assert err.startswith("error: ") and f"{str(data)!r} is not UTF-8 text" in err
+
+    def test_edge_list_node_count_checked_before_allocating(self, tmp_path, capsys):
+        edges = tmp_path / "net.edges"
+        edges.write_text("n=100000000\n0 1 1.0\n")
+        cfg = write_small_config(tmp_path, horizon=5)
+        err = self.run_error(capsys, ["run", "--config", str(cfg), "--set", "topology.kind=edges",
+                                      "--set", f"topology.edges_file={edges}"])
+        assert "edge list has n=100000000 but n=10 was expected" in err
+
     def test_missing_input_file_in_sweep_is_a_job_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DRA_SIM_THREADS", "2")
         missing = tmp_path / "missing.edges"

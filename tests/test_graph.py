@@ -418,6 +418,14 @@ class TestEdgeListSerialization:
         with pytest.raises(ConfigurationError):
             from_edge_list("n=3\n0 1\n")
 
+    def test_node_count_checked_before_the_matrix(self):
+        # 10^8 nodes would need 71 PiB; the allocation fails at once.
+        with pytest.raises(ConfigurationError, match="n=100000000 but n=10 was expected"):
+            from_edge_list("n=100000000\n0 1 1.0\n", expect_n=10)
+        with pytest.raises(ConfigurationError, match="n=100000000: an n x n weight matrix"):
+            from_edge_list("n=100000000\n0 1 1.0\n")
+        assert from_edge_list("n=3\n0 1 1.0\n", expect_n=3).n == 3
+
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ConfigurationError):
             from_edge_list("n=3\n0 7 1.0\n")

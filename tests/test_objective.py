@@ -19,6 +19,8 @@ from dra_sim import (
     quartic_cost,
     smoothness_bound,
 )
+from dra_sim.objective import CostSet
+from dra_sim.scenario import build_instance, preset
 
 
 def central_diff(c, x, h):
@@ -228,6 +230,24 @@ class TestCentralSolve:
         costs = [quadratic_cost(1.0), quadratic_cost(1.0)]
         with pytest.raises(Exception):
             central_solve(costs, 100.0, boxes=[(0.0, 1.0), (0.0, 1.0)], mode="exact_box")
+
+    def test_gradient_calls_per_solve(self, monkeypatch):
+        # A count, not a time: one solve on the fig_dyn costs made 4,400
+        # CostSet.grad calls when every bisection took all of its steps and
+        # each call evaluated one multiplier.
+        cfg = preset("fig_dyn")
+        costs = build_instance(cfg)[1]
+        calls = 0
+        grad = CostSet.grad
+
+        def counted(self, x):
+            nonlocal calls
+            calls += 1
+            return grad(self, x)
+
+        monkeypatch.setattr(CostSet, "grad", counted)
+        central_solve(costs, cfg.total, tol=1e-9, mode="penalized")
+        assert 0 < calls < 4400 // 2
 
     def test_quartic_instances(self):
         costs = [quartic_cost(0.01, 1.0), quartic_cost(0.02, 2.0), quartic_cost(0.05, -1.0)]
