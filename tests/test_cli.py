@@ -459,6 +459,10 @@ class TestOutsideInputErrors:
         err = self.run_error(capsys, ["run", "--config", str(cfg)])
         assert err.startswith("error: --config: ") and f"{str(cfg)!r} is not UTF-8 text" in err
 
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        err = self.run_error(capsys, ["run", "--config", str(tmp_path)])
+        assert err.startswith(f"error: --config: cannot read {str(tmp_path)!r}")
+
     @pytest.mark.parametrize("kind_key, kind, file_key", [
         ("topology.kind", "edges", "topology.edges_file"),
         ("costs.kind", "csv", "costs.csv"),
