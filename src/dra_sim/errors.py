@@ -23,14 +23,14 @@ class NumericError(DraSimError):
     """A numerical routine failed to reach its tolerance."""
 
 
-def read_input_text(path, what: str, newline: str | None = None) -> str:
+def read_input_text(path, what: str) -> str:
     """The UTF-8 text of an outside input file.
 
     A file that is missing, unreadable or not UTF-8 raises ConfigurationError
-    naming ``what`` and the path.  ``newline`` is passed to ``open``.
+    naming ``what`` and the path.
     """
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ConfigurationError(f"{what}: cannot read {str(path)!r}: {exc.strerror}") from None

@@ -566,8 +566,7 @@ def load_costs_csv(
     """
     path = Path(path)
     rows: dict[int, LocalCost] = {}
-    text = read_input_text(path, "cost table", newline="")
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.DictReader(io.StringIO(read_input_text(path, "cost table")))
     expected = ["i", "kind", "p1", "p2", "p3", "lo", "hi"]
     if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
         raise ConfigurationError(
