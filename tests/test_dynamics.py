@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dra_sim import dynamics, scenario
 from dra_sim import (
     ConfigurationError,
     DelaySchedule,
@@ -28,6 +29,7 @@ from dra_sim import (
     quartic_cost,
     saturation,
     sector_diagnostics,
+    sign_power,
     smoothness_bound,
     spectral_summary,
     step_delay_free,
@@ -480,3 +482,102 @@ class TestSectorDiagnostics:
         assert rep.flow_worst_excursion <= 0.01
         assert rep.rayleigh_worst_excursion <= 0.01
         assert 0.99 <= rep.flow_ratio_min <= rep.flow_ratio_max <= 1.01
+
+
+class TestFinitenessChecks:
+    """Where a step stops on an overflow that the state itself does not show.
+
+    A finite state can have an infinite gradient, and two finite link-mapped
+    gradients can have an infinite difference.  A saturation or sign-power
+    map on the link differences would turn that inf into a finite flow, so
+    each case must raise before any map output is used, at the step where
+    it happens, through ``step_delayed`` and through ``run``.
+    """
+
+    MESSAGE = "^sector map input must be finite$"
+
+    @staticmethod
+    def record_maps(monkeypatch):
+        calls = []
+        real = dynamics.apply_map_array
+
+        def recording(sector_map, values, counter=None):
+            calls.append((sector_map, len(values)))
+            return real(sector_map, values, counter)
+
+        monkeypatch.setattr(dynamics, "apply_map_array", recording)
+        return calls
+
+    @pytest.mark.parametrize("tau_bar", [0, 2])
+    def test_gradient_overflow_of_finite_state(self, monkeypatch, tau_bar):
+        # f = x^2, so the gradient 2x overflows at x = 1e308.
+        costs = [quadratic_cost(1.0), quadratic_cost(1.0)]
+        _, graph = two_node_instance()
+        node_map = saturation(1.0, 10.0)
+        state = init_delayed_state(np.array([1e308, -1e308]), tau_bar, costs, IDM)
+        calls = self.record_maps(monkeypatch)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=self.MESSAGE):
+            step_delayed(state, graph, DelaySchedule(tau_bar, seed=3), costs, node_map, IDM, 0.1)
+        assert calls == [(IDM, 2)]
+        assert state.step == 0 and state.x.tolist() == [1e308, -1e308]
+        assert all(bucket == [] for bucket in state.pending)
+
+    @pytest.mark.parametrize("node_map", [saturation(1.0, 10.0), sign_power(0.5, 1e-6, 1e3)])
+    @pytest.mark.parametrize("tau_bar", [0, 2])
+    def test_link_difference_overflow_of_finite_gradients(self, monkeypatch, node_map, tau_bar):
+        # f = x^2 / 2, so the gradients are the state: 1e308 - (-1e308) = inf.
+        costs, graph = two_node_instance()
+        state = init_delayed_state(np.array([1e308, -1e308]), tau_bar, costs, IDM)
+        calls = self.record_maps(monkeypatch)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=self.MESSAGE):
+            step_delayed(state, graph, DelaySchedule(tau_bar, seed=3), costs, node_map, IDM, 0.1)
+        assert calls == [(IDM, 2), (node_map, 1)]
+        assert state.step == 0 and state.x.tolist() == [1e308, -1e308]
+        assert all(bucket == [] for bucket in state.pending)
+
+    @staticmethod
+    def overflowing_run(node_kind: str, eta: float) -> scenario.ScenarioConfig:
+        # One link of weight 1 between f_i = x^2 - 5x agents starting at
+        # (0.665..., 1.334...).  Step 0 moves eta * phi across the link, so at
+        # step 1 the state is +-eta * phi: finite, but x^2 - 5x is nan on the
+        # positive side, so the divergence test (residual > 1e9 * initial)
+        # cannot stop the run and the step itself has to raise.
+        return scenario.ScenarioConfig(
+            n=2, total=2.0, eta=eta, horizon=10, seed=1,
+            topology_p=1.0, topology_weight_lo=1.0, topology_weight_hi=1.0,
+            costs_kind="quadratic", costs_a_lo=1.0, costs_a_hi=1.0, costs_b_lo=-5.0, costs_b_hi=-5.0,
+            costs_penalty="none", init_mode="random_simplex",
+            node_kind=node_kind, node_cap=1.0, node_d_max=10.0, node_nu=0.5, link_kind="identity",
+        )
+
+    def run_until_raise(self, monkeypatch, cfg):
+        steps = []
+        real_step = scenario.step_delayed
+
+        def counting(state, *args, **kwargs):
+            steps.append(state.step)
+            return real_step(state, *args, **kwargs)
+
+        monkeypatch.setattr(scenario, "step_delayed", counting)
+        calls = self.record_maps(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match=self.MESSAGE):
+            scenario.run(cfg)
+        return steps, calls
+
+    def test_run_raises_on_gradient_overflow(self, monkeypatch):
+        # phi = 1.338..., so x = +-1.07e308 at step 1 and 2x overflows.
+        steps, calls = self.run_until_raise(monkeypatch, self.overflowing_run("identity", 8e307))
+        assert steps == [0, 1]
+        assert [kind.kind for kind, _ in calls] == ["identity", "identity", "identity"]
+        assert calls[-1][1] == 2
+
+    @pytest.mark.parametrize("node_kind, eta", [("saturation", 8e307), ("sign_power", 4e307)])
+    def test_run_raises_on_link_difference_overflow(self, monkeypatch, node_kind, eta):
+        # The map caps phi (1 for saturation, 1.157 for the square root), so
+        # the gradients +-2x stay finite at step 1 and only their difference
+        # overflows.
+        steps, calls = self.run_until_raise(monkeypatch, self.overflowing_run(node_kind, eta))
+        assert steps == [0, 1]
+        assert [(m.kind, size) for m, size in calls] == [
+            ("identity", 2), (node_kind, 1), ("identity", 2), (node_kind, 1)
+        ]

@@ -8,11 +8,12 @@ failing.
 
 import importlib.util
 import inspect
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from dra_sim import dynamics, erdos_renyi, identity_map, log_quantizer, quadratic_cost
+from dra_sim import dynamics, erdos_renyi, identity_map, log_quantizer, objective, quadratic_cost, scenario
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -52,3 +53,56 @@ def test_step_applies_link_map_before_node_map(monkeypatch):
     x = np.arange(8, dtype=float)
     dynamics.step_delay_free(x, g, costs, node_map, link_map, 0.1)
     assert calls == [(link_map, 8), (node_map, g.edge_count)]
+
+
+def test_run_calls_per_step(monkeypatch):
+    """Over one fig_delay run, the calls that ``--trace 1`` counts per step.
+
+    ``scenario.step_delayed`` is looked up once per executed step, each step
+    maps the gradients (length n) and then the link differences (one per
+    link), and the loop evaluates ``CostSet.grad`` once per iteration; the
+    oracle's calls are counted apart.
+    """
+    cfg = replace(scenario.preset("fig_delay"), horizon=300)
+    node_map, link_map = scenario.build_instance(cfg)[2:]
+    steps: list[list] = []
+    grads = {"loop": 0, "oracle": 0}
+    in_oracle = []
+
+    real_step = scenario.step_delayed
+    real_map = dynamics.apply_map_array
+    real_grad = objective.CostSet.grad
+    real_solve = scenario.central_solve
+
+    def step(*args, **kwargs):
+        steps.append([])
+        return real_step(*args, **kwargs)
+
+    def apply_map(sector_map, values, counter=None):
+        steps[-1].append((sector_map, len(values)))
+        return real_map(sector_map, values, counter)
+
+    def grad(self, x):
+        grads["oracle" if in_oracle else "loop"] += 1
+        return real_grad(self, x)
+
+    def solve(*args, **kwargs):
+        in_oracle.append(True)
+        try:
+            return real_solve(*args, **kwargs)
+        finally:
+            in_oracle.pop()
+
+    monkeypatch.setattr(scenario, "step_delayed", step)
+    monkeypatch.setattr(dynamics, "apply_map_array", apply_map)
+    monkeypatch.setattr(objective.CostSet, "grad", grad)
+    monkeypatch.setattr(scenario, "central_solve", solve)
+    result = scenario.run(cfg)
+
+    executed = result.summary.executed_steps
+    assert executed == 300 and not result.summary.diverged
+    assert len(steps) == executed
+    links = scenario.build_instance(cfg)[0][0].edge_count
+    assert all(calls == [(link_map, cfg.n), (node_map, links)] for calls in steps)
+    assert grads["loop"] == executed + 1
+    assert grads["oracle"] > 0
