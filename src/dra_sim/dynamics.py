@@ -108,9 +108,11 @@ class DelaySchedule:
 
     mode "uniform" draws a fresh delay for every emission from a per-step
     derived stream; "fixed" always uses tau_bar; "per_link" draws one delay
-    per link once and keeps it for the whole run.  A delay belongs to a
-    link, not to one of its endpoints: both apply the flow at the same step,
-    so the state total is conserved at every step while flows are in flight.
+    per link once, from that link's own stream, keeps it for the whole run,
+    and looks it up by array search (links sorted by code i * 2**32 + j).
+    A delay belongs to a link, not to one of its endpoints: both apply the
+    flow at the same step, so the state total is conserved at every step
+    while flows are in flight.
     """
 
     def __init__(self, tau_bar: int, mode: str = "uniform", seed: int = 0):
@@ -121,16 +123,22 @@ class DelaySchedule:
         self.tau_bar = int(tau_bar)
         self.mode = mode
         self.seed = int(seed)
-        self._per_link: dict[tuple[int, int], int] = {}
+        self._link_codes = np.empty(0, dtype=np.int64)
+        self._link_delays = np.empty(0, dtype=int)
 
     # Both stream keys end in 0; changing a key would change every delay.
-    def _per_link_delay(self, i: int, j: int) -> int:
-        got = self._per_link.get((i, j))
-        if got is None:
-            rng = np.random.default_rng([self.seed, 0xDE1A, i, j, 0])
-            got = int(rng.integers(0, self.tau_bar + 1))
-            self._per_link[(i, j)] = got
-        return got
+    def _per_link_delays(self, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
+        codes = (ei.astype(np.int64) << 32) | ej
+        known = self._link_codes
+        pos = np.searchsorted(known, codes)
+        if not known.size or not (known.take(pos, mode="clip") == codes).all():
+            new = np.setdiff1d(codes, known)  # links not seen before
+            rngs = (np.random.default_rng([self.seed, 0xDE1A, c >> 32, c & 0xFFFFFFFF, 0]) for c in new.tolist())
+            drawn = [rng.integers(0, self.tau_bar + 1) for rng in rngs]
+            at = np.searchsorted(known, new)
+            self._link_codes, self._link_delays = np.insert(known, at, new), np.insert(self._link_delays, at, drawn)
+            pos = np.searchsorted(self._link_codes, codes)
+        return self._link_delays[pos]
 
     def draw(self, step: int, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
         """Delays for the links (ei, ej) emitted at ``step``."""
@@ -140,9 +148,7 @@ class DelaySchedule:
         if self.mode == "fixed":
             return np.full(m, self.tau_bar, dtype=int)
         if self.mode == "per_link":
-            return np.array(
-                [self._per_link_delay(i, j) for i, j in zip(ei.tolist(), ej.tolist())], dtype=int
-            )
+            return self._per_link_delays(ei, ej)
         rng = np.random.default_rng([self.seed, 0xDE1A, int(step), 0])
         return rng.integers(0, self.tau_bar + 1, size=m)
 
@@ -206,9 +212,10 @@ def step_delayed(
     (row-major i < j order) selecting which are up this step; emissions
     happen only on active links, but flows already in flight arrive
     regardless of the link's later state.  ``grads`` may be supplied when
-    the caller already computed them (the scenario loop does).  The pending
-    buckets are updated in place and ``state.x`` is replaced by a new
-    array; ``state`` itself is returned.
+    the caller already computed them (the scenario loop does).  One stable
+    sort groups the links by delay; each group, in link order, is one chunk
+    of the bucket it arrives in.  The pending buckets are updated in place
+    and ``state.x`` is replaced by a new array; ``state`` itself is returned.
     """
     if schedule.tau_bar != state.tau_bar:
         raise ConfigurationError(
@@ -232,7 +239,8 @@ def step_delayed(
             raise ConfigurationError(
                 f"failure mask length {keep.shape} does not match link count {ei.shape}"
             )
-        ei, ej, w = ei[keep], ej[keep], w[keep]
+        live = keep.nonzero()[0]
+        ei, ej, w = ei.take(live), ej.take(live), w.take(live)
 
     gl = apply_map_array(link_map, grads, link_counter)
     phi = _flows(gl, ei, ej, w, node_map, node_counter)
@@ -241,10 +249,13 @@ def step_delayed(
         buckets[0].append((ei, ej, phi))
     else:
         delays = schedule.draw(k, ei, ej)
-        for d in range(depth):
-            sel = delays == d
-            if sel.any():
-                buckets[(k + d) % depth].append((ei[sel], ej[sel], phi[sel]))
+        # A stable (radix, up to 16-bit keys) sort groups links by delay.
+        order = delays.astype(np.min_scalar_type(state.tau_bar)).argsort(kind="stable")
+        ei, ej, phi = ei[order], ej[order], phi[order]
+        ends = np.bincount(delays, minlength=depth).cumsum().tolist()
+        for d, (a, b) in enumerate(zip([0, *ends], ends)):
+            if b > a:
+                buckets[(k + d) % depth].append((ei[a:b], ej[a:b], phi[a:b]))
 
     slot = k % depth
     state.x = _apply_chunks(x, eta, buckets[slot])

@@ -142,7 +142,7 @@ def apply_map_array(
     first; when ``counter`` is given, each such input adds one clamp event.
     """
     z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise NumericError("sector map input must be finite")
     if m.kind == "identity":
         return z
@@ -150,7 +150,7 @@ def apply_map_array(
     if m.kind == "log_quantizer":
         # z = 0 falls through cleanly: log -> -inf, exp -> 0, sign(0) = 0.
         with np.errstate(divide="ignore"):
-            mag = np.exp(m.rho * np.round(np.log(np.abs(z)) / m.rho))
+            mag = np.exp(m.rho * np.rint(np.log(np.abs(z)) / m.rho))
         return np.sign(z) * mag
 
     lo, hi = m.abs_domain

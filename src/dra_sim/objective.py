@@ -91,14 +91,20 @@ def _softplus(u):
     return np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
 
 
+def _power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    # numpy squares instead of calling pow (the last bit can differ) where an
+    # exponent of 2 repeats with stride 0, as a (1,) one does down a (rows, 1)
+    # block; a full-shape exponent makes row k equal the one-row call.
+    if base.ndim > 1:
+        exponent = np.broadcast_to(exponent, base.shape).copy()
+    return base**exponent
+
+
 def _sigmoid(u):
+    # exp(-|u|) never overflows: 1 / (1 + e) where u >= 0, e / (1 + e) below.
     u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    pos = u >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # --------------------------------------------------------------------------
@@ -194,6 +200,12 @@ class CostSet:
         self._log = kind == 2
         self._any_box = bool(self._box.any())
         self._any_log = bool(self._log.any())
+        # Penalties that every agent has skip the select; the factors below
+        # associate as the formulas did; with exponent 2, u ** (m-1) is u.
+        self._all_box, self._all_log = bool(self._box.all()), bool(self._log.all())
+        self._p1x2, self._p1x4 = 2.0 * self.p1, 4.0 * self.p1
+        self._pen_wm, self._pen_m1 = wt * ex, ex - 1
+        self._pen_square = bool((ex == 2).all())
         # Homogeneous cost lists skip the two-branch select in the hot path.
         self._all_quadratic = not self.quartic.any()
         self._all_quartic = bool(self.quartic.all())
@@ -219,12 +231,12 @@ class CostSet:
         if self._any_box:
             up = np.maximum(0.0, x - self.pen_hi)
             dn = np.maximum(0.0, self.pen_lo - x)
-            pv = self.pen_weight * (up**self.pen_exponent + dn**self.pen_exponent)
-            out = out + np.where(self._box, pv, 0.0)
+            pv = self.pen_weight * (_power(up, self.pen_exponent) + _power(dn, self.pen_exponent))
+            out = out + (pv if self._all_box else np.where(self._box, pv, 0.0))
         if self._any_log:
             mu = self.pen_mu
             pv = (_softplus(mu * (x - self.pen_hi)) + _softplus(mu * (self.pen_lo - x))) / mu
-            out = out + np.where(self._log, pv, 0.0)
+            out = out + (pv if self._all_log else np.where(self._log, pv, 0.0))
         return out
 
     def total_value(self, x: np.ndarray) -> float:
@@ -235,28 +247,30 @@ class CostSet:
         """Per-agent base gradient, without the penalty terms."""
         x = np.asarray(x, dtype=float)
         if self._all_quadratic:
-            return 2.0 * self.p1 * x + self.p2
+            return self._p1x2 * x + self.p2
         if self._all_quartic:
-            return 4.0 * self.p1 * (x - self.p2) ** 3
+            return self._p1x4 * (x - self.p2) ** 3
         return np.where(
             self.quartic,
-            4.0 * self.p1 * (x - self.p2) ** 3,
-            2.0 * self.p1 * x + self.p2,
+            self._p1x4 * (x - self.p2) ** 3,
+            self._p1x2 * x + self.p2,
         )
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = self.base_grad(x)
         if self._any_box:
-            m = self.pen_exponent
             up = np.maximum(0.0, x - self.pen_hi)
             dn = np.maximum(0.0, self.pen_lo - x)
-            pg = self.pen_weight * m * (up ** (m - 1) - dn ** (m - 1))
-            out = out + np.where(self._box, pg, 0.0)
+            if self._pen_square:
+                pg = self._pen_wm * (up - dn)
+            else:
+                pg = self._pen_wm * (_power(up, self._pen_m1) - _power(dn, self._pen_m1))
+            out = out + (pg if self._all_box else np.where(self._box, pg, 0.0))
         if self._any_log:
             mu = self.pen_mu
             pg = _sigmoid(mu * (x - self.pen_hi)) - _sigmoid(mu * (self.pen_lo - x))
-            out = out + np.where(self._log, pg, 0.0)
+            out = out + (pg if self._all_log else np.where(self._log, pg, 0.0))
         return out
 
     def curvature(self, x: np.ndarray) -> np.ndarray:
@@ -273,16 +287,16 @@ class CostSet:
             dn = np.maximum(0.0, self.pen_lo - x)
             # Guard the m = 2 case: 0**0 is 1 under numpy, so gate each side
             # by whether it is actually outside the box.
-            up_side = up ** np.maximum(m - 2, 0) * (up > 0)
-            dn_side = dn ** np.maximum(m - 2, 0) * (dn > 0)
-            pc = self.pen_weight * m * (m - 1) * (up_side + dn_side)
-            out = out + np.where(self._box, pc, 0.0)
+            up_side = _power(up, np.maximum(m - 2, 0)) * (up > 0)
+            dn_side = _power(dn, np.maximum(m - 2, 0)) * (dn > 0)
+            pc = self._pen_wm * (m - 1) * (up_side + dn_side)
+            out = out + (pc if self._all_box else np.where(self._box, pc, 0.0))
         if self._any_log:
             mu = self.pen_mu
             s1 = _sigmoid(mu * (x - self.pen_hi))
             s2 = _sigmoid(mu * (self.pen_lo - x))
             pc = mu * (s1 * (1.0 - s1) + s2 * (1.0 - s2))
-            out = out + np.where(self._log, pc, 0.0)
+            out = out + (pc if self._all_log else np.where(self._log, pc, 0.0))
         return out
 
 

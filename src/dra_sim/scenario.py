@@ -554,6 +554,8 @@ _TAG_COSTS = 2
 _TAG_INIT = 3
 _TAG_FAIL = 4
 _TAG_DELAY = 5
+# Most uniforms in one block of failure draws (256 KiB).
+_FAIL_BLOCK = 1 << 15
 
 
 def _child_seed(master: int, tag: int, index: int = 0) -> int:
@@ -701,6 +703,9 @@ def run(cfg: ScenarioConfig) -> RunResult:
     Divergence (non-finite state, or the residual exceeding a billion times
     its initial value) stops the run and is flagged in the summary together
     with the ratio of the configured step rate to the analytical bound.
+    Link failures take one uniform per link and step, drawn for a block of
+    steps at once (the same bits as one call per step) that stays in one
+    topology phase and under ``_FAIL_BLOCK`` uniforms.
     """
     graphs, costs, node_map, link_map = build_instance(cfg)
     cs = CostSet(costs)
@@ -729,10 +734,11 @@ def run(cfg: ScenarioConfig) -> RunResult:
     steps_to_threshold = -1
     # Links up at the last step taken; the record of a final step repeats it.
     active = graphs[0].edge_count
+    fail_block, fail_counts, fail_row = None, [], 0  # failure masks drawn ahead, by step
 
     for k in range(horizon + 1):
         x = state.x
-        finite = bool(np.all(np.isfinite(x)))
+        finite = bool(np.isfinite(x).all())
         if finite:
             grads = cs.grad(x)
             f_val = cs.total_value(x)
@@ -757,22 +763,29 @@ def run(cfg: ScenarioConfig) -> RunResult:
         if not done:
             graph = graphs[(k // switch) % n_phases]
             if cfg.p_fail > 0.0:
-                keep = rng_fail.random(graph.edge_count) >= cfg.p_fail
-                active = int(np.count_nonzero(keep))
+                if fail_row == len(fail_counts):
+                    m = graph.edge_count
+                    rows = min(switch - k % switch, horizon - k, max(1, _FAIL_BLOCK // max(m, 1)))
+                    fail_block = rng_fail.random((rows, m)) >= cfg.p_fail
+                    fail_counts, fail_row = np.count_nonzero(fail_block, axis=1).tolist(), 0
+                keep, active = fail_block[fail_row], fail_counts[fail_row]
+                fail_row += 1
             else:
                 keep = None
                 active = graph.edge_count
 
         if k % cfg.record_stride == 0 or done:
+            # norm(grads - grads.mean()) as numpy sums it, in fewer calls.
+            dev = grads - grads.sum() / grads.size if finite else None
             records.append(
                 TraceRecord(
                     step=k,
                     residual=float(residual),
                     feasibility_gap=float(gap),
-                    dispersion=float(np.linalg.norm(grads - grads.mean())) if finite else float("nan"),
+                    dispersion=math.sqrt(dev.dot(dev)) if finite else float("nan"),
                     state_min=float(x.min()) if finite else float("nan"),
                     state_max=float(x.max()) if finite else float("nan"),
-                    state_mean=float(x.mean()) if finite else float("nan"),
+                    state_mean=float(x.sum() / x.size) if finite else float("nan"),
                     active_links=active,
                 )
             )

@@ -182,6 +182,20 @@ class TestDelaySchedule:
         b = s.draw(42, ei, ej)
         assert np.array_equal(a, b)
 
+    def test_per_link_delay_belongs_to_the_link(self):
+        # Each link draws once from its own stream, whatever links it is
+        # drawn with and in whatever order.
+        s = DelaySchedule(300, mode="per_link", seed=11)
+        ei, ej = np.triu_indices(40, 1)
+        want = [
+            int(np.random.default_rng([11, 0xDE1A, i, j, 0]).integers(0, 301))
+            for i, j in zip(ei.tolist(), ej.tolist())
+        ]
+        part = np.arange(0, len(ei), 3)[::-1]
+        assert s.draw(0, ei[part], ej[part]).tolist() == [want[t] for t in part]
+        assert s.draw(7, ei, ej).tolist() == want
+        assert s.draw(9, ei[part], ej[part]).tolist() == [want[t] for t in part]
+
 
 class TestStepDelayed:
     def test_zero_delay_matches_delay_free_bitwise(self):

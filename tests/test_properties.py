@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dra_sim import (
@@ -27,6 +27,7 @@ from dra_sim import (
     SectorMap,
     SmoothLogPenalty,
     WeightedGraph,
+    apply_map_array,
     central_solve,
     edge_flow,
     erdos_renyi,
@@ -186,6 +187,42 @@ def test_zero_delay_is_delay_free_bit_for_bit(inst, mode, p_fail, seed):
         assert state.x.tobytes() == x.tobytes()
     assert counters[0].events == counters[2].events
     assert counters[1].events == counters[3].events
+
+
+def reference_delayed_step(x, pending, k, graph, sched, cs, node_map, link_map, eta, keep):
+    """The delayed step with one boolean select per delay value, as a loop."""
+    depth = len(pending)
+    ei, ej, w = (a[keep] for a in graph.edges())
+    gl = apply_map_array(link_map, cs.grad(x))
+    phi = w * apply_map_array(node_map, gl[ei] - gl[ej])
+    delays = sched.draw(k, ei, ej)
+    for d in range(depth):
+        sel = delays == d
+        if sel.any():
+            pending[(k + d) % depth].append((ei[sel], ej[sel], phi[sel]))
+    chunks, pending[k % depth] = pending[k % depth], []
+    if not chunks:
+        return x.copy()
+    ei, ej, phi = (np.concatenate(part) for part in zip(*chunks))
+    return x + eta * (np.bincount(ej, weights=phi, minlength=x.size) - np.bincount(ei, weights=phi, minlength=x.size))
+
+
+@given(instances(), st.sampled_from((1, 2, 4, 300)), st.sampled_from(DELAY_MODES), failure_rates, seeds)
+@settings(max_examples=40)
+def test_delay_grouping_matches_per_delay_loop(inst, tau_bar, mode, p_fail, seed):
+    cs = CostSet(inst.costs)
+    state = init_delayed_state(inst.x0, tau_bar, cs, inst.link_map)
+    sched, ref_sched = DelaySchedule(tau_bar, mode, seed=seed), DelaySchedule(tau_bar, mode, seed=seed)
+    x, pending = inst.x0.copy(), [[] for _ in range(tau_bar + 1)]
+    eta = inst.eta(tau_bar)
+    rng = np.random.default_rng(seed)
+    for k in range(STEPS):
+        keep = rng.random(len(inst.graph.edges()[0])) >= p_fail
+        x = reference_delayed_step(x, pending, k, inst.graph, ref_sched, cs, inst.node_map, inst.link_map, eta, keep)
+        state = step_delayed(state, inst.graph, sched, cs, inst.node_map, inst.link_map, eta, failure_keep=keep)
+        assert state.x.tobytes() == x.tobytes()
+        got = [[tuple(a.tobytes() for a in chunk) for chunk in bucket] for bucket in state.pending]
+        assert got == [[tuple(a.tobytes() for a in chunk) for chunk in bucket] for bucket in pending]
 
 
 @st.composite
@@ -404,8 +441,11 @@ def test_oracle_matches_plain_bisection(problem):
     st.floats(0.5, 30.0),
     st.integers(100, 3000),
 )
+@example(costs=[quartic_cost(0.03125, 0.0, penalty=BoxPenalty(0.8, 1.8, 1.0, 4))], lo=0.0, width=1.0, grid_points=100)
 @settings(max_examples=40)
 def test_smoothness_scan_matches_pointwise_loop(costs, lo, width, grid_points):
+    # The example is one agent, whose (1,) exponent repeats with stride 0
+    # down a (rows, 1) block: numpy then squares instead of calling pow.
     cs = CostSet(costs)
     worst = 0.0
     for x in np.linspace(lo, lo + width, grid_points):
