@@ -93,9 +93,9 @@ def _softplus(u):
 
 def _power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     # numpy squares instead of calling pow (the last bit can differ) where an
-    # exponent of 2 repeats with stride 0, as a (1,) one does down a (rows, 1)
-    # block; a full-shape exponent makes row k equal the one-row call.
-    if base.ndim > 1:
+    # exponent of 2 repeats with stride 0, as a one-agent (1,) exponent does
+    # down a (rows, 1) block; a full-shape one makes row k the one-row call.
+    if base.ndim > 1 and base.shape[-1] == 1:
         exponent = np.broadcast_to(exponent, base.shape).copy()
     return base**exponent
 

@@ -554,7 +554,7 @@ _TAG_COSTS = 2
 _TAG_INIT = 3
 _TAG_FAIL = 4
 _TAG_DELAY = 5
-# Most uniforms in one block of failure draws (256 KiB).
+# Most uniforms in one block of failure draws: 256 KiB, whatever the link count.
 _FAIL_BLOCK = 1 << 15
 
 
