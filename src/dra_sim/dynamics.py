@@ -108,11 +108,9 @@ class DelaySchedule:
 
     mode "uniform" draws a fresh delay for every emission from a per-step
     derived stream; "fixed" always uses tau_bar; "per_link" draws one delay
-    per link once, from that link's own stream, keeps it for the whole run,
-    and looks it up by array search (links sorted by code i * 2**32 + j).
-    A delay belongs to a link, not to one of its endpoints: both apply the
-    flow at the same step, so the state total is conserved at every step
-    while flows are in flight.
+    per link once and keeps it for the whole run.  A delay belongs to a
+    link, not to one of its endpoints: both apply the flow at the same step,
+    so the state total is conserved at every step while flows are in flight.
     """
 
     def __init__(self, tau_bar: int, mode: str = "uniform", seed: int = 0):
@@ -123,22 +121,16 @@ class DelaySchedule:
         self.tau_bar = int(tau_bar)
         self.mode = mode
         self.seed = int(seed)
-        self._link_codes = np.empty(0, dtype=np.int64)
-        self._link_delays = np.empty(0, dtype=int)
+        self._per_link: dict[tuple[int, int], int] = {}
 
     # Both stream keys end in 0; changing a key would change every delay.
-    def _per_link_delays(self, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
-        codes = (ei.astype(np.int64) << 32) | ej
-        known = self._link_codes
-        pos = np.searchsorted(known, codes)
-        if not known.size or not (known.take(pos, mode="clip") == codes).all():
-            new = np.setdiff1d(codes, known)  # links not seen before
-            rngs = (np.random.default_rng([self.seed, 0xDE1A, c >> 32, c & 0xFFFFFFFF, 0]) for c in new.tolist())
-            drawn = [rng.integers(0, self.tau_bar + 1) for rng in rngs]
-            at = np.searchsorted(known, new)
-            self._link_codes, self._link_delays = np.insert(known, at, new), np.insert(self._link_delays, at, drawn)
-            pos = np.searchsorted(self._link_codes, codes)
-        return self._link_delays[pos]
+    def _per_link_delay(self, i: int, j: int) -> int:
+        got = self._per_link.get((i, j))
+        if got is None:
+            rng = np.random.default_rng([self.seed, 0xDE1A, i, j, 0])
+            got = int(rng.integers(0, self.tau_bar + 1))
+            self._per_link[(i, j)] = got
+        return got
 
     def draw(self, step: int, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
         """Delays for the links (ei, ej) emitted at ``step``."""
@@ -148,7 +140,9 @@ class DelaySchedule:
         if self.mode == "fixed":
             return np.full(m, self.tau_bar, dtype=int)
         if self.mode == "per_link":
-            return self._per_link_delays(ei, ej)
+            return np.array(
+                [self._per_link_delay(i, j) for i, j in zip(ei.tolist(), ej.tolist())], dtype=int
+            )
         rng = np.random.default_rng([self.seed, 0xDE1A, int(step), 0])
         return rng.integers(0, self.tau_bar + 1, size=m)
 

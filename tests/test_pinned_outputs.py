@@ -5,7 +5,9 @@ of the bytes of its final state.  The seven presets are the published
 outputs; the other configs reach the paths the presets do not: a topology
 cycle whose phases differ in link count and do not divide the horizon,
 failures drawn in every mode, an early stop, a divergence, ``per_link`` and
-``fixed`` delays, a delay bound above 255, and a record stride.  Any change
+``fixed`` delays, a delay bound above 255, a record stride, a box penalty
+exponent other than 2, and cost tables that mix penalized and unpenalized
+agents (so the per-agent penalty selects run).  Any change
 to the step kernel, the cost evaluation, or the failure or delay draws that
 moves one bit of one output fails here.
 """
@@ -120,3 +122,50 @@ def test_preset_outputs_are_pinned(name):
 def test_variant_outputs_are_pinned(name):
     base, overrides, want = VARIANTS[name]
     assert digests(replace(preset(base), **overrides)) == want
+
+
+def mixed_cost_table(n: int = 50) -> str:
+    """Quadratic and quartic agents alternate; every third agent has no box."""
+    rows = ["i,kind,p1,p2,p3,lo,hi"]
+    for i in range(n):
+        if i % 2:
+            kind, p1, p2 = "quartic", 0.005 + 0.003 * (i % 5), 1.0 + 0.5 * (i % 7)
+        else:
+            kind, p1, p2 = "quadratic", 0.5 + 0.1 * (i % 4), float(-(i % 5))
+        box = ",," if i % 3 == 0 else ",1.0,10.0"
+        rows.append(f"{i},{kind},{p1},{p2},0{box}")
+    return "\n".join(rows) + "\n"
+
+
+# name: (overrides of fig_dyn, (trace, summary, final state))
+PENALTY_VARIANTS = {
+    # every agent boxed with exponent 3: the general power path, no select;
+    # an odd exponent and a weight that is not dyadic make w * m inexact, so
+    # regrouping w * m * (u**(m-1) - v**(m-1)) moves bits
+    "exponent_3": (dict(costs_penalty_exponent=3, costs_penalty_weight=7.3), (
+        "41fb17b2f15cd9c32118729898a93260400abbf83da36335168f52d4a5e01c7f",
+        "d4afde3bd3dfb81789a29d0a8c1bbc2f332ee7742bff038b56b9697863c17de9",
+        "88f9a98dd5c492796c312fc4fcfa1aeb7dd21bbf1975a2763bff4e396b15b607",
+    )),
+    # mixed table, box exponent 3: the power path and the box select
+    "table_box_3": (dict(costs_kind="csv", costs_penalty_exponent=3, costs_penalty_weight=7.3), (
+        "32c3ab7b4fd732200b26afc1c2ffbe6f4c2f22c3fb9d0bf2605f02755661c423",
+        "f5d25b666816a25bc982579af4ee167c28a5070b87b7023e84106b423780d2a7",
+        "4e8a413cf86d03edc691f21bab94f463757221966e696b016f9a1496195624dd",
+    )),
+    # mixed table, smooth-log penalty: the log select
+    "table_log": (dict(costs_kind="csv", costs_penalty="smooth_log"), (
+        "8e187db11913601976759bedff65f7c383d81acfb63a4519fc8891d6a70584e9",
+        "3cb6f1e0368d5c470d884c3aad79325f8d40d296c12ef148644a8bf055b0e3e7",
+        "205f1c5db3ae54bd8f7f829c009547029b6b8897def20bffbf3f4b4743a3c200",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", list(PENALTY_VARIANTS))
+def test_penalty_variant_outputs_are_pinned(name, tmp_path):
+    overrides, want = PENALTY_VARIANTS[name]
+    table = tmp_path / "costs.csv"
+    table.write_text(mixed_cost_table())
+    cfg = replace(preset("fig_dyn"), horizon=1000, costs_csv=str(table), **overrides)
+    assert digests(cfg) == want
