@@ -103,14 +103,34 @@ def _apply_chunks(x: np.ndarray, eta: float, chunks) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+# Stream tag of the delay draws, the second word of every delay stream's key.
+_DELAY_TAG = 0xDE1A
+# Most delays in one block of uniform draws, whatever the link count.
+_DELAY_BLOCK = 1 << 15
+
+
 class DelaySchedule:
     """Per-link, per-step transmission delays in {0, ..., tau_bar}.
 
-    mode "uniform" draws a fresh delay for every emission from a per-step
-    derived stream; "fixed" always uses tau_bar; "per_link" draws one delay
-    per link once and keeps it for the whole run.  A delay belongs to a
-    link, not to one of its endpoints: both apply the flow at the same step,
-    so the state total is conserved at every step while flows are in flight.
+    mode "uniform" draws a fresh delay for every emission; "fixed" always
+    uses tau_bar; "per_link" draws one delay per link once and keeps it for
+    the whole run.  A delay belongs to a link, not to one of its endpoints:
+    both apply the flow at the same step, so the state total is conserved at
+    every step while flows are in flight.  Every mode returns delays in the
+    narrowest unsigned dtype that holds tau_bar.
+
+    The uniform delays come from one counter-based stream (Salmon et al.,
+    "Parallel random numbers: as easy as 1, 2, 3", SC'11): a Philox4x64
+    generator keyed by the words (seed, 0xDE1A).  Steps are grouped by the
+    link count ``m`` of their graph before failures into blocks of
+    ``rows = max(1, 2**15 // m)`` steps.  Block ``b`` holds steps
+    ``b * rows`` to ``b * rows + rows - 1``; it is one
+    ``integers(0, tau_bar + 1, size=(rows, m))`` draw whose counter starts
+    at the words [0, b, m, 0], and each step reads its own row.  The live
+    links of a step take the first ``len(ei)`` entries of that row, in link
+    order; with one row per block only that prefix is drawn, which equals
+    the head of the full row.  A delay is thus a pure function of (seed,
+    step, m, position), and draws may come in any order.
     """
 
     def __init__(self, tau_bar: int, mode: str = "uniform", seed: int = 0):
@@ -118,33 +138,66 @@ class DelaySchedule:
             raise ConfigurationError(f"tau_bar must be a nonnegative integer, got {tau_bar}")
         if mode not in ("uniform", "fixed", "per_link"):
             raise ConfigurationError(f"unknown delay mode {mode!r}")
+        if not 0 <= seed < 2**64 or int(seed) != seed:
+            raise ConfigurationError(f"delay seed must be an integer in [0, 2**64), got {seed}")
         self.tau_bar = int(tau_bar)
         self.mode = mode
         self.seed = int(seed)
+        self._dtype = np.min_scalar_type(self.tau_bar)
         self._per_link: dict[tuple[int, int], int] = {}
+        self._key = np.array([self.seed, _DELAY_TAG], dtype=np.uint64)
+        self._bitgen = np.random.Philox(key=self._key)
+        self._gen = np.random.Generator(self._bitgen)
+        self._held: tuple[int, int, np.ndarray | None] = (-1, 0, None)  # (block, m, delays)
 
-    # Both stream keys end in 0; changing a key would change every delay.
+    # The per-link stream key ends in 0; changing it would change every delay.
     def _per_link_delay(self, i: int, j: int) -> int:
         got = self._per_link.get((i, j))
         if got is None:
-            rng = np.random.default_rng([self.seed, 0xDE1A, i, j, 0])
+            rng = np.random.default_rng([self.seed, _DELAY_TAG, i, j, 0])
             got = int(rng.integers(0, self.tau_bar + 1))
             self._per_link[(i, j)] = got
         return got
 
-    def draw(self, step: int, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
-        """Delays for the links (ei, ej) emitted at ``step``."""
-        m = len(ei)
-        if self.tau_bar == 0 or m == 0:
-            return np.zeros(m, dtype=int)
+    def _uniform(self, block: int, m: int, size) -> np.ndarray:
+        """``size`` uniform delays from the start of block ``block`` of width ``m``."""
+        self._bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([0, block, m, 0], dtype=np.uint64), "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._gen.integers(0, self.tau_bar + 1, size=size, dtype=self._dtype)
+
+    def draw(self, step: int, ei: np.ndarray, ej: np.ndarray, m: int | None = None) -> np.ndarray:
+        """Delays for the links (ei, ej) emitted at ``step``.
+
+        ``m`` is the link count of the step's graph before failures, of which
+        (ei, ej) are the live links in link order; it defaults to ``len(ei)``.
+        """
+        count = len(ei)
+        if self.tau_bar == 0 or count == 0:
+            return np.zeros(count, dtype=self._dtype)
         if self.mode == "fixed":
-            return np.full(m, self.tau_bar, dtype=int)
+            return np.full(count, self.tau_bar, dtype=self._dtype)
         if self.mode == "per_link":
             return np.array(
-                [self._per_link_delay(i, j) for i, j in zip(ei.tolist(), ej.tolist())], dtype=int
+                [self._per_link_delay(i, j) for i, j in zip(ei.tolist(), ej.tolist())], dtype=self._dtype
             )
-        rng = np.random.default_rng([self.seed, 0xDE1A, int(step), 0])
-        return rng.integers(0, self.tau_bar + 1, size=m)
+        m = count if m is None else int(m)
+        if m < count:
+            raise ConfigurationError(f"{count} live links cannot come from a graph of {m} links")
+        rows = max(1, _DELAY_BLOCK // m)
+        block, row = divmod(int(step), rows)
+        if rows == 1:
+            return self._uniform(block, m, count)
+        if self._held[:2] != (block, m):
+            delays = self._uniform(block, m, (rows, m))
+            delays.flags.writeable = False
+            self._held = (block, m, delays)
+        return self._held[2][row, :count]
 
 
 @dataclass
@@ -227,6 +280,7 @@ def step_delayed(
     if grads is None:
         grads = cs.grad(x)
     ei, ej, w = graph.edges()
+    m = len(ei)
     if failure_keep is not None:
         keep = np.asarray(failure_keep, dtype=bool)
         if keep.shape != ei.shape:
@@ -242,9 +296,9 @@ def step_delayed(
     if depth == 1:
         buckets[0].append((ei, ej, phi))
     else:
-        delays = schedule.draw(k, ei, ej)
+        delays = schedule.draw(k, ei, ej, m)
         # A stable (radix, up to 16-bit keys) sort groups links by delay.
-        order = delays.astype(np.min_scalar_type(state.tau_bar)).argsort(kind="stable")
+        order = delays.argsort(kind="stable")
         ei, ej, phi = ei[order], ej[order], phi[order]
         ends = np.bincount(delays, minlength=depth).cumsum().tolist()
         for d, (a, b) in enumerate(zip([0, *ends], ends)):

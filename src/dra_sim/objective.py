@@ -240,8 +240,16 @@ class CostSet:
         return out
 
     def total_value(self, x: np.ndarray) -> float:
-        """Sum of the per-agent costs, accumulated with compensated summation."""
-        return math.fsum(self.value_per_agent(x).tolist())
+        """Sum of the per-agent costs, accumulated with compensated summation.
+
+        A sum past the double range, which ``fsum`` raises on, is an
+        infinity with the sign of the plain sum.
+        """
+        v = self.value_per_agent(x)
+        try:
+            return math.fsum(v.tolist())
+        except OverflowError:
+            return math.copysign(math.inf, v.sum())
 
     def base_grad(self, x: np.ndarray) -> np.ndarray:
         """Per-agent base gradient, without the penalty terms."""

@@ -146,7 +146,11 @@ class ScenarioConfig:
         lambda c: c.costs_penalty == "none" or c.costs_box_lo < c.costs_box_hi,
     )
     costs_box_hi: float = _key("costs.box_hi", 10.0, "finite", math.isfinite)
-    costs_penalty_weight: float = _key("costs.penalty_weight", 20.0, "> 0", _positive)
+    costs_penalty_weight: float = _key(
+        "costs.penalty_weight", 20.0, "> 0", _positive,
+        "such that costs.penalty_weight * costs.penalty_exponent is finite",
+        lambda c: math.isfinite(c.costs_penalty_weight * c.costs_penalty_exponent),
+    )
     costs_penalty_exponent: int = _key("costs.penalty_exponent", 2, ">= 2", lambda v: v >= 2)
     costs_penalty_sharpness: float = _key("costs.penalty_sharpness", 5.0, "> 0", _positive)
 
@@ -742,7 +746,10 @@ def run(cfg: ScenarioConfig) -> RunResult:
         if finite:
             grads = cs.grad(x)
             f_val = cs.total_value(x)
-            gap = math.fsum(x.tolist()) - cfg.total
+            try:
+                gap = math.fsum(x.tolist()) - cfg.total
+            except OverflowError:  # the coordinates sum past the double range
+                gap = math.copysign(math.inf, x.sum())
             spread = float(grads.max() - grads.min())
         else:
             grads = None

@@ -155,6 +155,28 @@ class TestRunCommand:
         assert code == 2
         assert "diverged=true" in out
 
+    def test_penalty_weight_times_exponent_must_be_finite(self, capsys):
+        code = main(["run", "--preset", "dispatch", "--set", "costs.penalty_weight=1e308"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "costs.penalty_weight must be such that" in err
+        assert "no multiplier" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_cost_sum_overflow_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(
+            "n = 3\nb = 29.1\neta = 1.778\nseed = 3\nearly_stop = 0\ntopology.p = 1\n"
+            "costs.kind = quadratic\ncosts.a_lo = 0.5\ncosts.a_hi = 1.5\ncosts.b_lo = -3\ncosts.b_hi = 3\n"
+            "costs.penalty = box\ncosts.box_lo = 0\ncosts.box_hi = 10\n"
+            "costs.penalty_weight = 4e307\ncosts.penalty_exponent = 4\n"
+            "maps.node.kind = saturation\nmaps.node.cap = 1\nmaps.node.d_max = 10\n"
+        )
+        code = main(["run", "--config", str(cfg)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "diverged=true" in out and "final_residual=inf" in out
+
     def test_numeric_failure_exits_three(self, tmp_path, capsys):
         # A quartic this flat needs x near 1e100 to reach unit marginal cost,
         # which is beyond the oracle's bracket expansion budget.
@@ -255,7 +277,7 @@ class TestSweepCommand:
         out = tmp_path / "div"
         code = main(["sweep", "--preset", "fig_delay",
                      "--set", "adversity.tau_bar=4", "--set", "horizon=100",
-                     "--sweep", "eta=0.01,2.0", "--out-dir", str(out)])
+                     "--sweep", "eta=0.01,8.0", "--out-dir", str(out)])
         assert code == 2
         rows = (out / "sweep_summary.csv").read_text().strip().splitlines()
         assert ",false," in rows[1]

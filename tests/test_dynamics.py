@@ -41,6 +41,18 @@ from dra_sim import (
 IDM = identity_map()
 
 
+def philox_delays(seed, tau_bar, step, m, count):
+    """The uniform delay stream's documented layout, computed from scratch.
+
+    Row ``step % rows`` of the (rows, m) block ``step // rows``, drawn from
+    Philox keyed by (seed, 0xDE1A) with counter words [0, block, m, 0].
+    """
+    rows = max(1, 2**15 // m)
+    block, row = divmod(step, rows)
+    gen = np.random.Generator(np.random.Philox(key=[seed, 0xDE1A], counter=[0, block, m, 0]))
+    return gen.integers(0, tau_bar + 1, size=(rows, m), dtype=np.min_scalar_type(tau_bar))[row, :count]
+
+
 def two_node_instance():
     # f_i = x_i^2 / 2, so the gradient is the state itself.
     costs = [quadratic_cost(0.5), quadratic_cost(0.5)]
@@ -173,6 +185,117 @@ class TestDelaySchedule:
         assert np.array_equal(d1, d2)
         assert d1.min() >= 0 and d1.max() <= 4
         assert len(set(d1.tolist())) > 1
+
+    def test_every_mode_returns_the_narrow_dtype(self):
+        ei, ej = np.triu_indices(5, 1)
+        for tau_bar, dtype in ((0, np.uint8), (3, np.uint8), (255, np.uint8), (300, np.uint16)):
+            for mode in ("uniform", "fixed", "per_link"):
+                assert DelaySchedule(tau_bar, mode, seed=2).draw(4, ei, ej).dtype == dtype
+
+    def test_seed_must_fit_the_key(self):
+        with pytest.raises(ConfigurationError, match="delay seed"):
+            DelaySchedule(2, seed=-1)
+        with pytest.raises(ConfigurationError, match="delay seed"):
+            DelaySchedule(2, seed=2**64)
+
+    def test_uniform_stream_golden_values(self):
+        # 15 links give blocks of 2184 steps, so step 2184 opens block 1.
+        s = DelaySchedule(6, mode="uniform", seed=20251018)
+        ei, ej = np.triu_indices(6, 1)
+        assert s.draw(0, ei, ej).tolist() == [3, 4, 6, 1, 1, 6, 2, 4, 2, 2, 4, 3, 4, 2, 0]
+        assert s.draw(1, ei, ej).tolist() == [2, 6, 4, 1, 5, 3, 5, 6, 6, 5, 5, 2, 2, 0, 1]
+        assert s.draw(2184, ei, ej).tolist() == [2, 0, 4, 2, 4, 0, 2, 0, 4, 5, 0, 6, 4, 4, 6]
+
+    @pytest.mark.parametrize("m", [9, 250, 20000])
+    def test_uniform_stream_layout_across_block_boundaries(self, m):
+        # rows is 3640, 131 and 1: steps on both sides of a block boundary,
+        # with every link live and with a live prefix.
+        rows = max(1, 2**15 // m)
+        s = DelaySchedule(4, mode="uniform", seed=99)
+        ei, ej = np.arange(m), np.arange(m) + 1
+        for step in sorted({0, max(rows - 2, 0), rows - 1, rows, rows + 1, 5 * rows - 1, 5 * rows}):
+            for count in (m, (2 * m) // 3):
+                got = s.draw(step, ei[:count], ej[:count], m)
+                assert got.tobytes() == philox_delays(99, 4, step, m, count).tobytes()
+
+    def test_uniform_draws_out_of_order_equal_in_order(self):
+        m = 250
+        ei, ej = np.arange(m), np.arange(m) + 1
+        counts = np.random.default_rng(5).integers(0, m + 1, 400)
+        s = DelaySchedule(3, mode="uniform", seed=8)
+        want = [s.draw(k, ei[: counts[k]], ej[: counts[k]], m).tobytes() for k in range(400)]
+        s = DelaySchedule(3, mode="uniform", seed=8)
+        for k in np.random.default_rng(6).permutation(400).tolist():
+            assert s.draw(k, ei[: counts[k]], ej[: counts[k]], m).tobytes() == want[k]
+
+    @pytest.mark.parametrize("m", [9, 250, 20000])
+    def test_live_links_take_the_head_of_the_row(self, m):
+        ei, ej = np.arange(m), np.arange(m) + 1
+        live = np.random.default_rng(m).random(m) >= 0.5
+        s = DelaySchedule(300, mode="uniform", seed=4)
+        for step in (0, 1, 77):
+            full = s.draw(step, ei, ej, m)
+            assert s.draw(step, ei[live], ej[live], m).tobytes() == full[: live.sum()].tobytes()
+        with pytest.raises(ConfigurationError):
+            s.draw(0, ei, ej, m - 1)
+
+    def test_cycle_phases_of_different_link_counts(self, monkeypatch):
+        # A three-graph cycle whose phases differ in link count, with
+        # failures: every step's delays are the stream's row for the
+        # step's graph width, whatever the phase order.
+        seen = []
+        draw = DelaySchedule.draw
+
+        def recording(self, step, ei, ej, m=None):
+            out = draw(self, step, ei, ej, m)
+            seen.append((self.seed, step, m, len(ei), out.tobytes()))
+            return out
+
+        monkeypatch.setattr(DelaySchedule, "draw", recording)
+        cfg = scenario.ScenarioConfig(
+            n=30, total=60.0, eta=0.02, horizon=120, seed=4, early_stop_spread=0.0,
+            topology_kind="cycle", topology_cycle_ps=(0.5, 0.2, 0.35), topology_switch_period=7,
+            costs_kind="quadratic", costs_penalty="none", p_fail=0.3, tau_bar=5,
+        )
+        graphs = scenario.build_instance(cfg)[0]
+        scenario.run(cfg)
+        assert len(seen) == 120
+        assert len({m for _, _, m, _, _ in seen}) == 3
+        for (seed, step, m, count, got) in seen:
+            assert m == graphs[(step // 7) % 3].edge_count
+            assert got == philox_delays(seed, 5, step, m, count).tobytes()
+
+    @pytest.mark.parametrize("tau_bar", [1, 2, 6, 300])
+    def test_uniform_delays_pass_chi_square(self, tau_bar):
+        # 50,000 delays over 200 steps of 250 links, against the 0.1% upper
+        # quantile of chi-square (Wilson-Hilferty) on tau_bar degrees of
+        # freedom.
+        s = DelaySchedule(tau_bar, mode="uniform", seed=31337)
+        ei, ej = np.arange(250), np.arange(250) + 1
+        counts = sum(np.bincount(s.draw(k, ei, ej), minlength=tau_bar + 1) for k in range(200))
+        expected = 50_000 / (tau_bar + 1)
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        df = tau_bar
+        critical = df * (1 - 2 / (9 * df) + 3.0902 * math.sqrt(2 / (9 * df))) ** 3
+        assert stat < critical
+
+    def test_run_builds_no_generator_per_step(self, monkeypatch):
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        counts = []
+        for horizon in (100, 2000):
+            built.clear()
+            res = scenario.run(scenario.apply_key(
+                scenario.apply_key(scenario.preset("fig_delay"), "horizon", horizon), "early_stop", 0.0))
+            assert res.summary.executed_steps == horizon
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
     def test_per_link_mode_is_constant_over_steps(self):
         s = DelaySchedule(5, mode="per_link", seed=11)

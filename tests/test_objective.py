@@ -274,6 +274,15 @@ class TestAggregateCost:
         with pytest.raises(ConfigurationError):
             aggregate_cost([quadratic_cost(1.0)], np.array([1.0, 2.0]))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sum_past_the_double_range_is_infinite(self):
+        # Each value is 1.69e308, finite; fsum raises on their sum.
+        cs = CostSet([quadratic_cost(1.0)] * 3)
+        x = np.full(3, 1.3e154)
+        assert np.isfinite(cs.value_per_agent(x)).all()
+        assert cs.total_value(x) == math.inf
+        assert CostSet([quadratic_cost(1.0, c=-1e308)] * 3).total_value(np.zeros(3)) == -math.inf
+
 
 class TestCostTable(object):
     HEADER = "i,kind,p1,p2,p3,lo,hi\n"

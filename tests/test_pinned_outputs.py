@@ -36,9 +36,9 @@ PRESETS = {
         "b9ef40a6a1626166efcb6838213a403687f8912c3950242df1bb7ab108c6e5f9",
     ),
     "fig_delay": (
-        "b540662adf154bab753f15bcb416e26a3d18ffe61c1c295a2c1c5c4023f6322e",
-        "a81363530c05fed6370a5a306cdf29e5a2004544a3798c3aa9b7b3b24858868f",
-        "ba0b27333ca6a797fcc59f1fd2922c1918d055effb674ae020b81c95a1796046",
+        "639d421399c3d4164cf0a0d3e70cac294dad67d0fef1b7632c038265192b1d7d",
+        "87cfdc2714dc9822c3fa46e6a81cae4672a25b0e20e518ae0e436bebea6ff5c3",
+        "3a0cc1aea437a73a72a01b790593f41e0177fb88b8c4d46dc3c4f04ea78d6114",
     ),
     "dispatch": (
         "bde2a2b62c0a176cbb3dd29ae2ca7e101efcd0da1371a4cf7b49e6958319794e",
@@ -51,9 +51,9 @@ PRESETS = {
         "1df9ccf77d05c73a55fe3e51793053cdd3506e2ec14c2f7f6cf606417569cb4b",
     ),
     "dispatch_adversity": (
-        "cff96dab72b656cec9b042f45a8aa5881aa525d25e9236dec652990069058a45",
-        "2e68665bde48425135d06031dc2614cc674efa4a58565be6aa8fe3b362d9929c",
-        "956d6591beba4c78973ca46d4ccc4b15601be08f6a025c4f98e2cd868a48a2e2",
+        "e44387c75213aa0c87bfc27ee560b426b8450272d5088a7f254220666a8072e1",
+        "441fa9bf7746b5bc26c0d7f66351ba6e04c17aa2331bceac647bf9a0c775466c",
+        "370ee1c3d4fbb44d55a215c6b62b03b751779cd6d068711784f506942bda9a57",
     ),
 }
 
@@ -65,11 +65,11 @@ VARIANTS = {
         "fc0facc8a2ae6d3be89ee30f37617b8a88ac836d9c17f5d8a80289326a9c74bd",
         "ce8dcfa05bff63051d207dc830159e6adbefd9e8202e88290b52b99fefcc545d",
     )),
-    # stops at step 1839 of 5000
+    # stops at step 1879 of 5000
     "early_stop": ("dispatch_adversity", dict(early_stop_spread=0.5, p_fail=0.2), (
-        "cf277bd9a60ab53886a6f6498e70da9ee6c423463fee50c41bfa52b5f5fedd09",
-        "633372182e7a96c9ed22a10d54c4843b348c4cc637409531542a006db95c56c1",
-        "c1a066751a29ec84d0e7a646843159edf1b3c49c565936dff88a8b31847a0c92",
+        "fb49ea11162b64af4badf2f05d1eb4d635f66897354238573f0b883c605f3b16",
+        "936254ab18ee5407855edc640eb33103c7613f4fe76ff9bce3c2549c92abfd1c",
+        "8a41ac11a677a399aa019937cc9f2c7ae1c5a9dbb002e3fea0a302255dc0629d",
     )),
     # one delay per link, with failures
     "per_link": ("fig_delay", dict(delay_mode="per_link", p_fail=0.2, horizon=800), (
@@ -85,9 +85,9 @@ VARIANTS = {
     )),
     # delays up to 300: wider than one byte
     "tau_300": ("dispatch_adversity", dict(tau_bar=300, eta=0.002, horizon=900), (
-        "cad66d1b0e3aa25dcf8770d08285cfebe16814ec0272ccc2fd542c7c185a0bb3",
-        "cd12685bd78b525eca5864d415c9f4e07813ce403359ad61403d01ed995947f5",
-        "1aa68ed1ab02e221d78bd13a1b742c01b6d3c809240a1dd6eea91d3f3c93b9ce",
+        "ff2befe08e66fb8719736de2554e68611b0bb56ac4990a7328d8a5e5640e2d89",
+        "be7ea318dd2bdda8d657cb27172eb37c10cd1f29b0f93f8e8eb46171744e7c42",
+        "15db51ab52bf02675f94857cc43a03c9a6da51d7f1fb0d73c9b257904b1ef71b",
     )),
     # records every 7th step, with failures
     "stride_7": ("fig_dyn", dict(record_stride=7, horizon=1000, p_fail=0.1), (
@@ -97,9 +97,9 @@ VARIANTS = {
     )),
     # stops at step 4; the summary's eta_bound_ratio is computed
     "diverge": ("fig_delay", dict(eta=8.0, horizon=400, p_fail=0.3), (
-        "261c5e0d57d8c3c182c31fd4c61ec766f3b61928137d200d48275840e3cc4efc",
-        "ac188e0b8cf92b2da1a7fbae696c86607bddd21d2b4a2da24cce686bce53fa7e",
-        "b0c5f4d12da92f000f651f06e8c168de1c256a4df4235dfedf7c5d9d45ac6085",
+        "8026e16471ffdf6cd15a407bc915233de147785aaf413d6b6df9dfc463c59b2c",
+        "18c2bc531e1fa71f031b9516d3f508b8f64d26aa8cdb9d5801ff57c41c44043c",
+        "cb0f1c43ae78b81a1dc73e89a6aa61f23b0c9fd14927fc029fe5122444b7976a",
     )),
 }
 

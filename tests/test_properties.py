@@ -195,7 +195,7 @@ def reference_delayed_step(x, pending, k, graph, sched, cs, node_map, link_map, 
     ei, ej, w = (a[keep] for a in graph.edges())
     gl = apply_map_array(link_map, cs.grad(x))
     phi = w * apply_map_array(node_map, gl[ei] - gl[ej])
-    delays = sched.draw(k, ei, ej)
+    delays = sched.draw(k, ei, ej, graph.edge_count)
     for d in range(depth):
         sel = delays == d
         if sel.any():

@@ -29,6 +29,7 @@ from dra_sim import (
     to_edge_list,
     trace_to_csv,
 )
+from dra_sim.objective import CostSet
 from dra_sim.scenario import CONFIG_KEYS, apply_key, config_items
 
 
@@ -104,6 +105,7 @@ CROSS_KEY_VIOLATIONS = {
     "maps.node.d_min": dict(node_kind="sign_power", node_d_min=2.0, node_d_max=1.0),
     "maps.link.d_min": dict(link_kind="sign_power", link_d_min=3.0, link_d_max=1.0),
     "init.respect_boxes": dict(init_respect_boxes=True),
+    "costs.penalty_weight": dict(costs_penalty_weight=1e308),
 }
 
 
@@ -390,6 +392,24 @@ class TestRun:
         assert s.diverged_step is not None
         assert s.diverged_step <= s.executed_steps
         assert s.eta_bound_ratio is not None and s.eta_bound_ratio > 1.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_cost_sum_past_the_double_range_is_a_divergence(self):
+        # At step 1 every agent's cost is finite but their sum is not.
+        cfg = ScenarioConfig(
+            n=3, total=29.1, eta=1.778, seed=3, early_stop_spread=0.0, topology_p=1.0,
+            costs_kind="quadratic", costs_a_lo=0.5, costs_a_hi=1.5, costs_b_lo=-3.0, costs_b_hi=3.0,
+            costs_penalty="box", costs_box_lo=0.0, costs_box_hi=10.0,
+            costs_penalty_weight=4e307, costs_penalty_exponent=4,
+            node_kind="saturation", node_cap=1.0, node_d_max=10.0,
+        )
+        res = run(cfg)
+        s = res.summary
+        assert s.diverged and s.diverged_step == 1
+        assert s.final_residual == math.inf
+        costs = CostSet(build_instance(cfg)[1])
+        assert np.isfinite(res.final_state).all()
+        assert np.isfinite(costs.value_per_agent(res.final_state)).all()
 
     def test_divergence_report_does_not_hide_program_errors(self, monkeypatch):
         # Only the package's own errors mean "no bound exists"; anything
