@@ -145,9 +145,12 @@ class DelaySchedule:
         self.seed = int(seed)
         self._dtype = np.min_scalar_type(self.tau_bar)
         self._per_link: dict[tuple[int, int], int] = {}
-        self._key = np.array([self.seed, _DELAY_TAG], dtype=np.uint64)
-        self._bitgen = np.random.Philox(key=self._key)
-        self._gen = np.random.Generator(self._bitgen)
+        # Only uniform delays read a generator; the zero-delay schedule built at
+        # import builds none, so importing the package does not load numpy.random.
+        self._gen = None
+        if mode == "uniform" and self.tau_bar > 0:
+            self._key = np.array([self.seed, _DELAY_TAG], dtype=np.uint64)
+            self._gen = np.random.Generator(np.random.Philox(key=self._key))
         self._held: tuple[int, int, np.ndarray | None] = (-1, 0, None)  # (block, m, delays)
 
     # The per-link stream key ends in 0; changing it would change every delay.
@@ -161,7 +164,7 @@ class DelaySchedule:
 
     def _uniform(self, block: int, m: int, size) -> np.ndarray:
         """``size`` uniform delays from the start of block ``block`` of width ``m``."""
-        self._bitgen.state = {
+        self._gen.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {"counter": np.array([0, block, m, 0], dtype=np.uint64), "key": self._key},
             "buffer": np.zeros(4, dtype=np.uint64),
