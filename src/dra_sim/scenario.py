@@ -748,8 +748,8 @@ def run(cfg: ScenarioConfig) -> RunResult:
             f_val = cs.total_value(x)
             try:
                 gap = math.fsum(x.tolist()) - cfg.total
-            except OverflowError:  # the coordinates sum past the double range
-                gap = math.copysign(math.inf, x.sum())
+            except OverflowError:  # a partial sum left the double range: no exact gap
+                gap = float("nan")
             spread = float(grads.max() - grads.min())
         else:
             grads = None

@@ -411,6 +411,22 @@ class TestRun:
         assert np.isfinite(res.final_state).all()
         assert np.isfinite(costs.value_per_agent(res.final_state)).all()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_state_sum_past_the_double_range_is_a_divergence(self):
+        # Step 1 lands on finite coordinates near +-1e308 whose running sum
+        # overflows; the gap cannot be summed exactly and is recorded as NaN.
+        cfg = small_static_config(
+            n=4, total=0.0, eta=3e307, seed=15, horizon=5, early_stop_spread=0.0, topology_p=1.0,
+            costs_a_lo=1.0, costs_a_hi=1.0, costs_b_lo=-3.0, costs_b_hi=3.0,
+        )
+        res = run(cfg)
+        s = res.summary
+        assert np.isfinite(res.final_state).all()
+        assert s.diverged and s.diverged_step == 1
+        assert s.final_residual == math.inf
+        assert math.isnan(res.trace[-1].feasibility_gap)
+        assert s.max_feasibility_gap == 0.0
+
     def test_divergence_report_does_not_hide_program_errors(self, monkeypatch):
         # Only the package's own errors mean "no bound exists"; anything
         # else is a fault and must reach the caller.
