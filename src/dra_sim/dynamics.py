@@ -180,6 +180,8 @@ class DelaySchedule:
         ``m`` is the link count of the step's graph before failures, of which
         (ei, ej) are the live links in link order; it defaults to ``len(ei)``.
         """
+        if step < 0:
+            raise ConfigurationError(f"delay step must be nonnegative, got step={step}")
         count = len(ei)
         if self.tau_bar == 0 or count == 0:
             return np.zeros(count, dtype=self._dtype)

@@ -1,22 +1,22 @@
 """Weighted undirected graphs, Laplacians, and spectral helpers.
 
 The simulation operates on symmetric nonnegatively weighted graphs without
-self-loops.  The Laplacian of such a graph is the matrix L = D - W where D
-is the diagonal of row sums of W; its row sums are zero by construction and
-its spectrum 0 = lambda_1 <= lambda_2 <= ... <= lambda_n drives both the
-convergence rate and the admissible step size of the dynamics.
+self-loops, held as their links in O(m) memory.  The Laplacian of such a
+graph is L = D - W where D is the diagonal of row sums of W; its row sums
+are zero and its spectrum 0 = lambda_1 <= lambda_2 <= ... <= lambda_n
+drives both the convergence rate and the admissible step size of the
+dynamics.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericError
 
 __all__ = [
     "WeightedGraph",
@@ -32,63 +32,88 @@ __all__ = [
     "from_edge_list",
 ]
 
+# Uniforms per draw of erdos_renyi's two streams: 8 MiB, whatever n is.
+_ER_CHUNK = 1 << 20
+# Largest n whose spectrum comes from the dense eigvalsh; Lanczos above.
+_DENSE_SPECTRUM_MAX_N = 2000
+
 
 # --------------------------------------------------------------------------
 # types
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class WeightedGraph:
     """Symmetric weighted graph on nodes 0..n-1, immutable after construction.
 
-    ``weights`` is an (n, n) array with zero diagonal; entry (i, j) > 0 is
-    the weight of the undirected link {i, j}.
+    The graph is its links: read-only arrays (ei, ej, w) with ei < ej, in
+    row-major order, and w > 0 (see :meth:`edges`).  ``WeightedGraph(n,
+    weights)`` takes a dense (n, n) matrix with zero diagonal whose entry
+    (i, j) > 0 is the weight of the link {i, j}; :meth:`from_edges` takes
+    the link arrays.  The package itself never reads :attr:`weights`.
     """
 
-    n: int
-    weights: np.ndarray
+    def __init__(self, n: int, weights) -> None:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (n, n) or np.any(np.diag(w) != 0.0) or not np.array_equal(w, w.T):
+            raise ConfigurationError(f"weights must be a symmetric ({n}, {n}) matrix with zero diagonal, got {w.shape}")
+        ii, jj = np.nonzero(w)
+        upper = ii < jj
+        ei, ej = ii[upper], jj[upper]
+        # The links go through the edge form's checks: n >= 1, finite positive weights.
+        self.__dict__.update(WeightedGraph.from_edges(n, ei, ej, w[ei, ej]).__dict__)
 
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if self.n < 1:
-            raise ConfigurationError(f"graph needs at least one node, got n={self.n}")
-        if w.shape != (self.n, self.n):
-            raise ConfigurationError(
-                f"weight matrix shape {w.shape} does not match n={self.n}"
-            )
-        if not np.all(np.isfinite(w)):
-            raise ConfigurationError("weight matrix contains non-finite entries")
-        if np.any(w < 0.0):
-            raise ConfigurationError("link weights must be nonnegative")
-        if np.any(np.diag(w) != 0.0):
-            raise ConfigurationError("self-loops are not allowed (diagonal must be 0)")
-        if not np.array_equal(w, w.T):
-            raise ConfigurationError("weight matrix must be exactly symmetric")
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+    @classmethod
+    def from_edges(cls, n: int, ei, ej, w) -> WeightedGraph:
+        """The graph on n nodes with a link {ei[k], ej[k]} of weight w[k].
+
+        The links must have ei < ej, come in row-major order with each pair
+        once, and carry finite positive weights; the check is O(m).
+        """
+        ei, ej, w = np.asarray(ei), np.asarray(ej), np.array(w, dtype=float)
+        if n < 1:
+            raise ConfigurationError(f"graph needs at least one node, got n={n}")
+        if not (ei.ndim == ej.ndim == w.ndim == 1 and len(ei) == len(ej) == len(w)):
+            raise ConfigurationError("link arrays must be three vectors of one length")
+        if len(w):
+            if not (ei.dtype.kind in "iu" and ej.dtype.kind in "iu"):
+                raise ConfigurationError("link endpoints must be integers")
+            if ei.min() < 0 or ej.max() >= n or np.any(ei >= ej):
+                raise ConfigurationError(f"links need endpoints 0 <= i < j < n={n}")
+            if np.any(np.diff(ei * n + ej) <= 0):
+                raise ConfigurationError("links must be in row-major order, each pair once")
+            if not np.all(np.isfinite(w) & (w > 0.0)):
+                raise ConfigurationError("link weights must be finite and positive")
+        return _graph(n, ei.astype(np.intp), ej.astype(np.intp), w)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"WeightedGraph is immutable: cannot set {name!r}")
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges()[0])
+        return len(self._links[0])
 
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (i, j, w) arrays of the links with i < j, in row-major order.
-
-        The arrays are computed on the first call, kept, and read-only.
-        """
+        """Return the read-only (i, j, w) arrays of the links with i < j, in row-major order."""
         return self._links
 
-    @cached_property
-    def _links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ii, jj = np.nonzero(self.weights)
-        upper = ii < jj
-        ei, ej = ii[upper], jj[upper]
-        links = (ei, ej, self.weights[ei, ej])
-        for a in links:
-            a.flags.writeable = False
-        return links
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense (n, n) weight matrix, read-only; built on each read, O(n^2) memory."""
+        ei, ej, w = self._links
+        dense = np.zeros((self.n, self.n))
+        dense[ei, ej] = dense[ej, ei] = w
+        dense.flags.writeable = False
+        return dense
+
+
+def _graph(n: int, ei: np.ndarray, ej: np.ndarray, w: np.ndarray) -> WeightedGraph:
+    """A graph from link arrays that are valid by construction, unchecked."""
+    for a in (ei, ej, w):
+        a.flags.writeable = False
+    g = object.__new__(WeightedGraph)
+    g.__dict__.update(n=int(n), _links=(ei, ej, w))
+    return g
 
 
 @dataclass(frozen=True)
@@ -96,15 +121,13 @@ class SpectralSummary:
     """Eigenvalue summary of a Laplacian.
 
     ``lambda2`` is the algebraic connectivity (0 when the graph is
-    disconnected at tolerance ``zero_tol``), ``lambda_max`` the largest
-    eigenvalue.  ``eigenvalues`` holds the full ascending spectrum.
+    disconnected at tolerance ``zero_tol``), ``lambda_max`` the largest.
     """
 
     lambda2: float
     lambda_max: float
     connected: bool
     zero_tol: float
-    eigenvalues: np.ndarray = field(repr=False)
 
 
 # --------------------------------------------------------------------------
@@ -123,8 +146,10 @@ def erdos_renyi(
     Each of the n(n-1)/2 unordered pairs is linked independently with
     probability ``p``; linked pairs get a weight drawn uniformly from
     ``weight_range``.  The same (n, p, weight_range, seed) always produces
-    the same graph: one uniform vector decides the links, a second the
-    weights, both over all pairs in row-major order.
+    the same graph: one uniform stream decides the links, a second the
+    weights, both over all pairs in row-major order.  Each stream is drawn
+    in chunks, which gives the same bits as one draw, and only the linked
+    pairs are kept.
     """
     if n < 2:
         raise ConfigurationError(f"erdos_renyi needs n >= 2, got {n}")
@@ -135,15 +160,18 @@ def erdos_renyi(
         raise ConfigurationError(f"weight range must satisfy 0 < lo <= hi, got {weight_range}")
 
     rng = np.random.default_rng([int(seed), 0x6E45])
-    iu = np.triu_indices(n, 1)
-    m = len(iu[0])
-    linked = rng.random(m) < p
-    w = lo + (hi - lo) * rng.random(m)
-
-    weights = np.zeros((n, n))
-    weights[iu] = np.where(linked, w, 0.0)
-    weights = weights + weights.T
-    return WeightedGraph(n=n, weights=weights)
+    m = n * (n - 1) // 2
+    starts = range(0, m, _ER_CHUNK)
+    flat = np.concatenate([np.flatnonzero(rng.random(min(_ER_CHUNK, m - s)) < p) + s for s in starts])
+    u = np.empty(len(flat))
+    bounds = np.searchsorted(flat, [*starts, m])
+    for s, a, b in zip(starts, bounds[:-1], bounds[1:]):
+        u[a:b] = rng.random(min(_ER_CHUNK, m - s))[flat[a:b] - s]
+    # Pair (i, j) of row i sits at flat index offset[i] + j - i - 1.
+    rows = np.arange(n)
+    offset = rows * (2 * n - rows - 1) // 2
+    ei = np.searchsorted(offset, flat, side="right") - 1
+    return _graph(n, ei, flat - offset[ei] + ei + 1, lo + (hi - lo) * u)
 
 
 def union_graph(graphs: list[WeightedGraph]) -> WeightedGraph:
@@ -155,13 +183,17 @@ def union_graph(graphs: list[WeightedGraph]) -> WeightedGraph:
     if not graphs:
         raise ConfigurationError("union_graph needs at least one graph")
     n = graphs[0].n
-    for g in graphs[1:]:
-        if g.n != n:
-            raise ConfigurationError("union_graph requires a common node count")
-    w = graphs[0].weights
-    for g in graphs[1:]:
-        w = np.maximum(w, g.weights)
-    return WeightedGraph(n=n, weights=w)
+    if any(g.n != n for g in graphs):
+        raise ConfigurationError("union_graph requires a common node count")
+    if len(graphs) == 1:
+        return graphs[0]
+    ei, ej, w = (np.concatenate(parts) for parts in zip(*(g.edges() for g in graphs)))
+    key = ei * n + ej
+    order = np.argsort(key, kind="stable")
+    key, w = key[order], w[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    key = key[first]
+    return _graph(n, key // n, key % n, np.maximum.reduceat(w, first))
 
 
 # --------------------------------------------------------------------------
@@ -169,40 +201,104 @@ def union_graph(graphs: list[WeightedGraph]) -> WeightedGraph:
 # --------------------------------------------------------------------------
 
 
-def laplacian(g: WeightedGraph) -> np.ndarray:
-    """Graph Laplacian L = D - W with D the diagonal of row sums of W.
+@dataclass(frozen=True, eq=False)
+class LaplacianOperator:
+    """The Laplacian L = D - W of a graph, held as the graph.
 
-    Row sums of the result are zero up to machine rounding because the
-    diagonal is computed from the actual off-diagonal entries.
+    ``lap @ x`` and ``x @ lap`` give L x for a vector x in O(n + m), as the
+    sum over links of w_ij (x_i - x_j), so a constant x maps to exactly 0.
+    ``np.asarray(lap)`` builds the dense matrix, whose diagonal is the row
+    sums of the dense W.
     """
-    w = g.weights
-    lap = -w.copy()
-    lap[np.diag_indices(g.n)] = w.sum(axis=1)
-    lap.flags.writeable = False
-    return lap
+
+    graph: WeightedGraph
+    __array_ufunc__ = None  # so that ndarray @ lap defers to __rmatmul__
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.graph.n, self.graph.n)
+
+    def __matmul__(self, x) -> np.ndarray:
+        n = self.graph.n
+        x = np.asarray(x, dtype=float)
+        if x.shape != (n,):
+            raise ConfigurationError(f"a Laplacian on n={n} nodes applies to vectors of that length, got {x.shape}")
+        ei, ej, w = self.graph.edges()
+        flow = w * (x[ei] - x[ej])
+        # dtype: bincount of no links gives integer zeros.
+        return np.subtract(np.bincount(ei, flow, n), np.bincount(ej, flow, n), dtype=float)
+
+    __rmatmul__ = __matmul__  # L is symmetric
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        w = self.graph.weights
+        lap = -w
+        lap[np.diag_indices(self.graph.n)] = w.sum(axis=1)
+        return lap if dtype is None else lap.astype(dtype, copy=False)
 
 
-def spectral_summary(lap: np.ndarray, zero_tol: float | None = None) -> SpectralSummary:
-    """Eigenvalues of a Laplacian with a connectivity verdict.
+def laplacian(g: WeightedGraph) -> LaplacianOperator:
+    """Graph Laplacian L = D - W with D the diagonal of row sums of W, as an operator."""
+    return LaplacianOperator(g)
 
-    Eigenvalues below ``zero_tol`` count as zero.  When ``zero_tol`` is None
-    it defaults to max(1e-12, 1e-8 * lambda_max), which separates genuine
-    nullspace directions from rounding noise for the weight scales used here.
+
+def spectral_summary(lap, zero_tol: float | None = None) -> SpectralSummary:
+    """lambda_2 and lambda_max of a Laplacian, with a connectivity verdict.
+
+    ``lap`` is a :func:`laplacian` operator (a dense Laplacian matrix works
+    too).  Up to n = 2000 both come from ``eigvalsh`` on the dense matrix,
+    above from :func:`_lanczos_extremes`.  Eigenvalues below ``zero_tol``
+    count as zero.  When ``zero_tol`` is None it defaults to max(1e-12, 1e-8
+    * lambda_max), which separates genuine nullspace directions from
+    rounding noise for the weight scales used here.
     """
-    lap = np.asarray(lap, dtype=float)
-    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
-        raise ConfigurationError(f"laplacian must be square, got shape {lap.shape}")
-    eigs = np.linalg.eigvalsh(lap)
-    lam_max = float(eigs[-1])
+    n = lap.shape[0]
+    if n <= _DENSE_SPECTRUM_MAX_N:
+        eigs = np.linalg.eigvalsh(np.asarray(lap, dtype=float))
+        second, lam_max = float(eigs[min(1, n - 1)]), float(eigs[-1])
+    else:
+        second, lam_max = _lanczos_extremes(lap)
     if zero_tol is None:
         zero_tol = max(1e-12, 1e-8 * abs(lam_max))
-    if len(eigs) < 2:
-        return SpectralSummary(0.0, lam_max, True, zero_tol, eigs)
-    second = float(eigs[1])
-    connected = second > zero_tol
-    lambda2 = second if connected else 0.0
-    eigs.flags.writeable = False
-    return SpectralSummary(lambda2, lam_max, connected, zero_tol, eigs)
+    connected = n == 1 or second > zero_tol
+    return SpectralSummary(second if connected else 0.0, lam_max, connected, zero_tol)
+
+
+def _lanczos_extremes(lap, tol: float = 1e-12, max_iter: int = 300) -> tuple[float, float]:
+    """(theta_2 - r_2, theta_max + r_max) of a Laplacian on n >= 2 nodes.
+
+    Lanczos iteration (Lanczos 1950; Parlett, The Symmetric Eigenvalue
+    Problem, ch. 13) from a fixed-seed start vector, with every vector
+    orthogonalized twice against all earlier ones and the all-ones vector,
+    so the smallest Ritz value theta_2 approximates lambda_2.  A Ritz value
+    lies within its residual bound r = beta_k |s_k| of an eigenvalue; the
+    result moves each extreme by its r the way that can only shrink the
+    step-rate bound.  Stops once both r are at most ``tol * theta_max`` (at
+    the latest when k = n - 1); raises NumericError if ``max_iter`` steps
+    do not get there.
+    """
+    n = lap.shape[0]
+    ones = np.full(n, 1.0 / math.sqrt(n))
+    q = np.random.default_rng(0x1A2C).standard_normal(n)
+    q -= ones * (ones @ q)
+    steps = min(n - 1, max_iter)
+    basis = np.empty((steps + 1, n))
+    basis[0] = q / np.linalg.norm(q)
+    alpha, beta = [], []
+    for k in range(steps):
+        v = lap @ basis[k]
+        alpha.append(float(basis[k] @ v))
+        for _ in range(2):
+            v -= basis[: k + 1].T @ (basis[: k + 1] @ v)
+            v -= ones * (ones @ v)
+        b = float(np.linalg.norm(v))
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        r_low, r_high = b * abs(s[-1, 0]), b * abs(s[-1, -1])
+        if max(r_low, r_high) <= tol * theta[-1]:
+            return float(theta[0] - r_low), float(theta[-1] + r_high)
+        beta.append(b)
+        basis[k + 1] = v / b
+    raise NumericError(f"Lanczos did not bound lambda_2 and lambda_max of n={n} to {tol:g} in {steps} steps")
 
 
 # --------------------------------------------------------------------------
@@ -233,8 +329,6 @@ def _bfs_hops(adj: list[list[int]], source: int, n: int) -> list[int]:
 
 def is_connected(g: WeightedGraph) -> bool:
     """True iff every node is reachable from node 0 over positive-weight links."""
-    if g.n == 1:
-        return True
     ei, ej, _ = g.edges()
     return -1 not in _bfs_hops(_adjacency_lists(g.n, ei, ej), 0, g.n)
 
@@ -295,8 +389,9 @@ def to_edge_list(g: WeightedGraph) -> str:
 def from_edge_list(text: str, expect_n: int | None = None) -> WeightedGraph:
     """Parse the format produced by :func:`to_edge_list`.
 
-    With ``expect_n`` the header must name that many nodes; it is checked
-    before the n x n weight matrix is allocated.
+    With ``expect_n`` the header must name that many nodes.  Links may come
+    in any order and either way round; a pair given more than once keeps the
+    weight of its last line.  Memory is O(links), whatever the header says.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -310,10 +405,7 @@ def from_edge_list(text: str, expect_n: int | None = None) -> WeightedGraph:
         raise ConfigurationError(f"bad node count line (want n=<count> with count >= 1): {lines[0]!r}")
     if expect_n is not None and n != expect_n:
         raise ConfigurationError(f"edge list has n={n} but n={expect_n} was expected")
-    try:
-        weights = np.zeros((n, n))
-    except MemoryError:
-        raise ConfigurationError(f"edge list has n={n}: an n x n weight matrix does not fit in memory") from None
+    links: dict[int, float] = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
@@ -326,6 +418,6 @@ def from_edge_list(text: str, expect_n: int | None = None) -> WeightedGraph:
             raise ConfigurationError(f"edge endpoints out of range: {ln!r}")
         if w <= 0.0 or not math.isfinite(w):
             raise ConfigurationError(f"edge weight must be finite and positive: {ln!r}")
-        weights[i, j] = w
-        weights[j, i] = w
-    return WeightedGraph(n=n, weights=weights)
+        links[min(i, j) * n + max(i, j)] = w  # keyed by row-major position
+    keys = np.array(sorted(links), dtype=np.intp)
+    return _graph(n, keys // n, keys % n, np.array([links[k] for k in keys.tolist()], dtype=float))

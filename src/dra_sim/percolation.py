@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .graph import WeightedGraph, _adjacency_lists, _bfs_hops
+from .graph import WeightedGraph, _graph, is_connected
 
 __all__ = [
     "PercolationProfile",
@@ -110,13 +110,6 @@ def min_window(p_fail: float, threshold: float) -> int:
     return t
 
 
-def _union_connected(
-    edge_i: np.ndarray, edge_j: np.ndarray, keep: np.ndarray, n: int
-) -> bool:
-    adj = _adjacency_lists(n, edge_i[keep], edge_j[keep])
-    return -1 not in _bfs_hops(adj, 0, n)
-
-
 def mc_union_connectivity(
     base: WeightedGraph, p_fail: float, window: int, trials: int = 500, seed: int = 0
 ) -> McConnectivity:
@@ -134,16 +127,12 @@ def mc_union_connectivity(
         raise ConfigurationError(f"window must be a nonnegative integer, got {window}")
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    ei, ej, _ = base.edges()
-    m = len(ei)
+    ei, ej, w = base.edges()
     successes = 0
     for t in range(trials):
         rng = np.random.default_rng([int(seed), 0xACC3, t])
-        if m == 0:
-            keep = np.zeros(0, dtype=bool)
-        else:
-            keep = (rng.random((int(window) + 1, m)) >= p_fail).any(axis=0)
-        if _union_connected(ei, ej, keep, base.n):
+        keep = (rng.random((int(window) + 1, len(ei))) >= p_fail).any(axis=0)
+        if is_connected(_graph(base.n, ei[keep], ej[keep], w[keep])):
             successes += 1
     frac = successes / trials
     z = 1.959963984540054  # two-sided 95% normal quantile

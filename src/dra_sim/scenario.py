@@ -672,10 +672,7 @@ def failure_mask(graph: WeightedGraph, p_fail: float, rng: np.random.Generator) 
         raise ConfigurationError(f"failure rate must be in [0, 1], got {p_fail}")
     ei, ej, w = graph.edges()
     keep = rng.random(len(ei)) >= p_fail
-    weights = np.zeros((graph.n, graph.n))
-    weights[ei[keep], ej[keep]] = w[keep]
-    weights = weights + weights.T
-    return WeightedGraph(n=graph.n, weights=weights)
+    return WeightedGraph.from_edges(graph.n, ei[keep], ej[keep], w[keep])
 
 
 # --------------------------------------------------------------------------

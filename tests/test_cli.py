@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from dra_sim import graph
 from dra_sim.cli import main, parse_config, serialize_config
 from dra_sim.errors import ConfigurationError
 from dra_sim.scenario import PRESET_NAMES, preset
@@ -424,6 +425,19 @@ class TestBenchCommand:
         assert float(lines[0].split("=")[-1]) > 0.0
         assert lines[-1].startswith("slope=")
         assert math.isfinite(float(lines[-1].split("=")[1]))
+
+    def test_constant_degree_at_sparse_sizes(self, capsys, monkeypatch):
+        # n = 10^4 is above the dense eigvalsh cutoff: the step rate's
+        # lambda_max comes from the Lanczos iteration.
+        sizes = []
+        lanczos = graph._lanczos_extremes
+        monkeypatch.setattr(graph, "_lanczos_extremes", lambda lap: sizes.append(lap.shape[0]) or lanczos(lap))
+        assert main(["bench", "--degree", "15", "--sizes", "2000,10000", "--steps", "10"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1].startswith("n=10000 seconds_per_step=")
+        assert lines[-1].startswith("slope=")
+        assert math.isfinite(float(lines[-1].split("=")[1]))
+        assert sizes == [10000]
 
     def test_bad_sizes_exit_one(self, capsys):
         assert main(["bench", "--sizes", "", "--steps", "20"]) == 1

@@ -165,6 +165,13 @@ class TestDelaySchedule:
         with pytest.raises(ConfigurationError):
             DelaySchedule(2, mode="gaussian")
 
+    @pytest.mark.parametrize("mode", ["uniform", "fixed", "per_link"])
+    @pytest.mark.parametrize("tau_bar", [0, 4])
+    def test_negative_step_rejected(self, mode, tau_bar):
+        ei, ej = np.array([0, 1]), np.array([1, 2])
+        with pytest.raises(ConfigurationError, match="step=-1"):
+            DelaySchedule(tau_bar, mode=mode, seed=99).draw(-1, ei, ej, 20000)
+
     def test_zero_bound_draws_zeros(self):
         s = DelaySchedule(0, mode="uniform", seed=1)
         d = s.draw(5, np.array([0, 1]), np.array([1, 2]))

@@ -142,7 +142,7 @@ class TestLaplacian:
         assert np.array_equal(lap, np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_unit_triangle(self):
-        lap = laplacian(complete_graph(3))
+        lap = np.asarray(laplacian(complete_graph(3)))
         assert np.array_equal(np.diag(lap), np.array([2.0, 2.0, 2.0]))
         off = lap[~np.eye(3, dtype=bool)]
         assert np.all(off == -1.0)
@@ -152,7 +152,7 @@ class TestLaplacian:
         # re-summing each row cancels to machine rounding.
         for seed in range(20):
             g = erdos_renyi(25, 0.3, (0.5, 1.0), seed=seed)
-            lap = laplacian(g)
+            lap = np.asarray(laplacian(g))
             tol = 1e-12 * (1.0 + float(np.max(np.diag(lap))))
             assert np.max(np.abs(lap.sum(axis=1))) <= tol
             assert np.max(np.abs(lap.sum(axis=0))) <= tol
@@ -181,7 +181,9 @@ class TestSpectralSummary:
         for seed in range(20):
             g = erdos_renyi(15, 0.4, (0.5, 1.0), seed=seed)
             s = spectral_summary(laplacian(g))
-            ev = s.eigenvalues
+            ev = np.linalg.eigvalsh(np.asarray(laplacian(g)))
+            assert s.lambda_max == ev[-1]
+            assert s.lambda2 == (ev[1] if s.connected else 0.0)
             assert np.all(np.diff(ev) >= -1e-12)
             assert ev[0] == pytest.approx(0.0, abs=1e-10)
             assert np.all(ev >= -1e-10)
@@ -419,11 +421,11 @@ class TestEdgeListSerialization:
             from_edge_list("n=3\n0 1\n")
 
     def test_node_count_checked_before_the_matrix(self):
-        # 10^8 nodes would need 71 PiB; the allocation fails at once.
+        # The graph is held as its links, so 10^8 nodes with one link parse.
         with pytest.raises(ConfigurationError, match="n=100000000 but n=10 was expected"):
             from_edge_list("n=100000000\n0 1 1.0\n", expect_n=10)
-        with pytest.raises(ConfigurationError, match="n=100000000: an n x n weight matrix"):
-            from_edge_list("n=100000000\n0 1 1.0\n")
+        g = from_edge_list("n=100000000\n0 1 1.0\n")
+        assert (g.n, g.edge_count) == (100000000, 1)
         assert from_edge_list("n=3\n0 1 1.0\n", expect_n=3).n == 3
 
     def test_rejects_out_of_range_index(self):
