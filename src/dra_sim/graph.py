@@ -57,10 +57,7 @@ class WeightedGraph:
         w = np.asarray(weights, dtype=float)
         if w.shape != (n, n) or np.any(np.diag(w) != 0.0) or not np.array_equal(w, w.T):
             raise ConfigurationError(f"weights must be a symmetric ({n}, {n}) matrix with zero diagonal, got {w.shape}")
-        ii, jj = np.nonzero(w)
-        upper = ii < jj
-        ei, ej = ii[upper], jj[upper]
-        # The links go through the edge form's checks: n >= 1, finite positive weights.
+        ei, ej = np.nonzero(np.triu(w))
         self.__dict__.update(WeightedGraph.from_edges(n, ei, ej, w[ei, ej]).__dict__)
 
     @classmethod
@@ -71,10 +68,8 @@ class WeightedGraph:
         once, and carry finite positive weights; the check is O(m).
         """
         ei, ej, w = np.asarray(ei), np.asarray(ej), np.array(w, dtype=float)
-        if n < 1:
-            raise ConfigurationError(f"graph needs at least one node, got n={n}")
-        if not (ei.ndim == ej.ndim == w.ndim == 1 and len(ei) == len(ej) == len(w)):
-            raise ConfigurationError("link arrays must be three vectors of one length")
+        if n < 1 or not (ei.ndim == ej.ndim == w.ndim == 1 and len(ei) == len(ej) == len(w)):
+            raise ConfigurationError(f"a graph needs n >= 1 nodes and three link vectors of one length, got n={n}")
         if len(w):
             if not (ei.dtype.kind in "iu" and ej.dtype.kind in "iu"):
                 raise ConfigurationError("link endpoints must be integers")
@@ -100,9 +95,7 @@ class WeightedGraph:
     @property
     def weights(self) -> np.ndarray:
         """The dense (n, n) weight matrix, read-only; built on each read, O(n^2) memory."""
-        ei, ej, w = self._links
-        dense = np.zeros((self.n, self.n))
-        dense[ei, ej] = dense[ej, ei] = w
+        dense = _dense_weights(self)
         dense.flags.writeable = False
         return dense
 
@@ -114,6 +107,13 @@ def _graph(n: int, ei: np.ndarray, ej: np.ndarray, w: np.ndarray) -> WeightedGra
     g = object.__new__(WeightedGraph)
     g.__dict__.update(n=int(n), _links=(ei, ej, w))
     return g
+
+
+def _dense_weights(g: WeightedGraph) -> np.ndarray:
+    ei, ej, w = g.edges()
+    dense = np.zeros((g.n, g.n))
+    dense[ei, ej] = dense[ej, ei] = w
+    return dense
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,8 @@ def erdos_renyi(
     probability ``p``; linked pairs get a weight drawn uniformly from
     ``weight_range``.  The same (n, p, weight_range, seed) always produces
     the same graph: one uniform stream decides the links, a second the
-    weights, both over all pairs in row-major order.  Each stream is drawn
-    in chunks, which gives the same bits as one draw, and only the linked
-    pairs are kept.
+    weights, both over all pairs in row-major order and drawn in chunks
+    (the same bits as one draw); only the linked pairs are kept.
     """
     if n < 2:
         raise ConfigurationError(f"erdos_renyi needs n >= 2, got {n}")
@@ -231,7 +230,7 @@ class LaplacianOperator:
     __rmatmul__ = __matmul__  # L is symmetric
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        w = self.graph.weights
+        w = _dense_weights(self.graph)
         lap = -w
         lap[np.diag_indices(self.graph.n)] = w.sum(axis=1)
         return lap if dtype is None else lap.astype(dtype, copy=False)
@@ -264,7 +263,7 @@ def spectral_summary(lap, zero_tol: float | None = None) -> SpectralSummary:
     return SpectralSummary(second if connected else 0.0, lam_max, connected, zero_tol)
 
 
-def _lanczos_extremes(lap, tol: float = 1e-12, max_iter: int = 300) -> tuple[float, float]:
+def _lanczos_extremes(lap, max_iter: int = 300) -> tuple[float, float]:
     """(theta_2 - r_2, theta_max + r_max) of a Laplacian on n >= 2 nodes.
 
     Lanczos iteration (Lanczos 1950; Parlett, The Symmetric Eigenvalue
@@ -273,7 +272,7 @@ def _lanczos_extremes(lap, tol: float = 1e-12, max_iter: int = 300) -> tuple[flo
     so the smallest Ritz value theta_2 approximates lambda_2.  A Ritz value
     lies within its residual bound r = beta_k |s_k| of an eigenvalue; the
     result moves each extreme by its r the way that can only shrink the
-    step-rate bound.  Stops once both r are at most ``tol * theta_max`` (at
+    step-rate bound.  Stops once both r are at most 1e-12 * theta_max (at
     the latest when k = n - 1); raises NumericError if ``max_iter`` steps
     do not get there.
     """
@@ -294,11 +293,11 @@ def _lanczos_extremes(lap, tol: float = 1e-12, max_iter: int = 300) -> tuple[flo
         b = float(np.linalg.norm(v))
         theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
         r_low, r_high = b * abs(s[-1, 0]), b * abs(s[-1, -1])
-        if max(r_low, r_high) <= tol * theta[-1]:
+        if max(r_low, r_high) <= 1e-12 * theta[-1]:
             return float(theta[0] - r_low), float(theta[-1] + r_high)
         beta.append(b)
         basis[k + 1] = v / b
-    raise NumericError(f"Lanczos did not bound lambda_2 and lambda_max of n={n} to {tol:g} in {steps} steps")
+    raise NumericError(f"Lanczos did not bound lambda_2 and lambda_max of n={n} to 1e-12 in {steps} steps")
 
 
 # --------------------------------------------------------------------------

@@ -227,9 +227,9 @@ class TestLaplacianOperator:
 def two_components(n, p, seed):
     """Two Erdos-Renyi blocks on nodes [0, n//2) and [n//2, n), no link between; n >= 4."""
     h = n // 2
-    a, b = erdos_renyi(h, p, (0.5, 1.0), seed), erdos_renyi(n - h, p, (0.5, 1.0), seed + 1)
-    ei, ej, w = (np.concatenate([x, y + (h if k < 2 else 0)]) for k, (x, y) in enumerate(zip(a.edges(), b.edges())))
-    return WeightedGraph.from_edges(n, ei, ej, w)
+    ai, aj, aw = erdos_renyi(h, p, (0.5, 1.0), seed).edges()
+    bi, bj, bw = erdos_renyi(n - h, p, (0.5, 1.0), seed + 1).edges()
+    return WeightedGraph.from_edges(n, np.concatenate([ai, bi + h]), np.concatenate([aj, bj + h]), np.concatenate([aw, bw]))
 
 
 def assert_lanczos_matches_eigvalsh(g):
