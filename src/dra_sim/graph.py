@@ -10,6 +10,7 @@ dynamics.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ __all__ = [
 _ER_CHUNK = 1 << 20
 # Largest n whose spectrum comes from the dense eigvalsh; Lanczos above.
 _DENSE_SPECTRUM_MAX_N = 2000
+_MAX_NODES = math.isqrt(np.iinfo(np.intp).max)  # so link keys i * n + j fit in np.intp
 
 
 # --------------------------------------------------------------------------
@@ -68,14 +70,14 @@ class WeightedGraph:
         once, and carry finite positive weights; the check is O(m).
         """
         ei, ej, w = np.asarray(ei), np.asarray(ej), np.array(w, dtype=float)
-        if n < 1 or not (ei.ndim == ej.ndim == w.ndim == 1 and len(ei) == len(ej) == len(w)):
-            raise ConfigurationError(f"a graph needs n >= 1 nodes and three link vectors of one length, got n={n}")
+        if not 1 <= n <= _MAX_NODES or not (ei.ndim == ej.ndim == w.ndim == 1 and len(ei) == len(ej) == len(w)):
+            raise ConfigurationError(f"a graph needs 1 <= n <= {_MAX_NODES} nodes and three link vectors of one length, got n={n}")
         if len(w):
             if not (ei.dtype.kind in "iu" and ej.dtype.kind in "iu"):
                 raise ConfigurationError("link endpoints must be integers")
             if ei.min() < 0 or ej.max() >= n or np.any(ei >= ej):
                 raise ConfigurationError(f"links need endpoints 0 <= i < j < n={n}")
-            if np.any(np.diff(ei * n + ej) <= 0):
+            if np.any(np.diff(ei.astype(np.intp) * n + ej) <= 0):
                 raise ConfigurationError("links must be in row-major order, each pair once")
             if not np.all(np.isfinite(w) & (w > 0.0)):
                 raise ConfigurationError("link weights must be finite and positive")
@@ -191,8 +193,7 @@ def union_graph(graphs: list[WeightedGraph]) -> WeightedGraph:
     order = np.argsort(key, kind="stable")
     key, w = key[order], w[order]
     first = np.flatnonzero(np.diff(key, prepend=-1))
-    key = key[first]
-    return _graph(n, key // n, key % n, np.maximum.reduceat(w, first))
+    return _graph(n, key[first] // n, key[first] % n, np.maximum.reduceat(w, first))
 
 
 # --------------------------------------------------------------------------
@@ -224,8 +225,7 @@ class LaplacianOperator:
             raise ConfigurationError(f"a Laplacian on n={n} nodes applies to vectors of that length, got {x.shape}")
         ei, ej, w = self.graph.edges()
         flow = w * (x[ei] - x[ej])
-        # dtype: bincount of no links gives integer zeros.
-        return np.subtract(np.bincount(ei, flow, n), np.bincount(ej, flow, n), dtype=float)
+        return np.subtract(np.bincount(ei, flow, n), np.bincount(ej, flow, n), dtype=float)  # float with no links too
 
     __rmatmul__ = __matmul__  # L is symmetric
 
@@ -246,41 +246,43 @@ def spectral_summary(lap, zero_tol: float | None = None) -> SpectralSummary:
 
     ``lap`` is a :func:`laplacian` operator (a dense Laplacian matrix works
     too).  Up to n = 2000 both come from ``eigvalsh`` on the dense matrix,
-    above from :func:`_lanczos_extremes`.  Eigenvalues below ``zero_tol``
-    count as zero.  When ``zero_tol`` is None it defaults to max(1e-12, 1e-8
-    * lambda_max), which separates genuine nullspace directions from
-    rounding noise for the weight scales used here.
+    above from :func:`_lanczos_extremes`, or from the dense matrix where
+    that stalls.  Eigenvalues below ``zero_tol`` count as zero; by default
+    zero_tol = max(1e-12, 1e-8 * lambda_max), which separates genuine
+    nullspace directions from rounding noise for the weight scales used here.
     """
     n = lap.shape[0]
-    if n <= _DENSE_SPECTRUM_MAX_N:
+    second = None
+    if n > _DENSE_SPECTRUM_MAX_N:
+        with contextlib.suppress(NumericError):  # it stalls when lambda_2 is tiny next to lambda_max
+            second, lam_max = _lanczos_extremes(lap)
+    if second is None:
         eigs = np.linalg.eigvalsh(np.asarray(lap, dtype=float))
         second, lam_max = float(eigs[min(1, n - 1)]), float(eigs[-1])
-    else:
-        second, lam_max = _lanczos_extremes(lap)
     if zero_tol is None:
         zero_tol = max(1e-12, 1e-8 * abs(lam_max))
     connected = n == 1 or second > zero_tol
     return SpectralSummary(second if connected else 0.0, lam_max, connected, zero_tol)
 
 
-def _lanczos_extremes(lap, max_iter: int = 300) -> tuple[float, float]:
+def _lanczos_extremes(lap) -> tuple[float, float]:
     """(theta_2 - r_2, theta_max + r_max) of a Laplacian on n >= 2 nodes.
 
     Lanczos iteration (Lanczos 1950; Parlett, The Symmetric Eigenvalue
     Problem, ch. 13) from a fixed-seed start vector, with every vector
     orthogonalized twice against all earlier ones and the all-ones vector,
     so the smallest Ritz value theta_2 approximates lambda_2.  A Ritz value
-    lies within its residual bound r = beta_k |s_k| of an eigenvalue; the
-    result moves each extreme by its r the way that can only shrink the
-    step-rate bound.  Stops once both r are at most 1e-12 * theta_max (at
-    the latest when k = n - 1); raises NumericError if ``max_iter`` steps
-    do not get there.
+    lies within its residual bound r = beta_k |s_k| of an eigenvalue, which
+    is lambda_2 (or lambda_max) once the iteration has found it; each
+    extreme is moved outward by its r.  Stops once both r are at most
+    1e-12 * theta_max (at the latest when k = n - 1); raises NumericError
+    if 300 steps do not get there.
     """
     n = lap.shape[0]
     ones = np.full(n, 1.0 / math.sqrt(n))
     q = np.random.default_rng(0x1A2C).standard_normal(n)
     q -= ones * (ones @ q)
-    steps = min(n - 1, max_iter)
+    steps = min(n - 1, 300)
     basis = np.empty((steps + 1, n))
     basis[0] = q / np.linalg.norm(q)
     alpha, beta = [], []
@@ -342,10 +344,9 @@ def diameter(g: WeightedGraph) -> int:
     worst = 0
     for s in range(g.n):
         dist = _bfs_hops(adj, s, g.n)
-        far = max(dist)
         if min(dist) < 0:
             raise DomainError("diameter is undefined for a disconnected graph")
-        worst = max(worst, far)
+        worst = max(worst, *dist)
     return worst
 
 
@@ -400,8 +401,8 @@ def from_edge_list(text: str, expect_n: int | None = None) -> WeightedGraph:
         n = int(lines[0][2:])
     except ValueError:
         n = 0
-    if n < 1:
-        raise ConfigurationError(f"bad node count line (want n=<count> with count >= 1): {lines[0]!r}")
+    if not 1 <= n <= _MAX_NODES:
+        raise ConfigurationError(f"bad node count line (want n=<count> with 1 <= count <= {_MAX_NODES}): {lines[0]!r}")
     if expect_n is not None and n != expect_n:
         raise ConfigurationError(f"edge list has n={n} but n={expect_n} was expected")
     links: dict[int, float] = {}

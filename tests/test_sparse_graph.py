@@ -192,8 +192,18 @@ class TestEdgeConstructor:
     def test_rejects_no_nodes_and_allows_no_links(self):
         with pytest.raises(ConfigurationError):
             WeightedGraph.from_edges(0, [], [], [])
+        with pytest.raises(ConfigurationError, match=f"got n={2**32}"):
+            WeightedGraph.from_edges(2**32, [0], [1], [1.0])
         g = WeightedGraph.from_edges(4, [], [], [])
         assert g.edge_count == 0 and g.edges()[0].dtype == np.intp
+
+    def test_int32_endpoints_keep_row_major_keys_past_two_to_the_31(self):
+        # Keys 1 and 3e9 + 30001: in int32 the second wraps and their difference turns negative.
+        ei, ej = np.array([0, 30000], np.int32), np.array([1, 30001], np.int32)
+        g = WeightedGraph.from_edges(100000, ei, ej, [1.0, 2.0])
+        assert g.edges()[0].tolist() == [0, 30000] and g.edges()[0].dtype == np.intp
+        with pytest.raises(ConfigurationError, match="row-major"):
+            WeightedGraph.from_edges(100000, ei[::-1], ej[::-1], [1.0, 2.0])
 
     def test_immutable(self):
         g = WeightedGraph.from_edges(2, [0], [1], [1.0])
@@ -238,6 +248,8 @@ def assert_lanczos_matches_eigvalsh(g):
     ev = np.linalg.eigvalsh(np.asarray(lap))
     assert abs(low - ev[1]) <= 1e-9 * ev[-1]
     assert abs(high - ev[-1]) <= 1e-9 * ev[-1]
+    # Outward by r, up to rounding: both solvers are exact only to a few ulps of lambda_max.
+    assert low <= ev[1] + 1e-14 * ev[-1] and high >= ev[-1] * (1.0 - 1e-14)
 
 
 class TestLanczos:
@@ -262,8 +274,10 @@ class TestLanczos:
         assert abs(low - ev[1]) <= 1e-9 * ev[1]
 
     def test_raises_when_it_does_not_converge(self):
+        # A path's lambda_2 ~ (pi / n)^2 is tiny next to lambda_max ~ 4: 300 steps do not resolve it.
+        ei = np.arange(399)
         with pytest.raises(graph_module.NumericError, match="Lanczos"):
-            graph_module._lanczos_extremes(laplacian(erdos_renyi(50, 0.3, (0.5, 1.0), 2)), max_iter=3)
+            graph_module._lanczos_extremes(laplacian(WeightedGraph.from_edges(400, ei, ei + 1, np.ones(399))))
 
     @given(n=st.integers(4, 60), p=st.floats(0.0, 0.5), seed=seeds, split=st.booleans())
     def test_connected_verdict_equals_graph_search(self, n, p, seed, split):
@@ -282,6 +296,15 @@ class TestLanczos:
         split = two_components(2100, 15.0 / 1049, 22)
         s = spectral_summary(laplacian(split))
         assert not s.connected and s.lambda2 == 0.0 and not is_connected(split)
+
+    def test_summary_falls_back_to_the_dense_matrix_where_lanczos_stalls(self):
+        ei = np.arange(2099)
+        lap = laplacian(WeightedGraph.from_edges(2100, ei, ei + 1, np.ones(2099)))
+        with pytest.raises(graph_module.NumericError):
+            graph_module._lanczos_extremes(lap)
+        s = spectral_summary(lap)
+        ev = np.linalg.eigvalsh(np.asarray(lap))
+        assert (s.lambda2, s.lambda_max) == (float(ev[1]), float(ev[-1])) and s.connected
 
 
 # --------------------------------------------------------------------------
@@ -328,3 +351,8 @@ def test_edge_list_with_a_large_header_parses_in_little_memory():
     assert g.edges()[0].tolist() == [0, 0, 3] and g.edges()[1].tolist() == [1, 199999, 5]
     # Less than one float vector of length n (1.6 MB).
     assert peak < 1e6
+
+
+def test_edge_list_header_too_large_for_link_keys():
+    with pytest.raises(ConfigurationError, match="n=4000000000"):
+        from_edge_list("n=4000000000\n3999999998 3999999999 1.0\n")
