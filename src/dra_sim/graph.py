@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +153,8 @@ def erdos_renyi(
     """
     if n < 2:
         raise ConfigurationError(f"erdos_renyi needs n >= 2, got {n}")
+    if seed < 0 or int(seed) != seed:
+        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed}")
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"link probability must be in [0, 1], got {p}")
     lo, hi = weight_range
@@ -307,46 +308,50 @@ def _lanczos_extremes(lap) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 
-def _adjacency_lists(n: int, ei: np.ndarray, ej: np.ndarray) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in zip(ei.tolist(), ej.tolist()):
-        adj[i].append(j)
-        adj[j].append(i)
-    return adj
+def _component_labels(n: int, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
+    """The least node of each node's component over the links (ei[k], ej[k]).
 
-
-def _bfs_hops(adj: list[list[int]], source: int, n: int) -> list[int]:
-    dist = [-1] * n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+    Hook-and-jump rounds (Shiloach & Vishkin, J. Algorithms 1982): hook each
+    link's larger root onto its smaller one, pointer-jump until every label
+    is a root, and drop the links whose ends agree.  lab[v] <= v throughout.
+    """
+    lab = np.arange(n, dtype=ei.dtype)
+    a, b = ei, ej  # the labels of the links' ends
+    while len(a):
+        np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := lab[lab], lab):
+            lab = jumped
+        a, b = lab[ei], lab[ej]
+        live = np.flatnonzero(a != b)
+        ei, ej, a, b = ei[live], ej[live], a[live], b[live]
+    return lab
 
 
 def is_connected(g: WeightedGraph) -> bool:
     """True iff every node is reachable from node 0 over positive-weight links."""
     ei, ej, _ = g.edges()
-    return -1 not in _bfs_hops(_adjacency_lists(g.n, ei, ej), 0, g.n)
+    return not _component_labels(g.n, ei, ej).any()
 
 
 def diameter(g: WeightedGraph) -> int:
-    """Largest hop distance between any two nodes (weights ignored).
+    """Largest hop distance between any two nodes (weights ignored), by BFS from each.
 
     Raises DomainError for disconnected graphs.
     """
+    if not is_connected(g):
+        raise DomainError("diameter is undefined for a disconnected graph")
     ei, ej, _ = g.edges()
-    adj = _adjacency_lists(g.n, ei, ej)
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for i, j in zip(ei.tolist(), ej.tolist()):
+        adj[i].append(j)
+        adj[j].append(i)
     worst = 0
     for s in range(g.n):
-        dist = _bfs_hops(adj, s, g.n)
-        if min(dist) < 0:
-            raise DomainError("diameter is undefined for a disconnected graph")
-        worst = max(worst, *dist)
+        seen, frontier, hops = {s}, {s}, 0
+        while frontier := {v for u in frontier for v in adj[u]} - seen:
+            seen |= frontier
+            hops += 1
+        worst = max(worst, hops)
     return worst
 
 

@@ -363,6 +363,13 @@ class TestPercolationCommand:
         assert main(["percolation", "--n", "50", "--p", "0.0"]) == 1
         capsys.readouterr()
 
+    def test_negative_seed_is_one_error_line(self, capsys):
+        assert main(["percolation", "--n", "50", "--p", "0.2", "--trials", "10", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "seed" in captured.err
+
 
 class TestBoundsCommand:
     def test_raw_constants_mode(self, capsys):

@@ -1,0 +1,228 @@
+"""The connectivity kernel against the breadth-first search it replaced.
+
+``graph._component_labels`` labels every node with the least node of its
+component by hook-and-jump rounds over link arrays; ``is_connected`` and
+``mc_union_connectivity`` (which searches its trials in batches of disjoint
+graph copies) both stand on it.  The references below are the adjacency-list
+BFS and the one-trial-at-a-time Monte Carlo loop of the earlier release,
+kept here in substance, and the kernel must agree with them exactly:
+on single nodes, graphs without links, stars, disjoint unions, permuted
+paths and rings up to 10^4 nodes, and random graphs; and, for the estimate,
+at trial counts around the batch size, p_fail of 0, 1 or in between, and
+windows 0-3.  ``diameter``, which kept a BFS of its own, is checked against
+the reference distances too.
+"""
+
+import math
+from collections import deque
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dra_sim import (
+    DomainError,
+    McConnectivity,
+    WeightedGraph,
+    diameter,
+    erdos_renyi,
+    is_connected,
+    mc_union_connectivity,
+    percolation,
+)
+from dra_sim.graph import _component_labels
+
+
+# --------------------------------------------------------------------------
+# references: the earlier adjacency-list BFS and per-trial loop
+# --------------------------------------------------------------------------
+
+
+def reference_distances(n, ei, ej, source):
+    adj = [[] for _ in range(n)]
+    for i, j in zip(ei.tolist(), ej.tolist()):
+        adj[i].append(j)
+        adj[j].append(i)
+    dist = [-1] * n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def reference_is_connected(g):
+    ei, ej, _ = g.edges()
+    return -1 not in reference_distances(g.n, ei, ej, 0)
+
+
+def reference_labels(n, ei, ej):
+    """Least node of each component, by one BFS per component in node order."""
+    lab = [-1] * n
+    for s in range(n):
+        if lab[s] < 0:
+            for v, d in enumerate(reference_distances(n, ei, ej, s)):
+                if d >= 0:
+                    lab[v] = s
+    return np.array(lab)
+
+
+def reference_mc(base, p_fail, window, trials, seed):
+    ei, ej, w = base.edges()
+    successes = 0
+    for t in range(trials):
+        rng = np.random.default_rng([int(seed), 0xACC3, t])
+        keep = (rng.random((int(window) + 1, len(ei))) >= p_fail).any(axis=0)
+        if reference_is_connected(WeightedGraph.from_edges(base.n, ei[keep], ej[keep], w[keep])):
+            successes += 1
+    frac = successes / trials
+    z = 1.959963984540054
+    denom = 1.0 + z * z / trials
+    center = (frac + z * z / (2 * trials)) / denom
+    half = (z / denom) * math.sqrt(frac * (1.0 - frac) / trials + z * z / (4.0 * trials * trials))
+    return McConnectivity(frac, min(frac, max(0.0, center - half)), max(frac, min(1.0, center + half)),
+                          trials, successes)
+
+
+# --------------------------------------------------------------------------
+# graphs
+# --------------------------------------------------------------------------
+
+
+def graph_from_pairs(n, a, b):
+    """The graph on n nodes linking a[k] and b[k]; self-pairs and repeats are dropped."""
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keys = np.unique((lo * n + hi)[lo != hi])
+    return WeightedGraph.from_edges(n, keys // n, keys % n, np.ones(len(keys)))
+
+
+def permuted_path(n, seed, ring=False, cut=None):
+    """A path (or ring) visiting the nodes in a random order, minus link ``cut``."""
+    order = np.random.default_rng(seed).permutation(n)
+    a, b = order[:-1], order[1:]
+    if ring:
+        a, b = np.append(a, order[-1]), np.append(b, order[0])
+    if cut is not None and len(a):
+        a, b = np.delete(a, cut % len(a)), np.delete(b, cut % len(b))
+    return graph_from_pairs(n, a, b)
+
+
+@st.composite
+def random_graphs(draw, max_n=40):
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(0, 2 * n))
+    return graph_from_pairs(n, rng.integers(0, n, m), rng.integers(0, n, m))
+
+
+def assert_same_verdict(g):
+    ei, ej, _ = g.edges()
+    assert is_connected(g) == reference_is_connected(g)
+    np.testing.assert_array_equal(_component_labels(g.n, ei, ej), reference_labels(g.n, ei, ej))
+
+
+class TestIsConnected:
+    def test_single_node_and_no_links(self):
+        assert is_connected(graph_from_pairs(1, [], []))
+        for n in (2, 3, 50):
+            g = graph_from_pairs(n, [], [])
+            assert not is_connected(g)
+            assert_same_verdict(g)
+
+    @given(st.integers(2, 200), st.integers(0, 199))
+    @settings(max_examples=60)
+    def test_stars(self, n, center):
+        center %= n
+        leaves = np.delete(np.arange(n), center)
+        g = graph_from_pairs(n, np.full(n - 1, center), leaves)
+        assert is_connected(g)
+        assert_same_verdict(g)
+        assert not is_connected(graph_from_pairs(n, np.full(n - 2, center), leaves[1:]))
+
+    @given(random_graphs(), random_graphs())
+    @settings(max_examples=100)
+    def test_random_graphs_and_disjoint_unions(self, g, h):
+        assert_same_verdict(g)
+        gi, gj, _ = g.edges()
+        hi, hj, _ = h.edges()
+        union = graph_from_pairs(g.n + h.n, np.concatenate([gi, hi + g.n]), np.concatenate([gj, hj + g.n]))
+        assert not is_connected(union)
+        assert_same_verdict(union)
+
+    @given(random_graphs(max_n=30))
+    @settings(max_examples=60)
+    def test_diameter_equals_largest_bfs_distance(self, g):
+        ei, ej, _ = g.edges()
+        if reference_is_connected(g):
+            assert diameter(g) == max(max(reference_distances(g.n, ei, ej, s)) for s in range(g.n))
+        else:
+            with pytest.raises(DomainError):
+                diameter(g)
+
+    @given(st.integers(1, 10**4), st.integers(0, 2**32 - 1), st.booleans(), st.none() | st.integers(0, 10**4))
+    @example(10**4, 1, False, None)
+    @example(10**4, 2, True, None)
+    @example(10**4, 3, False, 4321)
+    @example(10**4, 4, True, 999)
+    @settings(max_examples=40)
+    def test_permuted_paths_and_rings(self, n, seed, ring, cut):
+        g = permuted_path(n, seed, ring, cut)
+        assert_same_verdict(g)
+        # A path with a link cut falls apart; a ring with one cut is still a path.
+        assert is_connected(g) == (n == 1 or cut is None or ring)
+
+
+# --------------------------------------------------------------------------
+# Monte Carlo estimate
+# --------------------------------------------------------------------------
+
+
+def chunk(g):
+    """Trials per batch of mc_union_connectivity on graph g."""
+    return max(1, percolation._MC_BLOCK // (g.n + g.edge_count))
+
+
+def trial_counts(c):
+    return sorted({1, max(1, c - 1), c, c + 1, 2 * c + 1})
+
+
+class TestMcUnionConnectivity:
+    @given(
+        random_graphs(max_n=25),
+        st.sampled_from((1, 2, 7, 60)),
+        st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0),
+        st.integers(0, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40)
+    def test_equals_per_trial_loop_around_the_batch_size(self, g, per_batch, p_fail, window, seed):
+        # A smaller link budget gives the same batch boundaries a large graph
+        # has under the real one, at a size the reference loop can afford.
+        with mock.patch.object(percolation, "_MC_BLOCK", per_batch * (g.n + g.edge_count)):
+            assert chunk(g) == per_batch
+            for trials in trial_counts(per_batch):
+                got = mc_union_connectivity(g, p_fail, window, trials=trials, seed=seed)
+                assert got == reference_mc(g, p_fail, window, trials, seed)
+
+    def test_equals_per_trial_loop_at_the_real_budget(self):
+        base = erdos_renyi(2000, 15.0 / 1999, (0.5, 1.0), seed=3)
+        c = chunk(base)
+        assert 2 <= c <= 20
+        for window, p_fail in ((0, 0.5), (1, 0.7), (2, 0.0), (3, 1.0)):
+            for trials in trial_counts(c):
+                got = mc_union_connectivity(base, p_fail, window, trials=trials, seed=11)
+                assert got == reference_mc(base, p_fail, window, trials, 11)
+
+    def test_batch_split_leaves_every_estimate_unchanged(self):
+        base = erdos_renyi(60, 0.08, (0.5, 1.0), seed=5)
+        want = mc_union_connectivity(base, 0.6, 1, trials=300, seed=2)
+        for per_batch in (1, 2, 299, 300, 301):
+            with mock.patch.object(percolation, "_MC_BLOCK", per_batch * (base.n + base.edge_count)):
+                assert mc_union_connectivity(base, 0.6, 1, trials=300, seed=2) == want

@@ -155,5 +155,14 @@ class TestMcUnionConnectivity:
 
     def test_rejects_no_trials(self):
         base = erdos_renyi(5, 0.9, (0.5, 1.0), seed=0)
-        with pytest.raises(ConfigurationError):
-            mc_union_connectivity(base, 0.5, 0, trials=0, seed=0)
+        for trials in (0, 2.5):
+            with pytest.raises(ConfigurationError, match="trials"):
+                mc_union_connectivity(base, 0.5, 0, trials=trials, seed=0)
+
+    def test_rejects_negative_seeds(self):
+        # numpy's seeding raised ValueError for these, not ConfigurationError
+        base = erdos_renyi(5, 0.9, (0.5, 1.0), seed=0)
+        with pytest.raises(ConfigurationError, match="seed"):
+            mc_union_connectivity(base, 0.5, 0, trials=10, seed=-3)
+        with pytest.raises(ConfigurationError, match="seed"):
+            erdos_renyi(5, 0.9, (0.5, 1.0), seed=-1)
