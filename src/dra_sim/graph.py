@@ -347,11 +347,15 @@ def diameter(g: WeightedGraph) -> int:
         adj[j].append(i)
     worst = 0
     for s in range(g.n):
-        seen, frontier, hops = {s}, {s}, 0
-        while frontier := {v for u in frontier for v in adj[u]} - seen:
-            seen |= frontier
-            hops += 1
-        worst = max(worst, hops)
+        dist = [-1] * g.n
+        dist[s] = 0
+        queue = [s]
+        for u in queue:  # the iteration also reaches the nodes appended to queue
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        worst = max(worst, dist[queue[-1]])
     return worst
 
 

@@ -9,9 +9,9 @@ failures drawn in every mode, an early stop, a divergence, ``per_link`` and
 exponent other than 2, and cost tables that mix penalized and unpenalized
 agents (so the per-agent penalty selects run).  Any change
 to the step kernel, the cost evaluation, or the failure or delay draws that
-moves one bit of one output fails here.  The Monte Carlo connectivity
-estimate of the README's ``dra-sim percolation`` example is pinned too, by
-its successes per window and by the command's standard output.
+moves one bit of one output fails here.  The standard output of the
+README's ``dra-sim percolation`` example, Monte Carlo estimate included, is
+pinned too (its successes per window are pinned in test_percolation.py).
 """
 
 import hashlib
@@ -19,7 +19,6 @@ from dataclasses import replace
 
 import pytest
 
-from dra_sim import erdos_renyi, mc_union_connectivity
 from dra_sim.cli import main
 from dra_sim.scenario import preset, run, summary_to_text, trace_to_csv
 
@@ -173,12 +172,6 @@ def test_penalty_variant_outputs_are_pinned(name, tmp_path):
     table.write_text(mixed_cost_table())
     cfg = replace(preset("fig_dyn"), horizon=1000, costs_csv=str(table), **overrides)
     assert digests(cfg) == want
-
-
-def test_percolation_successes_are_pinned():
-    base = erdos_renyi(50, 0.2, (0.5, 1.0), seed=1)
-    got = [mc_union_connectivity(base, 0.85, window, trials=500, seed=0).successes for window in range(6)]
-    assert got == [0, 24, 243, 402, 467, 487]
 
 
 def test_readme_percolation_stdout_is_pinned(capsys):
