@@ -12,8 +12,9 @@ the equality-coupled problem.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,12 +67,7 @@ def edge_flow(
 
 
 def _flows(
-    gl: np.ndarray,
-    ei: np.ndarray,
-    ej: np.ndarray,
-    w: np.ndarray,
-    node_map: SectorMap,
-    counter: ClampCounter | None,
+    gl: np.ndarray, ei: np.ndarray, ej: np.ndarray, w: np.ndarray, node_map: SectorMap, counter: ClampCounter | None
 ) -> np.ndarray:
     return w * apply_map_array(node_map, gl[ei] - gl[ej], counter)
 
@@ -85,17 +81,12 @@ def _inflow(n: int, ei: np.ndarray, ej: np.ndarray, phi: np.ndarray) -> np.ndarr
     return np.bincount(ej, weights=phi, minlength=n) - np.bincount(ei, weights=phi, minlength=n)
 
 
-def _apply_chunks(x: np.ndarray, eta: float, chunks) -> np.ndarray:
-    """Apply queued (i, j, phi) flows pairwise: x_i -= eta*phi, x_j += eta*phi.
-
-    Flows are accumulated into a delta vector in a fixed order (emission
-    step, then link order) before a single state update, so results are
-    reproducible bit for bit and the total moves only by rounding.
-    """
-    if not chunks:
-        return x.copy()
-    ei, ej, phi = chunks[0] if len(chunks) == 1 else (np.concatenate(part) for part in zip(*chunks))
-    return x + eta * _inflow(x.shape[0], ei, ej, phi)
+@functools.lru_cache(maxsize=16)
+def _ring_slots(depth: int) -> np.ndarray:
+    """Entry r + d is the ring slot of a flow emitted at ring position r with delay d."""
+    slots = np.arange(2 * depth) % depth
+    slots.flags.writeable = False  # shared by every caller
+    return slots
 
 
 # --------------------------------------------------------------------------
@@ -209,16 +200,20 @@ class DelaySchedule:
 class DelayedNetworkState:
     """Simulation state of the delayed dynamics at step ``step``.
 
-    ``pending`` buckets flows by arrival step modulo (tau_bar + 1); each
-    bucket is a list of (i, j, phi) chunks in emission order; a chunk moves
-    phi[k] from node i[k] to node j[k].  :func:`step_delayed` advances the
-    state in place.
+    Flows in flight wait in a ring of one slot per arrival step modulo
+    (tau_bar + 1): ``pending`` is its (tau_bar + 1, 2, n) array, of
+    (tau_bar + 1) * 2n * 8 bytes.  Row 0 of a slot sums per node the flows
+    arriving at the ``j`` end of their link, row 1 those leaving the ``i``
+    end, each from +0.0 in emission order (emission step, then link order);
+    ``landed`` flags the slots that a flow has reached.
+    :func:`step_delayed` advances the state in place.
     """
 
     x: np.ndarray
     step: int
     tau_bar: int
-    pending: list = field(default_factory=list)
+    pending: np.ndarray
+    landed: np.ndarray
 
 
 def init_delayed_state(
@@ -235,9 +230,8 @@ def init_delayed_state(
     x0 = np.asarray(x0, dtype=float).copy()
     if x0.shape != (_as_costset(costs).n,):
         raise ConfigurationError("initial state length must match the cost count")
-    return DelayedNetworkState(
-        x=x0, step=0, tau_bar=int(tau_bar), pending=[[] for _ in range(int(tau_bar) + 1)]
-    )
+    tau_bar = int(tau_bar)
+    return DelayedNetworkState(x0, 0, tau_bar, np.zeros((tau_bar + 1, 2, x0.size)), np.zeros(tau_bar + 1, dtype=bool))
 
 
 def step_delayed(
@@ -264,10 +258,15 @@ def step_delayed(
     (row-major i < j order) selecting which are up this step; emissions
     happen only on active links, but flows already in flight arrive
     regardless of the link's later state.  ``grads`` may be supplied when
-    the caller already computed them (the scenario loop does).  One stable
-    sort groups the links by delay; each group, in link order, is one chunk
-    of the bucket it arrives in.  The pending buckets are updated in place
-    and ``state.x`` is replaced by a new array; ``state`` itself is returned.
+    the caller already computed them (the scenario loop does).
+
+    At tau_bar = 0 one ``bincount`` pair sums the flows per node.  Otherwise
+    ``np.add.at`` adds the flows, in link order, into both rows of their
+    arrival slots (see :class:`DelayedNetworkState`), so each node's sum is
+    the additions of one ``bincount`` over the slot's flows in emission
+    order; the slot due now is applied as ``x + eta * (row 0 - row 1)`` and
+    zeroed, or, if no flow reached it, ``x`` is copied, signed zeros kept.
+    ``state.x`` is replaced by a new array; ``state`` itself is returned.
     """
     if schedule.tau_bar != state.tau_bar:
         raise ConfigurationError(
@@ -277,7 +276,8 @@ def step_delayed(
         raise ConfigurationError(f"step rate must be positive and finite, got {eta}")
     cs = _as_costset(costs)
     x = state.x
-    if not graph.n == cs.n == x.shape[0]:
+    n = x.shape[0]
+    if not graph.n == cs.n == n:
         raise ConfigurationError("state, graph, and costs must agree on n")
     k = state.step
     depth = state.tau_bar + 1
@@ -289,30 +289,29 @@ def step_delayed(
     if failure_keep is not None:
         keep = np.asarray(failure_keep, dtype=bool)
         if keep.shape != ei.shape:
-            raise ConfigurationError(
-                f"failure mask length {keep.shape} does not match link count {ei.shape}"
-            )
+            raise ConfigurationError(f"failure mask length {keep.shape} does not match link count {ei.shape}")
         live = keep.nonzero()[0]
         ei, ej, w = ei.take(live), ej.take(live), w.take(live)
 
     gl = apply_map_array(link_map, grads, link_counter)
     phi = _flows(gl, ei, ej, w, node_map, node_counter)
-    buckets = state.pending
     if depth == 1:
-        buckets[0].append((ei, ej, phi))
+        state.x = x + eta * _inflow(n, ei, ej, phi)
     else:
-        delays = schedule.draw(k, ei, ej, m)
-        # A stable (radix, up to 16-bit keys) sort groups links by delay.
-        order = delays.argsort(kind="stable")
-        ei, ej, phi = ei[order], ej[order], phi[order]
-        ends = np.bincount(delays, minlength=depth).cumsum().tolist()
-        for d, (a, b) in enumerate(zip([0, *ends], ends)):
-            if b > a:
-                buckets[(k + d) % depth].append((ei[a:b], ej[a:b], phi[a:b]))
-
-    slot = k % depth
-    state.x = _apply_chunks(x, eta, buckets[slot])
-    buckets[slot] = []
+        slot = k % depth
+        at = _ring_slots(depth)[slot:].take(schedule.draw(k, ei, ej, m))
+        state.landed[at] = True
+        ring = state.pending.reshape(-1)
+        off = at * (2 * n)
+        np.add.at(ring, off + ej, phi)
+        np.add.at(ring[n:], off + ei, phi)
+        if state.landed[slot]:
+            due = state.pending[slot]
+            state.x = x + eta * (due[0] - due[1])
+            due.fill(0.0)
+            state.landed[slot] = False
+        else:
+            state.x = x.copy()
     state.step = k + 1
     return state
 
@@ -503,6 +502,8 @@ def feasible_init(
     if mode == "equal":
         x = np.full(n, total / n)
     elif mode == "random_simplex":
+        if seed < 0 or int(seed) != seed:
+            raise ConfigurationError(f"seed must be a nonnegative integer, got {seed}")
         rng = np.random.default_rng([int(seed), 0x1217])
         shares = rng.exponential(1.0, n)
         x = total * shares / shares.sum()

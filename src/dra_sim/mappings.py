@@ -161,8 +161,9 @@ def apply_map_array(
         counter.events += int(np.count_nonzero(outside))
     if m.kind == "saturation":
         return np.sign(z) * np.minimum(np.minimum(a, hi), m.cap)
-    # sign_power: clamp into [d_min, d_max], zeros stay zero via sign().
-    clamped = np.clip(a, lo, hi)
+    # sign_power: clamp into [d_min, d_max], zeros stay zero via sign().  On
+    # finite inputs this is np.clip's result, without its Python wrappers.
+    clamped = np.minimum(np.maximum(a, lo), hi)
     return np.sign(z) * clamped**m.exponent
 
 
@@ -205,6 +206,8 @@ def verify_sector(m: SectorMap, samples: int = 100_000, seed: int = 0) -> Sector
     """
     if samples < 1:
         raise ConfigurationError(f"verify_sector needs samples >= 1, got {samples}")
+    if seed < 0 or int(seed) != seed:
+        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed}")
     lo, hi = m.abs_domain
     if not np.isfinite(hi):
         hi = _UNBOUNDED_SPAN

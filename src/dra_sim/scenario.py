@@ -560,6 +560,8 @@ _TAG_FAIL = 4
 _TAG_DELAY = 5
 # Most uniforms in one block of failure draws: 256 KiB, whatever the link count.
 _FAIL_BLOCK = 1 << 15
+# Most trace records, and state elements, whose statistics are computed as one block.
+_RECORD_ROWS, _RECORD_BLOCK = 64, 1 << 15
 
 
 def _child_seed(master: int, tag: int, index: int = 0) -> int:
@@ -697,6 +699,26 @@ def _divergence_ratio(cfg, graphs, costs, node_map, link_map) -> float | None:
         return None
 
 
+def _trace_block(held: list[tuple]) -> list[TraceRecord]:
+    """The trace records of held (step, residual, gap, active links, x, grads) rows.
+
+    A row's ``x`` is None where the state is not finite, and its statistics
+    are nan.  Those of the other rows come from ``axis=1`` reductions of the
+    stacked states, bit-equal to the reductions of each row; the dispersion
+    is norm(grads - grads.mean()) as numpy sums it, one ``dot`` per row.
+    """
+    live = [h for h in held if h[4] is not None]
+    stats = iter(())
+    if live:
+        xs, gs = np.stack([h[4] for h in live]), np.stack([h[5] for h in live])
+        dev = gs - (gs.sum(axis=1) / xs.shape[1])[:, None]
+        means = (xs.sum(axis=1) / xs.shape[1]).tolist()
+        stats = zip([math.sqrt(g.dot(g)) for g in dev], xs.min(axis=1).tolist(), xs.max(axis=1).tolist(), means)
+    nans = (math.nan,) * 4
+    return [TraceRecord(k, res, gap, *(next(stats) if x is not None else nans), active)
+            for k, res, gap, active, x, _ in held]
+
+
 def run(cfg: ScenarioConfig) -> RunResult:
     """Execute a scenario and return its trace, summary, and final state.
 
@@ -736,6 +758,8 @@ def run(cfg: ScenarioConfig) -> RunResult:
     # Links up at the last step taken; the record of a final step repeats it.
     active = graphs[0].edge_count
     fail_block, fail_counts, fail_row = None, [], 0  # failure masks drawn ahead, by step
+    held: list[tuple] = []  # records whose statistics wait for their block
+    block = max(1, min(_RECORD_ROWS, _RECORD_BLOCK // cfg.n))
 
     for k in range(horizon + 1):
         x = state.x
@@ -749,10 +773,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
                 gap = float("nan")
             spread = float(grads.max() - grads.min())
         else:
-            grads = None
-            f_val = float("nan")
-            gap = float("nan")
-            spread = float("nan")
+            grads, f_val, gap, spread = None, math.nan, math.nan, math.nan
         f_values[k] = f_val
         residual = f_val - oracle.value
         if k == 0:
@@ -779,20 +800,10 @@ def run(cfg: ScenarioConfig) -> RunResult:
                 active = graph.edge_count
 
         if k % cfg.record_stride == 0 or done:
-            # norm(grads - grads.mean()) as numpy sums it, in fewer calls.
-            dev = grads - grads.sum() / grads.size if finite else None
-            records.append(
-                TraceRecord(
-                    step=k,
-                    residual=float(residual),
-                    feasibility_gap=float(gap),
-                    dispersion=math.sqrt(dev.dot(dev)) if finite else float("nan"),
-                    state_min=float(x.min()) if finite else float("nan"),
-                    state_max=float(x.max()) if finite else float("nan"),
-                    state_mean=float(x.sum() / x.size) if finite else float("nan"),
-                    active_links=active,
-                )
-            )
+            held.append((k, float(residual), float(gap), active, x if finite else None, grads))
+            if len(held) == block or done:
+                records.extend(_trace_block(held))
+                held = []
         if done:
             break
         state = step_delayed(
@@ -851,11 +862,13 @@ def _fmt(v: float) -> str:
 def trace_to_csv(trace: list[TraceRecord]) -> str:
     """Render a trace with shortest-round-trip decimal floats."""
     lines = [_TRACE_HEADER]
-    for r in trace:
-        lines.append(
-            f"{r.step},{_fmt(r.residual)},{_fmt(r.feasibility_gap)},{_fmt(r.dispersion)},"
-            f"{_fmt(r.state_min)},{_fmt(r.state_max)},{_fmt(r.state_mean)},{r.active_links}"
+    lines.extend(
+        "%s,%r,%r,%r,%r,%r,%r,%s" % (
+            r.step, float(r.residual), float(r.feasibility_gap), float(r.dispersion),
+            float(r.state_min), float(r.state_max), float(r.state_mean), r.active_links,
         )
+        for r in trace
+    )
     return "\n".join(lines) + "\n"
 
 

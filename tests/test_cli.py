@@ -451,6 +451,13 @@ class TestBenchCommand:
         assert main(["bench", "--sizes", "16,32", "--steps", "0"]) == 1
         capsys.readouterr()
 
+    def test_negative_seed_is_one_error_line(self, capsys):
+        assert main(["bench", "--sizes", "10,12", "--steps", "10", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "seed" in captured.err
+
 
 class TestOutsideInputErrors:
     """Malformed or missing outside input ends in exit 1 with a message naming it."""

@@ -370,6 +370,22 @@ class TestStepDelayed:
             state = step_delayed(state, keep, sched, costs, q, q, 0.05)
             assert abs(math.fsum(state.x.tolist()) - total) <= tol
 
+    def test_negative_zero_kept_while_no_flow_arrives(self):
+        # Fixed delays of 2: nothing arrives at steps 0 and 1, so the state
+        # is copied and node 0's -0.0 keeps its sign.  At step 2 the flow of
+        # link {1, 2} arrives and isolated node 0 gets +0.0 added, as from a
+        # bincount over the arriving flows.
+        costs = [quadratic_cost(0.5)] * 3
+        graph = WeightedGraph(3, np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+        x0 = np.array([-0.0, 3.0, 1.0])
+        state = init_delayed_state(x0, 2, costs, IDM)
+        sched = DelaySchedule(2, mode="fixed")
+        for _ in range(2):
+            state = step_delayed(state, graph, sched, costs, IDM, IDM, 0.25)
+            assert state.x.tobytes() == x0.tobytes()
+        state = step_delayed(state, graph, sched, costs, IDM, IDM, 0.25)
+        assert state.x.tolist() == [0.0, 2.5, 1.5] and not np.signbit(state.x[0])
+
     def test_graph_size_must_match_state(self):
         costs, _ = two_node_instance()
         path3 = WeightedGraph(3, np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
@@ -546,6 +562,10 @@ class TestFeasibleInit:
         with pytest.raises(ConfigurationError):
             feasible_init(3, 1.0, mode="fibonacci")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed must be a nonnegative integer"):
+            feasible_init(5, 1.0, "random_simplex", seed=-1)
+
 
 class TestEquilibriumCheck:
     def test_identical_costs_equal_states(self):
@@ -664,7 +684,7 @@ class TestFinitenessChecks:
             step_delayed(state, graph, DelaySchedule(tau_bar, seed=3), costs, node_map, IDM, 0.1)
         assert calls == [(IDM, 2)]
         assert state.step == 0 and state.x.tolist() == [1e308, -1e308]
-        assert all(bucket == [] for bucket in state.pending)
+        assert not state.pending.any() and not state.landed.any()
 
     @pytest.mark.parametrize("node_map", [saturation(1.0, 10.0), sign_power(0.5, 1e-6, 1e3)])
     @pytest.mark.parametrize("tau_bar", [0, 2])
@@ -677,7 +697,7 @@ class TestFinitenessChecks:
             step_delayed(state, graph, DelaySchedule(tau_bar, seed=3), costs, node_map, IDM, 0.1)
         assert calls == [(IDM, 2), (node_map, 1)]
         assert state.step == 0 and state.x.tolist() == [1e308, -1e308]
-        assert all(bucket == [] for bucket in state.pending)
+        assert not state.pending.any() and not state.landed.any()
 
     @staticmethod
     def overflowing_run(node_kind: str, eta: float) -> scenario.ScenarioConfig:

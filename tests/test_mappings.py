@@ -188,6 +188,10 @@ class TestVerifySector:
         with pytest.raises(ConfigurationError):
             verify_sector(identity_map(), samples=0, seed=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigurationError, match="seed must be a nonnegative integer"):
+            verify_sector(identity_map(), samples=10, seed=-1)
+
 
 class TestMapShape:
     def test_oddness_sampled(self):

@@ -8,6 +8,7 @@ failing.
 
 import importlib.util
 import inspect
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,14 +16,18 @@ import numpy as np
 
 from dra_sim import dynamics, erdos_renyi, identity_map, log_quantizer, objective, quadratic_cost, scenario
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_module(name: str, filename: str):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_module("perfbench_tracing", "tracing.py")
 
 
 def test_every_traced_name_resolves():
@@ -56,15 +61,15 @@ def test_step_applies_link_map_before_node_map(monkeypatch):
 
 
 def test_run_calls_per_step(monkeypatch):
-    """Over one fig_delay run, the calls that ``--trace 1`` counts per step.
+    """Over one delayed run, the calls that ``--trace 1`` counts per step.
 
     ``scenario.step_delayed`` is looked up once per executed step, each step
-    maps the gradients (length n) and then the link differences (one per
-    link), and the loop evaluates ``CostSet.grad`` once per iteration; the
-    oracle's calls are counted apart.
+    maps the gradients (length n) and then the differences over the step's
+    live links, and the loop evaluates ``CostSet.grad`` once per iteration;
+    the oracle's calls are counted apart.  fig_delay keeps every link up;
+    under dispatch_adversity's failures the node map sees each step's live
+    link count, which the trace records.
     """
-    cfg = replace(scenario.preset("fig_delay"), horizon=300)
-    node_map, link_map = scenario.build_instance(cfg)[2:]
     steps: list[list] = []
     grads = {"loop": 0, "oracle": 0}
     in_oracle = []
@@ -97,12 +102,46 @@ def test_run_calls_per_step(monkeypatch):
     monkeypatch.setattr(dynamics, "apply_map_array", apply_map)
     monkeypatch.setattr(objective.CostSet, "grad", grad)
     monkeypatch.setattr(scenario, "central_solve", solve)
-    result = scenario.run(cfg)
+    for name, p_fail in (("fig_delay", 0.0), ("dispatch_adversity", 0.5)):
+        cfg = replace(scenario.preset(name), horizon=300)
+        assert cfg.p_fail == p_fail
+        steps.clear()
+        grads.update(loop=0, oracle=0)
+        result = scenario.run(cfg)
+        node_map, link_map = scenario.build_instance(cfg)[2:]
 
+        executed = result.summary.executed_steps
+        assert executed == 300 and not result.summary.diverged
+        assert len(steps) == executed
+        live = [r.active_links for r in result.trace[:executed]]
+        if p_fail == 0.0:
+            assert set(live) == {scenario.build_instance(cfg)[0][0].edge_count}
+        else:
+            assert len(set(live)) > 1
+        assert steps == [[(link_map, cfg.n), (node_map, links)] for links in live]
+        assert grads["loop"] == executed + 1
+        assert grads["oracle"] > 0
+
+
+def test_traced_run_counts_match_its_trace(monkeypatch, tmp_path):
+    """The checks of ``perfbench/run.py --trace 1``, through its own modules.
+
+    One span of ``step_delayed`` per executed step, and the node-map spans
+    of those steps sum to the live links of the trace.
+    """
+    tracing = load_tracing()
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    layers = load_module("perfbench_layers", "layers.py")
+    cfg = replace(scenario.preset("dispatch_adversity"), horizon=200)
+    tracer = tracing.Tracer(tmp_path)
+    tracer.install()
+    try:
+        result = scenario.run(cfg)
+        counts = layers.Spans(tracer.take(), tracer.names).counts()
+    finally:
+        tracer.uninstall()
     executed = result.summary.executed_steps
-    assert executed == 300 and not result.summary.diverged
-    assert len(steps) == executed
-    links = scenario.build_instance(cfg)[0][0].edge_count
-    assert all(calls == [(link_map, cfg.n), (node_map, links)] for calls in steps)
-    assert grads["loop"] == executed + 1
-    assert grads["oracle"] > 0
+    assert executed == 200
+    assert counts["steps"] == executed
+    assert counts["link_flows"] == sum(r.active_links for r in result.trace if r.step < executed)
+    assert counts["grad_loop"] == executed + 1

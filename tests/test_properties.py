@@ -221,8 +221,18 @@ def test_delay_grouping_matches_per_delay_loop(inst, tau_bar, mode, p_fail, seed
         x = reference_delayed_step(x, pending, k, inst.graph, ref_sched, cs, inst.node_map, inst.link_map, eta, keep)
         state = step_delayed(state, inst.graph, sched, cs, inst.node_map, inst.link_map, eta, failure_keep=keep)
         assert state.x.tobytes() == x.tobytes()
-        got = [[tuple(a.tobytes() for a in chunk) for chunk in bucket] for bucket in state.pending]
-        assert got == [[tuple(a.tobytes() for a in chunk) for chunk in bucket] for bucket in pending]
+        assert state.pending.tobytes() == np.array([replay_slot(bucket, inst.n) for bucket in pending]).tobytes()
+        assert state.landed.tolist() == [bool(bucket) for bucket in pending]
+
+
+def replay_slot(chunks, n):
+    """One ring slot of the reference's queued chunks, summed flow by flow in emission order."""
+    arriving, leaving = [0.0] * n, [0.0] * n
+    for ei, ej, phi in chunks:
+        for i, j, p in zip(ei.tolist(), ej.tolist(), phi.tolist()):
+            arriving[j] += p
+            leaving[i] += p
+    return [arriving, leaving]
 
 
 @st.composite

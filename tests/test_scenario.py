@@ -465,6 +465,30 @@ class TestRun:
         c = run(apply_key(base, "adversity.seed", 2))
         assert trace_to_csv(a.trace) == trace_to_csv(c.trace)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_record_block_size_does_not_change_outputs(self, monkeypatch, rows):
+        # fig_delay fills whole blocks; early_stop stops inside a block;
+        # diverge stops on a residual, nonfinite on a state of infinities.
+        configs = {
+            "fig_delay": dataclasses.replace(preset("fig_delay"), horizon=1000),
+            "early_stop": dataclasses.replace(preset("dispatch_adversity"), early_stop_spread=0.5, p_fail=0.2),
+            "diverge": dataclasses.replace(preset("fig_delay"), eta=8.0, horizon=400, p_fail=0.3),
+            "nonfinite": small_static_config(
+                n=4, total=0.0, eta=1e308, seed=15, horizon=5, early_stop_spread=0.0, topology_p=1.0,
+                costs_a_lo=1.0, costs_a_hi=1.0, costs_b_lo=-3.0, costs_b_hi=3.0,
+            ),
+        }
+        want = {name: run(cfg) for name, cfg in configs.items()}
+        assert want["early_stop"].summary.early_stopped and want["diverge"].summary.diverged
+        assert len(want["early_stop"].trace) % 64 and len(want["early_stop"].trace) % 3
+        assert math.isnan(want["nonfinite"].trace[-1].state_min)
+        monkeypatch.setattr("dra_sim.scenario._RECORD_ROWS", rows)
+        for name, cfg in configs.items():
+            got = run(cfg)
+            assert trace_to_csv(got.trace) == trace_to_csv(want[name].trace), name
+            assert got.final_state.tobytes() == want[name].final_state.tobytes(), name
+
     def test_dispatch_uniform_reaches_even_split(self):
         res = run(preset("dispatch_uniform"))
         assert np.all(np.abs(res.final_state - 60.0) <= 0.01)
