@@ -26,12 +26,8 @@ def load_module(name: str, filename: str):
     return module
 
 
-def load_tracing():
-    return load_module("perfbench_tracing", "tracing.py")
-
-
 def test_every_traced_name_resolves():
-    targets = load_tracing()._targets()
+    targets = load_module("perfbench_tracing", "tracing.py")._targets()
     assert targets
     for name, places, _ in targets:
         for owner, attr in places:
@@ -108,14 +104,14 @@ def test_run_calls_per_step(monkeypatch):
         steps.clear()
         grads.update(loop=0, oracle=0)
         result = scenario.run(cfg)
-        node_map, link_map = scenario.build_instance(cfg)[2:]
+        graphs, _, node_map, link_map = scenario.build_instance(cfg)
 
         executed = result.summary.executed_steps
         assert executed == 300 and not result.summary.diverged
         assert len(steps) == executed
         live = [r.active_links for r in result.trace[:executed]]
         if p_fail == 0.0:
-            assert set(live) == {scenario.build_instance(cfg)[0][0].edge_count}
+            assert set(live) == {graphs[0].edge_count}
         else:
             assert len(set(live)) > 1
         assert steps == [[(link_map, cfg.n), (node_map, links)] for links in live]
@@ -129,7 +125,7 @@ def test_traced_run_counts_match_its_trace(monkeypatch, tmp_path):
     One span of ``step_delayed`` per executed step, and the node-map spans
     of those steps sum to the live links of the trace.
     """
-    tracing = load_tracing()
+    tracing = load_module("perfbench_tracing", "tracing.py")
     monkeypatch.setitem(sys.modules, "tracing", tracing)
     layers = load_module("perfbench_layers", "layers.py")
     cfg = replace(scenario.preset("dispatch_adversity"), horizon=200)
