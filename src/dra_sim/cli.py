@@ -17,7 +17,7 @@ from pathlib import Path
 from .dynamics import max_delay_bound, step_rate_from_sector
 from .errors import ConfigurationError, DraSimError, NumericError, read_input_text
 from .graph import erdos_renyi, laplacian, spectral_summary, union_graph
-from .mappings import first_order_sector_params, sector_params
+from .mappings import first_order_sector_params
 from .objective import smoothness_bound
 from .percolation import effective_failure, er_threshold, mc_union_connectivity, min_window
 from .scenario import (
@@ -277,8 +277,8 @@ def _cmd_bounds(args) -> int:
             ("domain_lo", repr(float(domain[0]))),
             ("domain_hi", repr(float(domain[1]))),
         ]
-    kn, bn = sector_params(node_map)
-    kl, bl = sector_params(link_map)
+    kn, bn = node_map.kappa, node_map.big_k
+    kl, bl = link_map.kappa, link_map.big_k
     fn = first_order_sector_params(node_map)
     fl = first_order_sector_params(link_map)
     out += [

@@ -19,17 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, InfeasibilityError
-from .graph import WeightedGraph, dispersion, laplacian, spectral_summary
+from .graph import WeightedGraph
 from .mappings import ClampCounter, SectorMap, apply_map_array
-from .objective import CostSet, LocalCost
+from .objective import CostSet
 
 __all__ = [
     "DelayedNetworkState",
     "DelaySchedule",
-    "StepRateBound",
-    "EquilibriumReport",
-    "SectorDiagnostics",
-    "edge_flow",
     "step_delay_free",
     "init_delayed_state",
     "step_delayed",
@@ -37,9 +33,6 @@ __all__ = [
     "step_rate_from_sector",
     "max_delay_bound",
     "feasible_init",
-    "equilibrium_check",
-    "gradient_dispersion",
-    "sector_diagnostics",
 ]
 
 
@@ -50,20 +43,6 @@ def _as_costset(costs) -> CostSet:
 # --------------------------------------------------------------------------
 # flows
 # --------------------------------------------------------------------------
-
-
-def edge_flow(
-    weight: float, grad_i: float, grad_j: float, node_map: SectorMap, link_map: SectorMap
-) -> float:
-    """Flow carried by one link: weight * g_n(g_l(grad_i) - g_l(grad_j)).
-
-    Antisymmetric in (i, j) because both maps are odd, which is what makes
-    the pairwise update conservative.
-    """
-    if not weight > 0.0:
-        raise ConfigurationError(f"edge_flow needs a positive link weight, got {weight}")
-    gl = apply_map_array(link_map, np.asarray([grad_i, grad_j]))
-    return float(weight * apply_map_array(node_map, np.asarray([gl[0] - gl[1]]))[0])
 
 
 def _flows(
@@ -473,7 +452,7 @@ def max_delay_bound(
 
 
 # --------------------------------------------------------------------------
-# initialization and equilibrium
+# initialization
 # --------------------------------------------------------------------------
 
 
@@ -557,140 +536,3 @@ def feasible_init(
         else:
             raise InfeasibilityError("could not rebalance inside the boxes")
     return x
-
-
-@dataclass(frozen=True)
-class EquilibriumReport:
-    """Gradient agreement at a state: spread = max f_i' - min f_i'."""
-
-    spread: float
-    converged: bool
-    grad_min: float
-    grad_max: float
-
-
-def equilibrium_check(x: np.ndarray, costs, tol: float = 1e-6) -> EquilibriumReport:
-    """Check first-order optimality: all marginal costs within ``tol``."""
-    cs = _as_costset(costs)
-    g = cs.grad(np.asarray(x, dtype=float))
-    spread = float(g.max() - g.min())
-    return EquilibriumReport(
-        spread=spread, converged=spread <= tol, grad_min=float(g.min()), grad_max=float(g.max())
-    )
-
-
-def gradient_dispersion(x: np.ndarray, costs) -> float:
-    """Euclidean norm of the gradient's deviation from its mean.
-
-    Zero exactly at consensus of marginal costs, which together with the
-    conserved total characterizes the optimum.
-    """
-    cs = _as_costset(costs)
-    return float(np.linalg.norm(dispersion(cs.grad(np.asarray(x, dtype=float)))))
-
-
-# --------------------------------------------------------------------------
-# sampling diagnostics
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SectorDiagnostics:
-    """Observed alignment of nonlinear flows with the linear reference.
-
-    ``flow_ratio`` entries compare grad . Phi against grad . L grad (the
-    linear flow computed by the same accumulation); the product sector
-    [kn*kl, Kn*Kl] contains the ratio for maps that respect their sectors,
-    up to quantizer corner cases, so small excursions are reported rather
-    than asserted.  The Rayleigh entries check the two-sided bound
-    lambda2*kl*|x_disp|^2 <= x . L g_l(x) <= lambda_max*Kl*|x_disp|^2 on
-    random states.
-    """
-
-    flow_ratio_min: float
-    flow_ratio_max: float
-    flow_violation_rate: float
-    flow_worst_excursion: float
-    rayleigh_violation_rate: float
-    rayleigh_worst_excursion: float
-    sector_low: float
-    sector_high: float
-    samples_used: int
-
-
-def sector_diagnostics(
-    graph: WeightedGraph,
-    costs,
-    node_map: SectorMap,
-    link_map: SectorMap,
-    samples: int = 200,
-    seed: int = 0,
-    state_range: tuple[float, float] = (-10.0, 10.0),
-) -> SectorDiagnostics:
-    """Sample random states and report sector alignment statistics."""
-    if samples < 1:
-        raise ConfigurationError(f"samples must be >= 1, got {samples}")
-    cs = _as_costset(costs)
-    if graph.n != cs.n:
-        raise ConfigurationError("graph and costs must agree on n")
-    rng = np.random.default_rng([int(seed), 0xD1A6])
-    ei, ej, w = graph.edges()
-    lap = laplacian(graph)
-    spec = spectral_summary(lap)
-    ident = SectorMap("identity", 1.0, 1.0, (0.0, np.inf))
-    lo_bound = node_map.kappa * link_map.kappa
-    hi_bound = node_map.big_k * link_map.big_k
-    range_lo, range_hi = state_range
-    n = cs.n
-
-    ratios = []
-    flow_worst = 0.0
-    ray_bad = 0
-    ray_worst = 0.0
-    used = 0
-    for _ in range(samples):
-        x = range_lo + (range_hi - range_lo) * rng.random(n)
-        grads = cs.grad(x)
-        gl = apply_map_array(link_map, grads)
-        phi = _flows(gl, ei, ej, w, node_map, None)
-        phi_lin = _flows(grads, ei, ej, w, ident, None)
-        den = float(grads @ _inflow(n, ei, ej, phi_lin))
-        if abs(den) > 1e-12 * (1.0 + float(np.abs(grads).max()) ** 2):
-            r = float(grads @ _inflow(n, ei, ej, phi)) / den
-            ratios.append(r)
-            flow_worst = max(flow_worst, lo_bound - r, r - hi_bound)
-            used += 1
-        # Rayleigh check on the raw state through the link map.
-        xd = dispersion(x)
-        quad = float(x @ (lap @ apply_map_array(link_map, x)))
-        nd = float(xd @ xd)
-        low = spec.lambda2 * link_map.kappa * nd
-        high = spec.lambda_max * link_map.big_k * nd
-        slack = 1e-9 * max(abs(low), abs(high), 1.0)
-        if quad < low - slack or quad > high + slack:
-            ray_bad += 1
-            ray_worst = max(
-                ray_worst,
-                (low - quad) / max(abs(low), 1e-300),
-                (quad - high) / max(abs(high), 1e-300),
-            )
-
-    if ratios:
-        arr = np.asarray(ratios)
-        bad = int(np.count_nonzero((arr < lo_bound - 1e-12) | (arr > hi_bound + 1e-12)))
-        ratio_min, ratio_max = float(arr.min()), float(arr.max())
-        viol_rate = bad / used
-    else:
-        ratio_min = ratio_max = float("nan")
-        viol_rate = 0.0
-    return SectorDiagnostics(
-        flow_ratio_min=ratio_min,
-        flow_ratio_max=ratio_max,
-        flow_violation_rate=viol_rate,
-        flow_worst_excursion=max(flow_worst, 0.0),
-        rayleigh_violation_rate=ray_bad / samples,
-        rayleigh_worst_excursion=ray_worst,
-        sector_low=lo_bound,
-        sector_high=hi_bound,
-        samples_used=used,
-    )

@@ -16,18 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericError
+from .errors import ConfigurationError, NumericError
 
 __all__ = [
     "WeightedGraph",
-    "SpectralSummary",
     "erdos_renyi",
     "laplacian",
     "spectral_summary",
     "is_connected",
     "union_graph",
-    "dispersion",
-    "diameter",
     "to_edge_list",
     "from_edge_list",
 ]
@@ -331,49 +328,6 @@ def is_connected(g: WeightedGraph) -> bool:
     """True iff every node is reachable from node 0 over positive-weight links."""
     ei, ej, _ = g.edges()
     return not _component_labels(g.n, ei, ej).any()
-
-
-def diameter(g: WeightedGraph) -> int:
-    """Largest hop distance between any two nodes (weights ignored), by BFS from each.
-
-    Raises DomainError for disconnected graphs.
-    """
-    if not is_connected(g):
-        raise DomainError("diameter is undefined for a disconnected graph")
-    ei, ej, _ = g.edges()
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j in zip(ei.tolist(), ej.tolist()):
-        adj[i].append(j)
-        adj[j].append(i)
-    worst = 0
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        queue = [s]
-        for u in queue:  # the iteration also reaches the nodes appended to queue
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        worst = max(worst, dist[queue[-1]])
-    return worst
-
-
-# --------------------------------------------------------------------------
-# vectors
-# --------------------------------------------------------------------------
-
-
-def dispersion(x: np.ndarray) -> np.ndarray:
-    """Deviation of a vector from its own mean: x - mean(x) * 1.
-
-    The result is orthogonal to the all-ones vector up to rounding, which is
-    the component of the state the Laplacian quadratic form can see.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ConfigurationError(f"dispersion expects a vector, got shape {x.shape}")
-    return x - x.mean()
 
 
 # --------------------------------------------------------------------------

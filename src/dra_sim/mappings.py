@@ -18,14 +18,11 @@ from .errors import ConfigurationError, NumericError
 __all__ = [
     "SectorMap",
     "ClampCounter",
-    "SectorCheck",
     "identity_map",
     "log_quantizer",
     "saturation",
     "sign_power",
-    "apply_map",
     "apply_map_array",
-    "sector_params",
     "first_order_sector_params",
     "verify_sector",
 ]
@@ -167,19 +164,9 @@ def apply_map_array(
     return np.sign(z) * clamped**m.exponent
 
 
-def apply_map(m: SectorMap, z: float, counter: ClampCounter | None = None) -> float:
-    """Scalar form of :func:`apply_map_array`; identical arithmetic."""
-    return float(apply_map_array(m, np.asarray([z]), counter)[0])
-
-
 # --------------------------------------------------------------------------
 # certificates
 # --------------------------------------------------------------------------
-
-
-def sector_params(m: SectorMap) -> tuple[float, float]:
-    """The certified sector pair (kappa, big_k) of the map."""
-    return (m.kappa, m.big_k)
 
 
 def first_order_sector_params(m: SectorMap) -> tuple[float, float]:
@@ -192,7 +179,7 @@ def first_order_sector_params(m: SectorMap) -> tuple[float, float]:
     kinds other than the quantizer the exact pair is returned.
     """
     if m.kind != "log_quantizer":
-        return sector_params(m)
+        return (m.kappa, m.big_k)
     return (1.0 - 0.5 * m.rho, 1.0 + 0.5 * m.rho)
 
 

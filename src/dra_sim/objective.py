@@ -24,14 +24,8 @@ __all__ = [
     "SmoothLogPenalty",
     "LocalCost",
     "CostSet",
-    "SmoothnessEstimate",
-    "CentralSolution",
     "quadratic_cost",
     "quartic_cost",
-    "cost_value",
-    "cost_grad",
-    "cost_curvature",
-    "aggregate_cost",
     "smoothness_bound",
     "central_solve",
     "load_costs_csv",
@@ -306,31 +300,6 @@ class CostSet:
             pc = mu * (s1 * (1.0 - s1) + s2 * (1.0 - s2))
             out = out + (pc if self._all_log else np.where(self._log, pc, 0.0))
         return out
-
-
-def cost_value(c: LocalCost, x: float) -> float:
-    """f_i(x) including the penalty term if one is attached."""
-    return float(CostSet([c]).value_per_agent(np.array([x], dtype=float))[0])
-
-
-def cost_grad(c: LocalCost, x: float) -> float:
-    """f_i'(x) including the penalty term; strictly increasing in x."""
-    return float(CostSet([c]).grad(np.array([x], dtype=float))[0])
-
-
-def cost_curvature(c: LocalCost, x: float) -> float:
-    """f_i''(x) including the penalty term (one-sided at box corners)."""
-    return float(CostSet([c]).curvature(np.array([x], dtype=float))[0])
-
-
-def aggregate_cost(costs: list[LocalCost], x: np.ndarray) -> float:
-    """Sum of per-agent costs, accumulated with compensated summation."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (len(costs),):
-        raise ConfigurationError(
-            f"state length {x.shape} does not match {len(costs)} costs"
-        )
-    return CostSet(costs).total_value(x)
 
 
 # --------------------------------------------------------------------------

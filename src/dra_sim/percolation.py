@@ -18,7 +18,6 @@ from .errors import ConfigurationError, DomainError
 from .graph import WeightedGraph, _component_labels
 
 __all__ = [
-    "PercolationProfile",
     "McConnectivity",
     "er_threshold",
     "effective_failure",

@@ -43,7 +43,6 @@ __all__ = [
     "TraceRecord",
     "RunSummary",
     "RunResult",
-    "BenchmarkResult",
     "CONFIG_KEYS",
     "PRESET_NAMES",
     "PRESET_SWEEPS",
@@ -55,7 +54,6 @@ __all__ = [
     "build_instance",
     "default_smoothness_domain",
     "run",
-    "failure_mask",
     "trace_to_csv",
     "summary_to_text",
     "scaling_benchmark",
@@ -662,19 +660,6 @@ def default_smoothness_domain(cfg: ScenarioConfig) -> tuple[float, float]:
     mean = cfg.total / cfg.n
     pad = max(10.0, 4.0 * abs(mean))
     return (mean - pad, mean + pad)
-
-
-def failure_mask(graph: WeightedGraph, p_fail: float, rng: np.random.Generator) -> WeightedGraph:
-    """The graph with each link independently dropped with probability p_fail.
-
-    Consumes exactly one uniform per link of ``graph`` (row-major i < j
-    order), which is the same draw discipline the run loop uses.
-    """
-    if not 0.0 <= p_fail <= 1.0:
-        raise ConfigurationError(f"failure rate must be in [0, 1], got {p_fail}")
-    ei, ej, w = graph.edges()
-    keep = rng.random(len(ei)) >= p_fail
-    return WeightedGraph.from_edges(graph.n, ei[keep], ej[keep], w[keep])
 
 
 # --------------------------------------------------------------------------

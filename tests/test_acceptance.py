@@ -21,7 +21,6 @@ from dra_sim import (
     mc_union_connectivity,
     min_window,
     saturation,
-    sector_params,
     sign_power,
     smoothness_bound,
     spectral_summary,
@@ -29,7 +28,7 @@ from dra_sim import (
     step_rate_from_sector,
     verify_sector,
 )
-from dra_sim.graph import WeightedGraph, diameter, union_graph
+from dra_sim.graph import WeightedGraph, union_graph
 from dra_sim.scenario import (
     PRESET_NAMES,
     ScenarioConfig,
@@ -180,8 +179,8 @@ class TestAcceptance:
         graphs, costs, node_map, link_map = build_instance(cfg)
         spec = spectral_summary(laplacian(union_graph(graphs)))
         u = smoothness_bound(costs, default_smoothness_domain(cfg)).u
-        kn, bn = sector_params(node_map)
-        kl, bl = sector_params(link_map)
+        kn, bn = node_map.kappa, node_map.big_k
+        kl, bl = link_map.kappa, link_map.big_k
         rates = [step_rate_from_sector(kn, bn, kl, bl, spec.lambda2,
                                        spec.lambda_max, u, window=cfg.window,
                                        tau_bar=t)
@@ -214,7 +213,8 @@ class TestAcceptance:
     def test_sector_certificates(self):
         violations = sum(verify_sector(m, samples=100_000, seed=9).violations
                          for m in SHIPPED_MAPS)
-        exact = sector_params(log_quantizer(1.0 / 8.0))
+        quantizer = log_quantizer(1.0 / 8.0)
+        exact = (quantizer.kappa, quantizer.big_k)
         first = (1.0 - 1.0 / 16.0, 1.0 + 1.0 / 16.0)
         ok = (violations == 0
               and (round(exact[0], 4), round(exact[1], 4)) == (0.9394, 1.0645)
@@ -244,7 +244,7 @@ class TestAcceptance:
                       f"within {hetero_err:.2e} of oracle, feasibility "
                       f"{feas:.2e}, {elapsed:.1f}s")
 
-    def test_spectral_toolkit_identities(self):
+    def test_spectral_toolkit_identities(self, hop_diameter):
         rng = np.random.default_rng(17)
         identities = True
         for _ in range(1000):
@@ -272,7 +272,7 @@ class TestAcceptance:
             spec = spectral_summary(laplacian(g))
             if not spec.connected:
                 continue
-            diam_bound &= spec.lambda2 >= 1.0 / (n * diameter(g)) - 1e-12
+            diam_bound &= spec.lambda2 >= 1.0 / (n * hop_diameter(g)) - 1e-12
         monotone = True
         for _ in range(200):
             n = int(rng.integers(4, 20))

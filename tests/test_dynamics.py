@@ -9,17 +9,14 @@ from dra_sim import dynamics, scenario
 from dra_sim import (
     ConfigurationError,
     DelaySchedule,
+    CostSet,
     DomainError,
     InfeasibilityError,
     NumericError,
     WeightedGraph,
     central_solve,
-    edge_flow,
-    equilibrium_check,
     erdos_renyi,
-    failure_mask,
     feasible_init,
-    gradient_dispersion,
     identity_map,
     init_delayed_state,
     laplacian,
@@ -28,7 +25,6 @@ from dra_sim import (
     quadratic_cost,
     quartic_cost,
     saturation,
-    sector_diagnostics,
     sign_power,
     smoothness_bound,
     spectral_summary,
@@ -60,23 +56,37 @@ def two_node_instance():
     return costs, graph
 
 
+def link_flow(weight, grad_i, grad_j, node_map, link_map):
+    """The step's (node 0, node 1) output on one link of ``weight``, from x = 0 at eta = 1.
+
+    That output is (-phi, +phi) exactly, phi = weight * g_n(g_l(grad_i) - g_l(grad_j))
+    being the flow the link carries from node 0 to node 1.
+    """
+    graph = WeightedGraph(2, np.array([[0.0, weight], [weight, 0.0]]))
+    costs = [quadratic_cost(0.5)] * 2
+    return step_delay_free(np.zeros(2), graph, costs, node_map, link_map, 1.0, grads=np.array([grad_i, grad_j]))
+
+
 class TestEdgeFlow:
     def test_identity_antisymmetry(self):
-        assert edge_flow(1.0, 3.0, 1.0, IDM, IDM) == 2.0
-        assert edge_flow(1.0, 1.0, 3.0, IDM, IDM) == -2.0
+        assert link_flow(1.0, 3.0, 1.0, IDM, IDM).tolist() == [-2.0, 2.0]
+        assert link_flow(1.0, 1.0, 3.0, IDM, IDM).tolist() == [2.0, -2.0]
 
     def test_equal_gradients_give_zero(self):
-        assert edge_flow(0.7, 4.2, 4.2, log_quantizer(0.25), IDM) == 0.0
+        assert link_flow(0.7, 4.2, 4.2, log_quantizer(0.25), IDM).tolist() == [0.0, 0.0]
 
     def test_quantized_composition(self):
         # Link map is the identity, so the node map sees e^0.3 and rounds
         # the log-magnitude onto the 0.25 lattice.
-        got = edge_flow(0.5, math.e**0.3 + 1.0, 1.0, log_quantizer(0.25), IDM)
-        assert got == 0.5 * math.e**0.25
+        got = link_flow(0.5, math.e**0.3 + 1.0, 1.0, log_quantizer(0.25), IDM)
+        assert got.tolist() == [-0.5 * math.e**0.25, 0.5 * math.e**0.25]
 
     def test_rejects_nonpositive_weight(self):
+        # A zero weight is no link, so nothing flows; a negative one is refused.
+        assert WeightedGraph(2, np.zeros((2, 2))).edge_count == 0
+        assert link_flow(0.0, 3.0, 1.0, IDM, IDM).tolist() == [0.0, 0.0]
         with pytest.raises(ConfigurationError):
-            edge_flow(0.0, 3.0, 1.0, IDM, IDM)
+            link_flow(-1.0, 3.0, 1.0, IDM, IDM)
 
 
 class TestStepDelayFree:
@@ -150,9 +160,11 @@ class TestStepDelayFree:
         u = smoothness_bound(costs, (-10.0, 10.0)).u
         eta = 0.5 * step_rate_bound(IDM, IDM, s.lambda2, s.lambda_max, u).eta_max
         x = feasible_init(10, 20.0)
+        cs = CostSet(costs)
         for _ in range(30000):
             x = step_delay_free(x, graph, costs, IDM, IDM, eta)
-            if equilibrium_check(x, costs, tol=1e-10).converged:
+            g = cs.grad(x)
+            if g.max() - g.min() <= 1e-10:
                 break
         sol = central_solve(costs, 20.0, tol=1e-10)
         assert float(np.max(np.abs(x - sol.x))) <= 1e-4
@@ -365,9 +377,10 @@ class TestStepDelayed:
         state = init_delayed_state(feasible_init(n, total, "random_simplex", seed=3),
                                    3, costs, q)
         tol = 1e-9 * (1.0 + abs(total)) * math.log2(n + 1)
+        m = base.edge_count
         for _ in range(2000):
-            keep = failure_mask(base, 0.5, rng)
-            state = step_delayed(state, keep, sched, costs, q, q, 0.05)
+            keep = rng.random(m) >= 0.5
+            state = step_delayed(state, base, sched, costs, q, q, 0.05, failure_keep=keep)
             assert abs(math.fsum(state.x.tolist()) - total) <= tol
 
     def test_negative_zero_kept_while_no_flow_arrives(self):
@@ -567,31 +580,39 @@ class TestFeasibleInit:
             feasible_init(5, 1.0, "random_simplex", seed=-1)
 
 
+def gradient_spread(x, costs):
+    """max f_i'(x_i) - min f_i'(x_i): the run loop's early-stop quantity."""
+    g = CostSet(costs).grad(x)
+    return g.max() - g.min()
+
+
+def gradient_dispersion(x, costs):
+    """norm(g - mean(g)) of the gradients g: the trace's dispersion column."""
+    g = CostSet(costs).grad(x)
+    return np.linalg.norm(g - g.mean())
+
+
 class TestEquilibriumCheck:
     def test_identical_costs_equal_states(self):
         costs = [quadratic_cost(1.0, 0.5)] * 4
-        rep = equilibrium_check(np.full(4, 2.0), costs)
-        assert rep.spread == 0.0
-        assert rep.converged
+        assert gradient_spread(np.full(4, 2.0), costs) == 0.0
 
     def test_hand_optimum_has_zero_spread(self):
         costs = [quadratic_cost(1.0), quadratic_cost(2.0)]
-        rep = equilibrium_check(np.array([2.0, 1.0]), costs)
-        assert rep.spread == 0.0
+        assert gradient_spread(np.array([2.0, 1.0]), costs) == 0.0
 
     def test_oracle_output_passes(self):
         rng = np.random.default_rng(71)
         costs = [quadratic_cost(float(rng.uniform(0.2, 2.0)),
                                 float(rng.uniform(-1, 1))) for _ in range(6)]
         sol = central_solve(costs, 11.0, tol=1e-11)
-        rep = equilibrium_check(sol.x, costs, tol=1e-7)
-        assert rep.converged
+        assert gradient_spread(sol.x, costs) <= 1e-7
 
     def test_zero_spread_is_fixed_point(self):
         costs = [quadratic_cost(0.8, -0.2)] * 5
         graph = erdos_renyi(5, 1.0, (0.5, 1.0), seed=1)
         x = np.full(5, 1.3)
-        assert equilibrium_check(x, costs).spread == 0.0
+        assert gradient_spread(x, costs) == 0.0
         x1 = step_delay_free(x, graph, costs, IDM, IDM, 0.2)
         assert np.array_equal(x1, x)
 
@@ -618,34 +639,71 @@ class TestGradientDispersion:
         assert gradient_dispersion(x, costs) <= min(1e-6, first)
 
 
+def sector_samples(graph, costs, node_map, link_map, samples, seed, state_range=(-10.0, 10.0)):
+    """Sector alignment of the shipped kernel's flows at random states.
+
+    Returns the flow ratios grad . Phi / grad . L grad, their worst excursion
+    outside the product sector [kn*kl, Kn*Kl], and the worst relative
+    excursion (0 for none) of x . L g_l(x) outside
+    [lambda2*kl*|x - mean|^2, lambda_max*Kl*|x - mean|^2].  Phi and L grad
+    are one delay-free step from 0 at eta = 1 with ``grads=grad``, with the
+    maps and with identity maps; L g_l(x) is minus the same step with
+    ``grads=x``, the identity node map and ``link_map``.
+    """
+    rng = np.random.default_rng([seed, 0xD1A6])
+    cs = CostSet(costs)
+    n = cs.n
+    spec = spectral_summary(laplacian(graph))
+    lo_bound = node_map.kappa * link_map.kappa
+    hi_bound = node_map.big_k * link_map.big_k
+    zero = np.zeros(n)
+    ratios, flow_worst, ray_worst = [], 0.0, 0.0
+    for _ in range(samples):
+        x = state_range[0] + (state_range[1] - state_range[0]) * rng.random(n)
+        grads = cs.grad(x)
+        phi = step_delay_free(zero, graph, cs, node_map, link_map, 1.0, grads=grads)
+        phi_lin = step_delay_free(zero, graph, cs, IDM, IDM, 1.0, grads=grads)
+        den = float(grads @ phi_lin)
+        if abs(den) > 1e-12 * (1.0 + float(np.abs(grads).max()) ** 2):
+            r = float(grads @ phi) / den
+            ratios.append(r)
+            flow_worst = max(flow_worst, lo_bound - r, r - hi_bound)
+        quad = -float(x @ step_delay_free(zero, graph, cs, IDM, link_map, 1.0, grads=x))
+        xd = x - x.mean()
+        low = spec.lambda2 * link_map.kappa * float(xd @ xd)
+        high = spec.lambda_max * link_map.big_k * float(xd @ xd)
+        slack = 1e-9 * max(abs(low), abs(high), 1.0)
+        if not low - slack <= quad <= high + slack:
+            ray_worst = max(ray_worst, (low - quad) / max(abs(low), 1e-300), (quad - high) / max(abs(high), 1e-300))
+    assert ratios, "no sample had a nonzero linear flow"
+    return np.array(ratios), flow_worst, ray_worst
+
+
 class TestSectorDiagnostics:
     def test_identity_ratio_is_exactly_one(self):
         g = erdos_renyi(20, 0.4, (0.5, 1.0), seed=3)
         costs = [quartic_cost(0.01, 1.0) for _ in range(20)]
-        rep = sector_diagnostics(g, costs, IDM, IDM, samples=200, seed=5)
-        assert rep.flow_ratio_min == 1.0
-        assert rep.flow_ratio_max == 1.0
-        assert rep.flow_violation_rate == 0.0
-        assert rep.rayleigh_violation_rate == 0.0
+        ratios, flow_worst, ray_worst = sector_samples(g, costs, IDM, IDM, samples=200, seed=5)
+        assert ratios.min() == ratios.max() == 1.0
+        assert flow_worst == 0.0
+        assert ray_worst == 0.0
 
     def test_saturation_linear_region_is_identity(self):
         g = erdos_renyi(15, 0.5, (0.5, 1.0), seed=4)
         costs = [quartic_cost(0.01, 0.0) for _ in range(15)]
         sat = saturation(100.0, 1000.0)
-        rep = sector_diagnostics(g, costs, sat, sat, samples=200, seed=5,
-                                 state_range=(-2.0, 2.0))
-        assert rep.flow_ratio_min == 1.0
-        assert rep.flow_ratio_max == 1.0
-        assert rep.flow_violation_rate == 0.0
+        ratios, flow_worst, _ = sector_samples(g, costs, sat, sat, samples=200, seed=5, state_range=(-2.0, 2.0))
+        assert ratios.min() == ratios.max() == 1.0
+        assert flow_worst == 0.0
 
     def test_fine_quantizer_excursions_below_one_percent(self):
         g = erdos_renyi(20, 0.4, (0.5, 1.0), seed=3)
         costs = [quartic_cost(0.01, 1.0) for _ in range(20)]
         q = log_quantizer(1.0 / 1024.0)
-        rep = sector_diagnostics(g, costs, q, q, samples=500, seed=5)
-        assert rep.flow_worst_excursion <= 0.01
-        assert rep.rayleigh_worst_excursion <= 0.01
-        assert 0.99 <= rep.flow_ratio_min <= rep.flow_ratio_max <= 1.01
+        ratios, flow_worst, ray_worst = sector_samples(g, costs, q, q, samples=500, seed=5)
+        assert flow_worst <= 0.01
+        assert ray_worst <= 0.01
+        assert 0.99 <= ratios.min() <= ratios.max() <= 1.01
 
 
 class TestFinitenessChecks:

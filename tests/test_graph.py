@@ -7,10 +7,7 @@ import pytest
 
 from dra_sim import (
     ConfigurationError,
-    DomainError,
     WeightedGraph,
-    diameter,
-    dispersion,
     erdos_renyi,
     from_edge_list,
     is_connected,
@@ -22,6 +19,7 @@ from dra_sim import (
     to_edge_list,
     union_graph,
 )
+from dra_sim.scenario import _trace_block
 
 
 def path_graph(n, weight=1.0):
@@ -266,39 +264,45 @@ class TestUnionGraph:
                     assert (u.weights[ei[k], ej[k]] > 0) == expect
 
 
+def trace_dispersion(grads):
+    """The trace's dispersion column, norm(grads - mean), for one record."""
+    return _trace_block([(0, 0.0, 0.0, 0, grads, grads)])[0].dispersion
+
+
 class TestDispersion:
     def test_hand_example(self):
-        assert dispersion(np.array([3.0, 1.0])).tolist() == [1.0, -1.0]
+        # (3, 1) recentres to (1, -1).
+        assert trace_dispersion(np.array([3.0, 1.0])) == math.sqrt(2.0)
 
     def test_constant_vector_maps_to_zero(self):
-        out = dispersion(np.full(7, 4.2))
-        assert np.allclose(out, 0.0, atol=1e-12)
+        assert trace_dispersion(np.full(7, 4.2)) <= 1e-12
 
     def test_zero_sum_and_contraction(self):
+        # |x|^2 = |x - mean|^2 + n * mean^2 holds iff the deviation sums to 0.
         rng = np.random.default_rng(99)
         for _ in range(1000):
             x = rng.normal(size=int(rng.integers(1, 30)))
-            d = dispersion(x)
-            assert abs(d.sum()) <= 1e-9 * (1.0 + np.abs(x).sum())
-            assert np.linalg.norm(d) <= np.linalg.norm(x) + 1e-12
+            d = trace_dispersion(x)
+            assert abs(d**2 + x.size * x.mean() ** 2 - x @ x) <= 1e-9 * (1.0 + x @ x)
+            assert d <= np.linalg.norm(x) + 1e-12
 
 
 class TestDiameter:
-    def test_complete_four(self):
-        assert diameter(complete_graph(4)) == 1
+    def test_complete_four(self, hop_diameter):
+        assert hop_diameter(complete_graph(4)) == 1
 
-    def test_path_five(self):
-        assert diameter(path_graph(5)) == 4
+    def test_path_five(self, hop_diameter):
+        assert hop_diameter(path_graph(5)) == 4
 
-    def test_star(self):
-        assert diameter(star_graph(6)) == 2
+    def test_star(self, hop_diameter):
+        assert hop_diameter(star_graph(6)) == 2
 
-    def test_disconnected_rejected(self):
+    def test_disconnected_rejected(self, hop_diameter):
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 1.0
         w[2, 3] = w[3, 2] = 1.0
-        with pytest.raises(DomainError):
-            diameter(WeightedGraph(4, w))
+        with pytest.raises(ValueError):
+            hop_diameter(WeightedGraph(4, w))
 
 
 class TestLaplacianQuadraticForms:
@@ -317,7 +321,7 @@ class TestLaplacianQuadraticForms:
             lap = laplacian(g)
             s = spectral_summary(lap)
             x = rng.normal(scale=5.0, size=n)
-            xd = dispersion(x)
+            xd = x - x.mean()
             q = float(x @ lap @ x)
             qd = float(xd @ lap @ xd)
             nd2 = float(xd @ xd)
@@ -337,10 +341,10 @@ class TestLaplacianQuadraticForms:
             x = rng.normal(scale=3.0, size=n)
             y = rng.normal(scale=3.0, size=n)
             a = float(x @ lap @ y)
-            b = float(dispersion(x) @ lap @ dispersion(y))
+            b = float((x - x.mean()) @ lap @ (y - y.mean()))
             assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
 
-    def test_lambda2_lower_bound_via_diameter(self):
+    def test_lambda2_lower_bound_via_diameter(self, hop_diameter):
         # Connected graphs keep lambda2 >= 1 / (n * diameter) when all
         # weights are at least 1; sample with the unit-floor range.
         rng = np.random.default_rng(16180)
@@ -353,7 +357,7 @@ class TestLaplacianQuadraticForms:
                 continue
             count += 1
             s = spectral_summary(laplacian(g))
-            assert s.lambda2 >= 1.0 / (n * diameter(g)) - 1e-12
+            assert s.lambda2 >= 1.0 / (n * hop_diameter(g)) - 1e-12
 
     def test_adding_link_never_decreases_lambda2(self):
         rng = np.random.default_rng(61803)

@@ -9,13 +9,11 @@ from dra_sim import (
     ClampCounter,
     ConfigurationError,
     NumericError,
-    apply_map,
     apply_map_array,
     first_order_sector_params,
     identity_map,
     log_quantizer,
     saturation,
-    sector_params,
     sign_power,
     verify_sector,
 )
@@ -44,53 +42,54 @@ def domain_samples(m, count, seed):
 
 class TestApply:
     def test_log_quantizer_fixes_one(self):
-        assert apply_map(log_quantizer(0.25), 1.0) == 1.0
+        assert apply_map_array(log_quantizer(0.25), np.array([1.0])).tolist() == [1.0]
 
     def test_log_quantizer_hand_value(self):
         # log(e^0.3)/0.25 = 1.2 rounds to 1, so the output is e^0.25.
-        got = apply_map(log_quantizer(0.25), math.e**0.3)
-        assert got == pytest.approx(math.e**0.25, rel=1e-12)
+        got = apply_map_array(log_quantizer(0.25), np.array([math.e**0.3]))
+        assert got[0] == pytest.approx(math.e**0.25, rel=1e-12)
 
     def test_log_quantizer_ties_round_to_even(self):
         # Bracket 0.5 drops to lattice index 0 and bracket 2.5 to index 2.
-        q = log_quantizer(0.25)
-        assert apply_map(q, math.exp(0.125)) == 1.0
-        assert apply_map(q, math.exp(0.625)) == pytest.approx(math.exp(0.5), rel=1e-15)
+        got = apply_map_array(log_quantizer(0.25), np.array([math.exp(0.125), math.exp(0.625)]))
+        assert got[0] == 1.0
+        assert got[1] == pytest.approx(math.exp(0.5), rel=1e-15)
 
     def test_saturation_cases(self):
-        s = saturation(1.0, 5.0)
-        assert apply_map(s, 3.0) == 1.0
-        assert apply_map(s, 0.5) == 0.5
-        assert apply_map(s, -3.0) == -1.0
+        got = apply_map_array(saturation(1.0, 5.0), np.array([3.0, 0.5, -3.0]))
+        assert got.tolist() == [1.0, 0.5, -1.0]
 
     def test_zero_maps_to_zero(self):
         for m in ALL_MAPS:
-            assert apply_map(m, 0.0) == 0.0
+            assert apply_map_array(m, np.zeros(1)).tolist() == [0.0]
 
     def test_non_finite_input_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(NumericError):
-                apply_map(identity_map(), bad)
+                apply_map_array(identity_map(), np.array([1.0, bad]))
 
     def test_array_matches_scalar(self):
+        # Each output is that of a one-element call: no value depends on the
+        # length of the call it comes in, as the kernel's calls vary in length.
         rng = np.random.default_rng(5)
         z = rng.uniform(-4.0, 4.0, size=200)
         for m in ALL_MAPS:
             out = apply_map_array(m, z)
             for zi, oi in zip(z, out):
-                assert oi == apply_map(m, float(zi))
+                assert oi == apply_map_array(m, np.array([zi]))[0]
 
     def test_sign_power_hand_value(self):
-        sp = sign_power(0.5, 1e-6, 1e3)
-        assert apply_map(sp, 4.0) == pytest.approx(2.0, rel=1e-12)
-        assert apply_map(sp, -9.0) == pytest.approx(-3.0, rel=1e-12)
+        got = apply_map_array(sign_power(0.5, 1e-6, 1e3), np.array([4.0, -9.0]))
+        assert got[0] == pytest.approx(2.0, rel=1e-12)
+        assert got[1] == pytest.approx(-3.0, rel=1e-12)
 
     def test_clamping_counts_events(self):
+        # One counter tallies across calls, as the run loop's counters do.
         s = saturation(1.0, 5.0)
         counter = ClampCounter()
-        assert apply_map(s, 7.0, counter) == 1.0
-        assert apply_map(s, -9.0, counter) == -1.0
-        assert apply_map(s, 2.0, counter) == 1.0
+        assert apply_map_array(s, np.array([7.0]), counter).tolist() == [1.0]
+        assert apply_map_array(s, np.array([-9.0]), counter).tolist() == [-1.0]
+        assert apply_map_array(s, np.array([2.0]), counter).tolist() == [1.0]
         assert counter.events == 2
 
     def test_array_clamping_counts_events(self):
@@ -126,10 +125,12 @@ class TestConstruction:
 
 class TestSectorParams:
     def test_identity(self):
-        assert sector_params(identity_map()) == (1.0, 1.0)
+        m = identity_map()
+        assert (m.kappa, m.big_k) == (1.0, 1.0)
 
     def test_log_quantizer_exact_pair(self):
-        kappa, big_k = sector_params(log_quantizer(1.0 / 8.0))
+        m = log_quantizer(1.0 / 8.0)
+        kappa, big_k = m.kappa, m.big_k
         assert kappa == pytest.approx(math.exp(-1.0 / 16.0), rel=1e-15)
         assert big_k == pytest.approx(math.exp(1.0 / 16.0), rel=1e-15)
         # Four-digit reference values for the exact certificates.
@@ -145,13 +146,17 @@ class TestSectorParams:
         assert hi == 1.0625
         assert lo < m.kappa
         assert hi < m.big_k
+        # Other kinds have no linearization: their exact pair comes back.
+        sat = saturation(1.0, 4.0)
+        assert first_order_sector_params(sat) == (sat.kappa, sat.big_k) == (0.25, 1.0)
 
     def test_saturation_pair(self):
-        assert sector_params(saturation(1.0, 4.0)) == (0.25, 1.0)
-        assert sector_params(saturation(2.0, 10.0)) == (0.2, 1.0)
+        for m, pair in ((saturation(1.0, 4.0), (0.25, 1.0)), (saturation(2.0, 10.0), (0.2, 1.0))):
+            assert (m.kappa, m.big_k) == pair
 
     def test_sign_power_pair_from_domain_boundary(self):
-        kappa, big_k = sector_params(sign_power(0.5, 1e-6, 1e3))
+        m = sign_power(0.5, 1e-6, 1e3)
+        kappa, big_k = m.kappa, m.big_k
         assert kappa == pytest.approx(1e3 ** -0.5, rel=1e-12)
         assert big_k == pytest.approx(1e-6 ** -0.5, rel=1e-12)
 
@@ -220,5 +225,5 @@ class TestMapShape:
             q = log_quantizer(rho)
             for k in range(-20, 21):
                 z = math.exp(rho * k)
-                got = apply_map(q, z)
+                got = apply_map_array(q, np.array([z]))[0]
                 assert got == pytest.approx(z, rel=1e-14)

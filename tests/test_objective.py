@@ -9,11 +9,9 @@ from dra_sim import (
     BoxPenalty,
     ConfigurationError,
     SmoothLogPenalty,
-    aggregate_cost,
     central_solve,
-    cost_curvature,
-    cost_grad,
-    cost_value,
+    identity_map,
+    init_delayed_state,
     load_costs_csv,
     quadratic_cost,
     quartic_cost,
@@ -24,31 +22,33 @@ from dra_sim.scenario import build_instance, preset
 
 
 def central_diff(c, x, h):
-    return (cost_value(c, x + h) - cost_value(c, x - h)) / (2.0 * h)
+    plus, minus = CostSet([c, c]).value_per_agent(np.array([x + h, x - h]))
+    return (plus - minus) / (2.0 * h)
 
 
 class TestCostValue:
     def test_quartic_interior_point_has_zero_penalty(self):
         c = quartic_cost(0.01, 1.0, penalty=BoxPenalty(1.0, 10.0, 20.0, 2))
-        assert cost_value(c, 2.0) == pytest.approx(0.01, rel=1e-12)
+        assert CostSet([c]).value_per_agent(np.array([2.0]))[0] == pytest.approx(0.01, rel=1e-12)
 
     def test_plain_quadratic(self):
-        assert cost_value(quadratic_cost(1.0), 3.0) == 9.0
+        assert CostSet([quadratic_cost(1.0)]).value_per_agent(np.array([3.0]))[0] == 9.0
 
     def test_box_penalty_outside(self):
         c = quadratic_cost(1.0, penalty=BoxPenalty(1.0, 10.0, 20.0, 2))
         # 20 * (12 - 10)^2 on top of the base 144.
-        assert cost_value(c, 12.0) == pytest.approx(144.0 + 80.0, rel=1e-12)
+        assert CostSet([c]).value_per_agent(np.array([12.0]))[0] == pytest.approx(144.0 + 80.0, rel=1e-12)
 
     def test_quadratic_full_coefficients(self):
         c = quadratic_cost(2.0, 3.0, 4.0)
-        assert cost_value(c, 2.0) == pytest.approx(2.0 * 4.0 + 3.0 * 2.0 + 4.0, rel=1e-14)
+        got = CostSet([c]).value_per_agent(np.array([2.0]))[0]
+        assert got == pytest.approx(2.0 * 4.0 + 3.0 * 2.0 + 4.0, rel=1e-14)
 
     def test_smooth_log_penalty_positive_everywhere(self):
         c = quadratic_cost(1.0, penalty=SmoothLogPenalty(1.0, 10.0, 5.0))
         base = quadratic_cost(1.0)
-        for x in (-5.0, 1.0, 5.5, 10.0, 20.0):
-            assert cost_value(c, x) > cost_value(base, x)
+        x = np.array([-5.0, 1.0, 5.5, 10.0, 20.0])
+        assert np.all(CostSet([c] * 5).value_per_agent(x) > CostSet([base] * 5).value_per_agent(x))
 
     def test_smooth_log_penalty_no_overflow(self):
         # mu * (x - hi) far beyond exp range must still evaluate, with the
@@ -56,21 +56,22 @@ class TestCostValue:
         c = quadratic_cost(1.0, penalty=SmoothLogPenalty(1.0, 10.0, 5.0))
         base = quadratic_cost(1.0)
         with np.errstate(over="raise"):
-            v = cost_value(c, 400.0) - cost_value(base, 400.0)
+            with_penalty, without = CostSet([c, base]).value_per_agent(np.array([400.0, 400.0]))
+            v = with_penalty - without
         assert v == pytest.approx(390.0, rel=1e-9)
 
 
 class TestCostGrad:
     def test_quartic_hand_value(self):
-        assert cost_grad(quartic_cost(0.01, 1.0), 2.0) == pytest.approx(0.04, rel=1e-12)
+        assert CostSet([quartic_cost(0.01, 1.0)]).grad(np.array([2.0]))[0] == pytest.approx(0.04, rel=1e-12)
 
     def test_quadratic_hand_value(self):
-        assert cost_grad(quadratic_cost(2.0, 1.0), 0.0) == 1.0
+        assert CostSet([quadratic_cost(2.0, 1.0)]).grad(np.array([0.0]))[0] == 1.0
 
     def test_box_penalty_gradient_below_box(self):
         # The base quadratic has zero slope at 0, so only the penalty acts.
         c = quadratic_cost(1.0, penalty=BoxPenalty(1.0, 10.0, 20.0, 2))
-        assert cost_grad(c, 0.0) == pytest.approx(-40.0, rel=1e-12)
+        assert CostSet([c]).grad(np.array([0.0]))[0] == pytest.approx(-40.0, rel=1e-12)
 
     def test_matches_finite_difference_on_random_instances(self):
         rng = np.random.default_rng(808)
@@ -93,7 +94,7 @@ class TestCostGrad:
             x = float(rng.uniform(-8.0, 8.0))
             h = 1e-6 * (1.0 + abs(x))
             num = central_diff(c, x, h)
-            ana = cost_grad(c, x)
+            ana = CostSet([c]).grad(np.array([x]))[0]
             assert ana == pytest.approx(num, rel=1e-5, abs=1e-7)
 
     def test_gradient_monotone(self):
@@ -104,16 +105,17 @@ class TestCostGrad:
                  if rng.uniform() < 0.5
                  else quartic_cost(float(rng.uniform(0.001, 0.3)), float(rng.uniform(-2, 2))))
             x, y = sorted(rng.uniform(-10.0, 10.0, size=2))
-            assert cost_grad(c, x) <= cost_grad(c, y) + 1e-12
+            gx, gy = CostSet([c, c]).grad(np.array([x, y]))
+            assert gx <= gy + 1e-12
 
 
 class TestCostCurvature:
     def test_quadratic_constant(self):
-        assert cost_curvature(quadratic_cost(1.5), 7.0) == 3.0
+        assert CostSet([quadratic_cost(1.5)]).curvature(np.array([7.0]))[0] == 3.0
 
     def test_quartic_hand_value(self):
         # 12 * 0.01 * (10 - 1)^2 at the far box corner.
-        assert cost_curvature(quartic_cost(0.01, 1.0), 10.0) == pytest.approx(9.72, rel=1e-12)
+        assert CostSet([quartic_cost(0.01, 1.0)]).curvature(np.array([10.0]))[0] == pytest.approx(9.72, rel=1e-12)
 
 
 class TestValidation:
@@ -162,7 +164,7 @@ class TestSmoothness:
                 continue
             est = smoothness_bound(costs, (lo, hi))
             xs = rng.uniform(lo, hi, size=100)
-            worst = max(cost_curvature(c, float(x)) for c in costs for x in xs)
+            worst = max(CostSet([c] * len(xs)).curvature(xs).max() for c in costs)
             assert 2.0 * est.u >= worst
 
     def test_rejects_thin_grid(self):
@@ -199,8 +201,8 @@ class TestCentralSolve:
                      for _ in range(n)]
             b = float(rng.uniform(-10.0, 10.0))
             sol = central_solve(costs, b, tol=1e-10)
-            grads = [cost_grad(c, float(x)) for c, x in zip(costs, sol.x)]
-            assert max(grads) - min(grads) <= 1e-7
+            grads = CostSet(costs).grad(sol.x)
+            assert grads.max() - grads.min() <= 1e-7
             assert abs(sol.x.sum() - b) <= 1e-9 * (1.0 + abs(b))
 
     def test_penalized_approaches_exact_box(self):
@@ -252,27 +254,29 @@ class TestCentralSolve:
     def test_quartic_instances(self):
         costs = [quartic_cost(0.01, 1.0), quartic_cost(0.02, 2.0), quartic_cost(0.05, -1.0)]
         sol = central_solve(costs, 9.0, tol=1e-10)
-        grads = [cost_grad(c, float(x)) for c, x in zip(costs, sol.x)]
-        assert max(grads) - min(grads) <= 1e-6
+        grads = CostSet(costs).grad(sol.x)
+        assert grads.max() - grads.min() <= 1e-6
         assert abs(sol.x.sum() - 9.0) <= 1e-8
 
 
 class TestAggregateCost:
     def test_two_squares(self):
         costs = [quadratic_cost(1.0), quadratic_cost(1.0)]
-        assert aggregate_cost(costs, np.array([1.0, 2.0])) == 5.0
+        assert CostSet(costs).total_value(np.array([1.0, 2.0])) == 5.0
 
     def test_permutation_invariance_for_identical_costs(self):
         costs = [quadratic_cost(0.7, 0.3)] * 6
         rng = np.random.default_rng(12)
         x = rng.uniform(-5, 5, size=6)
-        a = aggregate_cost(costs, x)
-        b = aggregate_cost(costs, x[rng.permutation(6)])
+        a = CostSet(costs).total_value(x)
+        b = CostSet(costs).total_value(x[rng.permutation(6)])
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            aggregate_cost([quadratic_cost(1.0)], np.array([1.0, 2.0]))
+        # A state meets its costs in the run's initial state, which checks
+        # the length once; CostSet itself broadcasts.
+        with pytest.raises(ConfigurationError, match="must match the cost count"):
+            init_delayed_state(np.array([1.0, 2.0]), 0, [quadratic_cost(1.0)], identity_map())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_sum_past_the_double_range_is_infinite(self):
@@ -298,7 +302,7 @@ class TestCostTable(object):
         assert costs[0].penalty is None
         assert costs[1].kind == "quartic"
         assert isinstance(costs[1].penalty, BoxPenalty)
-        assert cost_value(costs[1], 2.0) == pytest.approx(0.01, rel=1e-12)
+        assert CostSet([costs[1]]).value_per_agent(np.array([2.0]))[0] == pytest.approx(0.01, rel=1e-12)
 
     def test_rows_in_any_order(self, tmp_path):
         p = tmp_path / "costs.csv"
@@ -306,8 +310,7 @@ class TestCostTable(object):
                      + "1,quadratic,2.0,,,,\n"
                      + "0,quadratic,1.0,,,,\n")
         costs = load_costs_csv(p)
-        assert cost_curvature(costs[0], 0.0) == 2.0
-        assert cost_curvature(costs[1], 0.0) == 4.0
+        assert CostSet(costs).curvature(np.zeros(2)).tolist() == [2.0, 4.0]
 
     def test_rejects_bad_header(self, tmp_path):
         p = tmp_path / "costs.csv"

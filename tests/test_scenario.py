@@ -10,20 +10,24 @@ import pytest
 from dra_sim import (
     BoxPenalty,
     ConfigurationError,
+    DelaySchedule,
     PRESET_NAMES,
     PRESET_SWEEPS,
     ScenarioConfig,
     SmoothLogPenalty,
     build_instance,
+    WeightedGraph,
     erdos_renyi,
-    failure_mask,
     identity_map,
+    init_delayed_state,
     laplacian,
     preset,
+    quadratic_cost,
     run,
     scaling_benchmark,
     smoothness_bound,
     spectral_summary,
+    step_delayed,
     step_rate_bound,
     summary_to_text,
     to_edge_list,
@@ -291,38 +295,51 @@ class TestBuildInstance:
         assert not np.array_equal(a[0].weights, c[0].weights)
 
 
+def masked_step(graph, keep=None):
+    """One delay-free step from x = (0, 1, ..., n-1) with only the links in ``keep`` up."""
+    costs = [quadratic_cost(0.5)] * graph.n
+    idm = identity_map()
+    state = init_delayed_state(np.arange(graph.n, dtype=float), 0, costs, idm)
+    return step_delayed(state, graph, DelaySchedule(0), costs, idm, idm, 0.1, failure_keep=keep).x
+
+
 class TestFailureMask:
+    """The run's failure draw: one uniform per link, the link up if it is >= p_fail."""
+
     def test_no_failures_identity(self):
         g = erdos_renyi(20, 0.4, (0.5, 1.0), seed=5)
-        rng = np.random.default_rng(0)
-        assert np.array_equal(failure_mask(g, 0.0, rng).weights, g.weights)
+        keep = np.random.default_rng(0).random(g.edge_count) >= 0.0
+        assert masked_step(g, keep).tobytes() == masked_step(g).tobytes()
 
     def test_full_failure_edgeless(self):
         g = erdos_renyi(20, 0.4, (0.5, 1.0), seed=5)
-        rng = np.random.default_rng(0)
-        assert failure_mask(g, 1.0, rng).edge_count == 0
+        keep = np.random.default_rng(0).random(g.edge_count) >= 1.0
+        assert not keep.any()
+        assert masked_step(g, keep).tolist() == list(range(20))
 
     def test_retention_within_four_sigma(self):
-        g = erdos_renyi(50, 0.2, (0.5, 1.0), seed=1)
-        m = g.edge_count
-        rng = np.random.default_rng(42)
+        cfg = small_static_config(n=50, topology_p=0.2, p_fail=0.5, early_stop_spread=0.0, seed=1)
+        m = build_instance(cfg)[0][0].edge_count
         draws = 10_000 // m + 1
-        kept = sum(failure_mask(g, 0.5, rng).edge_count for _ in range(draws))
+        res = run(dataclasses.replace(cfg, horizon=draws))
+        # Record k counts the links up at step k; the last repeats step draws - 1.
+        assert len(res.trace) == draws + 1
+        kept = sum(r.active_links for r in res.trace[:-1])
         mean = draws * m * 0.5
         sd = math.sqrt(draws * m * 0.25)
         assert abs(kept - mean) <= 4.0 * sd
 
     def test_survivor_weights_unchanged(self):
+        # A kept link carries its own weight: the masked step equals the step
+        # on the graph of the kept links.
         g = erdos_renyi(15, 0.5, (0.5, 1.0), seed=8)
-        rng = np.random.default_rng(7)
-        masked = failure_mask(g, 0.3, rng)
-        ei, ej, w = masked.edges()
-        assert np.array_equal(w, g.weights[ei, ej])
+        keep = np.random.default_rng(7).random(g.edge_count) >= 0.3
+        survivors = WeightedGraph.from_edges(15, *(a[keep] for a in g.edges()))
+        assert masked_step(g, keep).tobytes() == masked_step(survivors).tobytes()
 
     def test_rejects_bad_probability(self):
-        g = erdos_renyi(5, 0.9, (0.5, 1.0), seed=0)
-        with pytest.raises(ConfigurationError):
-            failure_mask(g, -0.1, np.random.default_rng(0))
+        with pytest.raises(ConfigurationError, match="adversity.p_fail"):
+            small_static_config(p_fail=-0.1)
 
 
 class TestRun:

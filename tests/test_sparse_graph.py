@@ -22,7 +22,6 @@ from dra_sim import (
     WeightedGraph,
     build_instance,
     erdos_renyi,
-    failure_mask,
     from_edge_list,
     is_connected,
     laplacian,
@@ -123,7 +122,9 @@ class TestAgainstDenseReference:
         dense = [dense_erdos_renyi(n, p, (0.5, 1.0), seed + k) for k, p in enumerate(ps)]
         assert_links_equal(union_graph(phases), dense_union(dense))
         assert_links_equal(union_graph(phases + phases[:1]), dense_union(dense + dense[:1]))
-        masks = [failure_mask(g, p_fail, np.random.default_rng([seed, k])) for k, g in enumerate(phases)]
+        # The run's failure draw: one uniform per link in link order, kept if >= p_fail.
+        keeps = [np.random.default_rng([seed, k]).random(g.edge_count) >= p_fail for k, g in enumerate(phases)]
+        masks = [WeightedGraph.from_edges(n, *(a[keep] for a in g.edges())) for g, keep in zip(phases, keeps)]
         dense_masks = [dense_failure_mask(w, p_fail, np.random.default_rng([seed, k])) for k, w in enumerate(dense)]
         for g, w in zip(masks, dense_masks):
             assert_links_equal(g, w)
