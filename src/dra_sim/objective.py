@@ -160,6 +160,8 @@ class CostSet:
         self.costs = list(costs)
         n = len(costs)
         self.n = n
+        # Every evaluator but curvature starts from a base term, which checks x.
+        self._shape = (n,)
         self.quartic = np.array([c.kind == "quartic" for c in costs])
         self.p1 = np.array([c.p1 for c in costs])
         self.p2 = np.array([c.p2 for c in costs])
@@ -209,6 +211,8 @@ class CostSet:
     def base_value(self, x: np.ndarray) -> np.ndarray:
         """Per-agent base cost, without the penalty terms."""
         x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != self._shape:
+            raise ConfigurationError(f"state of shape {x.shape} does not match {self.n} costs")
         if self._all_quadratic:
             return self.p1 * x**2 + self.p2 * x + self.p3
         if self._all_quartic:
@@ -248,6 +252,8 @@ class CostSet:
     def base_grad(self, x: np.ndarray) -> np.ndarray:
         """Per-agent base gradient, without the penalty terms."""
         x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != self._shape:
+            raise ConfigurationError(f"state of shape {x.shape} does not match {self.n} costs")
         if self._all_quadratic:
             return self._p1x2 * x + self.p2
         if self._all_quartic:
@@ -369,55 +375,6 @@ class CentralSolution:
 _MAX_EXPAND = 200
 _INNER_ITERS = 110
 _OUTER_ITERS = 320
-_TREE_ELEMENTS = 400
-
-
-def _coordinate_roots(cs: CostSet, nu, mode: str, lo_box, hi_box) -> np.ndarray:
-    """Solve f_i'(x_i) = nu per agent by bracketed bisection (vectorized).
-
-    ``nu`` is a scalar, giving an (n,) result, or a (K, 1) column, giving a
-    (K, n) result whose row k solves for nu[k] with the same arithmetic.
-    In "penalized" mode the gradient includes penalty terms; in "exact_box"
-    mode the base gradient is used and the result is clipped into the box.
-    Bisection tolerates the quartic's vanishing curvature at its target,
-    where Newton steps would stall.  A bisection step maps (lo, hi) to a
-    pair that depends only on that pair and nu, so the loop stops at the
-    first step that leaves every pair unchanged: the rest of the
-    ``_INNER_ITERS`` steps would change nothing.
-    """
-    grad = cs.grad if mode == "penalized" else cs.base_grad
-    center = np.where(cs.quartic, cs.p2, -cs.p2 / (2.0 * cs.p1))
-    lo = center - 1.0
-    hi = center + 1.0
-    span = 1.0
-    for _ in range(_MAX_EXPAND):
-        bad = grad(hi) < nu
-        if not bad.any():
-            break
-        span *= 2.0
-        hi = np.where(bad, center + span, hi)
-    else:
-        raise NumericError("bracket expansion failed on the upper side")
-    span = 1.0
-    for _ in range(_MAX_EXPAND):
-        bad = grad(lo) > nu
-        if not bad.any():
-            break
-        span *= 2.0
-        lo = np.where(bad, center - span, lo)
-    else:
-        raise NumericError("bracket expansion failed on the lower side")
-    for _ in range(_INNER_ITERS):
-        mid = 0.5 * (lo + hi)
-        below = grad(mid) < nu
-        if (np.where(below, lo, hi) == mid).all():
-            break
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    x = 0.5 * (lo + hi)
-    if mode == "exact_box":
-        x = np.clip(x, lo_box, hi_box)
-    return x
 
 
 def central_solve(
@@ -436,12 +393,19 @@ def central_solve(
     clipped aggregate meets ``total``.  Boxes default to each cost's penalty
     interval; agents without one are unbounded.
 
-    The result is the one-multiplier-at-a-time bisection's, bit for bit.  Each
-    call of the per-agent solver takes the midpoints of the next few levels
-    of the multiplier bisection at once, as rows of one (K, n) problem with
-    K * n near ``_TREE_ELEMENTS`` (K = 7 at n = 50, 1 at n >= 134), and the
-    bisection then walks that tree, visiting the same multipliers and
-    counting the same ``iterations``.
+    For each multiplier every agent solves f_i'(x_i) = nu by a bracket about
+    its unconstrained centre: doubled upwards, then downwards, then bisected
+    until a step leaves it unchanged or ``_INNER_ITERS`` steps are taken
+    (bisection tolerates the quartic's vanishing curvature at its target).
+    Each step compares one gradient with nu, so a multiplier between the
+    bracket ends nu_lo and nu_hi takes every branch on which their paths
+    agree: each agent resumes from the deepest state the two paths share.
+    Each later bracket lies inside every earlier one, so the correctly
+    rounded sums of the agents' lower and of their upper bracket ends bound
+    the aggregate, and a multiplier stops as soon as both sums give the same
+    decision.  Only the multiplier that ends the search runs every path to
+    its end.  The result is the plain one-multiplier-at-a-time bisection's,
+    ``iterations`` included, bit for bit.
 
     Raises InfeasibilityError when no multiplier can meet the total (only
     possible with hard boxes) and NumericError if the tolerance is not met.
@@ -460,8 +424,10 @@ def central_solve(
     if boxes is not None:
         if len(boxes) != n:
             raise ConfigurationError("boxes must match the number of costs")
-        lo_box = np.array([b[0] for b in boxes])
-        hi_box = np.array([b[1] for b in boxes])
+        lo_box = np.array([b[0] for b in boxes], dtype=float)
+        hi_box = np.array([b[1] for b in boxes], dtype=float)
+        if not np.all(lo_box <= hi_box):
+            raise ConfigurationError("each box needs lo <= hi")
     else:
         lo_box = np.where(cs.pen_kind > 0, cs.pen_lo, -np.inf)
         hi_box = np.where(cs.pen_kind > 0, cs.pen_hi, np.inf)
@@ -474,52 +440,124 @@ def central_solve(
             raise InfeasibilityError(
                 f"total {total} is above the box ceiling {float(hi_box.sum())}"
             )
+        grad = cs.base_grad
+        clip = lambda v: np.clip(v, lo_box, hi_box)  # noqa: E731
+    else:
+        grad, lo_box, hi_box = cs.grad, -np.inf, np.inf
+        clip = lambda v: v  # noqa: E731
 
-    def aggregate(nu: float) -> float:
-        x = _coordinate_roots(cs, nu, mode, lo_box, hi_box)
-        return math.fsum(x.tolist())
+    center = np.where(cs.quartic, cs.p2, -cs.p2 / (2.0 * cs.p1))
+    # An agent's state is a column: its phase (0 and 1 double the bracket
+    # upwards and downwards, 2 bisects it), its bracket, and its span while
+    # doubling or its step count while bisecting.
+    root = np.stack([np.zeros(n), center - 1.0, center + 1.0, np.ones(n)])
+    ceiling = 2.0**_MAX_EXPAND
 
-    # Bracket the multiplier, then bisect: aggregate(nu) is nondecreasing.
-    nu_lo, nu_hi = -1.0, 1.0
-    span = 1.0
+    def probe(state, nu, ends, outcome, final=None):
+        """Follow nu's paths from ``state`` until ``outcome`` of their sum is certain.
+
+        ``outcome`` is nondecreasing and ``ends`` = (a, b) with a <= nu <= b.
+        Returns the outcome, x when it is ``final`` (every path then runs to
+        its end), and per end the state at which nu's paths leave its paths.
+        """
+        cur = state.copy()
+        ph, lo, hi, t = cur
+        forks = [state.copy(), state.copy()]
+        shared = [np.ones(n, dtype=bool), np.ones(n, dtype=bool)]
+        x = None
+        # The doublings come first; bisecting agents wait.  A step asks
+        # whether g < nu, a downward doubling whether g > nu.
+        while ph.min() < 2:
+            up, dn, doubling = ph == 0, ph == 1, ph < 2
+            flip = np.where(dn, -1.0, 1.0)
+            g = flip * grad(np.where(dn, lo, hi))
+            go = doubling & (g < flip * nu)
+            for end, same, fork in zip(ends, shared, forks):
+                split = same & doubling & ((g < flip * end) != go)
+                np.copyto(fork, cur, where=split)
+                same ^= split
+            np.multiply(t, 2.0, out=t, where=go)
+            np.copyto(hi, center + t, where=go & up)
+            np.copyto(lo, center - t, where=go & dn)
+            if (up & (t == ceiling)).any():
+                raise NumericError("bracket expansion failed on the upper side")
+            stop = doubling & ~go
+            np.copyto(t, up, where=stop)
+            ph += stop
+            if ph.min() > 0 and ((ph == 1) & (t >= ceiling)).any():
+                raise NumericError("bracket expansion failed on the lower side")
+        # Every bracket lies inside the one before, so a numpy sum within its
+        # rounding bound ``err`` tells when the correctly rounded sums of the
+        # lower and upper ends may decide.
+        lb, ub = clip(lo), clip(hi)
+        err = 2.0**-50 * (n + 1) * float(np.maximum(np.abs(lb), np.abs(ub)).sum())
+        uncapped = _INNER_ITERS - t.max()
+        a, b = ends
+        while True:
+            if outcome(float(lb.sum()) + err) >= outcome(float(ub.sum()) - err):
+                decided = outcome(math.fsum(lb.tolist()))
+                if decided == outcome(math.fsum(ub.tolist())):
+                    if decided != final:
+                        break
+                    # A pair whose midpoint is an end is at its fixed point.
+                    mid = 0.5 * (lo + hi)
+                    if ((mid == lo) | (mid == hi) | (hi < lo_box) | (lo > hi_box)).all():
+                        x = clip(mid)
+                        break
+            mid = 0.5 * (lo + hi)
+            g = grad(mid)
+            go = g < nu
+            stay = ~go
+            for same, fork, split in zip(shared, forks, (go & (g >= a), stay & (g < b))):
+                split &= same
+                np.copyto(fork, cur, where=split)
+                same ^= split
+            np.copyto(lo, mid, where=go)
+            np.copyto(hi, mid, where=stay)
+            t += 1.0
+            uncapped -= 1
+            if uncapped <= 0:
+                mid = 0.5 * (lo + hi)
+                capped = t >= _INNER_ITERS
+                np.copyto(lo, mid, where=capped)
+                np.copyto(hi, mid, where=capped)
+            lb, ub = clip(lo), clip(hi)
+        for same, fork in zip(shared, forks):
+            np.copyto(fork, cur, where=same)
+        return decided, x, forks
+
+    # Bracket the multiplier, then bisect: the aggregate is nondecreasing in
+    # nu.  Each new multiplier lies between the two ends of its bracket.
+    nu_hi, floor, state = 1.0, -np.inf, root
     for _ in range(_MAX_EXPAND):
-        if aggregate(nu_hi) >= total:
+        reached, _, forks = probe(state, nu_hi, (floor, np.inf), lambda s: s >= total)
+        if reached:
             break
-        span *= 2.0
-        nu_hi = span
+        floor, state, nu_hi = nu_hi, forks[1], 2.0 * nu_hi
     else:
         raise InfeasibilityError("no multiplier reaches the requested total from below")
-    span = 1.0
+    nu_lo = -1.0
     for _ in range(_MAX_EXPAND):
-        if aggregate(nu_lo) <= total:
+        above, _, forks = probe(root, nu_lo, (-np.inf, nu_hi), lambda s: s > total)
+        if not above:
             break
-        span *= 2.0
-        nu_lo = -span
+        nu_lo *= 2.0
     else:
         raise InfeasibilityError("no multiplier reaches the requested total from above")
 
-    # Each oracle call evaluates the midpoints of the next `depth` bisection
-    # levels, in heap order (node k's children are 2k+1 and 2k+2); the walk
-    # then visits the nodes that the one-at-a-time bisection would.
-    depth = max(1, (_TREE_ELEMENTS // n + 1).bit_length() - 1)
-    nus: list[float] = []
-    k = 0
+    def side(s: float) -> int:
+        return 0 if abs(s - total) <= tol else (-1 if s < total else 1)
+
+    state = forks[1]
     for iterations in range(1, _OUTER_ITERS + 1):
-        if k >= len(nus):
-            ends, nus, k = [(nu_lo, nu_hi)], [], 0
-            while len(nus) < 2**depth - 1:
-                a, b = ends[len(nus)]
-                nus.append(0.5 * (a + b))
-                ends += [(a, nus[-1]), (nus[-1], b)]
-            xs = _coordinate_roots(cs, np.array(nus)[:, None], mode, lo_box, hi_box)
-        nu, x = nus[k], xs[k]
-        s = math.fsum(x.tolist())
-        if abs(s - total) <= tol:
+        nu = 0.5 * (nu_lo + nu_hi)
+        sign, x, forks = probe(state, nu, (nu_lo, nu_hi), side, final=0)
+        if sign == 0:
             break
-        if s < total:
-            nu_lo, k = nu, 2 * k + 2
+        if sign < 0:
+            nu_lo, state = nu, forks[1]
         else:
-            nu_hi, k = nu, 2 * k + 1
+            nu_hi, state = nu, forks[0]
     else:
         raise NumericError(
             f"multiplier bisection did not reach |sum - total| <= {tol}"
@@ -530,7 +568,6 @@ def central_solve(
         value = cs.total_value(x)
     else:
         value = math.fsum(cs.base_value(x).tolist())
-    x = x.copy()
     x.flags.writeable = False
     return CentralSolution(
         x=x, multiplier=float(nu), value=float(value), mode=mode, gap=float(gap), iterations=iterations

@@ -18,7 +18,7 @@ from dra_sim import (
     smoothness_bound,
 )
 from dra_sim.objective import CostSet
-from dra_sim.scenario import build_instance, preset
+from dra_sim.scenario import ScenarioConfig, _build_costs, build_instance, preset
 
 
 def central_diff(c, x, h):
@@ -233,12 +233,17 @@ class TestCentralSolve:
         with pytest.raises(Exception):
             central_solve(costs, 100.0, boxes=[(0.0, 1.0), (0.0, 1.0)], mode="exact_box")
 
-    def test_gradient_calls_per_solve(self, monkeypatch):
-        # A count, not a time: one solve on the fig_dyn costs made 4,400
-        # CostSet.grad calls when every bisection took all of its steps and
-        # each call evaluated one multiplier.
-        cfg = preset("fig_dyn")
-        costs = build_instance(cfg)[1]
+    def test_malformed_box_rejected(self):
+        # An inverted box would put the agent outside its own box.
+        with pytest.raises(ConfigurationError, match="lo <= hi"):
+            central_solve([quadratic_cost(1.0)] * 2, 3.0, boxes=[(1.0, 0.0), (0.0, 5.0)], mode="exact_box")
+
+    def test_nan_box_rejected(self):
+        with pytest.raises(ConfigurationError, match="lo <= hi"):
+            central_solve([quadratic_cost(1.0)] * 2, 3.0, boxes=[(math.nan, 1.0), (0.0, 5.0)], mode="exact_box")
+
+    @staticmethod
+    def grad_calls(monkeypatch, costs, total):
         calls = 0
         grad = CostSet.grad
 
@@ -248,8 +253,23 @@ class TestCentralSolve:
             return grad(self, x)
 
         monkeypatch.setattr(CostSet, "grad", counted)
-        central_solve(costs, cfg.total, tol=1e-9, mode="penalized")
-        assert 0 < calls < 4400 // 2
+        central_solve(costs, total, tol=1e-9, mode="penalized")
+        return calls
+
+    def test_gradient_calls_per_solve(self, monkeypatch):
+        # A count, not a time: one solve on the fig_dyn costs made 850
+        # CostSet.grad calls when every multiplier's bisection started
+        # afresh and ran to its fixed point.
+        cfg = preset("fig_dyn")
+        assert 0 < self.grad_calls(monkeypatch, build_instance(cfg)[1], cfg.total) < 850 // 3
+
+    def test_gradient_calls_per_solve_at_scale(self, monkeypatch):
+        # The benchmark's n = 3000 instance (quartic costs, box penalty
+        # [1, 10], total 4n) made 2,678 calls with one multiplier per call.
+        n = 3000
+        cfg = ScenarioConfig(n=n, total=4.0 * n, costs_kind="quartic", costs_penalty="box",
+                             costs_box_lo=1.0, costs_box_hi=10.0)
+        assert 0 < self.grad_calls(monkeypatch, _build_costs(cfg), cfg.total) < 2678 // 5
 
     def test_quartic_instances(self):
         costs = [quartic_cost(0.01, 1.0), quartic_cost(0.02, 2.0), quartic_cost(0.05, -1.0)]
@@ -274,9 +294,15 @@ class TestAggregateCost:
 
     def test_dimension_mismatch_rejected(self):
         # A state meets its costs in the run's initial state, which checks
-        # the length once; CostSet itself broadcasts.
+        # the length once.
         with pytest.raises(ConfigurationError, match="must match the cost count"):
             init_delayed_state(np.array([1.0, 2.0]), 0, [quadratic_cost(1.0)], identity_map())
+
+    def test_cost_set_rejects_a_state_of_another_length(self):
+        cs = CostSet([quadratic_cost(1.0)])
+        for evaluate in (cs.base_value, cs.value_per_agent, cs.total_value, cs.base_grad, cs.grad):
+            with pytest.raises(ConfigurationError, match="does not match 1 costs"):
+                evaluate(np.array([1.0, 2.0]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_sum_past_the_double_range_is_infinite(self):

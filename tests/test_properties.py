@@ -10,7 +10,7 @@ The examples are derandomized (see conftest.py).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -47,6 +47,7 @@ from dra_sim import (
     step_delayed,
     trace_to_csv,
 )
+from dra_sim.scenario import PRESET_NAMES, build_instance, preset
 
 SHIPPED_MAPS = [
     identity_map(),
@@ -434,10 +435,7 @@ def oracle_problems(draw):
     return costs, draw(st.floats(-50.0, 50.0)), boxes, mode
 
 
-@given(oracle_problems())
-@settings(max_examples=40)
-def test_oracle_matches_plain_bisection(problem):
-    costs, total, boxes, mode = problem
+def assert_matches_reference(costs, total, boxes, mode):
     try:
         want = reference_solve(costs, total, boxes, mode)
     except (InfeasibilityError, NumericError) as exc:
@@ -448,6 +446,51 @@ def test_oracle_matches_plain_bisection(problem):
     x, nu, value, gap, iterations = want
     assert np.asarray(sol.x).tobytes() == x.tobytes()
     assert (sol.multiplier, sol.value, sol.gap, sol.iterations) == (nu, value, gap, iterations)
+
+
+# The root of 2x = 0 at nu = 0 is 0 itself, which halving [-1, 1] only
+# nears: the bisection takes all of its _INNER_ITERS steps.
+CAPPED = ([quadratic_cost(1.0)], 0.0, None, "penalized")
+
+
+@given(oracle_problems())
+@example(problem=CAPPED)
+# Between nu_lo = -1 and nu_hi = 1 the flat agent's upward doubling
+# stops at once for one end and goes on for the other.
+@example(problem=([quadratic_cost(0.25), quadratic_cost(4.0)], 1.0, None, "penalized"))
+# Agent 2's root, near 2.5, lies far above its box [-3, -2]: the clip
+# fixes its value long before its bisection ends.
+@example(problem=(
+    [quadratic_cost(1.0), quadratic_cost(1.0, -2.0), quadratic_cost(0.5, 1.0)],
+    2.5,
+    [(1.0, 2.0), (0.0, 5.0), (-3.0, -2.0)],
+    "exact_box",
+))
+@settings(max_examples=40)
+def test_oracle_matches_plain_bisection(problem):
+    assert_matches_reference(*problem)
+
+
+def test_capped_example_takes_every_inner_step():
+    # At the final multiplier no step of the plain bisection from (-1, 1)
+    # leaves the pair unchanged, so x is the midpoint after all 110 steps.
+    costs, total, _, _ = CAPPED
+    sol = central_solve(costs, total)
+    grad = CostSet(costs).grad
+    lo, hi = -1.0, 1.0
+    for _ in range(110):
+        mid = 0.5 * (lo + hi)
+        below = grad(np.array([mid]))[0] < sol.multiplier
+        assert (lo if below else hi) != mid
+        lo, hi = (mid, hi) if below else (lo, mid)
+    assert sol.x.tolist() == [0.5 * (lo + hi)]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_oracle_matches_plain_bisection_on_presets(name):
+    for seed in (1, 2, 3):
+        costs = build_instance(replace(preset(name), seed=seed))[1]
+        assert_matches_reference(costs, preset(name).total, None, "penalized")
 
 
 @given(
