@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, InfeasibilityError
 from .graph import WeightedGraph
 from .mappings import ClampCounter, SectorMap, apply_map_array
-from .objective import CostSet
+from .objective import CostSet, _box_bounds
 
 __all__ = [
     "DelayedNetworkState",
@@ -506,12 +506,7 @@ def feasible_init(
             x[-1] = total - math.fsum(x[:-1].tolist())
         return x
 
-    if len(boxes) != n:
-        raise ConfigurationError("boxes must have one (lo, hi) pair per coordinate")
-    lo = np.array([b[0] for b in boxes], dtype=float)
-    hi = np.array([b[1] for b in boxes], dtype=float)
-    if np.any(lo > hi):
-        raise ConfigurationError("each box needs lo <= hi")
+    lo, hi = _box_bounds(boxes, n)
     if not (lo.sum() <= total <= hi.sum()):
         raise InfeasibilityError(
             f"total {total} outside [{lo.sum()}, {hi.sum()}], no feasible point in the boxes"

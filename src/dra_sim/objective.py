@@ -372,6 +372,21 @@ class CentralSolution:
     iterations: int
 
 
+def _box_bounds(boxes: list[tuple[float, float]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper ends of ``n`` (lo, hi) boxes, as two arrays.
+
+    Raises ConfigurationError unless there is one box per coordinate and
+    each has lo <= hi, which a NaN end fails too.
+    """
+    if len(boxes) != n:
+        raise ConfigurationError(f"boxes must have one (lo, hi) pair per coordinate: {len(boxes)} for {n}")
+    lo = np.array([b[0] for b in boxes], dtype=float)
+    hi = np.array([b[1] for b in boxes], dtype=float)
+    if not np.all(lo <= hi):
+        raise ConfigurationError("each box needs lo <= hi")
+    return lo, hi
+
+
 _MAX_EXPAND = 200
 _INNER_ITERS = 110
 _OUTER_ITERS = 320
@@ -391,7 +406,8 @@ def central_solve(
     mode "exact_box" enforces hard boxes by KKT clamping: coordinates solve
     the base gradient equation and are clipped, and nu is driven until the
     clipped aggregate meets ``total``.  Boxes default to each cost's penalty
-    interval; agents without one are unbounded.
+    interval; agents without one are unbounded.  ``boxes`` are refused in
+    mode "penalized", which honours only the costs' own penalties.
 
     For each multiplier every agent solves f_i'(x_i) = nu by a bracket about
     its unconstrained centre: doubled upwards, then downwards, then bisected
@@ -422,12 +438,9 @@ def central_solve(
     cs = CostSet(costs)
     n = cs.n
     if boxes is not None:
-        if len(boxes) != n:
-            raise ConfigurationError("boxes must match the number of costs")
-        lo_box = np.array([b[0] for b in boxes], dtype=float)
-        hi_box = np.array([b[1] for b in boxes], dtype=float)
-        if not np.all(lo_box <= hi_box):
-            raise ConfigurationError("each box needs lo <= hi")
+        if mode != "exact_box":
+            raise ConfigurationError(f"boxes apply in mode 'exact_box' only, not {mode!r}")
+        lo_box, hi_box = _box_bounds(boxes, n)
     else:
         lo_box = np.where(cs.pen_kind > 0, cs.pen_lo, -np.inf)
         hi_box = np.where(cs.pen_kind > 0, cs.pen_hi, np.inf)

@@ -102,7 +102,7 @@ class ScenarioConfig:
     total: float = _key("b", 200.0, "finite", math.isfinite)
     eta: float = _key("eta", 0.1, "> 0", _positive)
     horizon: int = _key("horizon", 3000, ">= 1", lambda v: v >= 1)
-    seed: int = _key("seed", 1)
+    seed: int = _key("seed", 1, "in [0, 2**32)", lambda v: 0 <= v < 2**32)
     record_stride: int = _key("record_stride", 1, ">= 1", lambda v: v >= 1)
     early_stop_spread: float = _key("early_stop", 1e-8, ">= 0", lambda v: v >= 0)
     window: int = _key("window", 0, ">= 0", lambda v: v >= 0)
@@ -181,7 +181,7 @@ class ScenarioConfig:
     p_fail: float = _key("adversity.p_fail", 0.0, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
     tau_bar: int = _key("adversity.tau_bar", 0, ">= 0", lambda v: v >= 0)
     delay_mode: str = _key("adversity.delay_mode", "uniform", *_one_of("uniform", "fixed", "per_link"))
-    adversity_seed: int = _key("adversity.seed", -1, "-1 derives from seed", lambda v: v >= -1)
+    adversity_seed: int = _key("adversity.seed", -1, "-1 or in [0, 2**32)", lambda v: v == -1 or 0 <= v < 2**32)
 
     init_mode: str = _key("init.mode", "equal", *_one_of("equal", "random_simplex"))
     init_respect_boxes: bool = _key(
@@ -247,13 +247,15 @@ def _parse_bool(raw: str) -> bool:
     return value
 
 
-# Keyed by field annotation; a type missing from _RENDERERS renders with str.
+# Keyed by field annotation, of a config or a run summary; a type missing
+# from _RENDERERS renders with str.
 _PARSERS = {
     int: int, float: float, str: str, bool: _parse_bool,
     tuple[float, ...]: lambda raw: tuple(float(part) for part in raw.split(",")) if raw else (),
 }
 _RENDERERS = {
     float: lambda v: repr(float(v)),
+    float | None: lambda v: "none" if v is None else repr(float(v)),
     bool: lambda v: "true" if v else "false",
     tuple[float, ...]: lambda vs: ", ".join(repr(float(v)) for v in vs),
 }
@@ -301,6 +303,11 @@ def parse_config(text: str) -> ScenarioConfig:
         if key in values:
             raise ConfigurationError(f"{where}: duplicate key {key!r}")
         values[key] = _parse_value(key, raw, where)
+    return _config_from(values)
+
+
+def _config_from(values: dict[str, object]) -> ScenarioConfig:
+    """The config with the given ``section.key`` values and defaults elsewhere."""
     return ScenarioConfig(**{CONFIG_KEYS[k].attr: v for k, v in values.items()})
 
 
@@ -323,149 +330,50 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 _W50 = (0.02, 0.04)
 _W10 = (0.3, 0.6)
 
-
-def _preset_fig_dyn() -> ScenarioConfig:
-    return ScenarioConfig(
-        n=50,
-        total=200.0,
-        eta=0.1,
-        horizon=3000,
-        seed=11,
-        window=99,
-        topology_kind="cycle",
-        topology_cycle_ps=(0.2, 0.1, 0.05, 0.01),
-        topology_switch_period=25,
-        topology_weight_lo=_W50[0],
-        topology_weight_hi=_W50[1],
-        costs_kind="quartic",
-        costs_penalty="box",
-        costs_box_lo=1.0,
-        costs_box_hi=10.0,
-        costs_penalty_weight=20.0,
-        node_kind="log_quantizer",
-        node_rho=0.0009765625,
-        link_kind="log_quantizer",
-        link_rho=0.125,
-    )
-
-
-def _preset_fig_dyn_logpenalty() -> ScenarioConfig:
-    return replace(
-        _preset_fig_dyn(),
-        costs_penalty="smooth_log",
-        costs_penalty_sharpness=5.0,
-    )
-
-
-def _preset_fig_fail() -> ScenarioConfig:
-    return ScenarioConfig(
-        n=50,
-        total=200.0,
-        eta=0.2,
-        horizon=5000,
-        seed=6,
-        window=4,
-        topology_kind="er",
-        topology_p=0.2,
-        topology_weight_lo=_W50[0],
-        topology_weight_hi=_W50[1],
-        costs_kind="quartic",
-        costs_penalty="box",
-        costs_box_lo=1.0,
-        costs_box_hi=10.0,
-        node_kind="identity",
-        link_kind="identity",
-        p_fail=0.5,
-    )
-
-
-def _preset_fig_delay() -> ScenarioConfig:
-    return ScenarioConfig(
-        n=50,
-        total=200.0,
-        eta=0.5,
-        horizon=5000,
-        seed=6,
-        window=0,
-        topology_kind="er",
-        topology_p=0.2,
-        topology_weight_lo=_W50[0],
-        topology_weight_hi=_W50[1],
-        costs_kind="quartic",
-        costs_penalty="box",
-        costs_box_lo=1.0,
-        costs_box_hi=10.0,
-        node_kind="identity",
-        link_kind="log_quantizer",
-        link_rho=0.125,
-        tau_bar=2,
-        delay_mode="uniform",
-    )
-
-
-def _preset_dispatch() -> ScenarioConfig:
-    return ScenarioConfig(
-        n=10,
-        total=600.0,
-        eta=0.05,
-        horizon=3000,
-        seed=2,
-        window=0,
-        topology_kind="er",
-        topology_p=0.2,
-        topology_weight_lo=_W10[0],
-        topology_weight_hi=_W10[1],
-        costs_kind="quadratic",
-        costs_a_lo=0.2,
-        costs_a_hi=0.8,
-        costs_b_lo=2.0,
-        costs_b_hi=6.0,
-        costs_penalty="box",
-        costs_box_lo=20.0,
-        costs_box_hi=110.0,
-        costs_penalty_weight=40.0,
-        node_kind="identity",
-        link_kind="identity",
-    )
-
-
-def _preset_dispatch_uniform() -> ScenarioConfig:
-    return replace(
-        _preset_dispatch(),
-        costs_a_lo=0.4,
-        costs_a_hi=0.4,
-        costs_b_lo=4.0,
-        costs_b_hi=4.0,
-        init_mode="random_simplex",
-        init_respect_boxes=True,
-    )
-
-
-def _preset_dispatch_adversity() -> ScenarioConfig:
+# Each preset is the `section.key` values on which it differs from the
+# ScenarioConfig defaults; tests/test_scenario.py keeps restated defaults out.
+_FIG_DYN = {
+    "seed": 11, "window": 99,
+    "topology.kind": "cycle", "topology.cycle_ps": (0.2, 0.1, 0.05, 0.01),
+    "topology.weight_lo": _W50[0], "topology.weight_hi": _W50[1],
+    "maps.node.kind": "log_quantizer", "maps.link.kind": "log_quantizer",
+}
+_DISPATCH = {
+    "n": 10, "b": 600.0, "eta": 0.05, "seed": 2,
+    "topology.weight_lo": _W10[0], "topology.weight_hi": _W10[1],
+    "costs.kind": "quadratic", "costs.penalty_weight": 40.0,
+    "costs.a_lo": 0.2, "costs.a_hi": 0.8,
+    "costs.b_lo": 2.0, "costs.b_hi": 6.0,
+    "costs.box_lo": 20.0, "costs.box_hi": 110.0,
+}
+_PRESETS: dict[str, dict[str, object]] = {
+    "fig_dyn": _FIG_DYN,
+    "fig_dyn_logpenalty": _FIG_DYN | {"costs.penalty": "smooth_log"},
+    "fig_fail": {
+        "eta": 0.2, "horizon": 5000, "seed": 6, "window": 4,
+        "topology.weight_lo": _W50[0], "topology.weight_hi": _W50[1],
+        "adversity.p_fail": 0.5,
+    },
+    "fig_delay": {
+        "eta": 0.5, "horizon": 5000, "seed": 6,
+        "topology.weight_lo": _W50[0], "topology.weight_hi": _W50[1],
+        "maps.link.kind": "log_quantizer",
+        "adversity.tau_bar": 2,
+    },
+    "dispatch": _DISPATCH,
+    "dispatch_uniform": _DISPATCH | {
+        "costs.a_lo": 0.4, "costs.a_hi": 0.4,
+        "costs.b_lo": 4.0, "costs.b_hi": 4.0,
+        "init.mode": "random_simplex", "init.respect_boxes": True,
+    },
     # Generator gradients sit near 60, so the link lattice has to be a few
     # tenths of a percent fine or quantization freezes the flows early.
-    return replace(
-        _preset_dispatch(),
-        horizon=5000,
-        p_fail=0.5,
-        tau_bar=3,
-        node_kind="sign_power",
-        node_nu=0.5,
-        node_d_min=1e-6,
-        node_d_max=1e3,
-        link_kind="log_quantizer",
-        link_rho=0.00390625,
-    )
-
-
-_PRESETS = {
-    "fig_dyn": _preset_fig_dyn,
-    "fig_dyn_logpenalty": _preset_fig_dyn_logpenalty,
-    "fig_fail": _preset_fig_fail,
-    "fig_delay": _preset_fig_delay,
-    "dispatch": _preset_dispatch,
-    "dispatch_uniform": _preset_dispatch_uniform,
-    "dispatch_adversity": _preset_dispatch_adversity,
+    "dispatch_adversity": _DISPATCH | {
+        "horizon": 5000,
+        "maps.node.kind": "sign_power",
+        "maps.link.kind": "log_quantizer", "maps.link.rho": 0.00390625,
+        "adversity.p_fail": 0.5, "adversity.tau_bar": 3,
+    },
 }
 
 PRESET_NAMES = tuple(_PRESETS)
@@ -483,12 +391,12 @@ PRESET_SWEEPS: dict[str, dict[str, tuple]] = {
 
 def preset(name: str) -> ScenarioConfig:
     """A ready-to-run named scenario; see ``PRESET_NAMES`` for the catalog."""
-    builder = _PRESETS.get(name)
-    if builder is None:
+    values = _PRESETS.get(name)
+    if values is None:
         raise ConfigurationError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         )
-    return builder()
+    return _config_from(values)
 
 
 # --------------------------------------------------------------------------
@@ -519,7 +427,7 @@ class RunSummary:
     """Aggregate outcome of one run; divergence is recorded, not raised."""
 
     n: int
-    total: float
+    total: float = field(metadata={"key": "b"})  # rendered under its config key
     eta: float
     horizon: int
     executed_steps: int
@@ -537,6 +445,9 @@ class RunSummary:
     eta_bound_ratio: float | None
     oracle_value: float
     oracle_multiplier: float
+
+
+_SUMMARY_TYPES = get_type_hints(RunSummary)
 
 
 @dataclass(frozen=True)
@@ -839,11 +750,6 @@ def run(cfg: ScenarioConfig) -> RunResult:
 _TRACE_HEADER = "k,residual,feasibility_gap,dispersion,state_min,state_max,state_mean,active_links"
 
 
-def _fmt(v: float) -> str:
-    # repr of a builtin float is the shortest string that round-trips.
-    return repr(float(v))
-
-
 def trace_to_csv(trace: list[TraceRecord]) -> str:
     """Render a trace with shortest-round-trip decimal floats."""
     lines = [_TRACE_HEADER]
@@ -858,32 +764,12 @@ def trace_to_csv(trace: list[TraceRecord]) -> str:
 
 
 def summary_to_text(summary: RunSummary) -> str:
-    """Flat key=value rendering of a run summary."""
-    pairs = [
-        ("n", summary.n),
-        ("b", _fmt(summary.total)),
-        ("eta", _fmt(summary.eta)),
-        ("horizon", summary.horizon),
-        ("executed_steps", summary.executed_steps),
-        ("initial_residual", _fmt(summary.initial_residual)),
-        ("final_residual", _fmt(summary.final_residual)),
-        ("final_spread", _fmt(summary.final_spread)),
-        ("steps_to_threshold", summary.steps_to_threshold),
-        ("max_feasibility_gap", _fmt(summary.max_feasibility_gap)),
-        ("fraction_decreasing_windows", _fmt(summary.fraction_decreasing_windows)),
-        ("node_clamp_events", summary.node_clamp_events),
-        ("link_clamp_events", summary.link_clamp_events),
-        ("early_stopped", str(summary.early_stopped).lower()),
-        ("diverged", str(summary.diverged).lower()),
-        ("diverged_step", summary.diverged_step),
-        (
-            "eta_bound_ratio",
-            "none" if summary.eta_bound_ratio is None else _fmt(summary.eta_bound_ratio),
-        ),
-        ("oracle_value", _fmt(summary.oracle_value)),
-        ("oracle_multiplier", _fmt(summary.oracle_multiplier)),
-    ]
-    return "\n".join(f"{k}={v}" for k, v in pairs) + "\n"
+    """Flat key=value rendering of a run summary, one line per field in order."""
+    lines = []
+    for f in fields(RunSummary):
+        render = _RENDERERS.get(_SUMMARY_TYPES[f.name], str)
+        lines.append(f"{f.metadata.get('key', f.name)}={render(getattr(summary, f.name))}")
+    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------

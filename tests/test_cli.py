@@ -149,6 +149,14 @@ class TestRunCommand:
         assert main(["not-a-command"]) == 1
         capsys.readouterr()
 
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys):
+        cfg = write_small_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--set", "seed=-7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "seed must be in [0, 2**32), got -7" in captured.err
+
     def test_divergence_exits_two(self, capsys):
         code = main(["run", "--preset", "fig_delay", "--set", "eta=2.0",
                      "--set", "adversity.tau_bar=4"])

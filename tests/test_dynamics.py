@@ -571,6 +571,16 @@ class TestFeasibleInit:
         with pytest.raises(InfeasibilityError):
             feasible_init(3, 100.0, boxes=[(1.0, 2.0)] * 3)
 
+    def test_malformed_boxes_rejected_as_central_solve_does(self):
+        # A NaN end fails lo <= hi, as in central_solve, instead of reaching
+        # the feasibility check as a bound of nan.
+        with pytest.raises(ConfigurationError, match="lo <= hi"):
+            feasible_init(3, 6.0, boxes=[(math.nan, 5.0)] * 3)
+        with pytest.raises(ConfigurationError, match="lo <= hi"):
+            feasible_init(3, 6.0, boxes=[(3.0, 1.0)] * 3)
+        with pytest.raises(ConfigurationError, match="one \\(lo, hi\\) pair per coordinate"):
+            feasible_init(3, 6.0, boxes=[(1.0, 5.0)] * 2)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             feasible_init(3, 1.0, mode="fibonacci")

@@ -242,6 +242,12 @@ class TestCentralSolve:
         with pytest.raises(ConfigurationError, match="lo <= hi"):
             central_solve([quadratic_cost(1.0)] * 2, 3.0, boxes=[(math.nan, 1.0), (0.0, 5.0)], mode="exact_box")
 
+    def test_boxes_refused_outside_exact_box_mode(self):
+        # Penalized mode honours only the costs' penalties; it would return
+        # x = [1.5, 1.5], outside both boxes.
+        with pytest.raises(ConfigurationError, match="exact_box"):
+            central_solve([quadratic_cost(1.0)] * 2, 3.0, boxes=[(0.0, 1.0), (0.0, 1.0)], mode="penalized")
+
     @staticmethod
     def grad_calls(monkeypatch, costs, total):
         calls = 0

@@ -12,6 +12,8 @@ to the step kernel, the cost evaluation, or the failure or delay draws that
 moves one bit of one output fails here.  The standard output of the
 README's ``dra-sim percolation`` example, Monte Carlo estimate included, is
 pinned too (its successes per window are pinned in test_percolation.py).
+The configs of the presets are pinned by the SHA-256 of their serialized
+text, so a changed default that no pinned run reads still fails here.
 """
 
 import hashlib
@@ -20,7 +22,17 @@ from dataclasses import replace
 import pytest
 
 from dra_sim.cli import main
-from dra_sim.scenario import preset, run, summary_to_text, trace_to_csv
+from dra_sim.scenario import preset, run, serialize_config, summary_to_text, trace_to_csv
+
+PRESET_CONFIGS = {
+    "fig_dyn": "829fd957f0d744859a4cbf3d7c1a259acee52aee99e627a4514f2f69e1f7cab4",
+    "fig_dyn_logpenalty": "e45ce12460980d74936e07515dde5fae343f41e269c1aee5a46f67864fc98098",
+    "fig_fail": "3216f01f34fecad06763f3a3aaf2b5bac168c304903a91307f0b25d2fa308c8d",
+    "fig_delay": "66fbae96596bd84e3c8d9e814a0c26c83379c3c423fd19b9f41539ecf0cb9cf8",
+    "dispatch": "581c4ad46fee341979ebf5d5bc02fd7db8c898efa051daddd267a90cc0ae752a",
+    "dispatch_uniform": "126be53421a445db0c3bd2e14040f1a1ef6e5d875461eaa220d84206948035ee",
+    "dispatch_adversity": "936c4e515f6b4b7f34e952d413a0e0f44bf5abf62f13c25540aa55e58934f653",
+}
 
 PRESETS = {
     "fig_dyn": (
@@ -114,6 +126,11 @@ def digests(cfg) -> tuple[str, str, str]:
         hashlib.sha256(summary_to_text(result.summary).encode()).hexdigest(),
         hashlib.sha256(result.final_state.tobytes()).hexdigest(),
     )
+
+
+@pytest.mark.parametrize("name", list(PRESET_CONFIGS))
+def test_preset_configs_are_pinned(name):
+    assert hashlib.sha256(serialize_config(preset(name)).encode()).hexdigest() == PRESET_CONFIGS[name]
 
 
 @pytest.mark.parametrize("name", list(PRESETS))

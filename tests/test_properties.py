@@ -429,7 +429,7 @@ def oracle_problems(draw):
     costs = draw(cost_lists(300))
     mode = draw(st.sampled_from(("penalized", "exact_box")))
     boxes = None
-    if draw(st.booleans()):
+    if mode == "exact_box" and draw(st.booleans()):  # penalized mode refuses boxes
         lo = [draw(st.floats(-5.0, 4.0)) for _ in costs]
         boxes = [(a, a + draw(st.floats(0.5, 10.0))) for a in lo]
     return costs, draw(st.floats(-50.0, 50.0)), boxes, mode

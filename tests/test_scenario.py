@@ -34,7 +34,7 @@ from dra_sim import (
     trace_to_csv,
 )
 from dra_sim.objective import CostSet
-from dra_sim.scenario import CONFIG_KEYS, apply_key, config_items
+from dra_sim.scenario import _PRESETS, CONFIG_KEYS, apply_key, config_items, parse_config
 
 
 def small_static_config(**over):
@@ -49,6 +49,7 @@ def small_static_config(**over):
 # One out-of-range value for every config key that has a rule.
 OUT_OF_RANGE = {
     "n": 1,
+    "seed": 2**32,
     "b": math.inf,
     "eta": 0.0,
     "horizon": 0,
@@ -168,6 +169,24 @@ class TestScenarioConfig:
         with pytest.raises(ConfigurationError, match="adversity.p_fail"):
             apply_key(preset("fig_dyn"), "adversity.p_fail", 1.5)
 
+    @pytest.mark.parametrize("key, bad", [
+        ("seed", -7), ("seed", 2**32), ("seed", 6 + 2**32),
+        ("adversity.seed", -2), ("adversity.seed", 2**32),
+    ])
+    def test_seeds_outside_32_bits_rejected(self, key, bad):
+        # Seeds keep only their low 32 bits, so a wider one would alias a
+        # narrower one: 6 + 2**32 would replay seed 6, and -1 seed 2**32 - 1.
+        with pytest.raises(ConfigurationError, match=rf"^{re.escape(key)} must be .*2\*\*32"):
+            apply_key(preset("fig_delay"), key, bad)
+        with pytest.raises(ConfigurationError, match=rf"^line 1: {re.escape(key)} must be "):
+            parse_config(f"{key} = {bad}\n")
+
+    def test_seed_range_ends_accepted(self):
+        cfg = apply_key(preset("fig_delay"), "seed", 2**32 - 1)
+        assert apply_key(cfg, "adversity.seed", 0).adversity_seed == 0
+        assert apply_key(cfg, "adversity.seed", -1).adversity_seed == -1
+        assert apply_key(cfg, "seed", 0).seed == 0
+
     def test_config_items_cover_every_field(self):
         cfg = preset("dispatch_adversity")
         keys = {k for k, _ in config_items(cfg)}
@@ -189,6 +208,13 @@ class TestPresets:
         }
         with pytest.raises(ConfigurationError, match="fig_dyn"):
             preset("fig_unknown")
+
+    def test_table_states_only_differences_from_defaults(self):
+        defaults = ScenarioConfig()
+        for name, values in _PRESETS.items():
+            for key, value in values.items():
+                assert key in CONFIG_KEYS, (name, key)
+                assert value != getattr(defaults, CONFIG_KEYS[key].attr), (name, key)
 
     def test_fig_dyn_parameters(self):
         cfg = preset("fig_dyn")
