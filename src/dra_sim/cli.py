@@ -72,13 +72,15 @@ def _load_config(args) -> ScenarioConfig:
     return _apply_sets(cfg, args.set or [])
 
 
-def _write_text(path: str, text: str, force: bool) -> None:
+def _write_text(path: str | Path, text: str, force: bool) -> None:
     target = Path(path)
     if target.exists() and not force:
         raise ConfigurationError(f"{target} exists; pass --force to overwrite")
-    if target.parent and not target.parent.exists():
+    try:
         target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(text)
+        target.write_text(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {str(target)!r}: {exc.strerror}") from None
 
 
 # --------------------------------------------------------------------------
@@ -129,8 +131,8 @@ def _sweep_worker(job: tuple[int, ScenarioConfig, str, str]) -> tuple[int, bool,
     index, cfg, trace_path, summary_path = job
     try:
         result = run(cfg)
-        Path(trace_path).write_text(trace_to_csv(result.trace))
-        Path(summary_path).write_text(summary_to_text(result.summary))
+        _write_text(trace_path, trace_to_csv(result.trace), force=True)
+        _write_text(summary_path, summary_to_text(result.summary), force=True)
         return index, result.summary.diverged, "", ""
     except NumericError as exc:
         return index, False, "numeric", str(exc)
@@ -171,9 +173,12 @@ def _cmd_sweep(args) -> int:
         raise ConfigurationError("nothing to sweep: pass --sweep key=v1,v2 or a preset with a grid")
 
     out_dir = Path(args.out_dir)
-    if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
+    if out_dir.is_dir() and any(out_dir.iterdir()) and not args.force:
         raise ConfigurationError(f"{out_dir} is not empty; pass --force to reuse it")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {str(out_dir)!r}: {exc.strerror}") from None
 
     keys = [k for k, _ in grids]
     jobs = []
@@ -209,7 +214,7 @@ def _cmd_sweep(args) -> int:
         err = f"{kind}: {msg}" if kind else ""
         lines.append(f'{index:03d},"{labels[index]}",{str(diverged).lower()},"{err}"')
         sys.stdout.write(f"job {index:03d} [{labels[index]}] " + (err or ("diverged" if diverged else "ok")) + "\n")
-    (out_dir / "sweep_summary.csv").write_text("\n".join(lines) + "\n")
+    _write_text(out_dir / "sweep_summary.csv", "\n".join(lines) + "\n", force=True)
     if any_numeric:
         return EXIT_NUMERIC
     if any_config:

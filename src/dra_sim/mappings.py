@@ -152,15 +152,15 @@ def apply_map_array(
 
     lo, hi = m.abs_domain
     a = np.abs(z)
-    if counter is not None:
-        nonzero = a > 0.0
-        outside = nonzero & ((a < lo) | (a > hi))
-        counter.events += int(np.count_nonzero(outside))
     if m.kind == "saturation":
+        if counter is not None:  # the domain starts at 0, so only |z| > d_max is outside
+            counter.events += int(np.count_nonzero(a > hi))
         return np.sign(z) * np.minimum(np.minimum(a, hi), m.cap)
     # sign_power: clamp into [d_min, d_max], zeros stay zero via sign().  On
     # finite inputs this is np.clip's result, without its Python wrappers.
     clamped = np.minimum(np.maximum(a, lo), hi)
+    if counter is not None:  # the clamp moves every |z| outside the domain, and every zero (d_min > 0)
+        counter.events += int(np.count_nonzero(clamped != a)) - (z.size - int(np.count_nonzero(z)))
     return np.sign(z) * clamped**m.exponent
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -404,9 +404,8 @@ def preset(name: str) -> ScenarioConfig:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One sampled step of a run.
+class TraceRecord(NamedTuple):
+    """One sampled step of a run, as Python numbers.
 
     ``active_links`` counts the links up during the update leaving this
     step; the terminal record repeats the count of the last update taken.
@@ -469,7 +468,7 @@ _TAG_FAIL = 4
 _TAG_DELAY = 5
 # Most uniforms in one block of failure draws: 256 KiB, whatever the link count.
 _FAIL_BLOCK = 1 << 15
-# Most trace records, and state elements, whose statistics are computed as one block.
+# Most held steps, and state elements, whose objective, gap and statistics are computed as one block.
 _RECORD_ROWS, _RECORD_BLOCK = 64, 1 << 15
 
 
@@ -595,24 +594,36 @@ def _divergence_ratio(cfg, graphs, costs, node_map, link_map) -> float | None:
         return None
 
 
-def _trace_block(held: list[tuple]) -> list[TraceRecord]:
-    """The trace records of held (step, residual, gap, active links, x, grads) rows.
+def _book_block(cs: CostSet, held: list[tuple], total: float, optimum: float, f_values, gaps) -> list[TraceRecord]:
+    """Book held (step, x, min, max, grads, active links, recorded) rows.
 
-    A row's ``x`` is None where the state is not finite, and its statistics
-    are nan.  Those of the other rows come from ``axis=1`` reductions of the
-    stacked states, bit-equal to the reductions of each row; the dispersion
-    is norm(grads - grads.mean()) as numpy sums it, one ``dot`` per row.
+    Writes each step's objective (``CostSet.row_totals`` of the stacked states)
+    to ``f_values`` and its exact (``fsum``) gap to ``gaps``, and returns the
+    recorded rows' records, all nan where x is None (not finite).  Means and
+    dispersions, norm(grads - grads.mean()), are bit-equal to one row's.
     """
-    live = [h for h in held if h[4] is not None]
+    live = [h for h in held if h[1] is not None]
     stats = iter(())
     if live:
-        xs, gs = np.stack([h[4] for h in live]), np.stack([h[5] for h in live])
+        xs, gs = np.stack([h[1] for h in live]), np.stack([h[4] for h in live])
         dev = gs - (gs.sum(axis=1) / xs.shape[1])[:, None]
         means = (xs.sum(axis=1) / xs.shape[1]).tolist()
-        stats = zip([math.sqrt(g.dot(g)) for g in dev], xs.min(axis=1).tolist(), xs.max(axis=1).tolist(), means)
-    nans = (math.nan,) * 4
-    return [TraceRecord(k, res, gap, *(next(stats) if x is not None else nans), active)
-            for k, res, gap, active, x, _ in held]
+        stats = zip(cs.row_totals(xs), [math.sqrt(g.dot(g)) for g in dev], means)
+    records = []
+    for k, x, lo, hi, _, active, recorded in held:
+        f = gap = dispersion = mean = math.nan
+        if x is None:
+            lo = hi = math.nan
+        else:
+            f, dispersion, mean = next(stats)
+            try:
+                gap = math.fsum(x.tolist()) - total
+            except OverflowError:  # a partial sum left the double range: no exact gap
+                pass
+        f_values[k], gaps[k] = f, gap
+        if recorded:
+            records.append(TraceRecord(k, f - optimum, gap, dispersion, lo, hi, mean, active))
+    return records
 
 
 def run(cfg: ScenarioConfig) -> RunResult:
@@ -622,6 +633,8 @@ def run(cfg: ScenarioConfig) -> RunResult:
     Divergence (non-finite state, or the residual exceeding a billion times
     its initial value) stops the run and is flagged in the summary together
     with the ratio of the configured step rate to the analytical bound.
+    The objective is evaluated at step 0 and where ``CostSet.value_bound`` cannot rule
+    divergence out; objectives, gaps and statistics then come in blocks of steps.
     Link failures take one uniform per link and step, drawn for a block of
     steps at once (the same bits as one call per step) that stays in one
     topology phase and under ``_FAIL_BLOCK`` uniforms.
@@ -646,39 +659,27 @@ def run(cfg: ScenarioConfig) -> RunResult:
 
     state = init_delayed_state(x0, cfg.tau_bar, cs, link_map)
     horizon = cfg.horizon
-    f_values = np.empty(horizon + 1)
+    f_values, gaps = np.empty(horizon + 1), np.empty(horizon + 1)
     records: list[TraceRecord] = []
-    max_gap = 0.0
-    initial_residual = float("nan")
-    steps_to_threshold = -1
+    limit = math.nan  # the residual past which a run diverges, set at step 0
     # Links up at the last step taken; the record of a final step repeats it.
     active = graphs[0].edge_count
     fail_block, fail_counts, fail_row = None, [], 0  # failure masks drawn ahead, by step
-    held: list[tuple] = []  # records whose statistics wait for their block
+    held: list[tuple] = []  # steps whose objective, gap and statistics wait for their block
     block = max(1, min(_RECORD_ROWS, _RECORD_BLOCK // cfg.n))
 
     for k in range(horizon + 1):
         x = state.x
-        finite = bool(np.isfinite(x).all())
+        lo, hi = float(x.min()), float(x.max())  # nan or infinite unless x is finite
+        finite = math.isfinite(lo) and math.isfinite(hi)
+        grads, spread, diverged = None, math.nan, not finite
         if finite:
             grads = cs.grad(x)
-            f_val = cs.total_value(x)
-            try:
-                gap = math.fsum(x.tolist()) - cfg.total
-            except OverflowError:  # a partial sum left the double range: no exact gap
-                gap = float("nan")
             spread = float(grads.max() - grads.min())
-        else:
-            grads, f_val, gap, spread = None, math.nan, math.nan, math.nan
-        f_values[k] = f_val
-        residual = f_val - oracle.value
-        if k == 0:
-            initial_residual = residual
-        if finite:
-            max_gap = max(max_gap, abs(gap))
-            if steps_to_threshold < 0 and residual <= 0.01 * initial_residual:
-                steps_to_threshold = k
-        diverged = not finite or residual > 1e9 * (abs(initial_residual) + 1.0)
+            if k == 0 or cs.value_bound(max(-lo, hi)) - oracle.value > limit:
+                residual = cs.total_value(x) - oracle.value
+                limit = 1e9 * (abs(residual) + 1.0) if k == 0 else limit
+                diverged = residual > limit
         stop_now = finite and spread <= cfg.early_stop_spread
         done = diverged or stop_now or k == horizon
         if not done:
@@ -695,11 +696,10 @@ def run(cfg: ScenarioConfig) -> RunResult:
                 keep = None
                 active = graph.edge_count
 
-        if k % cfg.record_stride == 0 or done:
-            held.append((k, float(residual), float(gap), active, x if finite else None, grads))
-            if len(held) == block or done:
-                records.extend(_trace_block(held))
-                held = []
+        held.append((k, x if finite else None, lo, hi, grads, active, k % cfg.record_stride == 0 or done))
+        if len(held) == block or done:
+            records.extend(_book_block(cs, held, cfg.total, oracle.value, f_values, gaps))
+            held = []
         if done:
             break
         state = step_delayed(
@@ -707,9 +707,11 @@ def run(cfg: ScenarioConfig) -> RunResult:
             node_counter=node_counter, link_counter=link_counter,
         )
 
+    executed = k
+    residuals = f_values[: executed + 1] - oracle.value
+    reached = np.flatnonzero(residuals <= 0.01 * residuals[0])
     # Fraction of fixed-length windows over which the objective decreased.
     win = cfg.window + cfg.tau_bar + 1
-    executed = k
     if executed >= win:
         starts = f_values[: executed - win + 1]
         ends = f_values[win : executed + 1]
@@ -725,11 +727,11 @@ def run(cfg: ScenarioConfig) -> RunResult:
         eta=cfg.eta,
         horizon=horizon,
         executed_steps=executed,
-        initial_residual=float(initial_residual),
-        final_residual=float(residual),
+        initial_residual=float(residuals[0]),
+        final_residual=float(residuals[-1]),
         final_spread=spread,
-        steps_to_threshold=steps_to_threshold,
-        max_feasibility_gap=float(max_gap),
+        steps_to_threshold=int(reached[0]) if reached.size else -1,
+        max_feasibility_gap=float(np.fmax.reduce(np.abs(gaps[: executed + 1]), initial=0.0)),  # skips nan gaps
         fraction_decreasing_windows=frac_decreasing,
         node_clamp_events=node_counter.events,
         link_clamp_events=link_counter.events,
@@ -751,15 +753,9 @@ _TRACE_HEADER = "k,residual,feasibility_gap,dispersion,state_min,state_max,state
 
 
 def trace_to_csv(trace: list[TraceRecord]) -> str:
-    """Render a trace with shortest-round-trip decimal floats."""
+    """Render a trace of Python numbers, as ``run`` gives, with shortest-round-trip floats."""
     lines = [_TRACE_HEADER]
-    lines.extend(
-        "%s,%r,%r,%r,%r,%r,%r,%s" % (
-            r.step, float(r.residual), float(r.feasibility_gap), float(r.dispersion),
-            float(r.state_min), float(r.state_max), float(r.state_mean), r.active_links,
-        )
-        for r in trace
-    )
+    lines.extend("%s,%r,%r,%r,%r,%r,%r,%s" % r for r in trace)
     return "\n".join(lines) + "\n"
 
 

@@ -554,3 +554,51 @@ class TestOutsideInputErrors:
         for row in rows[1:]:
             assert f',"config: topology.edges_file: cannot read {str(missing)!r}' in row
         capsys.readouterr()
+
+
+class TestUnwritableOutputs:
+    """An output path that cannot be written is a configuration error naming it."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sweep_records_the_job_and_finishes_the_others(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("DRA_SIM_THREADS", threads)
+        out = tmp_path / "out"
+        (out / "trace_001.csv").mkdir(parents=True)
+        code = main(["sweep", "--preset", "dispatch", "--sweep", "seed=1,2,3", "--set", "horizon=50",
+                     "--out-dir", str(out), "--force"])
+        assert code == 1
+        rows = (out / "sweep_summary.csv").read_text().strip().splitlines()
+        assert len(rows) == 4
+        assert rows[2].endswith(f',"config: cannot write {str(out / "trace_001.csv")!r}: Is a directory"')
+        assert rows[1].endswith(',""') and rows[3].endswith(',""')
+        for i in (0, 2):
+            assert (out / f"summary_{i:03d}.txt").read_text().startswith("n=10\n")
+        captured = capsys.readouterr()
+        assert captured.out.count("] ok\n") == 2 and "job 001 [seed=2] config: cannot write" in captured.out
+        assert captured.err == ""
+
+    def test_sweep_out_dir_that_is_a_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DRA_SIM_THREADS", "1")
+        out = tmp_path / "out"
+        out.write_text("x")
+        code = main(["sweep", "--preset", "dispatch", "--sweep", "seed=1", "--out-dir", str(out), "--force"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {str(out)!r}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--trace", "--summary"])
+    def test_run_prints_one_error_line(self, tmp_path, capsys, flag):
+        target = tmp_path / "taken"
+        target.mkdir()
+        code = main(["run", "--preset", "dispatch", "--set", "horizon=20", flag, str(target), "--force"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {str(target)!r}: Is a directory\n"
+        assert captured.out == ""
+
+    def test_run_output_under_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        code = main(["run", "--preset", "dispatch", "--set", "horizon=20", "--trace", str(blocker / "t.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {str(blocker / 't.csv')!r}: ")

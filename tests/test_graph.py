@@ -7,6 +7,7 @@ import pytest
 
 from dra_sim import (
     ConfigurationError,
+    CostSet,
     WeightedGraph,
     erdos_renyi,
     from_edge_list,
@@ -17,9 +18,10 @@ from dra_sim import (
     saturation,
     spectral_summary,
     to_edge_list,
+    quadratic_cost,
     union_graph,
 )
-from dra_sim.scenario import _trace_block
+from dra_sim.scenario import _book_block
 
 
 def path_graph(n, weight=1.0):
@@ -266,7 +268,8 @@ class TestUnionGraph:
 
 def trace_dispersion(grads):
     """The trace's dispersion column, norm(grads - mean), for one record."""
-    return _trace_block([(0, 0.0, 0.0, 0, grads, grads)])[0].dispersion
+    cs, out = CostSet([quadratic_cost(1.0)] * grads.size), np.empty(1)
+    return _book_block(cs, [(0, grads, 0.0, 0.0, grads, 0, True)], 0.0, 0.0, out, out)[0].dispersion
 
 
 class TestDispersion:

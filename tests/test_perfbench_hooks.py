@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dra_sim import dynamics, erdos_renyi, identity_map, log_quantizer, objective, quadratic_cost, scenario
+from dra_sim import cli, dynamics, erdos_renyi, identity_map, log_quantizer, objective, quadratic_cost, scenario
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -64,15 +64,22 @@ def test_run_calls_per_step(monkeypatch):
     live links, and the loop evaluates ``CostSet.grad`` once per iteration;
     the oracle's calls are counted apart.  fig_delay keeps every link up;
     under dispatch_adversity's failures the node map sees each step's live
-    link count, which the trace records.
+    link count, which the trace records.  Runs that stop before the horizon
+    (fig_fail's early stop, the pinned divergence) take no step past their
+    stop.  The loop evaluates ``CostSet.total_value`` at step 0 and then only
+    where ``CostSet.value_bound`` exceeds the divergence limit.
     """
     steps: list[list] = []
     grads = {"loop": 0, "oracle": 0}
+    values = {"loop": 0, "oracle": 0}
+    bounds: list[float] = []
     in_oracle = []
 
     real_step = scenario.step_delayed
     real_map = dynamics.apply_map_array
     real_grad = objective.CostSet.grad
+    real_value = objective.CostSet.total_value
+    real_bound = objective.CostSet.value_bound
     real_solve = scenario.central_solve
 
     def step(*args, **kwargs):
@@ -87,6 +94,14 @@ def test_run_calls_per_step(monkeypatch):
         grads["oracle" if in_oracle else "loop"] += 1
         return real_grad(self, x)
 
+    def total_value(self, x):
+        values["oracle" if in_oracle else "loop"] += 1
+        return real_value(self, x)
+
+    def value_bound(self, m):
+        bounds.append(real_bound(self, m))
+        return bounds[-1]
+
     def solve(*args, **kwargs):
         in_oracle.append(True)
         try:
@@ -97,12 +112,15 @@ def test_run_calls_per_step(monkeypatch):
     monkeypatch.setattr(scenario, "step_delayed", step)
     monkeypatch.setattr(dynamics, "apply_map_array", apply_map)
     monkeypatch.setattr(objective.CostSet, "grad", grad)
+    monkeypatch.setattr(objective.CostSet, "total_value", total_value)
+    monkeypatch.setattr(objective.CostSet, "value_bound", value_bound)
     monkeypatch.setattr(scenario, "central_solve", solve)
     for name, p_fail in (("fig_delay", 0.0), ("dispatch_adversity", 0.5)):
         cfg = replace(scenario.preset(name), horizon=300)
         assert cfg.p_fail == p_fail
         steps.clear()
         grads.update(loop=0, oracle=0)
+        values.update(loop=0, oracle=0)
         result = scenario.run(cfg)
         graphs, _, node_map, link_map = scenario.build_instance(cfg)
 
@@ -117,6 +135,25 @@ def test_run_calls_per_step(monkeypatch):
         assert steps == [[(link_map, cfg.n), (node_map, links)] for links in live]
         assert grads["loop"] == executed + 1
         assert grads["oracle"] > 0
+        if name == "fig_delay":
+            assert values == {"loop": 1, "oracle": 1}
+
+    fig_fail = scenario.preset("fig_fail")
+    diverge = replace(scenario.preset("fig_delay"), eta=8.0, horizon=400, p_fail=0.3)
+    for cfg, stop in ((fig_fail, "early_stopped"), (diverge, "diverged")):
+        steps.clear()
+        grads.update(loop=0, oracle=0)
+        values.update(loop=0, oracle=0)
+        bounds.clear()
+        summary = scenario.run(cfg).summary
+        executed = summary.executed_steps
+        assert getattr(summary, stop) and executed < cfg.horizon
+        assert len(steps) == executed
+        assert grads["loop"] == executed + 1
+        assert len(bounds) == executed
+        limit = 1e9 * (abs(summary.initial_residual) + 1.0)
+        assert values["loop"] == 1 + sum(b - summary.oracle_value > limit for b in bounds)
+    assert values["loop"] > 1
 
 
 def test_traced_run_counts_match_its_trace(monkeypatch, tmp_path):
@@ -141,3 +178,30 @@ def test_traced_run_counts_match_its_trace(monkeypatch, tmp_path):
     assert counts["steps"] == executed
     assert counts["link_flows"] == sum(r.active_links for r in result.trace if r.step < executed)
     assert counts["grad_loop"] == executed + 1
+
+
+def test_traced_sweep_counts_match_its_jobs(monkeypatch, tmp_path, capsys):
+    """``--trace 1`` counts a sweep's ``step_delayed`` spans against its jobs' executed steps.
+
+    With one worker the jobs run in this process, so the tracer sees every span.
+    """
+    tracing = load_module("perfbench_tracing", "tracing.py")
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    layers = load_module("perfbench_layers", "layers.py")
+    monkeypatch.setenv("DRA_SIM_THREADS", "1")
+    out = tmp_path / "sweep"
+    tracer = tracing.Tracer(tmp_path / "spool")
+    tracer.install()
+    try:
+        code = cli.main(["sweep", "--preset", "dispatch_adversity", "--set", "horizon=200",
+                         "--sweep", "adversity.p_fail=0.5,0.92", "--out-dir", str(out)])
+        counts = layers.Spans(tracer.take(), tracer.names).counts()
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    executed = []
+    for job in range(2):
+        summary = dict(line.split("=", 1) for line in (out / f"summary_{job:03d}.txt").read_text().splitlines())
+        executed.append(int(summary["executed_steps"]))
+    assert counts["steps"] == sum(executed) == 400

@@ -510,3 +510,70 @@ def test_smoothness_scan_matches_pointwise_loop(costs, lo, width, grid_points):
         worst = max(worst, float(cs.curvature(np.full(cs.n, x)).max()))
     est = smoothness_bound(costs, (lo, lo + width), grid_points)
     assert (est.max_curvature, est.u) == (worst, 0.55 * worst)
+
+
+def same_float(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def one_row_total(cs, x):
+    """``total_value`` as one row's plain evaluation: fsum, or an infinity signed as the plain sum."""
+    v = cs.value_per_agent(x)
+    try:
+        return math.fsum(v.tolist())
+    except OverflowError:
+        return math.copysign(math.inf, v.sum())
+
+
+@given(st.lists(local_costs(), min_size=1, max_size=20), seeds, st.floats(-3.0, 308.0))
+@example(costs=[quartic_cost(0.001, 0.0)], seed=0, exponent=77.2)
+@example(costs=[quadratic_cost(0.1, 3.0, -1.0)], seed=1, exponent=154.0)
+@example(costs=[quadratic_cost(0.1, penalty=SmoothLogPenalty(-5.0, 5.0, 10.0))], seed=2, exponent=307.0)
+@example(costs=[quartic_cost(0.03125, 0.0, penalty=BoxPenalty(0.8, 1.8, 1.0, 2))], seed=3, exponent=0.5)
+@example(costs=[quadratic_cost(0.1, penalty=SmoothLogPenalty(-5.0, 5.0, 1e300))], seed=4, exponent=10.0)
+@settings(max_examples=200)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_value_bound_covers_total_value(costs, seed, exponent):
+    # The examples put a tiny coefficient on a power that overflows while
+    # the product would not, terms near the double range, one agent whose
+    # squared box penalty a (rows, 1) block could evaluate otherwise, and a
+    # smooth-log sharpness mu whose mu * (x - hi) overflows though x does not.
+    cs = CostSet(costs)
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, cs.n) * 10.0**exponent
+    total, bound = cs.total_value(x), cs.value_bound(float(np.abs(x).max()))
+    assert bound == math.inf or abs(total) <= bound
+    assert bound >= cs.value_bound(float(np.abs(x).max()) / 2.0)
+    rows = np.stack([x, -x, x / 3.0])
+    assert same_float(total, one_row_total(cs, x))
+    assert all(same_float(a, one_row_total(cs, r)) for a, r in zip(cs.row_totals(rows), rows))
+
+
+@st.composite
+def stride_one_configs(draw) -> ScenarioConfig:
+    """Small runs recorded at every step, some diverging and some stopping early."""
+    return replace(
+        draw(scenario_configs()),
+        record_stride=1,
+        eta=draw(st.one_of(st.floats(0.01, 1.0), st.sampled_from((4.0, 64.0, 1e4, 1e200)))),
+        early_stop_spread=draw(st.sampled_from((0.0, 1e-8, 0.1, 1.0, 10.0))),
+    )
+
+
+@given(stride_one_configs())
+@settings(max_examples=60)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_summary_agrees_with_its_stride_one_trace(cfg):
+    try:
+        result = run(cfg)
+    except NumericError:  # a finite state whose gradients overflow
+        return
+    s, rows = result.summary, result.trace
+    assert [r.step for r in rows] == list(range(s.executed_steps + 1))
+    gaps = [abs(r.feasibility_gap) for r in rows if not math.isnan(r.feasibility_gap)]
+    assert s.max_feasibility_gap == max(gaps, default=0.0)
+    reached = [r.step for r in rows if r.residual <= 0.01 * s.initial_residual]
+    assert s.steps_to_threshold == (reached[0] if reached else -1)
+    assert same_float(s.initial_residual, rows[0].residual)
+    assert same_float(s.final_residual, rows[-1].residual)
+    assert s.diverged_step == (s.executed_steps if s.diverged else -1)
+    assert s.diverged or s.early_stopped or s.executed_steps == cfg.horizon

@@ -532,6 +532,25 @@ class TestRun:
             assert trace_to_csv(got.trace) == trace_to_csv(want[name].trace), name
             assert got.final_state.tobytes() == want[name].final_state.tobytes(), name
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exact_objective_at_every_step_changes_no_output(self, monkeypatch):
+        # With the bound never ruling divergence out, every step evaluates
+        # total_value; the outputs stay those of the bounded loop.
+        configs = [
+            dataclasses.replace(preset("fig_dyn_logpenalty"), horizon=300),
+            dataclasses.replace(preset("dispatch_adversity"), early_stop_spread=0.5, p_fail=0.2),
+            dataclasses.replace(preset("fig_delay"), eta=8.0, horizon=400, p_fail=0.3),
+            dataclasses.replace(preset("dispatch"), eta=1.0, horizon=50),
+        ]
+        want = [run(cfg) for cfg in configs]
+        assert want[2].summary.diverged and want[3].summary.diverged
+        monkeypatch.setattr("dra_sim.objective.CostSet.value_bound", lambda self, m: math.inf)
+        for cfg, w in zip(configs, want):
+            got = run(cfg)
+            assert trace_to_csv(got.trace) == trace_to_csv(w.trace)
+            assert summary_to_text(got.summary) == summary_to_text(w.summary)
+            assert got.final_state.tobytes() == w.final_state.tobytes()
+
     def test_dispatch_uniform_reaches_even_split(self):
         res = run(preset("dispatch_uniform"))
         assert np.all(np.abs(res.final_state - 60.0) <= 0.01)
