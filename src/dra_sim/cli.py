@@ -8,17 +8,17 @@ Existing output files are never overwritten unless --force is given.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .dynamics import max_delay_bound, step_rate_from_sector
+from .dynamics import max_delay_bound, step_rate_bound, step_rate_from_sector
 from .errors import ConfigurationError, DraSimError, NumericError, read_input_text
-from .graph import erdos_renyi, laplacian, spectral_summary, union_graph
+from .graph import erdos_renyi
 from .mappings import first_order_sector_params
-from .objective import smoothness_bound
 from .percolation import effective_failure, er_threshold, mc_union_connectivity, min_window
 from .scenario import (
     CONFIG_KEYS,
@@ -26,6 +26,7 @@ from .scenario import (
     PRESET_SWEEPS,
     RunResult,
     ScenarioConfig,
+    _certificate,
     _parse_value,
     _render_value,
     _split_item,
@@ -72,6 +73,13 @@ def _load_config(args) -> ScenarioConfig:
     return _apply_sets(cfg, args.set or [])
 
 
+def _unwritable(path: str | Path, exc: OSError) -> ConfigurationError:
+    """The error for an output path that could not be written, naming it."""
+    # mkdir(exist_ok=True) raises FileExistsError only where a file stands in for a directory.
+    reason = os.strerror(errno.ENOTDIR) if isinstance(exc, FileExistsError) else exc.strerror
+    return ConfigurationError(f"cannot write {str(path)!r}: {reason}")
+
+
 def _write_text(path: str | Path, text: str, force: bool) -> None:
     target = Path(path)
     if target.exists() and not force:
@@ -80,7 +88,17 @@ def _write_text(path: str | Path, text: str, force: bool) -> None:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text)
     except OSError as exc:
-        raise ConfigurationError(f"cannot write {str(target)!r}: {exc.strerror}") from None
+        raise _unwritable(target, exc) from None
+
+
+def _write_run(result: RunResult, trace_path: str | None, summary_path: str | None, force: bool) -> str:
+    """Write a run's trace CSV and summary text where paths are given; return the summary text."""
+    if trace_path:
+        _write_text(trace_path, trace_to_csv(result.trace), force)
+    text = summary_to_text(result.summary)
+    if summary_path:
+        _write_text(summary_path, text, force)
+    return text
 
 
 # --------------------------------------------------------------------------
@@ -88,19 +106,10 @@ def _write_text(path: str | Path, text: str, force: bool) -> None:
 # --------------------------------------------------------------------------
 
 
-def _emit_run_outputs(result: RunResult, args) -> int:
-    if args.trace:
-        _write_text(args.trace, trace_to_csv(result.trace), args.force)
-    text = summary_to_text(result.summary)
-    if args.summary:
-        _write_text(args.summary, text, args.force)
-    sys.stdout.write(text)
-    return EXIT_DIVERGED if result.summary.diverged else EXIT_OK
-
-
 def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    return _emit_run_outputs(run(cfg), args)
+    result = run(_load_config(args))
+    sys.stdout.write(_write_run(result, args.trace, args.summary, args.force))
+    return EXIT_DIVERGED if result.summary.diverged else EXIT_OK
 
 
 def _cmd_preset(args) -> int:
@@ -120,9 +129,7 @@ def _cmd_preset(args) -> int:
     text = serialize_config(cfg)
     if args.write:
         _write_text(args.write, text, args.force)
-    if args.run:
-        return _emit_run_outputs(run(cfg), args)
-    if not args.write:
+    else:
         sys.stdout.write(text)
     return EXIT_OK
 
@@ -131,8 +138,7 @@ def _sweep_worker(job: tuple[int, ScenarioConfig, str, str]) -> tuple[int, bool,
     index, cfg, trace_path, summary_path = job
     try:
         result = run(cfg)
-        _write_text(trace_path, trace_to_csv(result.trace), force=True)
-        _write_text(summary_path, summary_to_text(result.summary), force=True)
+        _write_run(result, trace_path, summary_path, force=True)
         return index, result.summary.diverged, "", ""
     except NumericError as exc:
         return index, False, "numeric", str(exc)
@@ -178,7 +184,7 @@ def _cmd_sweep(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigurationError(f"cannot write {str(out_dir)!r}: {exc.strerror}") from None
+        raise _unwritable(out_dir, exc) from None
 
     keys = [k for k, _ in grids]
     jobs = []
@@ -212,7 +218,8 @@ def _cmd_sweep(args) -> int:
         any_config |= kind == "config"
         any_numeric |= kind == "numeric"
         err = f"{kind}: {msg}" if kind else ""
-        lines.append(f'{index:03d},"{labels[index]}",{str(diverged).lower()},"{err}"')
+        label, quoted = labels[index].replace('"', '""'), err.replace('"', '""')  # RFC 4180
+        lines.append(f'{index:03d},"{label}",{str(diverged).lower()},"{quoted}"')
         sys.stdout.write(f"job {index:03d} [{labels[index]}] " + (err or ("diverged" if diverged else "ok")) + "\n")
     _write_text(out_dir / "sweep_summary.csv", "\n".join(lines) + "\n", force=True)
     if any_numeric:
@@ -225,6 +232,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_percolation(args) -> int:
+    for flag, value in (("--window", args.window), ("--trials", args.trials)):
+        if value < 0:
+            raise ConfigurationError(f"{flag} must be >= 0, got {value}")
     profile = er_threshold(args.n, args.p, convention=args.convention)
     out = [
         ("n", args.n),
@@ -254,17 +264,16 @@ def _cmd_percolation(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = _load_config(args)
-    graphs, costs, node_map, link_map = build_instance(cfg)
+    instance = build_instance(cfg)
+    node_map, link_map = instance[2:]
     overrides = (args.lambda2, args.lambda_max, args.u)
     if any(v is not None for v in overrides):
         if any(v is None for v in overrides):
             raise ConfigurationError("--lambda2, --lambda-max, and --u must be given together")
         lam2, lam_max, u = overrides
-        connected = lam2 > 0.0
-        out = [("lambda2", repr(float(lam2))), ("lambda_max", repr(float(lam_max))), ("connected", str(connected).lower())]
+        connected, domain_lines = lam2 > 0.0, []
+        bound = step_rate_bound(node_map, link_map, *overrides, cfg.window, cfg.tau_bar) if connected else None
     else:
-        spec = spectral_summary(laplacian(union_graph(graphs)))
-        lam2, lam_max, connected = spec.lambda2, spec.lambda_max, spec.connected
         if args.domain:
             try:
                 lo, hi = (float(part) for part in args.domain.split(","))
@@ -273,40 +282,32 @@ def _cmd_bounds(args) -> int:
             domain = (lo, hi)
         else:
             domain = default_smoothness_domain(cfg)
-        smooth = smoothness_bound(costs, domain)
-        u = smooth.u
-        out = [
-            ("lambda2", repr(lam2)),
-            ("lambda_max", repr(lam_max)),
-            ("connected", str(connected).lower()),
-            ("domain_lo", repr(float(domain[0]))),
-            ("domain_hi", repr(float(domain[1]))),
-        ]
-    kn, bn = node_map.kappa, node_map.big_k
-    kl, bl = link_map.kappa, link_map.big_k
-    fn = first_order_sector_params(node_map)
-    fl = first_order_sector_params(link_map)
-    out += [
+        spec, u, bound = _certificate(cfg, instance, domain)
+        lam2, lam_max, connected = spec.lambda2, spec.lambda_max, spec.connected
+        domain_lines = [("domain_lo", repr(float(domain[0]))), ("domain_hi", repr(float(domain[1])))]
+    out = [
+        ("lambda2", repr(float(lam2))),
+        ("lambda_max", repr(float(lam_max))),
+        ("connected", str(connected).lower()),
+        *domain_lines,
         ("u", repr(float(u))),
-        ("kappa_node", repr(kn)),
-        ("big_k_node", repr(bn)),
-        ("kappa_link", repr(kl)),
-        ("big_k_link", repr(bl)),
+        ("kappa_node", repr(node_map.kappa)),
+        ("big_k_node", repr(node_map.big_k)),
+        ("kappa_link", repr(link_map.kappa)),
+        ("big_k_link", repr(link_map.big_k)),
         ("window", cfg.window),
         ("tau_bar", cfg.tau_bar),
     ]
-    if connected:
-        eta_max = step_rate_from_sector(
-            kn, bn, kl, bl, lam2, lam_max, u, window=cfg.window, tau_bar=cfg.tau_bar
-        )
+    if bound is not None:
+        fn, fl = first_order_sector_params(node_map), first_order_sector_params(link_map)
         eta_max_first_order = step_rate_from_sector(
             fn[0], fn[1], fl[0], fl[1], lam2, lam_max, u, window=cfg.window, tau_bar=cfg.tau_bar
         )
         budget = max_delay_bound(node_map, link_map, lam2, lam_max, u, cfg.window, cfg.eta)
-        out.append(("eta_max", repr(eta_max)))
+        out.append(("eta_max", repr(bound.eta_max)))
         out.append(("eta_max_first_order", repr(eta_max_first_order)))
         out.append(("eta", repr(float(cfg.eta))))
-        out.append(("eta_ratio", repr(float(cfg.eta) / eta_max)))
+        out.append(("eta_ratio", repr(float(cfg.eta) / bound.eta_max)))
         out.append(("max_delay_budget", repr(budget)))
     else:
         out.append(("eta_max", "none"))
@@ -358,15 +359,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--force", action="store_true", help="overwrite existing outputs")
     p_run.set_defaults(func=_cmd_run)
 
-    p_preset = sub.add_parser("preset", help="print, write, or run a named preset")
+    p_preset = sub.add_parser("preset", help="print or write a named preset (run it with run --preset)")
     p_preset.add_argument("name", nargs="?", help="preset name")
     p_preset.add_argument("--list", action="store_true", help="list available presets")
     p_preset.add_argument("--write", help="write the preset config here")
-    p_preset.add_argument("--run", action="store_true", help="execute the preset")
     p_preset.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
-    p_preset.add_argument("--trace", help="write the trace CSV here (with --run)")
-    p_preset.add_argument("--summary", help="write the summary text here (with --run)")
-    p_preset.add_argument("--force", action="store_true", help="overwrite existing outputs")
+    p_preset.add_argument("--force", action="store_true", help="overwrite an existing --write file")
     p_preset.set_defaults(func=_cmd_preset)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter grid in parallel")

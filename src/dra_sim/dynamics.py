@@ -370,6 +370,14 @@ def step_rate_from_sector(
     Useful when the sector pair comes from somewhere other than a shipped
     map, e.g. a first-order approximation or published constants.
     """
+    _check_rate_inputs(kappa_node, big_k_node, kappa_link, big_k_link, lambda2, lambda_max, u, window, tau_bar)
+    numerator = kappa_node * kappa_link * lambda2
+    denominator = u * lambda_max**2 * big_k_node**2 * big_k_link**2 * (window + tau_bar + 1)
+    return numerator / denominator
+
+
+def _check_rate_inputs(kappa_node, big_k_node, kappa_link, big_k_link, lambda2, lambda_max, u, window, tau_bar):
+    """Raise unless the constants admit a step-rate certificate."""
     if not (lambda2 > 0.0):
         raise DomainError(
             "step rate bound needs lambda2 > 0: the union graph over the "
@@ -383,9 +391,6 @@ def step_rate_from_sector(
         raise DomainError("sector parameters need 0 < kappa <= big_k")
     if window < 0 or tau_bar < 0:
         raise ConfigurationError("window and tau_bar must be nonnegative")
-    numerator = kappa_node * kappa_link * lambda2
-    denominator = u * lambda_max**2 * big_k_node**2 * big_k_link**2 * (window + tau_bar + 1)
-    return numerator / denominator
 
 
 def step_rate_bound(
@@ -440,14 +445,10 @@ def max_delay_bound(
     """
     if not (eta > 0.0 and math.isfinite(eta)):
         raise DomainError(f"step rate must be positive, got {eta}")
-    if not (lambda2 > 0.0):
-        raise DomainError("max_delay_bound needs lambda2 > 0 (connected union)")
-    if window < 0:
-        raise ConfigurationError("window must be nonnegative")
-    if not (u > 0.0 and math.isfinite(u)):
-        raise DomainError(f"smoothness constant must be positive, got {u}")
-    numerator = node_map.kappa * link_map.kappa * lambda2
-    denominator = u * eta * lambda_max**2 * node_map.big_k**2 * link_map.big_k**2
+    kn, bn, kl, bl = node_map.kappa, node_map.big_k, link_map.kappa, link_map.big_k
+    _check_rate_inputs(kn, bn, kl, bl, lambda2, lambda_max, u, window, 0)
+    numerator = kn * kl * lambda2
+    denominator = u * eta * lambda_max**2 * bn**2 * bl**2
     return numerator / denominator - 1.0 - window
 
 
@@ -462,17 +463,15 @@ def feasible_init(
     mode: str = "equal",
     seed: int = 0,
     boxes: list[tuple[float, float]] | None = None,
-    values: np.ndarray | None = None,
 ) -> np.ndarray:
     """A start vector whose coordinates sum to ``total`` exactly.
 
     mode "equal" splits evenly; "random_simplex" draws proportions from a
-    flat Dirichlet (normalized exponentials); "explicit" takes ``values``,
-    which must already sum to the total within 1e-9 * (1 + |total|).  With
-    ``boxes`` the vector is additionally projected inside the per-coordinate
-    intervals and rebalanced, which requires sum(lo) <= total <= sum(hi).
-    In every mode one free coordinate absorbs the final rounding residue so
-    the total is exact.
+    flat Dirichlet (normalized exponentials).  With ``boxes`` the vector is
+    additionally projected inside the per-coordinate intervals and
+    rebalanced, which requires sum(lo) <= total <= sum(hi).  In every mode
+    one free coordinate absorbs the final rounding residue so the total is
+    exact.
     """
     if n < 1:
         raise ConfigurationError(f"feasible_init needs n >= 1, got {n}")
@@ -486,18 +485,6 @@ def feasible_init(
         rng = np.random.default_rng([int(seed), 0x1217])
         shares = rng.exponential(1.0, n)
         x = total * shares / shares.sum()
-    elif mode == "explicit":
-        if values is None:
-            raise ConfigurationError("explicit init mode needs a values vector")
-        x = np.asarray(values, dtype=float).copy()
-        if x.shape != (n,):
-            raise ConfigurationError(f"explicit init vector must have length {n}")
-        if not np.all(np.isfinite(x)):
-            raise ConfigurationError("explicit init vector must be finite")
-        if abs(math.fsum(x.tolist()) - total) > 1e-9 * (1.0 + abs(total)):
-            raise ConfigurationError(
-                f"explicit init vector sums to {math.fsum(x.tolist())}, not {total}"
-            )
     else:
         raise ConfigurationError(f"unknown init mode {mode!r}")
 

@@ -239,15 +239,15 @@ def laplacian(g: WeightedGraph) -> LaplacianOperator:
     return LaplacianOperator(g)
 
 
-def spectral_summary(lap, zero_tol: float | None = None) -> SpectralSummary:
+def spectral_summary(lap) -> SpectralSummary:
     """lambda_2 and lambda_max of a Laplacian, with a connectivity verdict.
 
     ``lap`` is a :func:`laplacian` operator (a dense Laplacian matrix works
     too).  Up to n = 2000 both come from ``eigvalsh`` on the dense matrix,
     above from :func:`_lanczos_extremes`, or from the dense matrix where
-    that stalls.  Eigenvalues below ``zero_tol`` count as zero; by default
-    zero_tol = max(1e-12, 1e-8 * lambda_max), which separates genuine
-    nullspace directions from rounding noise for the weight scales used here.
+    that stalls.  Eigenvalues below zero_tol = max(1e-12, 1e-8 * lambda_max)
+    count as zero, which separates genuine nullspace directions from
+    rounding noise for the weight scales used here.
     """
     n = lap.shape[0]
     second = None
@@ -257,8 +257,7 @@ def spectral_summary(lap, zero_tol: float | None = None) -> SpectralSummary:
     if second is None:
         eigs = np.linalg.eigvalsh(np.asarray(lap, dtype=float))
         second, lam_max = float(eigs[min(1, n - 1)]), float(eigs[-1])
-    if zero_tol is None:
-        zero_tol = max(1e-12, 1e-8 * abs(lam_max))
+    zero_tol = max(1e-12, 1e-8 * abs(lam_max))
     connected = n == 1 or second > zero_tol
     return SpectralSummary(second if connected else 0.0, lam_max, connected, zero_tol)
 

@@ -352,6 +352,17 @@ class CostSet:
 # --------------------------------------------------------------------------
 
 
+def _make_penalty(kind: str, lo: float, hi: float, weight: float, exponent: int, sharpness: float):
+    """The penalty of ``kind`` on [lo, hi] with the shape that kind reads; None for "none"."""
+    if kind == "none":
+        return None
+    if kind == "box":
+        return BoxPenalty(lo, hi, weight, exponent)
+    if kind == "smooth_log":
+        return SmoothLogPenalty(lo, hi, sharpness)
+    raise ConfigurationError(f"unknown penalty kind {kind!r}")
+
+
 _SCAN_ELEMENTS = 1 << 15
 
 
@@ -642,7 +653,8 @@ def load_costs_csv(
 
     Rows may appear in any order but must cover agent ids 0..n-1 exactly
     once.  Empty lo/hi cells mean no penalty for that agent; otherwise the
-    shared penalty shape given by the keyword arguments is attached.
+    shared penalty shape given by the keyword arguments is attached, none
+    when ``penalty`` is "none".
     """
     path = Path(path)
     rows: dict[int, LocalCost] = {}
@@ -669,12 +681,7 @@ def load_costs_csv(
         if lo_s or hi_s:
             if not (lo_s and hi_s):
                 raise ConfigurationError(f"line {lineno}: lo and hi must both be set or both empty")
-            if penalty == "box":
-                pen = BoxPenalty(lo, hi, penalty_weight, penalty_exponent)
-            elif penalty == "smooth_log":
-                pen = SmoothLogPenalty(lo, hi, penalty_sharpness)
-            else:
-                raise ConfigurationError(f"unknown penalty kind {penalty!r}")
+            pen = _make_penalty(penalty, lo, hi, penalty_weight, penalty_exponent, penalty_sharpness)
         rows[idx] = LocalCost(kind, p1, p2, p3, pen)
     n = len(rows)
     if n == 0:

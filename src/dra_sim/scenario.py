@@ -10,6 +10,7 @@ other.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -25,18 +26,10 @@ from .dynamics import (
     step_delayed,
     step_rate_bound,
 )
-from .errors import ConfigurationError, DraSimError, read_input_text
+from .errors import ConfigurationError, DomainError, read_input_text
 from .graph import WeightedGraph, erdos_renyi, from_edge_list, laplacian, spectral_summary, union_graph
 from .mappings import ClampCounter, SectorMap, identity_map, log_quantizer, saturation, sign_power
-from .objective import (
-    BoxPenalty,
-    CostSet,
-    LocalCost,
-    SmoothLogPenalty,
-    central_solve,
-    load_costs_csv,
-    smoothness_bound,
-)
+from .objective import CostSet, LocalCost, _make_penalty, central_solve, load_costs_csv, smoothness_bound
 
 __all__ = [
     "ScenarioConfig",
@@ -490,29 +483,14 @@ def _build_graphs(cfg: ScenarioConfig) -> list[WeightedGraph]:
     return [from_edge_list(read_input_text(cfg.topology_edges_file, "topology.edges_file"), expect_n=cfg.n)]
 
 
-def _build_penalty(cfg: ScenarioConfig):
-    if cfg.costs_penalty == "none":
-        return None
-    if cfg.costs_penalty == "box":
-        return BoxPenalty(
-            cfg.costs_box_lo, cfg.costs_box_hi, cfg.costs_penalty_weight, cfg.costs_penalty_exponent
-        )
-    return SmoothLogPenalty(cfg.costs_box_lo, cfg.costs_box_hi, cfg.costs_penalty_sharpness)
-
-
 def _build_costs(cfg: ScenarioConfig) -> list[LocalCost]:
+    shape = (cfg.costs_penalty_weight, cfg.costs_penalty_exponent, cfg.costs_penalty_sharpness)
     if cfg.costs_kind == "csv":
-        costs = load_costs_csv(
-            cfg.costs_csv,
-            penalty=cfg.costs_penalty if cfg.costs_penalty != "none" else "box",
-            penalty_weight=cfg.costs_penalty_weight,
-            penalty_exponent=cfg.costs_penalty_exponent,
-            penalty_sharpness=cfg.costs_penalty_sharpness,
-        )
+        costs = load_costs_csv(cfg.costs_csv, cfg.costs_penalty, *shape)
         if len(costs) != cfg.n:
             raise ConfigurationError(f"cost table has {len(costs)} rows, scenario says n={cfg.n}")
         return costs
-    pen = _build_penalty(cfg)
+    pen = _make_penalty(cfg.costs_penalty, cfg.costs_box_lo, cfg.costs_box_hi, *shape)
     rng = np.random.default_rng([_child_seed(cfg.seed, _TAG_COSTS), 0xC057])
     if cfg.costs_kind == "quartic":
         # 1 - U gives draws in the half-open (lo, hi], keeping scales positive.
@@ -577,21 +555,23 @@ def default_smoothness_domain(cfg: ScenarioConfig) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 
-def _divergence_ratio(cfg, graphs, costs, node_map, link_map) -> float | None:
-    """eta over the analytical safe rate, for the divergence report."""
-    try:
-        union = union_graph(graphs)
-        spec = spectral_summary(laplacian(union))
-        if not spec.connected:
-            return None
-        u = smoothness_bound(costs, default_smoothness_domain(cfg)).u
-        bound = step_rate_bound(
-            node_map, link_map, spec.lambda2, spec.lambda_max, u,
-            window=cfg.window, tau_bar=cfg.tau_bar,
-        )
-        return cfg.eta / bound.eta_max
-    except DraSimError:
-        return None
+def _certificate(cfg: ScenarioConfig, instance: tuple, domain: tuple[float, float] | None = None) -> tuple:
+    """The step-rate certificate of a scenario, from its ``build_instance`` pieces.
+
+    Returns the ``SpectralSummary`` of the union of the topology phases, the
+    smoothness constant u over ``domain`` (by default
+    ``default_smoothness_domain``), and the ``StepRateBound``, which is None
+    when the union is disconnected.
+    """
+    graphs, costs, node_map, link_map = instance
+    spec = spectral_summary(laplacian(union_graph(graphs)))
+    u = smoothness_bound(costs, domain or default_smoothness_domain(cfg)).u
+    if not spec.connected:
+        return spec, u, None
+    bound = step_rate_bound(
+        node_map, link_map, spec.lambda2, spec.lambda_max, u, window=cfg.window, tau_bar=cfg.tau_bar
+    )
+    return spec, u, bound
 
 
 def _book_block(cs: CostSet, held: list[tuple], total: float, optimum: float, f_values, gaps) -> list[TraceRecord]:
@@ -639,7 +619,8 @@ def run(cfg: ScenarioConfig) -> RunResult:
     steps at once (the same bits as one call per step) that stays in one
     topology phase and under ``_FAIL_BLOCK`` uniforms.
     """
-    graphs, costs, node_map, link_map = build_instance(cfg)
+    instance = build_instance(cfg)
+    graphs, costs, node_map, link_map = instance
     cs = CostSet(costs)
 
     oracle = central_solve(costs, cfg.total, tol=1e-9, mode="penalized")
@@ -720,7 +701,11 @@ def run(cfg: ScenarioConfig) -> RunResult:
     else:
         frac_decreasing = float("nan")
 
-    ratio = _divergence_ratio(cfg, graphs, costs, node_map, link_map) if diverged else None
+    ratio = None
+    if diverged:
+        with contextlib.suppress(DomainError):  # no certificate: the ratio stays unset
+            bound = _certificate(cfg, instance)[2]
+            ratio = None if bound is None else cfg.eta / bound.eta_max
     summary = RunSummary(
         n=cfg.n,
         total=cfg.total,

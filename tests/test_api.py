@@ -1,9 +1,10 @@
-"""The public API: the names ``dra_sim`` re-exports, and its version.
+"""The public API: the names ``dra_sim`` re-exports, the CLI's options, and its version.
 
-Removing or adding a public name is an API change: it shows here first,
-together with a version bump.
+Removing or adding a public name or a CLI option is an API change: it shows
+here first, together with a version bump.
 """
 
+import argparse
 import importlib
 from pathlib import Path
 
@@ -47,6 +48,25 @@ RESULT_TYPES = {
     "StepRateBound": "dynamics",
     "BenchmarkResult": "scenario",
 }
+
+
+# Every subcommand's option strings (a positional by its name), in declaration order.
+CLI_OPTIONS = {
+    "run": ["-h", "--help", "--config", "--preset", "--set", "--trace", "--summary", "--force"],
+    "preset": ["-h", "--help", "name", "--list", "--write", "--set", "--force"],
+    "sweep": ["-h", "--help", "--config", "--preset", "--set", "--sweep", "--out-dir", "--force"],
+    "percolation": ["-h", "--help", "--n", "--p", "--p-fail", "--window", "--convention", "--trials", "--seed"],
+    "bounds": ["-h", "--help", "--config", "--preset", "--set", "--domain", "--lambda2", "--lambda-max", "--u"],
+    "bench": ["-h", "--help", "--sizes", "--steps", "--density", "--degree", "--seed"],
+}
+
+
+def test_cli_options_are_pinned():
+    from dra_sim import cli
+
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: [s for a in p._actions for s in (a.option_strings or [a.dest])] for name, p in sub.choices.items()}
+    assert got == CLI_OPTIONS
 
 
 def test_public_names_are_pinned():

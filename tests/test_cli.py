@@ -1,5 +1,7 @@
 """Tests for the command line front end: config text, subcommands, exit codes."""
 
+import csv
+import io
 import math
 
 import pytest
@@ -226,9 +228,12 @@ class TestPresetCommand:
         capsys.readouterr()
 
     def test_run_flag_executes(self, tmp_path, capsys):
+        # A preset runs through `run --preset`; `preset` itself has no --run flag.
+        assert main(["preset", "dispatch_uniform", "--run"]) == 1
+        assert "--run" in capsys.readouterr().err
         trace = tmp_path / "t.csv"
-        code = main(["preset", "dispatch_uniform", "--set", "horizon=50",
-                     "--run", "--trace", str(trace)])
+        code = main(["run", "--preset", "dispatch_uniform", "--set", "horizon=50",
+                     "--trace", str(trace)])
         assert code == 0
         assert trace.exists()
         assert "executed_steps=" in capsys.readouterr().out
@@ -315,6 +320,27 @@ class TestSweepCommand:
                      "--out-dir", str(out)]) == 1
         capsys.readouterr()
 
+    def test_summary_table_doubles_quotes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DRA_SIM_THREADS", "1")
+        cfg = write_small_config(tmp_path, horizon=5)
+
+        def table(out, argv):
+            assert main(["sweep", "--config", str(cfg), "--set", "topology.kind=edges", *argv,
+                         "--out-dir", str(tmp_path / out)]) == 1
+            return list(csv.reader(io.StringIO((tmp_path / out / "sweep_summary.csv").read_text())))
+
+        def error(path):
+            return f"config: topology.edges_file: cannot read {str(path)!r}: No such file or directory"
+
+        missing = tmp_path / 'no,"such.edges'
+        rows = table("a", ["--set", f"topology.edges_file={missing}", "--sweep", "seed=1,2"])
+        assert rows == [["job", "overrides", "diverged", "error"],
+                        ["000", "seed=1", "false", error(missing)], ["001", "seed=2", "false", error(missing)]]
+        quoted = tmp_path / 'a"b.edges'
+        rows = table("b", ["--sweep", f"topology.edges_file={quoted}"])
+        assert rows[1] == ["000", f"topology.edges_file={quoted}", "false", error(quoted)]
+        capsys.readouterr()
+
     def test_sweep_requires_values(self, tmp_path, capsys):
         cfg = write_small_config(tmp_path, horizon=10)
         assert main(["sweep", "--config", str(cfg),
@@ -371,6 +397,13 @@ class TestPercolationCommand:
         assert main(["percolation", "--n", "50", "--p", "0.0"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag, value", [("--trials", "-5"), ("--window", "-3")])
+    def test_negative_count_is_one_error_line(self, capsys, flag, value):
+        assert main(["percolation", "--n", "50", "--p", "0.2", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be >= 0, got {value}\n"
+
     def test_negative_seed_is_one_error_line(self, capsys):
         assert main(["percolation", "--n", "50", "--p", "0.2", "--trials", "10", "--seed", "-1"]) == 1
         captured = capsys.readouterr()
@@ -419,6 +452,13 @@ class TestBoundsCommand:
         main(["bounds", "--config", str(cfg), "--set", "adversity.tau_bar=4"])
         delayed = float(kv_lines(capsys.readouterr().out)["eta_max"])
         assert delayed < base
+
+    def test_eta_ratio_is_a_diverged_runs_ratio(self, capsys):
+        sets = ["--set", "eta=8", "--set", "horizon=400", "--set", "adversity.p_fail=0.3"]
+        assert main(["run", "--preset", "fig_delay", *sets]) == 2
+        ratio = kv_lines(capsys.readouterr().out)["eta_bound_ratio"]
+        assert main(["bounds", "--preset", "fig_delay", *sets]) == 0
+        assert kv_lines(capsys.readouterr().out)["eta_ratio"] == ratio == "3627.8429959182968"
 
     def test_custom_domain_flag(self, tmp_path, capsys):
         cfg = write_small_config(tmp_path, horizon=10)
@@ -585,6 +625,7 @@ class TestUnwritableOutputs:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {str(out)!r}") and err.count("\n") == 1
+        assert err == f"error: cannot write {str(out)!r}: Not a directory\n"
 
     @pytest.mark.parametrize("flag", ["--trace", "--summary"])
     def test_run_prints_one_error_line(self, tmp_path, capsys, flag):
@@ -602,3 +643,7 @@ class TestUnwritableOutputs:
         code = main(["run", "--preset", "dispatch", "--set", "horizon=20", "--trace", str(blocker / "t.csv")])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {str(blocker / 't.csv')!r}: ")
+        summary = blocker / "y.txt"
+        code = main(["run", "--preset", "dispatch", "--set", "horizon=20", "--summary", str(summary), "--force"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: cannot write {str(summary)!r}: Not a directory\n"

@@ -527,6 +527,11 @@ class TestMaxDelayBound:
     def test_small_eta_grows_budget(self):
         assert max_delay_bound(IDM, IDM, 0.5, 2.0, 0.8, 0, 1e-6) > 1e5
 
+    def test_rejects_lambda_max_below_lambda2(self):
+        # The same input check as the step rate's (TestStepRateBound::test_input_validation).
+        with pytest.raises(DomainError):
+            max_delay_bound(IDM, IDM, 0.5, 0.4, 0.8, 0, 0.05)
+
 
 class TestFeasibleInit:
     def test_equal_split(self):
@@ -550,20 +555,6 @@ class TestFeasibleInit:
         a = feasible_init(9, 12.0, mode="random_simplex", seed=3)
         b = feasible_init(9, 12.0, mode="random_simplex", seed=3)
         assert np.array_equal(a, b)
-
-    def test_explicit_mode_rebalances_last_coordinate(self):
-        vals = np.array([1.0, 2.0, 3.0 + 3e-10])
-        x = feasible_init(3, 6.0, mode="explicit", values=vals)
-        assert math.fsum(x.tolist()) == 6.0
-        assert x[0] == 1.0 and x[1] == 2.0
-
-    def test_explicit_mode_rejects_bad_sum(self):
-        with pytest.raises(ConfigurationError):
-            feasible_init(3, 6.0, mode="explicit", values=np.array([1.0, 2.0, 4.0]))
-
-    def test_explicit_mode_needs_vector(self):
-        with pytest.raises(ConfigurationError):
-            feasible_init(3, 6.0, mode="explicit")
 
     def test_infeasible_boxes_rejected(self):
         with pytest.raises(InfeasibilityError):

@@ -374,6 +374,11 @@ class TestCostTable(object):
         with pytest.raises(ConfigurationError):
             load_costs_csv(p)
 
+    def test_none_penalty_option(self, tmp_path):
+        p = tmp_path / "costs.csv"
+        p.write_text(self.HEADER + "0,quadratic,1.0,,,0,5\n")
+        assert load_costs_csv(p, penalty="none")[0].penalty is None
+
     def test_smooth_penalty_option(self, tmp_path):
         p = tmp_path / "costs.csv"
         p.write_text(self.HEADER + "0,quadratic,1.0,,,0,5\n")

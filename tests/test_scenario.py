@@ -313,6 +313,14 @@ class TestBuildInstance:
         _, costs, _, _ = build_instance(cfg)
         assert costs[3].p1 == 0.8
 
+    def test_cost_table_rows_unpenalized_when_penalty_is_none(self, tmp_path):
+        path = tmp_path / "costs.csv"
+        rows = ["i,kind,p1,p2,p3,lo,hi"] + [f"{i},quadratic,1.0,0,0,0,5" for i in range(10)]
+        path.write_text("\n".join(rows) + "\n")
+        cfg = small_static_config(costs_kind="csv", costs_csv=str(path), costs_penalty="none")
+        _, costs, _, _ = build_instance(cfg)
+        assert all(c.penalty is None for c in costs)
+
     def test_seed_controls_topology(self):
         a, _, _, _ = build_instance(small_static_config(seed=1))
         b, _, _, _ = build_instance(small_static_config(seed=1))
@@ -435,6 +443,18 @@ class TestRun:
         assert s.diverged_step is not None
         assert s.diverged_step <= s.executed_steps
         assert s.eta_bound_ratio is not None and s.eta_bound_ratio > 1.0
+
+    def test_divergence_on_a_disconnected_union_has_no_ratio(self, tmp_path):
+        # Two 5-cliques: the union is disconnected, so no certificate exists.
+        w = np.zeros((10, 10))
+        w[:5, :5] = w[5:, 5:] = 1.0
+        np.fill_diagonal(w, 0.0)
+        path = tmp_path / "two.edges"
+        path.write_text(to_edge_list(WeightedGraph(10, w)))
+        cfg = small_static_config(topology_kind="edges", topology_edges_file=str(path), eta=5.0,
+                                  init_mode="random_simplex")
+        s = run(cfg).summary
+        assert s.diverged and s.eta_bound_ratio is None
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_cost_sum_past_the_double_range_is_a_divergence(self):
