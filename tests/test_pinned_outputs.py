@@ -11,7 +11,10 @@ agents (so the per-agent penalty selects run).  Any change
 to the step kernel, the cost evaluation, or the failure or delay draws that
 moves one bit of one output fails here.  The standard output of the
 README's ``dra-sim percolation`` example, Monte Carlo estimate included, is
-pinned too (its successes per window are pinned in test_percolation.py).
+pinned too (its successes per window are pinned in test_percolation.py),
+and so is the standard output of ``dra-sim bounds`` for every preset, over
+its default smoothness domain and over ``--domain=-5,5``, so a moved
+smoothness constant u fails here.
 The configs of the presets are pinned by the SHA-256 of their serialized
 text, so a changed default that no pinned run reads still fails here.
 """
@@ -197,3 +200,45 @@ def test_readme_percolation_stdout_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "25b91c794fe1560f3d40e856a0bc84e240f81ea2cb63707318d3cb9f52b83078"
     )
+
+
+# name: (stdout of bounds --preset name, of bounds --preset name --domain=-5,5)
+BOUNDS = {
+    "fig_dyn": (
+        "e471a217d593a1cf7b2bf9c0e17f4b88312c99bf0dff11cb0055b6c535a4e996",
+        "f51a011edbc6c9b87aa1d011bc98a3038d8e0689614cf30182b4501c28bf468d",
+    ),
+    "fig_dyn_logpenalty": (
+        "c132f6a46b79e95fce1c584e688a2679dfce414202942b90ace0981459c721c1",
+        "b441bda21304b99b637fdf62225ccd291252d3d967b213685844d73984be4962",
+    ),
+    "fig_fail": (
+        "fe6eaea331b14b8b62ada003c36f4c1daeb369688447ade593e5c735c5a3fa23",
+        "85d722a227c56fe70c346a5049e4c2b1dc2e9fb2f1cc7eea6a7b1ee04362a4e3",
+    ),
+    "fig_delay": (
+        "44b4898d4aa03026d4809ca9006f8c356477d7a94f8d783420589d441ad9cafa",
+        "5e645d92775be86c87c6e6ec3e69eafbbac55430fa705ccdc17b93a3a0c05021",
+    ),
+    "dispatch": (
+        "831a2b1716d6291db313ba59019afe451b50a9c006bdf6915c13f2a946432c1f",
+        "0afbd3b40eb4b9fb6653c58bcec6309dafebd1c97b3e86d65fa65a243b13d688",
+    ),
+    "dispatch_uniform": (
+        "ecd8a86e253b48de3da4005a9be08c455302955d64e82fff0ac12cea6e191f0c",
+        "fece1da6e14e7f906eb0db6b6196d1a92ed4439967bc2b27035e7a4b3bc7b549",
+    ),
+    "dispatch_adversity": (
+        "c8176560b4e6466aba3570abcca4e6f63d53541916d72010f3bab1b8254a8cef",
+        "1bc97db87c4d0a218efe2568a8b88eb9a73c8133dcb20f36bbee2139bf83af84",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BOUNDS))
+@pytest.mark.parametrize("domain", ["default", "-5,5"])
+def test_bounds_stdout_is_pinned(name, domain, capsys):
+    extra = [] if domain == "default" else [f"--domain={domain}"]
+    assert main(["bounds", "--preset", name, *extra]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS[name][domain != "default"]
