@@ -386,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="spectral, smoothness, and step-rate bounds of a scenario")
     _add_config_source(p_bounds)
-    p_bounds.add_argument("--domain", help="lo,hi interval for the curvature scan")
+    p_bounds.add_argument("--domain", help="lo,hi interval over which u bounds the curvature")
     p_bounds.add_argument("--lambda2", type=float, help="use this algebraic connectivity instead of building the graph")
     p_bounds.add_argument("--lambda-max", type=float, help="use this largest eigenvalue")
     p_bounds.add_argument("--u", type=float, help="use this smoothness constant")

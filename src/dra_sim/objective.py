@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, InfeasibilityError, NumericError, read_input_text
+from .errors import ConfigurationError, DomainError, InfeasibilityError, NumericError, read_input_text
 
 __all__ = [
     "BoxPenalty",
@@ -159,8 +159,7 @@ class CostSet:
         if not costs:
             raise ConfigurationError("CostSet needs at least one cost")
         self.costs = list(costs)
-        n = len(costs)
-        self.n = n
+        self.n = n = len(costs)
         # Every evaluator but curvature starts from a base term, which checks x.
         self._shape = (n,)
         self.quartic = np.array([c.kind == "quartic" for c in costs])
@@ -193,10 +192,8 @@ class CostSet:
         self.pen_weight = wt
         self.pen_exponent = ex
         self.pen_mu = mu
-        self._box = kind == 1
-        self._log = kind == 2
-        self._any_box = bool(self._box.any())
-        self._any_log = bool(self._log.any())
+        self._box, self._log = kind == 1, kind == 2
+        self._any_box, self._any_log = bool(self._box.any()), bool(self._log.any())
         # Penalties that every agent has skip the select; the factors below
         # associate as the formulas did; with exponent 2, u ** (m-1) is u.
         self._all_box, self._all_log = bool(self._box.all()), bool(self._log.all())
@@ -322,12 +319,12 @@ class CostSet:
 
     def curvature(self, x: np.ndarray) -> np.ndarray:
         """Per-agent second derivative (one-sided at box corners)."""
+        return self._curvature(x, x, x)
+
+    def _curvature(self, x, hi_at, lo_at) -> np.ndarray:
+        """``curvature`` at x, but with the upper and lower smooth-log bumps at ``hi_at`` and ``lo_at``."""
         x = np.asarray(x, dtype=float)
-        out = np.where(
-            self.quartic,
-            12.0 * self.p1 * (x - self.p2) ** 2,
-            2.0 * self.p1 + 0.0 * x,
-        )
+        out = np.where(self.quartic, 12.0 * self.p1 * (x - self.p2) ** 2, 2.0 * self.p1 + 0.0 * x)
         if self._any_box:
             m = self.pen_exponent
             up = np.maximum(0.0, x - self.pen_hi)
@@ -340,8 +337,8 @@ class CostSet:
             out = out + (pc if self._all_box else np.where(self._box, pc, 0.0))
         if self._any_log:
             mu = self.pen_mu
-            s1 = _sigmoid(mu * (x - self.pen_hi))
-            s2 = _sigmoid(mu * (self.pen_lo - x))
+            s1 = _sigmoid(mu * (hi_at - self.pen_hi))
+            s2 = _sigmoid(mu * (self.pen_lo - lo_at))
             pc = mu * (s1 * (1.0 - s1) + s2 * (1.0 - s2))
             out = out + (pc if self._all_log else np.where(self._log, pc, 0.0))
         return out
@@ -363,46 +360,46 @@ def _make_penalty(kind: str, lo: float, hi: float, weight: float, exponent: int,
     raise ConfigurationError(f"unknown penalty kind {kind!r}")
 
 
-_SCAN_ELEMENTS = 1 << 15
+# A smooth-log bump is concave only within ln(2 + sqrt 3) / mu of its edge: quarter that band.
+_BAND_CUTS = math.log(2.0 + math.sqrt(3.0)) * np.arange(-1.0, 1.5, 0.5)[:, None, None]
 
 
 @dataclass(frozen=True)
 class SmoothnessEstimate:
-    """Half the largest observed curvature, padded by a 10% safety factor."""
+    """A bound on every agent's curvature over a domain, and u = 1.1 * max_curvature / 2."""
 
     u: float
     max_curvature: float
-    domain: tuple[float, float]
-    grid_points: int
 
 
-def smoothness_bound(
-    costs: list[LocalCost], domain: tuple[float, float], grid_points: int = 512
-) -> SmoothnessEstimate:
-    """Estimate the quadratic-upper-bound constant u over a working interval.
+def smoothness_bound(costs: list[LocalCost], domain: tuple[float, float]) -> SmoothnessEstimate:
+    """The quadratic-upper-bound constant u of ``costs`` over ``domain`` = (lo, hi).
 
-    Scans f_i'' for every agent on a uniform grid over ``domain`` and returns
-    u = 1.1 * max(f'') / 2.  The grid must be fine enough to see the penalty
-    region, hence the minimum of 100 points.  The grid is evaluated in blocks
-    of at most ``_SCAN_ELEMENTS`` agent-point pairs, one ``curvature`` call
-    per block, so memory stays flat in n and in the grid size; the maximum
-    is taken over the same per-point maxima as a point-by-point scan.
+    Cut at the penalty edges, f_i'' is convex on each piece but a smooth-log
+    band, so its supremum is at a piece end or, for a box of exponent 2,
+    beside an edge; each quarter of a band is bounded by the base curvature at
+    its ends plus each bump at its point nearest its edge.  Raises
+    ConfigurationError unless lo < hi, DomainError unless f'' is finite there.
     """
     lo, hi = domain
-    if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigurationError(f"smoothness domain must be a finite interval, got {domain}")
-    if grid_points < 100:
-        raise ConfigurationError(f"smoothness grid needs >= 100 points, got {grid_points}")
-    xs = np.linspace(lo, hi, grid_points)
+    if not lo < hi:
+        raise ConfigurationError(f"smoothness domain must be an interval lo < hi, got {domain}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"smoothness domain must be finite, got {domain}")
     cs = CostSet(costs)
-    rows = max(1, _SCAN_ELEMENTS // cs.n)
-    worst = 0.0
-    for start in range(0, grid_points, rows):
-        block = cs.curvature(xs[start : start + rows, None])
-        worst = max([worst, *block.max(axis=1).tolist()])
-    return SmoothnessEstimate(
-        u=0.55 * worst, max_curvature=worst, domain=(float(lo), float(hi)), grid_points=grid_points
-    )
+    edges = np.stack([cs.pen_lo, cs.pen_hi])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Per edge, the ends of a band's quarters or of the edge and its neighbours.
+        ends = np.where(cs._log, edges + _BAND_CUTS / cs.pen_mu, np.nextafter(edges, edges + _BAND_CUTS))
+        ends = np.clip(ends, lo, hi)
+        rim = np.full((2, cs.n), [[lo], [hi]])
+        worst = float(np.max([  # each piece [a, b] (a bump taken nearest its edge), or [lo, lo] and [hi, hi]
+            cs._curvature(np.stack([a, b]), np.clip(cs.pen_hi, a, b), np.clip(cs.pen_lo, a, b)).max()
+            for a, b in [(rim, rim), *zip(ends[:-1], ends[1:])]
+        ]))
+    if not math.isfinite(worst):
+        raise DomainError(f"the curvature over the smoothness domain {domain} is not finite")
+    return SmoothnessEstimate(u=0.55 * worst, max_curvature=worst)
 
 
 # --------------------------------------------------------------------------

@@ -537,7 +537,7 @@ def build_instance(
 
 
 def default_smoothness_domain(cfg: ScenarioConfig) -> tuple[float, float]:
-    """The state interval used for curvature scans of a scenario's costs.
+    """The state interval over which u bounds the curvature of a scenario's costs.
 
     The penalty box padded by 20 percent when one is configured, otherwise a
     symmetric band around the per-agent share of the total.

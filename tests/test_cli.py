@@ -460,6 +460,23 @@ class TestBoundsCommand:
         assert main(["bounds", "--preset", "fig_delay", *sets]) == 0
         assert kv_lines(capsys.readouterr().out)["eta_ratio"] == ratio == "3627.8429959182968"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("edge", ["1e308", "1e300"])
+    def test_diverged_run_without_a_finite_smoothness_bound(self, edge, capsys):
+        # A box of +-1e308 pads to an infinite smoothness domain, and on the
+        # padded +-1e300 box the curvature overflows: either way the run has
+        # no certificate, so it reports no ratio, and bounds is one error.
+        sets = ["--set", "eta=8", "--set", "horizon=50",
+                "--set", f"costs.box_lo=-{edge}", "--set", f"costs.box_hi={edge}"]
+        assert main(["run", "--preset", "fig_delay", *sets]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert kv_lines(captured.out)["eta_bound_ratio"] == "none"
+        assert main(["bounds", "--preset", "fig_delay", *sets]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_custom_domain_flag(self, tmp_path, capsys):
         cfg = write_small_config(tmp_path, horizon=10)
         assert main(["bounds", "--config", str(cfg), "--domain=-5,5"]) == 0

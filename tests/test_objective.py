@@ -8,6 +8,7 @@ import pytest
 from dra_sim import (
     BoxPenalty,
     ConfigurationError,
+    DomainError,
     SmoothLogPenalty,
     central_solve,
     identity_map,
@@ -167,9 +168,9 @@ class TestSmoothness:
             worst = max(CostSet([c] * len(xs)).curvature(xs).max() for c in costs)
             assert 2.0 * est.u >= worst
 
-    def test_rejects_thin_grid(self):
-        with pytest.raises(ConfigurationError):
-            smoothness_bound([quadratic_cost(1.0)], (0.0, 1.0), grid_points=10)
+    def test_rejects_infinite_domain(self):
+        with pytest.raises(DomainError):
+            smoothness_bound([quadratic_cost(1.0)], (-math.inf, 1.0))
 
     def test_rejects_empty_domain(self):
         with pytest.raises(ConfigurationError):
