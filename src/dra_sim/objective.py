@@ -159,7 +159,8 @@ class CostSet:
         if not costs:
             raise ConfigurationError("CostSet needs at least one cost")
         self.costs = list(costs)
-        self.n = n = len(costs)
+        n = len(costs)
+        self.n = n
         # Every evaluator but curvature starts from a base term, which checks x.
         self._shape = (n,)
         self.quartic = np.array([c.kind == "quartic" for c in costs])
@@ -192,7 +193,8 @@ class CostSet:
         self.pen_weight = wt
         self.pen_exponent = ex
         self.pen_mu = mu
-        self._box, self._log = kind == 1, kind == 2
+        self._box = kind == 1
+        self._log = kind == 2
         self._any_box, self._any_log = bool(self._box.any()), bool(self._log.any())
         # Penalties that every agent has skip the select; the factors below
         # associate as the formulas did; with exponent 2, u ** (m-1) is u.

@@ -507,7 +507,7 @@ def test_smoothness_bound_dominates_a_dense_sample(costs, lo, width):
     # of calling pow.  The second one's bump peaks at 2 + 100 / 4 between the
     # points of a uniform 512-point grid.
     hi = lo + width
-    cs = CostSet(list(dict.fromkeys(costs)))  # the distinct costs: a sample as small as the list is long
+    cs = CostSet(list(dict.fromkeys(costs)))  # each distinct cost once, however long the list
     edges = np.concatenate([cs.pen_lo, cs.pen_hi])
     edges = edges[np.isfinite(edges)]
     xs = np.concatenate([np.linspace(lo, hi, 20001), edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
