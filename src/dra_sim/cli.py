@@ -134,16 +134,16 @@ def _cmd_preset(args) -> int:
     return EXIT_OK
 
 
-def _sweep_worker(job: tuple[int, ScenarioConfig, str, str]) -> tuple[int, bool, str, str]:
-    index, cfg, trace_path, summary_path = job
+def _sweep_worker(job: tuple[ScenarioConfig, str, str]) -> tuple[bool, str, str]:
+    cfg, trace_path, summary_path = job
     try:
         result = run(cfg)
         _write_run(result, trace_path, summary_path, force=True)
-        return index, result.summary.diverged, "", ""
+        return result.summary.diverged, "", ""
     except NumericError as exc:
-        return index, False, "numeric", str(exc)
+        return False, "numeric", str(exc)
     except DraSimError as exc:
-        return index, False, "config", str(exc)
+        return False, "config", str(exc)
 
 
 def _worker_cap(n_jobs: int) -> int:
@@ -187,33 +187,25 @@ def _cmd_sweep(args) -> int:
         raise _unwritable(out_dir, exc) from None
 
     keys = [k for k, _ in grids]
-    jobs = []
-    labels = []
+    jobs, labels = [], []
     for index, combo in enumerate(itertools.product(*(vs for _, vs in grids))):
         cfg = base
         for key, value in zip(keys, combo):
             cfg = apply_key(cfg, key, value)
-        label = ";".join(f"{k}={_render_value(k, v)}" for k, v in zip(keys, combo))
-        labels.append(label)
-        jobs.append(
-            (index, cfg, str(out_dir / f"trace_{index:03d}.csv"), str(out_dir / f"summary_{index:03d}.txt"))
-        )
+        labels.append(";".join(f"{k}={_render_value(k, v)}" for k, v in zip(keys, combo)))
+        jobs.append((cfg, str(out_dir / f"trace_{index:03d}.csv"), str(out_dir / f"summary_{index:03d}.txt")))
 
+    # Both maps give the results in job order.
     workers = _worker_cap(len(jobs))
-    results: dict[int, tuple[bool, str, str]] = {}
     if workers == 1:
-        for job in jobs:
-            index, diverged, kind, msg = _sweep_worker(job)
-            results[index] = (diverged, kind, msg)
+        results = list(map(_sweep_worker, jobs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, diverged, kind, msg in pool.map(_sweep_worker, jobs):
-                results[index] = (diverged, kind, msg)
+            results = list(pool.map(_sweep_worker, jobs))
 
     lines = ["job,overrides,diverged,error"]
     any_diverged = any_config = any_numeric = False
-    for index in range(len(jobs)):
-        diverged, kind, msg = results[index]
+    for index, (diverged, kind, msg) in enumerate(results):
         any_diverged |= diverged
         any_config |= kind == "config"
         any_numeric |= kind == "numeric"

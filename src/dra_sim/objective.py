@@ -126,6 +126,8 @@ class LocalCost:
             raise ConfigurationError(f"unknown cost kind {self.kind!r}")
         if not (self.p1 > 0.0 and math.isfinite(self.p1)):
             raise ConfigurationError(f"leading cost coefficient must be positive, got {self.p1}")
+        if not (math.isfinite(self.p2) and math.isfinite(self.p3)):
+            raise ConfigurationError(f"cost coefficients must be finite, got p2={self.p2}, p3={self.p3}")
 
 
 def quadratic_cost(
@@ -161,8 +163,7 @@ class CostSet:
         self.costs = list(costs)
         n = len(costs)
         self.n = n
-        # Every evaluator but curvature starts from a base term, which checks x.
-        self._shape = (n,)
+        self._shape = (n,)  # every evaluator checks the state against it in _state
         self.quartic = np.array([c.kind == "quartic" for c in costs])
         self.p1 = np.array([c.p1 for c in costs])
         self.p2 = np.array([c.p2 for c in costs])
@@ -208,11 +209,16 @@ class CostSet:
 
     # -- per-agent vector evaluations ------------------------------------
 
-    def base_value(self, x: np.ndarray) -> np.ndarray:
-        """Per-agent base cost, without the penalty terms."""
+    def _state(self, x) -> np.ndarray:
+        """``x`` as a float array whose last axis has one entry per cost; ConfigurationError otherwise."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != self._shape:
             raise ConfigurationError(f"state of shape {x.shape} does not match {self.n} costs")
+        return x
+
+    def base_value(self, x: np.ndarray) -> np.ndarray:
+        """Per-agent base cost, without the penalty terms."""
+        x = self._state(x)
         if self._all_quadratic:
             return self.p1 * x**2 + self.p2 * x + self.p3
         if self._all_quartic:
@@ -289,9 +295,7 @@ class CostSet:
 
     def base_grad(self, x: np.ndarray) -> np.ndarray:
         """Per-agent base gradient, without the penalty terms."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != self._shape:
-            raise ConfigurationError(f"state of shape {x.shape} does not match {self.n} costs")
+        x = self._state(x)
         if self._all_quadratic:
             return self._p1x2 * x + self.p2
         if self._all_quartic:
@@ -325,7 +329,7 @@ class CostSet:
 
     def _curvature(self, x, hi_at, lo_at) -> np.ndarray:
         """``curvature`` at x, but with the upper and lower smooth-log bumps at ``hi_at`` and ``lo_at``."""
-        x = np.asarray(x, dtype=float)
+        x = self._state(x)
         out = np.where(self.quartic, 12.0 * self.p1 * (x - self.p2) ** 2, 2.0 * self.p1 + 0.0 * x)
         if self._any_box:
             m = self.pen_exponent
@@ -681,7 +685,10 @@ def load_costs_csv(
             if not (lo_s and hi_s):
                 raise ConfigurationError(f"line {lineno}: lo and hi must both be set or both empty")
             pen = _make_penalty(penalty, lo, hi, penalty_weight, penalty_exponent, penalty_sharpness)
-        rows[idx] = LocalCost(kind, p1, p2, p3, pen)
+        try:
+            rows[idx] = LocalCost(kind, p1, p2, p3, pen)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"line {lineno}: {exc}") from None
     n = len(rows)
     if n == 0:
         raise ConfigurationError(f"cost table {path} has no rows")

@@ -11,6 +11,7 @@ other.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -574,36 +575,45 @@ def _certificate(cfg: ScenarioConfig, instance: tuple, domain: tuple[float, floa
     return spec, u, bound
 
 
-def _book_block(cs: CostSet, held: list[tuple], total: float, optimum: float, f_values, gaps) -> list[TraceRecord]:
-    """Book held (step, x, min, max, grads, active links, recorded) rows.
+def _book_block(cs: CostSet, held: list[tuple], total: float, cols: np.ndarray) -> None:
+    """Book held (step, x, grads) rows of finite steps into ``run``'s per-step columns.
 
-    Writes each step's objective (``CostSet.row_totals`` of the stacked states)
-    to ``f_values`` and its exact (``fsum``) gap to ``gaps``, and returns the
-    recorded rows' records, all nan where x is None (not finite).  Means and
-    dispersions, norm(grads - grads.mean()), are bit-equal to one row's.
+    Writes each step's objective (``CostSet.row_totals`` of the stacked
+    states), exact (``fsum``) gap, dispersion norm(grads - grads.mean()) and
+    mean to rows 0, 1, 2 and 5 of ``cols``; each row's is bit-equal to a
+    one-row block's.
     """
-    live = [h for h in held if h[1] is not None]
-    stats = iter(())
-    if live:
-        xs, gs = np.stack([h[1] for h in live]), np.stack([h[4] for h in live])
-        dev = gs - (gs.sum(axis=1) / xs.shape[1])[:, None]
-        means = (xs.sum(axis=1) / xs.shape[1]).tolist()
-        stats = zip(cs.row_totals(xs), [math.sqrt(g.dot(g)) for g in dev], means)
-    records = []
-    for k, x, lo, hi, _, active, recorded in held:
-        f = gap = dispersion = mean = math.nan
-        if x is None:
-            lo = hi = math.nan
-        else:
-            f, dispersion, mean = next(stats)
-            try:
-                gap = math.fsum(x.tolist()) - total
-            except OverflowError:  # a partial sum left the double range: no exact gap
-                pass
-        f_values[k], gaps[k] = f, gap
-        if recorded:
-            records.append(TraceRecord(k, f - optimum, gap, dispersion, lo, hi, mean, active))
-    return records
+    ks, xs, gs = zip(*held)
+    xs, gs = np.stack(xs), np.stack(gs)
+    dev = gs - (gs.sum(axis=1) / xs.shape[1])[:, None]
+    cols[0, ks] = cs.row_totals(xs)
+    cols[2, ks] = [math.sqrt(g.dot(g)) for g in dev]
+    cols[5, ks] = xs.sum(axis=1) / xs.shape[1]
+    for k, x, _ in held:
+        try:
+            cols[1, k] = math.fsum(x.tolist()) - total
+        except OverflowError:  # a partial sum left the double range: no exact gap
+            pass
+
+
+def _link_plan(cfg: ScenarioConfig, graphs: list[WeightedGraph], rng: np.random.Generator):
+    """Yield each step's (graph, failure keep mask or None, links up), from step 0 to the horizon.
+
+    Link failures take one uniform per link and step from ``rng``, drawn for
+    a block of steps at once (the same bits as one call per step) that stays
+    in one topology phase and under ``_FAIL_BLOCK`` uniforms.
+    """
+    switch = cfg.topology_switch_period
+    for start in range(0, cfg.horizon, switch):
+        graph, steps = graphs[(start // switch) % len(graphs)], min(switch, cfg.horizon - start)
+        m = graph.edge_count
+        if cfg.p_fail == 0.0:
+            yield from itertools.repeat((graph, None, m), steps)
+            continue
+        rows = max(1, _FAIL_BLOCK // max(m, 1))
+        for first in range(0, steps, rows):
+            keep = rng.random((min(rows, steps - first), m)) >= cfg.p_fail
+            yield from zip(itertools.repeat(graph), keep, np.count_nonzero(keep, axis=1).tolist())
 
 
 def run(cfg: ScenarioConfig) -> RunResult:
@@ -613,11 +623,12 @@ def run(cfg: ScenarioConfig) -> RunResult:
     Divergence (non-finite state, or the residual exceeding a billion times
     its initial value) stops the run and is flagged in the summary together
     with the ratio of the configured step rate to the analytical bound.
-    The objective is evaluated at step 0 and where ``CostSet.value_bound`` cannot rule
-    divergence out; objectives, gaps and statistics then come in blocks of steps.
-    Link failures take one uniform per link and step, drawn for a block of
-    steps at once (the same bits as one call per step) that stays in one
-    topology phase and under ``_FAIL_BLOCK`` uniforms.
+    Each step is booked into per-step columns (objective, gap, dispersion,
+    min, max, mean, all nan where the state is not finite, and links up),
+    from which the trace and the summary are read once the loop is over.
+    The objective is evaluated at step 0, where it sets the divergence limit, and where
+    ``CostSet.value_bound`` cannot rule divergence out; objectives, gaps and statistics
+    then come in blocks of steps, and each step's graph and failure mask from one ``_link_plan``.
     """
     instance = build_instance(cfg)
     graphs, costs, node_map, link_map = instance
@@ -629,74 +640,55 @@ def run(cfg: ScenarioConfig) -> RunResult:
     x0 = feasible_init(cfg.n, cfg.total, cfg.init_mode, seed=_child_seed(cfg.seed, _TAG_INIT), boxes=boxes)
 
     adv_seed = cfg.adversity_seed if cfg.adversity_seed >= 0 else cfg.seed
-    rng_fail = np.random.default_rng([_child_seed(adv_seed, _TAG_FAIL), 0xFA11])
+    plan = _link_plan(cfg, graphs, np.random.default_rng([_child_seed(adv_seed, _TAG_FAIL), 0xFA11]))
     schedule = DelaySchedule(cfg.tau_bar, cfg.delay_mode, seed=_child_seed(adv_seed, _TAG_DELAY))
 
-    n_phases = len(graphs)
-    switch = cfg.topology_switch_period
-
-    node_counter = ClampCounter()
-    link_counter = ClampCounter()
+    node_counter, link_counter = ClampCounter(), ClampCounter()
 
     state = init_delayed_state(x0, cfg.tau_bar, cs, link_map)
     horizon = cfg.horizon
-    f_values, gaps = np.empty(horizon + 1), np.empty(horizon + 1)
-    records: list[TraceRecord] = []
-    limit = math.nan  # the residual past which a run diverges, set at step 0
-    # Links up at the last step taken; the record of a final step repeats it.
-    active = graphs[0].edge_count
-    fail_block, fail_counts, fail_row = None, [], 0  # failure masks drawn ahead, by step
-    held: list[tuple] = []  # steps whose objective, gap and statistics wait for their block
+    # Per step: objective, gap, dispersion, min, max and mean (nan where x is not finite), and links up.
+    cols, links = np.full((6, horizon + 1), math.nan), np.empty(horizon + 1, dtype=np.int64)
+    limit = 1e9 * (abs(cs.total_value(x0) - oracle.value) + 1.0)  # the residual past which a run diverges
+    active = graphs[0].edge_count  # links up at the last step taken, which the final step repeats
+    held: list[tuple] = []  # (step, x, grads) of finite steps whose objective, gap and statistics wait
     block = max(1, min(_RECORD_ROWS, _RECORD_BLOCK // cfg.n))
 
     for k in range(horizon + 1):
         x = state.x
         lo, hi = float(x.min()), float(x.max())  # nan or infinite unless x is finite
         finite = math.isfinite(lo) and math.isfinite(hi)
-        grads, spread, diverged = None, math.nan, not finite
+        spread, diverged = math.nan, not finite
         if finite:
             grads = cs.grad(x)
             spread = float(grads.max() - grads.min())
-            if k == 0 or cs.value_bound(max(-lo, hi)) - oracle.value > limit:
-                residual = cs.total_value(x) - oracle.value
-                limit = 1e9 * (abs(residual) + 1.0) if k == 0 else limit
-                diverged = residual > limit
-        stop_now = finite and spread <= cfg.early_stop_spread
-        done = diverged or stop_now or k == horizon
-        if not done:
-            graph = graphs[(k // switch) % n_phases]
-            if cfg.p_fail > 0.0:
-                if fail_row == len(fail_counts):
-                    m = graph.edge_count
-                    rows = min(switch - k % switch, horizon - k, max(1, _FAIL_BLOCK // max(m, 1)))
-                    fail_block = rng_fail.random((rows, m)) >= cfg.p_fail
-                    fail_counts, fail_row = np.count_nonzero(fail_block, axis=1).tolist(), 0
-                keep, active = fail_block[fail_row], fail_counts[fail_row]
-                fail_row += 1
-            else:
-                keep = None
-                active = graph.edge_count
-
-        held.append((k, x if finite else None, lo, hi, grads, active, k % cfg.record_stride == 0 or done))
-        if len(held) == block or done:
-            records.extend(_book_block(cs, held, cfg.total, oracle.value, f_values, gaps))
+            if k and cs.value_bound(max(-lo, hi)) - oracle.value > limit:
+                diverged = cs.total_value(x) - oracle.value > limit
+            cols[3, k], cols[4, k] = lo, hi
+            held.append((k, x, grads))
+        done = diverged or spread <= cfg.early_stop_spread or k == horizon
+        if held and (done or len(held) == block):
+            _book_block(cs, held, cfg.total, cols)
             held = []
         if done:
             break
+        graph, keep, active = next(plan)
+        links[k] = active
         state = step_delayed(
             state, graph, schedule, cs, node_map, link_map, cfg.eta, failure_keep=keep, grads=grads,
             node_counter=node_counter, link_counter=link_counter,
         )
 
     executed = k
-    residuals = f_values[: executed + 1] - oracle.value
+    links[executed] = active
+    f_values = cols[0, : executed + 1]
+    residuals = f_values - oracle.value
     reached = np.flatnonzero(residuals <= 0.01 * residuals[0])
     # Fraction of fixed-length windows over which the objective decreased.
     win = cfg.window + cfg.tau_bar + 1
     if executed >= win:
         starts = f_values[: executed - win + 1]
-        ends = f_values[win : executed + 1]
-        good = np.count_nonzero(ends <= starts + 1e-12)
+        good = np.count_nonzero(f_values[win:] <= starts + 1e-12)
         frac_decreasing = float(good / len(starts))
     else:
         frac_decreasing = float("nan")
@@ -716,18 +708,20 @@ def run(cfg: ScenarioConfig) -> RunResult:
         final_residual=float(residuals[-1]),
         final_spread=spread,
         steps_to_threshold=int(reached[0]) if reached.size else -1,
-        max_feasibility_gap=float(np.fmax.reduce(np.abs(gaps[: executed + 1]), initial=0.0)),  # skips nan gaps
+        max_feasibility_gap=float(np.fmax.reduce(np.abs(cols[1, : executed + 1]), initial=0.0)),  # skips nan gaps
         fraction_decreasing_windows=frac_decreasing,
         node_clamp_events=node_counter.events,
         link_clamp_events=link_counter.events,
-        early_stopped=stop_now and k < horizon,
+        early_stopped=spread <= cfg.early_stop_spread and executed < horizon,
         diverged=diverged,
-        diverged_step=k if diverged else -1,
+        diverged_step=executed if diverged else -1,
         eta_bound_ratio=ratio,
         oracle_value=oracle.value,
         oracle_multiplier=oracle.multiplier,
     )
-    return RunResult(config=cfg, trace=records, summary=summary, final_state=x.copy())
+    rows = [*range(0, executed, cfg.record_stride), executed]
+    trace = list(map(TraceRecord, rows, residuals[rows].tolist(), *cols[1:, rows].tolist(), links[rows].tolist()))
+    return RunResult(config=cfg, trace=trace, summary=summary, final_state=x.copy())
 
 
 # --------------------------------------------------------------------------

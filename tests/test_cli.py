@@ -549,6 +549,16 @@ class TestOutsideInputErrors:
                                       "--set", f"costs.csv={table}"])
         assert "bad cost row at line 2" in err
 
+    def test_cost_table_coefficient_not_finite(self, tmp_path, capsys):
+        table = tmp_path / "costs.csv"
+        rows = ["i,kind,p1,p2,p3,lo,hi", "0,quadratic,1.0,nan,0,,"]
+        rows += [f"{i},quadratic,1.0,0.0,0,," for i in range(1, 10)]
+        table.write_text("\n".join(rows) + "\n")
+        cfg = write_small_config(tmp_path, horizon=5)
+        err = self.run_error(capsys, ["run", "--config", str(cfg), "--set", "costs.kind=csv",
+                                      "--set", f"costs.csv={table}"])
+        assert err == "error: line 2: cost coefficients must be finite, got p2=nan, p3=0.0\n"
+
     def test_edge_list_negative_node_count(self, tmp_path, capsys):
         edges = tmp_path / "net.edges"
         edges.write_text("n=-2\n")

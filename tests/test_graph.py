@@ -268,8 +268,9 @@ class TestUnionGraph:
 
 def trace_dispersion(grads):
     """The trace's dispersion column, norm(grads - mean), for one record."""
-    cs, out = CostSet([quadratic_cost(1.0)] * grads.size), np.empty(1)
-    return _book_block(cs, [(0, grads, 0.0, 0.0, grads, 0, True)], 0.0, 0.0, out, out)[0].dispersion
+    cs, cols = CostSet([quadratic_cost(1.0)] * grads.size), np.full((6, 1), math.nan)
+    _book_block(cs, [(0, grads, grads)], 0.0, cols)
+    return cols[2, 0]
 
 
 class TestDispersion:

@@ -118,6 +118,12 @@ class TestCostCurvature:
         # 12 * 0.01 * (10 - 1)^2 at the far box corner.
         assert CostSet([quartic_cost(0.01, 1.0)]).curvature(np.array([10.0]))[0] == pytest.approx(9.72, rel=1e-12)
 
+    @pytest.mark.parametrize("n, length", [(2, 1), (1, 3)])
+    def test_rejects_a_state_of_the_wrong_length(self, n, length):
+        cs = CostSet([quadratic_cost(1.0 + i) for i in range(n)])
+        with pytest.raises(ConfigurationError, match="does not match"):
+            cs.curvature(np.ones(length))
+
 
 class TestValidation:
     def test_quadratic_needs_positive_curvature(self):
@@ -125,6 +131,11 @@ class TestValidation:
             quadratic_cost(0.0)
         with pytest.raises(ConfigurationError):
             quadratic_cost(-1.0)
+
+    @pytest.mark.parametrize("b, c", [(math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan), (0.0, -math.inf)])
+    def test_lower_coefficients_must_be_finite(self, b, c):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            quadratic_cost(1.0, b, c)
 
     def test_quartic_needs_positive_scale(self):
         with pytest.raises(ConfigurationError):
@@ -184,6 +195,11 @@ class TestCentralSolve:
         sol = central_solve(costs, 600.0, boxes=boxes, mode="exact_box")
         assert np.allclose(sol.x, 60.0, atol=1e-7)
         assert abs(sol.x.sum() - 600.0) <= 1e-7
+
+    def test_nan_coefficient_is_a_configuration_error(self):
+        # Not the InfeasibilityError of a bisection that no multiplier satisfies.
+        with pytest.raises(ConfigurationError, match="p2=nan"):
+            central_solve([quadratic_cost(1.0, math.nan), quadratic_cost(1.0)], 1.0)
 
     def test_two_agent_hand_solution(self):
         costs = [quadratic_cost(1.0), quadratic_cost(2.0)]
@@ -367,6 +383,12 @@ class TestCostTable(object):
         p = tmp_path / "costs.csv"
         p.write_text(self.HEADER + "0,cubic,1,,,,\n")
         with pytest.raises(ConfigurationError):
+            load_costs_csv(p)
+
+    def test_rejects_non_finite_coefficient_naming_its_line(self, tmp_path):
+        p = tmp_path / "costs.csv"
+        p.write_text(self.HEADER + "0,quadratic,1,,,,\n1,quadratic,1,2,inf,,\n")
+        with pytest.raises(ConfigurationError, match="line 3: cost coefficients must be finite"):
             load_costs_csv(p)
 
     def test_rejects_half_open_box(self, tmp_path):

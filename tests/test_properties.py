@@ -511,7 +511,8 @@ def test_smoothness_bound_dominates_a_dense_sample(costs, lo, width):
     edges = np.concatenate([cs.pen_lo, cs.pen_hi])
     edges = edges[np.isfinite(edges)]
     xs = np.concatenate([np.linspace(lo, hi, 20001), edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
-    sample = float(cs.curvature(xs[(lo <= xs) & (xs <= hi), None]).max())
+    pts = xs[(lo <= xs) & (xs <= hi)]
+    sample = float(cs.curvature(np.broadcast_to(pts[:, None], (pts.size, cs.n))).max())
     est = smoothness_bound(costs, (lo, hi))
     assert est.u == 0.55 * est.max_curvature
     assert est.max_curvature >= sample

@@ -34,7 +34,7 @@ from dra_sim import (
     trace_to_csv,
 )
 from dra_sim.objective import CostSet
-from dra_sim.scenario import _PRESETS, CONFIG_KEYS, apply_key, config_items, parse_config
+from dra_sim.scenario import _PRESETS, _TAG_FAIL, CONFIG_KEYS, _child_seed, apply_key, config_items, parse_config
 
 
 def small_static_config(**over):
@@ -362,6 +362,28 @@ class TestFailureMask:
         mean = draws * m * 0.5
         sd = math.sqrt(draws * m * 0.25)
         assert abs(kept - mean) <= 4.0 * sd
+
+    def test_blocks_give_the_bits_of_one_draw_per_step(self, monkeypatch):
+        # Three 7-step phases of different link counts, the last one cut by
+        # the horizon.  At the default block each phase is one draw; at a block
+        # of the densest phase's link count, that phase draws one row at a time
+        # and the sparsest splits its steps over several draws.
+        cfg = small_static_config(
+            topology_kind="cycle", topology_cycle_ps=(0.9, 0.5, 0.2), topology_switch_period=7,
+            horizon=40, p_fail=0.6, early_stop_spread=0.0,
+        )
+        ms = [g.edge_count for g in build_instance(cfg)[0]]
+        assert len(set(ms)) == 3 and max(ms) // min(ms) > 1
+        adv_seed = cfg.seed  # adversity.seed = -1 draws from the scenario seed
+        rng = np.random.default_rng([_child_seed(adv_seed, _TAG_FAIL), 0xFA11])
+        want = [int(np.count_nonzero(rng.random(ms[(k // 7) % 3]) >= cfg.p_fail)) for k in range(cfg.horizon)]
+        default = run(cfg)
+        monkeypatch.setattr("dra_sim.scenario._FAIL_BLOCK", max(ms))
+        small = run(cfg)
+        for res in (default, small):
+            assert res.summary.executed_steps == cfg.horizon
+            assert [r.active_links for r in res.trace[:-1]] == want
+        assert small.final_state.tobytes() == default.final_state.tobytes()
 
     def test_survivor_weights_unchanged(self):
         # A kept link carries its own weight: the masked step equals the step
