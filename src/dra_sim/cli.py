@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import errno
 import itertools
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -227,6 +228,7 @@ def _cmd_percolation(args) -> int:
     for flag, value in (("--window", args.window), ("--trials", args.trials)):
         if value < 0:
             raise ConfigurationError(f"{flag} must be >= 0, got {value}")
+    effective = effective_failure(args.p_fail, args.window)  # rejects a rate outside [0, 1], nan included
     profile = er_threshold(args.n, args.p, convention=args.convention)
     out = [
         ("n", args.n),
@@ -240,7 +242,7 @@ def _cmd_percolation(args) -> int:
     if args.p_fail > 0.0:
         out.append(("p_fail", repr(float(args.p_fail))))
         out.append(("window", args.window))
-        out.append(("effective_failure", repr(effective_failure(args.p_fail, args.window))))
+        out.append(("effective_failure", repr(effective)))
         if profile.threshold is not None:
             out.append(("min_window", min_window(args.p_fail, profile.threshold)))
     if args.trials > 0:
@@ -262,6 +264,9 @@ def _cmd_bounds(args) -> int:
     if any(v is not None for v in overrides):
         if any(v is None for v in overrides):
             raise ConfigurationError("--lambda2, --lambda-max, and --u must be given together")
+        for flag, value in zip(("--lambda2", "--lambda-max", "--u"), overrides):
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{flag} must be finite, got {value}")
         lam2, lam_max, u = overrides
         connected, domain_lines = lam2 > 0.0, []
         bound = step_rate_bound(node_map, link_map, *overrides, cfg.window, cfg.tau_bar) if connected else None

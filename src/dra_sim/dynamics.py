@@ -90,13 +90,13 @@ class DelaySchedule:
     narrowest unsigned dtype that holds tau_bar.
 
     The uniform delays come from one counter-based stream (Salmon et al.,
-    "Parallel random numbers: as easy as 1, 2, 3", SC'11): a Philox4x64
-    generator keyed by the words (seed, 0xDE1A).  Steps are grouped by the
-    link count ``m`` of their graph before failures into blocks of
-    ``rows = max(1, 2**15 // m)`` steps.  Block ``b`` holds steps
-    ``b * rows`` to ``b * rows + rows - 1``; it is one
-    ``integers(0, tau_bar + 1, size=(rows, m))`` draw whose counter starts
-    at the words [0, b, m, 0], and each step reads its own row.  The live
+    "Parallel random numbers: as easy as 1, 2, 3", SC'11), keyed by the
+    words (seed, 0xDE1A).  Steps are grouped by the link count ``m`` of
+    their graph before failures into blocks of ``rows = max(1, 2**15 // m)``
+    steps.  Block ``b`` holds steps ``b * rows`` to ``b * rows + rows - 1``;
+    it is one ``integers(0, tau_bar + 1, size=(rows, m))`` draw from a fresh
+    Philox4x64 generator with that key, whose counter starts at the words
+    [0, b, m, 0], and each step reads its own row.  The live
     links of a step take the first ``len(ei)`` entries of that row, in link
     order; with one row per block only that prefix is drawn, which equals
     the head of the full row.  A delay is thus a pure function of (seed,
@@ -115,12 +115,6 @@ class DelaySchedule:
         self.seed = int(seed)
         self._dtype = np.min_scalar_type(self.tau_bar)
         self._per_link: dict[tuple[int, int], int] = {}
-        # Only uniform delays read a generator; the zero-delay schedule built at
-        # import builds none, so importing the package does not load numpy.random.
-        self._gen = None
-        if mode == "uniform" and self.tau_bar > 0:
-            self._key = np.array([self.seed, _DELAY_TAG], dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=self._key))
         self._held: tuple[int, int, np.ndarray | None] = (-1, 0, None)  # (block, m, delays)
 
     # The per-link stream key ends in 0; changing it would change every delay.
@@ -134,15 +128,9 @@ class DelaySchedule:
 
     def _uniform(self, block: int, m: int, size) -> np.ndarray:
         """``size`` uniform delays from the start of block ``block`` of width ``m``."""
-        self._gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.array([0, block, m, 0], dtype=np.uint64), "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self._gen.integers(0, self.tau_bar + 1, size=size, dtype=self._dtype)
+        words = np.array([self.seed, _DELAY_TAG, 0, block, m, 0], dtype=np.uint64)  # key, then counter
+        gen = np.random.Generator(np.random.Philox(key=words[:2], counter=words[2:]))
+        return gen.integers(0, self.tau_bar + 1, size=size, dtype=self._dtype)
 
     def draw(self, step: int, ei: np.ndarray, ej: np.ndarray, m: int | None = None) -> np.ndarray:
         """Delays for the links (ei, ej) emitted at ``step``.
@@ -383,8 +371,8 @@ def _check_rate_inputs(kappa_node, big_k_node, kappa_link, big_k_link, lambda2, 
             "step rate bound needs lambda2 > 0: the union graph over the "
             "connectivity window must be connected"
         )
-    if not (lambda_max >= lambda2):
-        raise DomainError(f"lambda_max {lambda_max} must be >= lambda2 {lambda2}")
+    if not (lambda2 <= lambda_max < math.inf):
+        raise DomainError(f"lambda_max {lambda_max} must be finite and >= lambda2 {lambda2}")
     if not (u > 0.0 and math.isfinite(u)):
         raise DomainError(f"smoothness constant must be positive, got {u}")
     if min(kappa_node, kappa_link) <= 0.0 or big_k_node < kappa_node or big_k_link < kappa_link:

@@ -575,25 +575,25 @@ def _certificate(cfg: ScenarioConfig, instance: tuple, domain: tuple[float, floa
     return spec, u, bound
 
 
-def _book_block(cs: CostSet, held: list[tuple], total: float, cols: np.ndarray) -> None:
-    """Book held (step, x, grads) rows of finite steps into ``run``'s per-step columns.
+def _book_block(cs: CostSet, held: list[tuple], total: float) -> np.ndarray:
+    """The (6, rows) columns of held (x, grads, lo, hi) rows of consecutive finite steps.
 
-    Writes each step's objective (``CostSet.row_totals`` of the stacked
-    states), exact (``fsum``) gap, dispersion norm(grads - grads.mean()) and
-    mean to rows 0, 1, 2 and 5 of ``cols``; each row's is bit-equal to a
-    one-row block's.
+    Its rows are each step's objective (``CostSet.row_totals`` of the
+    stacked states), exact (``fsum``) gap or nan where a partial sum leaves
+    the double range, dispersion norm(grads - grads.mean()), min, max and
+    mean; each column is bit-equal to a one-row block's.
     """
-    ks, xs, gs = zip(*held)
+    xs, gs, lo, hi = zip(*held)
     xs, gs = np.stack(xs), np.stack(gs)
     dev = gs - (gs.sum(axis=1) / xs.shape[1])[:, None]
-    cols[0, ks] = cs.row_totals(xs)
-    cols[2, ks] = [math.sqrt(g.dot(g)) for g in dev]
-    cols[5, ks] = xs.sum(axis=1) / xs.shape[1]
-    for k, x, _ in held:
+    gaps = np.full(len(xs), math.nan)
+    for r, x in enumerate(xs):
         try:
-            cols[1, k] = math.fsum(x.tolist()) - total
+            gaps[r] = math.fsum(x.tolist()) - total
         except OverflowError:  # a partial sum left the double range: no exact gap
             pass
+    dispersion = [math.sqrt(g.dot(g)) for g in dev]
+    return np.array([cs.row_totals(xs), gaps, dispersion, lo, hi, xs.sum(axis=1) / xs.shape[1]])
 
 
 def _link_plan(cfg: ScenarioConfig, graphs: list[WeightedGraph], rng: np.random.Generator):
@@ -623,12 +623,12 @@ def run(cfg: ScenarioConfig) -> RunResult:
     Divergence (non-finite state, or the residual exceeding a billion times
     its initial value) stops the run and is flagged in the summary together
     with the ratio of the configured step rate to the analytical bound.
-    Each step is booked into per-step columns (objective, gap, dispersion,
-    min, max, mean, all nan where the state is not finite, and links up),
-    from which the trace and the summary are read once the loop is over.
+    Finite steps are held for one block of steps at most, whose columns (objective, gap,
+    dispersion, min, max, mean) ``_book_block`` returns; the blocks, a nan column for a last
+    state that is not finite, and the links up at each step are joined once the loop is over.
     The objective is evaluated at step 0, where it sets the divergence limit, and where
-    ``CostSet.value_bound`` cannot rule divergence out; objectives, gaps and statistics
-    then come in blocks of steps, and each step's graph and failure mask from one ``_link_plan``.
+    ``CostSet.value_bound`` cannot rule divergence out; each step's graph and failure mask
+    come from one ``_link_plan``.
     """
     instance = build_instance(cfg)
     graphs, costs, node_map, link_map = instance
@@ -647,11 +647,11 @@ def run(cfg: ScenarioConfig) -> RunResult:
 
     state = init_delayed_state(x0, cfg.tau_bar, cs, link_map)
     horizon = cfg.horizon
-    # Per step: objective, gap, dispersion, min, max and mean (nan where x is not finite), and links up.
-    cols, links = np.full((6, horizon + 1), math.nan), np.empty(horizon + 1, dtype=np.int64)
+    blocks: list[np.ndarray] = []  # the columns of each booked block of steps
+    links: list[int] = []  # links up at each step taken
     limit = 1e9 * (abs(cs.total_value(x0) - oracle.value) + 1.0)  # the residual past which a run diverges
     active = graphs[0].edge_count  # links up at the last step taken, which the final step repeats
-    held: list[tuple] = []  # (step, x, grads) of finite steps whose objective, gap and statistics wait
+    held: list[tuple] = []  # (x, grads, lo, hi) of finite steps whose columns wait
     block = max(1, min(_RECORD_ROWS, _RECORD_BLOCK // cfg.n))
 
     for k in range(horizon + 1):
@@ -664,24 +664,26 @@ def run(cfg: ScenarioConfig) -> RunResult:
             spread = float(grads.max() - grads.min())
             if k and cs.value_bound(max(-lo, hi)) - oracle.value > limit:
                 diverged = cs.total_value(x) - oracle.value > limit
-            cols[3, k], cols[4, k] = lo, hi
-            held.append((k, x, grads))
+            held.append((x, grads, lo, hi))
         done = diverged or spread <= cfg.early_stop_spread or k == horizon
         if held and (done or len(held) == block):
-            _book_block(cs, held, cfg.total, cols)
+            blocks.append(_book_block(cs, held, cfg.total))
             held = []
         if done:
             break
         graph, keep, active = next(plan)
-        links[k] = active
+        links.append(active)
         state = step_delayed(
             state, graph, schedule, cs, node_map, link_map, cfg.eta, failure_keep=keep, grads=grads,
             node_counter=node_counter, link_counter=link_counter,
         )
 
     executed = k
-    links[executed] = active
-    f_values = cols[0, : executed + 1]
+    links.append(active)
+    if not finite:
+        blocks.append(np.full((6, 1), math.nan))
+    cols = np.concatenate(blocks, axis=1)  # one column per step, 0 to executed
+    f_values = cols[0]
     residuals = f_values - oracle.value
     reached = np.flatnonzero(residuals <= 0.01 * residuals[0])
     # Fraction of fixed-length windows over which the objective decreased.
@@ -708,7 +710,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
         final_residual=float(residuals[-1]),
         final_spread=spread,
         steps_to_threshold=int(reached[0]) if reached.size else -1,
-        max_feasibility_gap=float(np.fmax.reduce(np.abs(cols[1, : executed + 1]), initial=0.0)),  # skips nan gaps
+        max_feasibility_gap=float(np.fmax.reduce(np.abs(cols[1]), initial=0.0)),  # skips nan gaps
         fraction_decreasing_windows=frac_decreasing,
         node_clamp_events=node_counter.events,
         link_clamp_events=link_counter.events,
@@ -720,7 +722,8 @@ def run(cfg: ScenarioConfig) -> RunResult:
         oracle_multiplier=oracle.multiplier,
     )
     rows = [*range(0, executed, cfg.record_stride), executed]
-    trace = list(map(TraceRecord, rows, residuals[rows].tolist(), *cols[1:, rows].tolist(), links[rows].tolist()))
+    up = [links[r] for r in rows]
+    trace = list(map(TraceRecord, rows, residuals[rows].tolist(), *cols[1:, rows].tolist(), up))
     return RunResult(config=cfg, trace=trace, summary=summary, final_state=x.copy())
 
 
@@ -779,8 +782,8 @@ def scaling_benchmark(
     probability ``density`` at every size) and below 2 when
     ``constant_degree`` fixes the expected degree instead.
     """
-    if len(sizes) < 2:
-        raise ConfigurationError("scaling_benchmark needs at least two sizes")
+    if len(sizes) < 2 or len(set(sizes)) < len(sizes):
+        raise ConfigurationError(f"scaling_benchmark needs at least two distinct sizes, got {tuple(sizes)}")
     if steps < 10:
         raise ConfigurationError(f"steps must be >= 10 for stable timing, got {steps}")
     if not 0.0 < density <= 1.0:

@@ -6,9 +6,9 @@ import math
 
 import pytest
 
-from dra_sim import graph
+from dra_sim import cli, graph
 from dra_sim.cli import main, parse_config, serialize_config
-from dra_sim.errors import ConfigurationError
+from dra_sim.errors import ConfigurationError, NumericError
 from dra_sim.scenario import PRESET_NAMES, preset
 
 MINIMAL = """\
@@ -341,6 +341,25 @@ class TestSweepCommand:
         assert rows[1] == ["000", f"topology.edges_file={quoted}", "false", error(quoted)]
         capsys.readouterr()
 
+    def test_numeric_error_column_and_exit_code(self, tmp_path, capsys, monkeypatch):
+        # A numeric failure exits 3, ahead of a config error in another job.
+        monkeypatch.setenv("DRA_SIM_THREADS", "1")
+        run = cli.run
+        errors = {2: NumericError("gradient overflow"), 3: ConfigurationError("bad input")}
+
+        def failing(cfg):
+            if cfg.seed in errors:
+                raise errors[cfg.seed]
+            return run(cfg)
+
+        monkeypatch.setattr(cli, "run", failing)
+        cfg = write_small_config(tmp_path, horizon=10)
+        out = tmp_path / "numeric"
+        assert main(["sweep", "--config", str(cfg), "--sweep", "seed=1,2,3", "--out-dir", str(out)]) == 3
+        rows = list(csv.reader(io.StringIO((out / "sweep_summary.csv").read_text())))
+        assert [row[3] for row in rows[1:]] == ["", "numeric: gradient overflow", "config: bad input"]
+        assert "job 001 [seed=2] numeric: gradient overflow\n" in capsys.readouterr().out
+
     def test_sweep_requires_values(self, tmp_path, capsys):
         cfg = write_small_config(tmp_path, horizon=10)
         assert main(["sweep", "--config", str(cfg),
@@ -404,6 +423,13 @@ class TestPercolationCommand:
         assert captured.out == ""
         assert captured.err == f"error: {flag} must be >= 0, got {value}\n"
 
+    @pytest.mark.parametrize("value", ["-0.5", "nan"])
+    def test_bad_failure_rate_is_one_error_line(self, capsys, value):
+        assert main(["percolation", "--n", "50", "--p", "0.2", "--p-fail", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: failure rate must be in [0, 1], got {float(value)}\n"
+
     def test_negative_seed_is_one_error_line(self, capsys):
         assert main(["percolation", "--n", "50", "--p", "0.2", "--trials", "10", "--seed", "-1"]) == 1
         captured = capsys.readouterr()
@@ -426,6 +452,24 @@ class TestBoundsCommand:
         assert float(got["kappa_link"]) == 0.9394130628134758
         assert float(got["big_k_link"]) == 1.0644944589178593
         assert got["connected"] == "true"
+
+    def test_raw_disconnected_constants_report_no_bound(self, capsys):
+        assert main(["bounds", "--preset", "fig_delay",
+                     "--lambda2", "0", "--lambda-max", "0.311", "--u", "0.115"]) == 0
+        got = kv_lines(capsys.readouterr().out)
+        assert got["connected"] == "false" and got["eta_max"] == "none"
+        assert got["note"] == "union graph disconnected; no contraction bound exists"
+
+    @pytest.mark.parametrize("flag, values", [
+        ("--lambda2", ("inf", "inf", "1")), ("--lambda2", ("nan", "1", "1")),
+        ("--lambda-max", ("0.1", "inf", "1")), ("--u", ("0.1", "1", "inf")),
+    ])
+    def test_nonfinite_raw_constant_is_one_error_line(self, capsys, flag, values):
+        lam2, lam_max, u = values
+        assert main(["bounds", "--preset", "fig_delay", "--lambda2", lam2, "--lambda-max", lam_max, "--u", u]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} must be finite, got ") and captured.err.count("\n") == 1
 
     def test_raw_constants_must_come_together(self, capsys):
         assert main(["bounds", "--preset", "fig_delay",
@@ -510,6 +554,13 @@ class TestBenchCommand:
         assert lines[-1].startswith("slope=")
         assert math.isfinite(float(lines[-1].split("=")[1]))
         assert sizes == [10000]
+
+    def test_repeated_size_is_one_error_line(self, capsys):
+        # One size twice leaves no slope to fit.
+        assert main(["bench", "--sizes", "50,50", "--steps", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: scaling_benchmark needs at least two distinct sizes, got (50, 50)\n"
 
     def test_bad_sizes_exit_one(self, capsys):
         assert main(["bench", "--sizes", "", "--steps", "20"]) == 1

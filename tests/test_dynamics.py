@@ -406,6 +406,12 @@ class TestStepDelayed:
         with pytest.raises(ConfigurationError, match="agree on n"):
             step_delayed(state, path3, DelaySchedule(0), costs, IDM, IDM, 0.25)
 
+    def test_failure_mask_must_cover_every_link(self):
+        costs, graph = two_node_instance()
+        state = init_delayed_state(np.array([3.0, 1.0]), 0, costs, IDM)
+        with pytest.raises(ConfigurationError, match="failure mask length"):
+            step_delayed(state, graph, DelaySchedule(0), costs, IDM, IDM, 0.25, failure_keep=np.ones(2, dtype=bool))
+
     def test_tau_bar_mismatch_rejected(self):
         costs, graph = two_node_instance()
         state = init_delayed_state(np.array([3.0, 1.0]), 1, costs, IDM)
@@ -462,6 +468,14 @@ class TestStepRateBound:
             step_rate_from_sector(2, 1, 1, 1, 1.0, 2.0, 0.5)  # kappa > bigK
         with pytest.raises(ConfigurationError):
             step_rate_from_sector(1, 1, 1, 1, 1.0, 2.0, 0.5, window=-1)
+
+    @pytest.mark.parametrize("lam2, lam_max", [(math.inf, math.inf), (0.5, math.inf)])
+    def test_nonfinite_spectrum_rejected(self, lam2, lam_max):
+        # An infinite lambda_max would certify a step rate of 0, and two infinities one of nan.
+        with pytest.raises(DomainError, match="finite"):
+            step_rate_from_sector(1, 1, 1, 1, lam2, lam_max, 1.0)
+        with pytest.raises(DomainError, match="finite"):
+            max_delay_bound(IDM, IDM, lam2, lam_max, 1.0, 0, 0.1)
 
     def test_carries_inputs_and_positivity(self):
         q = log_quantizer(0.25)
@@ -527,6 +541,11 @@ class TestMaxDelayBound:
     def test_small_eta_grows_budget(self):
         assert max_delay_bound(IDM, IDM, 0.5, 2.0, 0.8, 0, 1e-6) > 1e5
 
+    @pytest.mark.parametrize("eta", [0.0, -0.1, math.inf, math.nan])
+    def test_rejects_step_rate_not_positive_and_finite(self, eta):
+        with pytest.raises(DomainError, match="step rate must be positive"):
+            max_delay_bound(IDM, IDM, 0.5, 2.0, 0.8, 0, eta)
+
     def test_rejects_lambda_max_below_lambda2(self):
         # The same input check as the step rate's (TestStepRateBound::test_input_validation).
         with pytest.raises(DomainError):
@@ -544,6 +563,14 @@ class TestFeasibleInit:
                           boxes=[(20.0, 110.0)] * 10)
         assert math.fsum(x.tolist()) == 600.0
         assert np.all(x >= 20.0) and np.all(x <= 110.0)
+
+    def test_boxed_exact_fix_up(self):
+        # The rebalancing loop ends 2**-50 above the total here, and the
+        # coordinate with the most room takes the last residue.
+        boxes = [(-3.4, -2.7), (4.7, 7.9), (0.2, 4.1)]
+        x = feasible_init(3, 6.3, boxes=boxes)
+        assert math.fsum(x.tolist()) == 6.3
+        assert all(lo <= v <= hi for v, (lo, hi) in zip(x.tolist(), boxes))
 
     def test_random_simplex_positive_exact_sum(self):
         for seed in range(10):

@@ -268,9 +268,7 @@ class TestUnionGraph:
 
 def trace_dispersion(grads):
     """The trace's dispersion column, norm(grads - mean), for one record."""
-    cs, cols = CostSet([quadratic_cost(1.0)] * grads.size), np.full((6, 1), math.nan)
-    _book_block(cs, [(0, grads, grads)], 0.0, cols)
-    return cols[2, 0]
+    return _book_block(CostSet([quadratic_cost(1.0)] * grads.size), [(grads, grads, 0.0, 0.0)], 0.0)[2, 0]
 
 
 class TestDispersion:

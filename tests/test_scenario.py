@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,6 +447,20 @@ class TestRun:
                                    early_stop_spread=0.0)
         ks2 = [r.step for r in run(cfg2).trace]
         assert ks2 == list(range(0, 95, 10)) + [95]
+
+    def test_memory_follows_the_steps_taken_not_the_horizon(self):
+        # fig_fail stops early at the same step whatever its horizon.
+        short = run(preset("fig_fail"))
+        tracemalloc.start()
+        try:
+            long = run(dataclasses.replace(preset("fig_fail"), horizon=5_000_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert short.summary.early_stopped and long.summary.executed_steps == short.summary.executed_steps
+        assert summary_to_text(long.summary) == summary_to_text(dataclasses.replace(short.summary, horizon=5_000_000))
+        assert trace_to_csv(long.trace) == trace_to_csv(short.trace)
+        assert peak <= 20 * 2**20
 
     def test_threshold_and_windows_on_converging_run(self):
         res = run(small_static_config())
