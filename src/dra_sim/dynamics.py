@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, InfeasibilityError
 from .graph import WeightedGraph
 from .mappings import ClampCounter, SectorMap, apply_map_array
-from .objective import CostSet, _box_bounds
+from .objective import CostSet, _box_bounds, _exact_sums
 
 __all__ = [
     "DelayedNetworkState",
@@ -452,14 +452,16 @@ def feasible_init(
     seed: int = 0,
     boxes: list[tuple[float, float]] | None = None,
 ) -> np.ndarray:
-    """A start vector whose coordinates sum to ``total`` exactly.
+    """A start vector whose coordinates sum to ``total`` to within one rounding.
 
     mode "equal" splits evenly; "random_simplex" draws proportions from a
     flat Dirichlet (normalized exponentials).  With ``boxes`` the vector is
     additionally projected inside the per-coordinate intervals and
     rebalanced, which requires sum(lo) <= total <= sum(hi).  In every mode
-    one free coordinate absorbs the final rounding residue so the total is
-    exact.
+    one free coordinate absorbs the residue of the correctly rounded sum, and
+    that coordinate rounds: the sum of x is within
+    2**-52 * max(|total|, max_i |x_i|) of ``total``, not always equal to it.
+    Raises NumericError where a partial sum of x leaves the double range.
     """
     if n < 1:
         raise ConfigurationError(f"feasible_init needs n >= 1, got {n}")
@@ -478,7 +480,7 @@ def feasible_init(
 
     if boxes is None:
         if n > 1:
-            x[-1] = total - math.fsum(x[:-1].tolist())
+            x[-1] = total - _exact_sums(x[None, :-1], "the start vector")[0]
         return x
 
     lo, hi = _box_bounds(boxes, n)
@@ -488,7 +490,7 @@ def feasible_init(
         )
     x = np.clip(x, lo, hi)
     for _ in range(200):
-        residue = total - math.fsum(x.tolist())
+        residue = total - _exact_sums(x[None], "the start vector")[0]
         if abs(residue) <= 1e-12 * (1.0 + abs(total)):
             break
         room = (hi - x) if residue > 0 else (x - lo)
@@ -497,7 +499,7 @@ def feasible_init(
             break
         x = np.clip(x + residue * room / total_room, lo, hi)
     # Exact fix-up on the coordinate with the most slack on the needed side.
-    residue = total - math.fsum(x.tolist())
+    residue = total - _exact_sums(x[None], "the start vector")[0]
     if residue != 0.0:
         room = (hi - x) if residue > 0 else (x - lo)
         idx = int(np.argmax(room))

@@ -86,10 +86,22 @@ def _softplus(u):
     return np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
 
 
+# From this many entries up, a box penalty's power skips the agents inside the
+# box: pow of +0.0 is numpy's slow case, but a masked call has a fixed cost
+# (BENCH_rowsum.json).
+_MASKED_POW_MIN_SIZE = 256
+
+
 def _power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    # numpy squares instead of calling pow (the last bit can differ) where an
-    # exponent of 2 repeats with stride 0, as a one-agent (1,) exponent does
-    # down a (rows, 1) block; a full-shape one makes row k the one-row call.
+    # A large block calls pow only where the base is not +0.0 (inside the
+    # box), whose power is +0.0 for exponents >= 1 (and 0 for exponent 0, which
+    # ``_curvature`` gates away); the bits compare, so -0.0 and nan still go
+    # through pow.  numpy squares instead of calling pow (the last bit can
+    # differ) where an exponent of 2 repeats with stride 0, as a one-agent (1,)
+    # exponent does down a (rows, 1) block; a full-shape one makes row k the
+    # one-row call.
+    if base.size >= _MASKED_POW_MIN_SIZE and base.shape[-1] > 1:
+        return np.power(base, exponent, out=np.zeros(base.shape), where=base.view(np.int64) != 0)
     if base.ndim > 1 and base.shape[-1] == 1:
         exponent = np.broadcast_to(exponent, base.shape).copy()
     return base**exponent
@@ -100,6 +112,66 @@ def _sigmoid(u):
     u = np.asarray(u, dtype=float)
     e = np.exp(-np.abs(u))
     return np.where(u >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+# Below this many entries a block takes one fsum per row: the extraction's
+# fixed cost, some 20 numpy calls, outweighs the fsums (BENCH_rowsum.json).
+_EXTRACT_MIN_SIZE = 2048
+
+
+def _row_fsums(a: np.ndarray) -> list[float | None]:
+    """``math.fsum`` of each row of a (rows, n) block, None where it raises OverflowError.
+
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31(1), 2008): with 2**m >= n + 2
+    and sigma = 2**m times a power of two above max|p|, q = (sigma + p) - sigma
+    and p - q are exact, and so is any sum of the q, multiples of 2**-53 sigma
+    below sigma.  Up to four levels leave each row a few level sums and a
+    remainder with the row's exact total.  fsum is correctly rounded and that
+    rounding is unique, so fsum of those is fsum of the row, bit for bit.
+    Rows that are zero, not finite or near the double range, and blocks too
+    small to pay for the numpy calls, take fsum itself (a ValueError from
+    inf - inf propagates).
+    """
+
+    def fsum(values: list[float]) -> float | None:
+        try:
+            return math.fsum(values)
+        except OverflowError:  # a partial sum left the double range
+            return None
+
+    if a.size < _EXTRACT_MIN_SIZE:
+        return [fsum(row) for row in a.tolist()]
+    m = (a.shape[1] + 1).bit_length()  # 2**m >= n + 2
+    top = np.abs(a).max(axis=1)
+    fast = (top > 0.0) & (top < 2.0 ** (1020 - m))  # false where a row holds a nan
+    out = [None if f else fsum(row.tolist()) for f, row in zip(fast.tolist(), a)]
+    p = a[fast]
+    sigma = np.ldexp(1.0, np.frexp(top[fast])[1] + m)[:, None]
+    q = np.empty_like(p)
+    sums = []
+    for _ in range(4):  # levels
+        np.add(sigma, p, out=q)
+        q -= sigma
+        p -= q
+        sums.append(q.sum(axis=1))
+        if not p.any():
+            break
+        sigma *= 2.0 ** (m - 53)  # above the remainder, which is at most 2**-53 sigma
+    parts = np.stack(sums, axis=1).tolist()
+    for r in np.flatnonzero(p.any(axis=1)).tolist():
+        parts[r] += p[r][p[r] != 0.0].tolist()
+    for r, s in zip(np.flatnonzero(fast).tolist(), parts):
+        out[r] = fsum(s)
+    return out
+
+
+def _exact_sums(a: np.ndarray, what: str) -> list[float]:
+    """``_row_fsums`` of a block; NumericError naming ``what`` where a partial sum leaves the double range."""
+    sums = _row_fsums(a)
+    if None in sums:
+        raise NumericError(f"a partial sum of {what} leaves the double range")
+    return sums
 
 
 # --------------------------------------------------------------------------
@@ -252,13 +324,12 @@ class CostSet:
         return self.row_totals(np.asarray(x, dtype=float)[None])[0]
 
     def row_totals(self, xs: np.ndarray) -> list[float]:
-        """``total_value`` of each row of a (rows, n) block: one ``value_per_agent`` call, one ``fsum`` per row."""
-        totals = []
-        for v in self.value_per_agent(xs):
-            try:
-                totals.append(math.fsum(v.tolist()))
-            except OverflowError:
-                totals.append(math.copysign(math.inf, v.sum()))
+        """``total_value`` of each row of a (rows, n) block: one ``value_per_agent`` and one ``_row_fsums`` call."""
+        v = self.value_per_agent(xs)
+        totals = _row_fsums(v)
+        for r, s in enumerate(totals):
+            if s is None:
+                totals[r] = math.copysign(math.inf, v[r].sum())
         return totals
 
     @functools.cached_property
@@ -561,8 +632,8 @@ def central_solve(
         a, b = ends
         while True:
             if outcome(float(lb.sum()) + err) >= outcome(float(ub.sum()) - err):
-                decided = outcome(math.fsum(lb.tolist()))
-                if decided == outcome(math.fsum(ub.tolist())):
+                decided, other = map(outcome, _exact_sums(clip(cur[1:3]), "the bracket ends"))
+                if decided == other:
                     if decided != final:
                         break
                     # A pair whose midpoint is an end is at its fixed point.
@@ -629,11 +700,11 @@ def central_solve(
             f"multiplier bisection did not reach |sum - total| <= {tol}"
         )
 
-    gap = abs(math.fsum(x.tolist()) - total)
     if mode == "penalized":
-        value = cs.total_value(x)
+        (x_sum,), value = _exact_sums(x[None], "the solution"), cs.total_value(x)
     else:
-        value = math.fsum(cs.base_value(x).tolist())
+        x_sum, value = _exact_sums(np.stack([x, cs.base_value(x)]), "the solution")
+    gap = abs(x_sum - total)
     x.flags.writeable = False
     return CentralSolution(
         x=x, multiplier=float(nu), value=float(value), mode=mode, gap=float(gap), iterations=iterations

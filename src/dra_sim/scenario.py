@@ -30,7 +30,7 @@ from .dynamics import (
 from .errors import ConfigurationError, DomainError, read_input_text
 from .graph import WeightedGraph, erdos_renyi, from_edge_list, laplacian, spectral_summary, union_graph
 from .mappings import ClampCounter, SectorMap, identity_map, log_quantizer, saturation, sign_power
-from .objective import CostSet, LocalCost, _make_penalty, central_solve, load_costs_csv, smoothness_bound
+from .objective import CostSet, LocalCost, _make_penalty, _row_fsums, central_solve, load_costs_csv, smoothness_bound
 
 __all__ = [
     "ScenarioConfig",
@@ -579,19 +579,14 @@ def _book_block(cs: CostSet, held: list[tuple], total: float) -> np.ndarray:
     """The (6, rows) columns of held (x, grads, lo, hi) rows of consecutive finite steps.
 
     Its rows are each step's objective (``CostSet.row_totals`` of the
-    stacked states), exact (``fsum``) gap or nan where a partial sum leaves
-    the double range, dispersion norm(grads - grads.mean()), min, max and
-    mean; each column is bit-equal to a one-row block's.
+    stacked states), exact (``fsum``, by ``_row_fsums``) gap or nan where a
+    partial sum leaves the double range, dispersion norm(grads - grads.mean()),
+    min, max and mean; each column is bit-equal to a one-row block's.
     """
     xs, gs, lo, hi = zip(*held)
     xs, gs = np.stack(xs), np.stack(gs)
     dev = gs - (gs.sum(axis=1) / xs.shape[1])[:, None]
-    gaps = np.full(len(xs), math.nan)
-    for r, x in enumerate(xs):
-        try:
-            gaps[r] = math.fsum(x.tolist()) - total
-        except OverflowError:  # a partial sum left the double range: no exact gap
-            pass
+    gaps = [math.nan if s is None else s - total for s in _row_fsums(xs)]
     dispersion = [math.sqrt(g.dot(g)) for g in dev]
     return np.array([cs.row_totals(xs), gaps, dispersion, lo, hi, xs.sum(axis=1) / xs.shape[1]])
 

@@ -583,6 +583,13 @@ class TestFeasibleInit:
         b = feasible_init(9, 12.0, mode="random_simplex", seed=3)
         assert np.array_equal(a, b)
 
+    def test_running_sum_past_the_double_range_is_a_numeric_error(self):
+        # Each numpy box sum is finite, but fsum's running sum of the clipped
+        # start overflows at its second term (an OverflowError before).
+        big = 1.6e308
+        with pytest.raises(NumericError, match="start vector"):
+            feasible_init(16, 0.0, boxes=[(big, 1.7e308)] * 8 + [(-1.7e308, -big)] * 8)
+
     def test_infeasible_boxes_rejected(self):
         with pytest.raises(InfeasibilityError):
             feasible_init(3, 1.0, boxes=[(1.0, 2.0)] * 3)

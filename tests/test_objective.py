@@ -9,6 +9,7 @@ from dra_sim import (
     BoxPenalty,
     ConfigurationError,
     DomainError,
+    NumericError,
     SmoothLogPenalty,
     central_solve,
     identity_map,
@@ -258,6 +259,14 @@ class TestCentralSolve:
     def test_nan_box_rejected(self):
         with pytest.raises(ConfigurationError, match="lo <= hi"):
             central_solve([quadratic_cost(1.0)] * 2, 3.0, boxes=[(math.nan, 1.0), (0.0, 5.0)], mode="exact_box")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bracket_sum_past_the_double_range_is_a_numeric_error(self):
+        # The clipped bracket ends' running sum overflows (an OverflowError before).
+        big = 1.6e308
+        boxes = [(big, 1.7e308)] * 8 + [(-1.7e308, -big)] * 8
+        with pytest.raises(NumericError, match="bracket ends"):
+            central_solve([quadratic_cost(1.0)] * 16, 0.0, boxes=boxes, mode="exact_box")
 
     def test_boxes_refused_outside_exact_box_mode(self):
         # Penalized mode honours only the costs' penalties; it would return

@@ -11,6 +11,7 @@ The examples are derandomized (see conftest.py).
 """
 
 import math
+import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from dra_sim import (
     apply_map_array,
     central_solve,
     erdos_renyi,
+    feasible_init,
     identity_map,
     InfeasibilityError,
     NumericError,
@@ -48,6 +50,7 @@ from dra_sim import (
     step_delayed,
     trace_to_csv,
 )
+from dra_sim.objective import _EXTRACT_MIN_SIZE, _power, _row_fsums
 from dra_sim.scenario import PRESET_NAMES, build_instance, preset
 
 SHIPPED_MAPS = [
@@ -556,6 +559,145 @@ def test_value_bound_covers_total_value(costs, seed, exponent):
     rows = np.stack([x, -x, x / 3.0])
     assert same_float(total, one_row_total(cs, x))
     assert all(same_float(a, one_row_total(cs, r)) for a, r in zip(cs.row_totals(rows), rows))
+
+
+def same_bits(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def fsum_or_error(row: np.ndarray):
+    """``math.fsum`` of a row: its value, None where it raises OverflowError, or the ValueError it raises."""
+    try:
+        return math.fsum(row.tolist())
+    except OverflowError:
+        return None
+    except ValueError as exc:
+        return exc
+
+
+SUMMAND_ROWS = ("spread", "cancel", "subnormal", "zero", "special", "threshold", "overflow")
+
+
+@st.composite
+def summand_blocks(draw) -> np.ndarray:
+    """(rows, n) blocks, each row one hard case of a correctly rounded sum, on both sides of the cutover."""
+    rows = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.integers(1, 40), st.integers(400, 3000)))
+    rng = np.random.default_rng(draw(seeds))
+    m = (n + 1).bit_length()
+    block = np.empty((rows, n))
+    for row in block:
+        kind = draw(st.sampled_from(SUMMAND_ROWS))
+        lo = draw(st.integers(-1000, 1000))
+        spread = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(lo, draw(st.integers(lo, 1000)) + 1, n))
+        if kind == "spread":
+            row[:] = spread
+        elif kind == "cancel":  # each value and its negation, shuffled: an exact zero (+ one odd value)
+            half = spread[: n // 2]
+            row[:] = rng.permutation(np.concatenate([half, -half, spread[2 * half.size:]]))
+        elif kind == "subnormal":
+            row[:] = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1074, -1018, n))
+        elif kind == "zero":
+            row[:] = np.where(rng.random(n) < draw(st.sampled_from((0.0, 0.5, 1.0))), -0.0, 0.0)
+        elif kind == "special":
+            row[:] = spread
+            for value in draw(st.lists(st.sampled_from((math.inf, -math.inf, math.nan)), min_size=1, max_size=2)):
+                row[rng.integers(n)] = value
+        elif kind == "threshold":  # the largest |value| at, just below or above the fast path's limit
+            edge = 2.0 ** (1020 - m)
+            row[:] = rng.uniform(-1.0, 1.0, n) * edge
+            row[rng.integers(n)] = draw(st.sampled_from((edge, -edge, np.nextafter(edge, 0.0), 12.0 * edge)))
+        else:  # same-signed values near the double range: fsum overflows from two on
+            row[:] = rng.uniform(0.8, 1.0, n) * draw(st.sampled_from((1.7e308, -1.7e308)))
+    return block
+
+
+@given(summand_blocks())
+@example(block=np.array([[-0.0]]))
+@example(block=np.array([[5e-324, -5e-324, 2.0**-1074 * 3]]))
+@example(block=np.full((1, _EXTRACT_MIN_SIZE), 0.1))
+@example(block=np.full((1, _EXTRACT_MIN_SIZE - 1), 0.1))
+@example(block=np.array([[2.0**1000, 1.0, -(2.0**1000), 2.0**-1000]] * 600))
+@example(block=np.array([[2.0**1011] + [2.0**1007] * 2999]))
+@settings(max_examples=150)
+def test_row_fsums_is_fsum_of_each_row(block):
+    # Same value and same sign of zero as one fsum per row, and None exactly
+    # where fsum raises OverflowError; a row with inf and -inf raises fsum's
+    # ValueError.  The examples are one negative zero, subnormals, blocks
+    # just at and below the cutover, a spread of 2**2000 that cancels, and a
+    # row whose largest value is 8 times the fast path's limit.
+    expected = [fsum_or_error(row) for row in block]
+    if any(isinstance(e, ValueError) for e in expected):
+        with pytest.raises(ValueError):
+            _row_fsums(block)
+        return
+    got = _row_fsums(block)
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g is None if e is None else same_bits(g, e)
+
+
+def plain_power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """``_power`` calling pow at every entry: full-shape exponents where one agent's would repeat with stride 0."""
+    if base.ndim > 1 and base.shape[-1] == 1:
+        exponent = np.broadcast_to(exponent, base.shape).copy()
+    return base**exponent
+
+
+@given(
+    st.integers(1, 64), st.sampled_from((1, 2, 3, 50, 300)), seeds,
+    st.sampled_from(((2,), (3, 4, 5), (1, 2, 3, 4, 5))),
+)
+@example(rows=64, n=1, seed=0, exponents=(2,))
+@example(rows=64, n=300, seed=0, exponents=(2,))
+@settings(max_examples=80)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_masked_power_is_plain_power(rows, n, seed, exponents):
+    # Bases as the penalties make them, max(0, x - hi): +0.0 inside the box,
+    # -0.0 where x = -0.0 meets hi = 0.0, nan and inf, in blocks on both sides
+    # of the masked call's cutover.  n = 1 with exponent 2 is the stride-0 case
+    # in which numpy squares; each row must equal the one-row call.  Exponent 0
+    # is the curvature's m = 2 case, gated by base > 0.
+    rng = np.random.default_rng(seed)
+    hi = rng.choice([0.0, 1.0, 10.0], n)
+    x = hi + rng.choice([-1.0, 0.0, 1.0], (rows, n)) * rng.uniform(0.0, 1e80, (rows, n))
+    special = rng.random((rows, n))
+    x = np.where(special < 0.1, -0.0, np.where(special > 0.95, rng.choice([math.nan, math.inf]), x))
+    base = np.maximum(0.0, x - hi)
+    exponent = rng.choice(exponents, n)
+    got = _power(base, exponent)
+    assert got.tobytes() == plain_power(base, exponent).tobytes()
+    assert got.tobytes() == np.stack([_power(b, exponent) for b in base]).tobytes()
+    zero = np.zeros(n, dtype=int)
+    assert (_power(base, zero) * (base > 0)).tobytes() == (plain_power(base, zero) * (base > 0)).tobytes()
+
+
+@st.composite
+def start_problems(draw):
+    """feasible_init arguments: n, total, mode, seed and boxes (or None) at a drawn scale."""
+    n = draw(st.integers(1, 6))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    mode, seed = draw(st.sampled_from(("equal", "random_simplex"))), draw(st.integers(0, 2**20))
+    if not draw(st.booleans()):
+        return n, draw(st.floats(-10.0, 10.0)) * scale, mode, seed, None
+    lo = [draw(st.floats(-10.0, 10.0)) * scale for _ in range(n)]
+    boxes = [(a, a + draw(st.floats(0.1, 10.0)) * scale) for a in lo]
+    floor, ceiling = math.fsum(b[0] for b in boxes), math.fsum(b[1] for b in boxes)
+    return n, floor + draw(st.floats(0.0, 1.0)) * (ceiling - floor), mode, seed, boxes
+
+
+@given(start_problems())
+@example(problem=(3, 6.8, "equal", 0, [(-0.4, 3.3), (0.9, 2.8), (3.4, 5.7)]))
+@settings(max_examples=300)
+def test_feasible_init_sum_is_within_one_rounding(problem):
+    # The start's correctly rounded sum is within 2**-52 max(|total|, max|x_i|)
+    # of the total, but not always equal to it: the example ends 8.9e-16 above.
+    n, total, mode, seed, boxes = problem
+    try:
+        x = feasible_init(n, total, mode, seed=seed, boxes=boxes)
+    except InfeasibilityError:  # the rounded box sums miss the total, or the rebalance fails
+        return
+    assert abs(math.fsum(x.tolist()) - total) <= 2.0**-52 * max(abs(total), float(np.abs(x).max()))
 
 
 @st.composite

@@ -24,6 +24,7 @@ from dra_sim import (
     laplacian,
     preset,
     quadratic_cost,
+    quartic_cost,
     run,
     scaling_benchmark,
     smoothness_bound,
@@ -35,7 +36,9 @@ from dra_sim import (
     trace_to_csv,
 )
 from dra_sim.objective import CostSet
-from dra_sim.scenario import _PRESETS, _TAG_FAIL, CONFIG_KEYS, _child_seed, apply_key, config_items, parse_config
+from dra_sim.scenario import (
+    _PRESETS, _TAG_FAIL, CONFIG_KEYS, _book_block, _child_seed, apply_key, config_items, parse_config,
+)
 
 
 def small_static_config(**over):
@@ -461,6 +464,36 @@ class TestRun:
         assert summary_to_text(long.summary) == summary_to_text(dataclasses.replace(short.summary, horizon=5_000_000))
         assert trace_to_csv(long.trace) == trace_to_csv(short.trace)
         assert peak <= 20 * 2**20
+
+    @pytest.mark.parametrize("n", [10, 3000])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_block_columns_equal_one_row_blocks(self, n):
+        # n = 10 books with one fsum per row, n = 3000 with the batched sum.
+        # Beside ordinary states: one with a value past the batched sum's
+        # fast path, one whose running sum leaves the double range (nan gap),
+        # and one whose objective overflows though each cost is finite.
+        rng = np.random.default_rng(n)
+        cs = CostSet([quartic_cost(0.01, t, BoxPenalty(1.0, 10.0, 20.0, 4)) for t in rng.uniform(0.0, 2.0, n)])
+        xs = [rng.uniform(0.0, 12.0, n) for _ in range(4)]
+        xs.append(np.concatenate([[2.0**1015], xs[0][1:]]))
+        xs.append(np.full(n, 1e308))
+        xs.append(np.full(n, (1.5e308 / 20.01) ** 0.25))
+        held = [(x, rng.normal(size=n), float(x.min()), float(x.max())) for x in xs]
+        total = 4.0 * n
+        block = _book_block(cs, held, total)
+        assert block.tobytes() == np.concatenate([_book_block(cs, [h], total) for h in held], axis=1).tobytes()
+        for x, objective, gap in zip(xs, block[0], block[1]):
+            v = cs.value_per_agent(x)
+            try:
+                assert objective == math.fsum(v.tolist())
+            except OverflowError:
+                assert objective == math.copysign(math.inf, v.sum())
+            try:
+                assert gap == math.fsum(x.tolist()) - total
+            except OverflowError:
+                assert math.isnan(gap)
+        assert math.isnan(block[1, 5]) and math.isfinite(block[1, 4])
+        assert block[0, 6] == math.inf and np.isfinite(cs.value_per_agent(xs[6])).all()
 
     def test_threshold_and_windows_on_converging_run(self):
         res = run(small_static_config())
