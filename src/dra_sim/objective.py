@@ -86,25 +86,34 @@ def _softplus(u):
     return np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
 
 
-# From this many entries up, a box penalty's power skips the agents inside the
-# box: pow of +0.0 is numpy's slow case, but a masked call has a fixed cost
-# (BENCH_rowsum.json).
-_MASKED_POW_MIN_SIZE = 256
-
-
 def _power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    # A large block calls pow only where the base is not +0.0 (inside the
-    # box), whose power is +0.0 for exponents >= 1 (and 0 for exponent 0, which
-    # ``_curvature`` gates away); the bits compare, so -0.0 and nan still go
-    # through pow.  numpy squares instead of calling pow (the last bit can
-    # differ) where an exponent of 2 repeats with stride 0, as a one-agent (1,)
-    # exponent does down a (rows, 1) block; a full-shape one makes row k the
-    # one-row call.
-    if base.size >= _MASKED_POW_MIN_SIZE and base.shape[-1] > 1:
-        return np.power(base, exponent, out=np.zeros(base.shape), where=base.view(np.int64) != 0)
+    # numpy squares instead of calling pow (the last bit can differ) where an
+    # exponent of 2 repeats with stride 0, as a one-agent (1,) exponent does
+    # down a (rows, 1) block; a full-shape one makes row k the one-row call.
     if base.ndim > 1 and base.shape[-1] == 1:
         exponent = np.broadcast_to(exponent, base.shape).copy()
     return base**exponent
+
+
+# A masked pow pays a fixed cost and goes stretch by stretch of nonzero bases,
+# so it beats plain pow, whose slow case is +0.0, only on blocks this large
+# with at most this share of nonzero bases (BENCH_rowsum.json).
+_MASKED_POW_MIN_SIZE = 512
+_MASKED_POW_MAX_SHARE = 0.1
+
+
+def _penalty_power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """``_power`` of box-penalty bases max(0, .) for exponents >= 1, calling pow only on nonzero bases where few are.
+
+    Inside the box the base is +0.0, whose power is +0.0 for every exponent
+    >= 1.  The mask compares bits, so -0.0 and nan still go through pow.  One
+    agent always takes ``_power``: the masked loop squares a lone entry.
+    """
+    if base.size >= _MASKED_POW_MIN_SIZE and base.shape[-1] > 1:
+        outside = base.view(np.int64) != 0
+        if np.count_nonzero(outside) <= _MASKED_POW_MAX_SHARE * base.size:
+            return np.power(base, exponent, out=np.zeros(base.shape), where=outside)
+    return _power(base, exponent)
 
 
 def _sigmoid(u):
@@ -307,7 +316,7 @@ class CostSet:
         if self._any_box:
             up = np.maximum(0.0, x - self.pen_hi)
             dn = np.maximum(0.0, self.pen_lo - x)
-            pv = self.pen_weight * (_power(up, self.pen_exponent) + _power(dn, self.pen_exponent))
+            pv = self.pen_weight * (_penalty_power(up, self.pen_exponent) + _penalty_power(dn, self.pen_exponent))
             out = out + (pv if self._all_box else np.where(self._box, pv, 0.0))
         if self._any_log:
             mu = self.pen_mu
@@ -386,7 +395,7 @@ class CostSet:
             if self._pen_square:
                 pg = self._pen_wm * (up - dn)
             else:
-                pg = self._pen_wm * (_power(up, self._pen_m1) - _power(dn, self._pen_m1))
+                pg = self._pen_wm * (_penalty_power(up, self._pen_m1) - _penalty_power(dn, self._pen_m1))
             out = out + (pg if self._all_box else np.where(self._box, pg, 0.0))
         if self._any_log:
             mu = self.pen_mu

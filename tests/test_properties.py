@@ -50,7 +50,7 @@ from dra_sim import (
     step_delayed,
     trace_to_csv,
 )
-from dra_sim.objective import _EXTRACT_MIN_SIZE, _power, _row_fsums
+from dra_sim.objective import _EXTRACT_MIN_SIZE, _penalty_power, _row_fsums
 from dra_sim.scenario import PRESET_NAMES, build_instance, preset
 
 SHIPPED_MAPS = [
@@ -638,38 +638,40 @@ def test_row_fsums_is_fsum_of_each_row(block):
 
 
 def plain_power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """``_power`` calling pow at every entry: full-shape exponents where one agent's would repeat with stride 0."""
+    """pow at every entry: full-shape exponents where one agent's would repeat with stride 0."""
     if base.ndim > 1 and base.shape[-1] == 1:
         exponent = np.broadcast_to(exponent, base.shape).copy()
     return base**exponent
 
 
 @given(
-    st.integers(1, 64), st.sampled_from((1, 2, 3, 50, 300)), seeds,
-    st.sampled_from(((2,), (3, 4, 5), (1, 2, 3, 4, 5))),
+    st.integers(1, 64), st.sampled_from((1, 2, 3, 50, 300, 3000)), seeds,
+    st.sampled_from(((1,), (2,), (3, 4, 5), (1, 2, 3, 4, 5))), st.sampled_from((0.0, 0.02, 0.1, 0.3, 1.0)),
 )
-@example(rows=64, n=1, seed=0, exponents=(2,))
-@example(rows=64, n=300, seed=0, exponents=(2,))
+@example(rows=64, n=1, seed=0, exponents=(2,), outside=0.02)
+@example(rows=3000, n=1, seed=0, exponents=(2,), outside=0.05)
+@example(rows=64, n=300, seed=0, exponents=(2,), outside=0.02)
+@example(rows=64, n=300, seed=0, exponents=(2,), outside=1.0)
 @settings(max_examples=80)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_masked_power_is_plain_power(rows, n, seed, exponents):
-    # Bases as the penalties make them, max(0, x - hi): +0.0 inside the box,
-    # -0.0 where x = -0.0 meets hi = 0.0, nan and inf, in blocks on both sides
-    # of the masked call's cutover.  n = 1 with exponent 2 is the stride-0 case
-    # in which numpy squares; each row must equal the one-row call.  Exponent 0
-    # is the curvature's m = 2 case, gated by base > 0.
+def test_masked_power_is_plain_power(rows, n, seed, exponents, outside):
+    # Bases as the penalties make them, max(0, x - hi), with a drawn share
+    # outside the box: +0.0 inside, -0.0 where x = -0.0 meets hi = 0.0, nan
+    # and inf, in blocks on both sides of the masked call's size and share
+    # limits.  n = 1 with exponent 2 is the stride-0 case in which numpy
+    # squares, as the masked loop would on 3000 rows with few outside; each
+    # row must equal the one-row call, whichever call each takes.
     rng = np.random.default_rng(seed)
     hi = rng.choice([0.0, 1.0, 10.0], n)
-    x = hi + rng.choice([-1.0, 0.0, 1.0], (rows, n)) * rng.uniform(0.0, 1e80, (rows, n))
+    side = np.where(rng.random((rows, n)) < outside, 1.0, rng.choice([-1.0, 0.0], (rows, n)))
+    x = hi + side * rng.uniform(0.0, 1e80, (rows, n))
     special = rng.random((rows, n))
-    x = np.where(special < 0.1, -0.0, np.where(special > 0.95, rng.choice([math.nan, math.inf]), x))
+    x = np.where(special < outside / 4, -0.0, np.where(special > 1.0 - outside / 4, rng.choice([math.nan, math.inf]), x))
     base = np.maximum(0.0, x - hi)
     exponent = rng.choice(exponents, n)
-    got = _power(base, exponent)
+    got = _penalty_power(base, exponent)
     assert got.tobytes() == plain_power(base, exponent).tobytes()
-    assert got.tobytes() == np.stack([_power(b, exponent) for b in base]).tobytes()
-    zero = np.zeros(n, dtype=int)
-    assert (_power(base, zero) * (base > 0)).tobytes() == (plain_power(base, zero) * (base > 0)).tobytes()
+    assert got.tobytes() == np.stack([_penalty_power(b, exponent) for b in base]).tobytes()
 
 
 @st.composite
