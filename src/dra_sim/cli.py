@@ -243,8 +243,8 @@ def _cmd_percolation(args) -> int:
         out.append(("p_fail", repr(float(args.p_fail))))
         out.append(("window", args.window))
         out.append(("effective_failure", repr(effective)))
-        if profile.threshold is not None:
-            out.append(("min_window", min_window(args.p_fail, profile.threshold)))
+        if profile.threshold is not None:  # no window reconnects links that always fail
+            out.append(("min_window", "none" if args.p_fail == 1.0 else min_window(args.p_fail, profile.threshold)))
     if args.trials > 0:
         base = erdos_renyi(args.n, args.p, seed=args.seed)
         mc = mc_union_connectivity(base, args.p_fail, args.window, trials=args.trials, seed=args.seed)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, InfeasibilityError
 from .graph import WeightedGraph
 from .mappings import ClampCounter, SectorMap, apply_map_array
-from .objective import CostSet, _box_bounds, _exact_sums
+from .objective import CostSet, _box_bounds, _check_box_total, _exact_sums
 
 __all__ = [
     "DelayedNetworkState",
@@ -169,18 +169,16 @@ class DelayedNetworkState:
 
     Flows in flight wait in a ring of one slot per arrival step modulo
     (tau_bar + 1): ``pending`` is its (tau_bar + 1, 2, n) array, of
-    (tau_bar + 1) * 2n * 8 bytes.  Row 0 of a slot sums per node the flows
-    arriving at the ``j`` end of their link, row 1 those leaving the ``i``
-    end, each from +0.0 in emission order (emission step, then link order);
-    ``landed`` flags the slots that a flow has reached.
-    :func:`step_delayed` advances the state in place.
+    (tau_bar + 1) * 2n * 8 bytes, so its length is the ring depth.  Row 0
+    of a slot sums per node the flows arriving at the ``j`` end of their
+    link, row 1 those leaving the ``i`` end, each from +0.0 in emission
+    order (emission step, then link order).  :func:`step_delayed` advances
+    the state in place.
     """
 
     x: np.ndarray
     step: int
-    tau_bar: int
     pending: np.ndarray
-    landed: np.ndarray
 
 
 def init_delayed_state(
@@ -197,8 +195,7 @@ def init_delayed_state(
     x0 = np.asarray(x0, dtype=float).copy()
     if x0.shape != (_as_costset(costs).n,):
         raise ConfigurationError("initial state length must match the cost count")
-    tau_bar = int(tau_bar)
-    return DelayedNetworkState(x0, 0, tau_bar, np.zeros((tau_bar + 1, 2, x0.size)), np.zeros(tau_bar + 1, dtype=bool))
+    return DelayedNetworkState(x0, 0, np.zeros((int(tau_bar) + 1, 2, x0.size)))
 
 
 def step_delayed(
@@ -231,13 +228,15 @@ def step_delayed(
     ``np.add.at`` adds the flows, in link order, into both rows of their
     arrival slots (see :class:`DelayedNetworkState`), so each node's sum is
     the additions of one ``bincount`` over the slot's flows in emission
-    order; the slot due now is applied as ``x + eta * (row 0 - row 1)`` and
-    zeroed, or, if no flow reached it, ``x`` is copied, signed zeros kept.
+    order.  Every step applies the slot due now as
+    ``x + eta * (row 0 - row 1)`` and zeroes it, as the delay-free step adds
+    its ``bincount`` pair: a node that no flow reaches gets +0.0 added.
     ``state.x`` is replaced by a new array; ``state`` itself is returned.
     """
-    if schedule.tau_bar != state.tau_bar:
+    depth = len(state.pending)
+    if schedule.tau_bar + 1 != depth:
         raise ConfigurationError(
-            f"schedule tau_bar {schedule.tau_bar} does not match state tau_bar {state.tau_bar}"
+            f"schedule tau_bar {schedule.tau_bar} does not match state tau_bar {depth - 1}"
         )
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ConfigurationError(f"step rate must be positive and finite, got {eta}")
@@ -247,7 +246,6 @@ def step_delayed(
     if not graph.n == cs.n == n:
         raise ConfigurationError("state, graph, and costs must agree on n")
     k = state.step
-    depth = state.tau_bar + 1
 
     if grads is None:
         grads = cs.grad(x)
@@ -266,19 +264,13 @@ def step_delayed(
         state.x = x + eta * _inflow(n, ei, ej, phi)
     else:
         slot = k % depth
-        at = _ring_slots(depth)[slot:].take(schedule.draw(k, ei, ej, m))
-        state.landed[at] = True
+        off = _ring_slots(depth)[slot:].take(schedule.draw(k, ei, ej, m)) * (2 * n)
         ring = state.pending.reshape(-1)
-        off = at * (2 * n)
         np.add.at(ring, off + ej, phi)
         np.add.at(ring[n:], off + ei, phi)
-        if state.landed[slot]:
-            due = state.pending[slot]
-            state.x = x + eta * (due[0] - due[1])
-            due.fill(0.0)
-            state.landed[slot] = False
-        else:
-            state.x = x.copy()
+        due = state.pending[slot]
+        state.x = x + eta * (due[0] - due[1])
+        due.fill(0.0)
     state.step = k + 1
     return state
 
@@ -484,10 +476,7 @@ def feasible_init(
         return x
 
     lo, hi = _box_bounds(boxes, n)
-    if not (lo.sum() <= total <= hi.sum()):
-        raise InfeasibilityError(
-            f"total {total} outside [{lo.sum()}, {hi.sum()}], no feasible point in the boxes"
-        )
+    _check_box_total(lo, hi, total)
     x = np.clip(x, lo, hi)
     for _ in range(200):
         residue = total - _exact_sums(x[None], "the start vector")[0]

@@ -520,6 +520,33 @@ def _box_bounds(boxes: list[tuple[float, float]], n: int) -> tuple[np.ndarray, n
     return lo, hi
 
 
+def _rounded_sum(values: list[float]) -> float:
+    """The correctly rounded sum of finite doubles, +-inf where it lies past the double range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:  # a partial sum left the double range: add integer multiples of 2**-1074
+        units = sum(p << (1075 - q.bit_length()) for p, q in map(float.as_integer_ratio, values))
+        try:
+            return units / 2**1074  # correctly rounded
+        except OverflowError:
+            return math.inf if units > 0 else -math.inf
+
+
+def _check_box_total(lo: np.ndarray, hi: np.ndarray, total: float, tol: float = 0.0) -> None:
+    """Raise InfeasibilityError if ``total`` lies below sum(lo) - tol or above sum(hi) + tol.
+
+    Each side is decided on the sign of one correctly rounded sum, which is
+    the sign of the exact sum, so box ends near the double range decide it
+    as small ones do.  A side with an infinite end
+    binds only if that end is a floor of +inf or a ceiling of -inf.
+    """
+    for ends, sign, name in ((lo, 1.0, "below the box floor"), (hi, -1.0, "above the box ceiling")):
+        if (ends == sign * math.inf).any():
+            raise InfeasibilityError(f"total {total} is {name} {sign * math.inf}")
+        if np.isfinite(ends).all() and sign * _rounded_sum([*ends.tolist(), -total, -sign * tol]) > 0.0:
+            raise InfeasibilityError(f"total {total} is {name} {_rounded_sum(ends.tolist())}")
+
+
 _MAX_EXPAND = 200
 _INNER_ITERS = 110
 _OUTER_ITERS = 320
@@ -578,14 +605,7 @@ def central_solve(
         lo_box = np.where(cs.pen_kind > 0, cs.pen_lo, -np.inf)
         hi_box = np.where(cs.pen_kind > 0, cs.pen_hi, np.inf)
     if mode == "exact_box":
-        if np.isfinite(lo_box).all() and total < float(lo_box.sum()) - tol:
-            raise InfeasibilityError(
-                f"total {total} is below the box floor {float(lo_box.sum())}"
-            )
-        if np.isfinite(hi_box).all() and total > float(hi_box.sum()) + tol:
-            raise InfeasibilityError(
-                f"total {total} is above the box ceiling {float(hi_box.sum())}"
-            )
+        _check_box_total(lo_box, hi_box, total, tol)
         grad = cs.base_grad
         clip = lambda v: np.clip(v, lo_box, hi_box)  # noqa: E731
     else:

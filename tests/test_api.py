@@ -6,6 +6,7 @@ here first, together with a version bump.
 
 import argparse
 import importlib
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,11 @@ def test_no_two_modules_export_one_name():
 def test_removed_helper_is_gone(name):
     assert not hasattr(dra_sim, name)
     assert all(not hasattr(importlib.import_module(f"dra_sim.{m}"), name) for m in REEXPORTED)
+
+
+def test_delayed_state_fields_are_pinned():
+    # The ring depth is len(pending); the state keeps no second copy of tau_bar.
+    assert [f.name for f in fields(dra_sim.DelayedNetworkState)] == ["x", "step", "pending"]
 
 
 @pytest.mark.parametrize("name, module", sorted(RESULT_TYPES.items()))

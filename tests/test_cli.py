@@ -401,6 +401,15 @@ class TestPercolationCommand:
         assert got["threshold"] == "none"
         assert "warning" in got
 
+    def test_links_that_always_fail_have_no_window(self, capsys):
+        # p_fail = 1 is an accepted rate, but no union window reconnects.
+        code = main(["percolation", "--n", "50", "--p", "0.2", "--p-fail", "1.0", "--trials", "3"])
+        assert code == 0
+        got = kv_lines(capsys.readouterr().out)
+        assert got["min_window"] == "none"
+        assert float(got["effective_failure"]) == 1.0
+        assert (got["mc_fraction"], got["mc_trials"]) == ("0.0", "3")
+
     def test_monte_carlo_block(self, capsys):
         code = main(["percolation", "--n", "20", "--p", "0.3",
                      "--p-fail", "0.5", "--window", "2", "--trials", "50"])

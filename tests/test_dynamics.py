@@ -383,19 +383,21 @@ class TestStepDelayed:
             state = step_delayed(state, base, sched, costs, q, q, 0.05, failure_keep=keep)
             assert abs(math.fsum(state.x.tolist()) - total) <= tol
 
-    def test_negative_zero_kept_while_no_flow_arrives(self):
-        # Fixed delays of 2: nothing arrives at steps 0 and 1, so the state
-        # is copied and node 0's -0.0 keeps its sign.  At step 2 the flow of
-        # link {1, 2} arrives and isolated node 0 gets +0.0 added, as from a
-        # bincount over the arriving flows.
+    def test_empty_due_slot_adds_positive_zero(self):
+        # Fixed delays of 2: nothing arrives at steps 0 and 1, yet the empty
+        # slot due is still applied, so node 0's -0.0 becomes +0.0 at step 0,
+        # as the delay-free step's bincount makes it.  At step 2 the flow of
+        # link {1, 2} arrives.
         costs = [quadratic_cost(0.5)] * 3
         graph = WeightedGraph(3, np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
         x0 = np.array([-0.0, 3.0, 1.0])
         state = init_delayed_state(x0, 2, costs, IDM)
         sched = DelaySchedule(2, mode="fixed")
+        free = step_delay_free(x0, graph, costs, IDM, IDM, 0.25)
+        assert not np.signbit(free[0])
         for _ in range(2):
             state = step_delayed(state, graph, sched, costs, IDM, IDM, 0.25)
-            assert state.x.tobytes() == x0.tobytes()
+            assert state.x.tolist() == [0.0, 3.0, 1.0] and not np.signbit(state.x[0])
         state = step_delayed(state, graph, sched, costs, IDM, IDM, 0.25)
         assert state.x.tolist() == [0.0, 2.5, 1.5] and not np.signbit(state.x[0])
 
@@ -591,10 +593,22 @@ class TestFeasibleInit:
             feasible_init(16, 0.0, boxes=[(big, 1.7e308)] * 8 + [(-1.7e308, -big)] * 8)
 
     def test_infeasible_boxes_rejected(self):
-        with pytest.raises(InfeasibilityError):
+        with pytest.raises(InfeasibilityError, match="below the box floor 3.0"):
             feasible_init(3, 1.0, boxes=[(1.0, 2.0)] * 3)
-        with pytest.raises(InfeasibilityError):
+        with pytest.raises(InfeasibilityError, match="above the box ceiling 6.0"):
             feasible_init(3, 100.0, boxes=[(1.0, 2.0)] * 3)
+
+    def test_box_sums_past_the_double_range_decide_exactly(self):
+        # A numpy sum of these floors overflows, to +inf or -inf by their
+        # order, though sum(lo) <= 0 <= sum(hi) holds exactly.
+        top, low = (1e308, 1.7e308), (-1.7e308, -1e308)
+        with pytest.raises(NumericError, match="start vector"):  # not an InfeasibilityError
+            feasible_init(4, 0.0, boxes=[top, top, low, low])
+        x = feasible_init(4, 0.0, boxes=[top, low, low, top])
+        assert x.tolist() == [1e308, -1e308, -1e308, 1e308]
+        # Here the floor is past the double range itself.
+        with pytest.raises(InfeasibilityError, match="below the box floor inf"):
+            feasible_init(4, 0.0, boxes=[top] * 4)
 
     def test_malformed_boxes_rejected_as_central_solve_does(self):
         # A NaN end fails lo <= hi, as in central_solve, instead of reaching
@@ -777,7 +791,7 @@ class TestFinitenessChecks:
             step_delayed(state, graph, DelaySchedule(tau_bar, seed=3), costs, node_map, IDM, 0.1)
         assert calls == [(IDM, 2)]
         assert state.step == 0 and state.x.tolist() == [1e308, -1e308]
-        assert not state.pending.any() and not state.landed.any()
+        assert not state.pending.any()
 
     @pytest.mark.parametrize("node_map", [saturation(1.0, 10.0), sign_power(0.5, 1e-6, 1e3)])
     @pytest.mark.parametrize("tau_bar", [0, 2])
@@ -790,7 +804,7 @@ class TestFinitenessChecks:
             step_delayed(state, graph, DelaySchedule(tau_bar, seed=3), costs, node_map, IDM, 0.1)
         assert calls == [(IDM, 2), (node_map, 1)]
         assert state.step == 0 and state.x.tolist() == [1e308, -1e308]
-        assert not state.pending.any() and not state.landed.any()
+        assert not state.pending.any()
 
     @staticmethod
     def overflowing_run(node_kind: str, eta: float) -> scenario.ScenarioConfig:

@@ -268,6 +268,13 @@ class TestCentralSolve:
         with pytest.raises(NumericError, match="bracket ends"):
             central_solve([quadratic_cost(1.0)] * 16, 0.0, boxes=boxes, mode="exact_box")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_box_floor_past_the_double_range_is_not_infeasible(self):
+        # sum(lo) is finite and below the total, but a numpy sum of lo overflows.
+        boxes = [(1e308, 1.7e308)] * 2 + [(-1.7e308, -1e308)] * 2
+        with pytest.raises(NumericError, match="bracket ends"):
+            central_solve([quadratic_cost(1.0)] * 4, 0.0, boxes=boxes, mode="exact_box")
+
     def test_boxes_refused_outside_exact_box_mode(self):
         # Penalized mode honours only the costs' penalties; it would return
         # x = [1.5, 1.5], outside both boxes.
