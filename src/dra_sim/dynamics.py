@@ -453,7 +453,7 @@ def feasible_init(
     one free coordinate absorbs the residue of the correctly rounded sum, and
     that coordinate rounds: the sum of x is within
     2**-52 * max(|total|, max_i |x_i|) of ``total``, not always equal to it.
-    Raises NumericError where a partial sum of x leaves the double range.
+    Raises NumericError where the exact sum of x lies past the double range.
     """
     if n < 1:
         raise ConfigurationError(f"feasible_init needs n >= 1, got {n}")

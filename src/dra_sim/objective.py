@@ -123,13 +123,31 @@ def _sigmoid(u):
     return np.where(u >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _rounded_sum(values: list[float]) -> float:
+    """The correctly rounded exact sum of doubles, +-inf past the double range: fsum's value where it returns.
+
+    Infinite and nan values sum as fsum sums them.
+    """
+    try:
+        return math.fsum(values)
+    except OverflowError:  # a partial sum left the double range: add integer multiples of 2**-1074
+        special = [v for v in values if not math.isfinite(v)]
+        if special:
+            return math.fsum(special)
+        units = sum(p << (1075 - q.bit_length()) for p, q in map(float.as_integer_ratio, values))
+        try:
+            return units / 2**1074  # correctly rounded
+        except OverflowError:
+            return math.inf if units > 0 else -math.inf
+
+
 # Below this many entries a block takes one fsum per row: the extraction's
 # fixed cost, some 20 numpy calls, outweighs the fsums (BENCH_rowsum.json).
 _EXTRACT_MIN_SIZE = 2048
 
 
-def _row_fsums(a: np.ndarray) -> list[float | None]:
-    """``math.fsum`` of each row of a (rows, n) block, None where it raises OverflowError.
+def _row_fsums(a: np.ndarray) -> list[float]:
+    """The correctly rounded exact sum of each row of a (rows, n) block, ``_rounded_sum``'s value.
 
     Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
     summation part I", SIAM J. Sci. Comput. 31(1), 2008): with 2**m >= n + 2
@@ -139,22 +157,15 @@ def _row_fsums(a: np.ndarray) -> list[float | None]:
     remainder with the row's exact total.  fsum is correctly rounded and that
     rounding is unique, so fsum of those is fsum of the row, bit for bit.
     Rows that are zero, not finite or near the double range, and blocks too
-    small to pay for the numpy calls, take fsum itself (a ValueError from
-    inf - inf propagates).
+    small to pay for the numpy calls, take ``_rounded_sum`` itself (a
+    ValueError from inf - inf propagates).
     """
-
-    def fsum(values: list[float]) -> float | None:
-        try:
-            return math.fsum(values)
-        except OverflowError:  # a partial sum left the double range
-            return None
-
     if a.size < _EXTRACT_MIN_SIZE:
-        return [fsum(row) for row in a.tolist()]
+        return [_rounded_sum(row) for row in a.tolist()]
     m = (a.shape[1] + 1).bit_length()  # 2**m >= n + 2
     top = np.abs(a).max(axis=1)
     fast = (top > 0.0) & (top < 2.0 ** (1020 - m))  # false where a row holds a nan
-    out = [None if f else fsum(row.tolist()) for f, row in zip(fast.tolist(), a)]
+    out = [0.0 if f else _rounded_sum(row.tolist()) for f, row in zip(fast.tolist(), a)]
     p = a[fast]
     sigma = np.ldexp(1.0, np.frexp(top[fast])[1] + m)[:, None]
     q = np.empty_like(p)
@@ -171,15 +182,15 @@ def _row_fsums(a: np.ndarray) -> list[float | None]:
     for r in np.flatnonzero(p.any(axis=1)).tolist():
         parts[r] += p[r][p[r] != 0.0].tolist()
     for r, s in zip(np.flatnonzero(fast).tolist(), parts):
-        out[r] = fsum(s)
+        out[r] = math.fsum(s)  # below 2**1020 in every partial sum
     return out
 
 
 def _exact_sums(a: np.ndarray, what: str) -> list[float]:
-    """``_row_fsums`` of a block; NumericError naming ``what`` where a partial sum leaves the double range."""
+    """``_row_fsums`` of finite values; NumericError naming ``what`` where a sum lies past the double range."""
     sums = _row_fsums(a)
-    if None in sums:
-        raise NumericError(f"a partial sum of {what} leaves the double range")
+    if not all(map(math.isfinite, sums)):
+        raise NumericError(f"the sum of {what} leaves the double range")
     return sums
 
 
@@ -325,21 +336,15 @@ class CostSet:
         return out
 
     def total_value(self, x: np.ndarray) -> float:
-        """Sum of the per-agent costs, accumulated with compensated summation.
+        """The correctly rounded exact sum of the per-agent costs (``_rounded_sum``'s value).
 
-        A sum past the double range, which ``fsum`` raises on, is an
-        infinity with the sign of the plain sum.
+        Finite costs whose sum lies past the double range sum to +-inf.
         """
         return self.row_totals(np.asarray(x, dtype=float)[None])[0]
 
     def row_totals(self, xs: np.ndarray) -> list[float]:
         """``total_value`` of each row of a (rows, n) block: one ``value_per_agent`` and one ``_row_fsums`` call."""
-        v = self.value_per_agent(xs)
-        totals = _row_fsums(v)
-        for r, s in enumerate(totals):
-            if s is None:
-                totals[r] = math.copysign(math.inf, v[r].sum())
-        return totals
+        return _row_fsums(self.value_per_agent(xs))
 
     @functools.cached_property
     def _bound(self) -> tuple[float, float, int, list[tuple[int, float]]]:
@@ -520,18 +525,6 @@ def _box_bounds(boxes: list[tuple[float, float]], n: int) -> tuple[np.ndarray, n
     return lo, hi
 
 
-def _rounded_sum(values: list[float]) -> float:
-    """The correctly rounded sum of finite doubles, +-inf where it lies past the double range."""
-    try:
-        return math.fsum(values)
-    except OverflowError:  # a partial sum left the double range: add integer multiples of 2**-1074
-        units = sum(p << (1075 - q.bit_length()) for p, q in map(float.as_integer_ratio, values))
-        try:
-            return units / 2**1074  # correctly rounded
-        except OverflowError:
-            return math.inf if units > 0 else -math.inf
-
-
 def _check_box_total(lo: np.ndarray, hi: np.ndarray, total: float, tol: float = 0.0) -> None:
     """Raise InfeasibilityError if ``total`` lies below sum(lo) - tol or above sum(hi) + tol.
 
@@ -543,7 +536,7 @@ def _check_box_total(lo: np.ndarray, hi: np.ndarray, total: float, tol: float = 
     for ends, sign, name in ((lo, 1.0, "below the box floor"), (hi, -1.0, "above the box ceiling")):
         if (ends == sign * math.inf).any():
             raise InfeasibilityError(f"total {total} is {name} {sign * math.inf}")
-        if np.isfinite(ends).all() and sign * _rounded_sum([*ends.tolist(), -total, -sign * tol]) > 0.0:
+        if sign * _rounded_sum([*ends.tolist(), -total, -sign * tol]) > 0.0:
             raise InfeasibilityError(f"total {total} is {name} {_rounded_sum(ends.tolist())}")
 
 
@@ -654,14 +647,16 @@ def central_solve(
                 raise NumericError("bracket expansion failed on the lower side")
         # Every bracket lies inside the one before, so a numpy sum within its
         # rounding bound ``err`` tells when the correctly rounded sums of the
-        # lower and upper ends may decide.
+        # lower and upper ends may decide.  Where ``err`` is infinite, a numpy
+        # sum may overflow and the correctly rounded sums decide every step.
         lb, ub = clip(lo), clip(hi)
-        err = 2.0**-50 * (n + 1) * float(np.maximum(np.abs(lb), np.abs(ub)).sum())
+        with np.errstate(over="ignore"):
+            err = 2.0**-50 * (n + 1) * float(np.maximum(np.abs(lb), np.abs(ub)).sum())
         uncapped = _INNER_ITERS - t.max()
         a, b = ends
         while True:
-            if outcome(float(lb.sum()) + err) >= outcome(float(ub.sum()) - err):
-                decided, other = map(outcome, _exact_sums(clip(cur[1:3]), "the bracket ends"))
+            if err == math.inf or outcome(float(lb.sum()) + err) >= outcome(float(ub.sum()) - err):
+                decided, other = map(outcome, _row_fsums(clip(cur[1:3])))
                 if decided == other:
                     if decided != final:
                         break
@@ -730,9 +725,9 @@ def central_solve(
         )
 
     if mode == "penalized":
-        (x_sum,), value = _exact_sums(x[None], "the solution"), cs.total_value(x)
+        (x_sum,), value = _row_fsums(x[None]), cs.total_value(x)
     else:
-        x_sum, value = _exact_sums(np.stack([x, cs.base_value(x)]), "the solution")
+        x_sum, value = _row_fsums(np.stack([x, cs.base_value(x)]))
     gap = abs(x_sum - total)
     x.flags.writeable = False
     return CentralSolution(

@@ -2,9 +2,9 @@
 
 A link that is up with probability 1 - p_fail each step is missing from the
 union of T + 1 consecutive steps with probability p_fail**(T+1).  Comparing
-that effective failure rate against a percolation threshold of the base
-topology predicts how long an averaging window must be before connectivity
-is restored in expectation; the Monte-Carlo routine measures it directly.
+that rate against the giant-component threshold of the base topology gives
+the shortest window whose union keeps a giant component in expectation (it
+may still be disconnected); the Monte-Carlo routine measures connectivity.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ _MC_BLOCK = 1 << 17  # nodes plus links of the trials mc_union_connectivity sear
 
 @dataclass(frozen=True)
 class PercolationProfile:
-    """Degree-based percolation threshold of an Erdos-Renyi ensemble.
+    """Degree-based giant-component threshold of an Erdos-Renyi ensemble.
 
     ``threshold`` is p_c = 1 - 1/mean_degree, the failure rate above which
-    the thinned graph fragments in expectation; None when the mean degree
-    does not exceed 1 (the ensemble is already subcritical, see ``warning``).
+    the thinned graph loses its giant component in expectation (it may be
+    disconnected well below); None when the mean degree does not exceed 1
+    (the ensemble is already subcritical, see ``warning``).
     """
 
     n: int
@@ -57,7 +58,7 @@ class McConnectivity:
 
 
 def er_threshold(n: int, p: float, convention: str = "half") -> PercolationProfile:
-    """Percolation threshold 1 - 1/mean_degree for an ER(n, p) ensemble.
+    """Giant-component threshold 1 - 1/mean_degree for an ER(n, p) ensemble.
 
     convention "half" attributes each link to one endpoint, giving
     mean_degree = (n - 1) * p / 2; convention "standard" counts both
@@ -96,12 +97,12 @@ def min_window(p_fail: float, threshold: float) -> int:
     """Smallest T >= 0 with p_fail**(T+1) < threshold.
 
     This is the shortest union window whose effective failure rate drops
-    below the percolation threshold; it is 0 whenever p_fail < threshold
-    already.  Requires 0 <= p_fail < 1 and 0 < threshold < 1.
+    below the giant-component threshold; it is 0 whenever p_fail < threshold
+    already.  Requires 0 <= p_fail < 1 and 0 < threshold < 1, not None.
     """
     if not 0.0 <= p_fail < 1.0:
         raise DomainError(f"min_window needs 0 <= p_fail < 1, got {p_fail}")
-    if not 0.0 < threshold < 1.0:
+    if threshold is None or not 0.0 < threshold < 1.0:
         raise DomainError(f"min_window needs 0 < threshold < 1, got {threshold}")
     t = 0
     while effective_failure(p_fail, t) >= threshold:

@@ -579,14 +579,14 @@ def _book_block(cs: CostSet, held: list[tuple], total: float) -> np.ndarray:
     """The (6, rows) columns of held (x, grads, lo, hi) rows of consecutive finite steps.
 
     Its rows are each step's objective (``CostSet.row_totals`` of the
-    stacked states), exact (``fsum``, by ``_row_fsums``) gap or nan where a
-    partial sum leaves the double range, dispersion norm(grads - grads.mean()),
-    min, max and mean; each column is bit-equal to a one-row block's.
+    stacked states), gap (the correctly rounded exact sum by ``_row_fsums``,
+    less the total), dispersion norm(grads - grads.mean()), min, max and
+    mean; each column is bit-equal to a one-row block's.
     """
     xs, gs, lo, hi = zip(*held)
     xs, gs = np.stack(xs), np.stack(gs)
     dev = gs - (gs.sum(axis=1) / xs.shape[1])[:, None]
-    gaps = [math.nan if s is None else s - total for s in _row_fsums(xs)]
+    gaps = [s - total for s in _row_fsums(xs)]
     dispersion = [math.sqrt(g.dot(g)) for g in dev]
     return np.array([cs.row_totals(xs), gaps, dispersion, lo, hi, xs.sum(axis=1) / xs.shape[1]])
 
@@ -619,8 +619,9 @@ def run(cfg: ScenarioConfig) -> RunResult:
     its initial value) stops the run and is flagged in the summary together
     with the ratio of the configured step rate to the analytical bound.
     Finite steps are held for one block of steps at most, whose columns (objective, gap,
-    dispersion, min, max, mean) ``_book_block`` returns; the blocks, a nan column for a last
-    state that is not finite, and the links up at each step are joined once the loop is over.
+    dispersion, min, max, mean; gap and objective are exact sums, +-inf only past the double
+    range) ``_book_block`` returns; the blocks, a nan column for a last state that is not
+    finite, and the links up at each step are joined once the loop is over.
     The objective is evaluated at step 0, where it sets the divergence limit, and where
     ``CostSet.value_bound`` cannot rule divergence out; each step's graph and failure mask
     come from one ``_link_plan``.
@@ -705,7 +706,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
         final_residual=float(residuals[-1]),
         final_spread=spread,
         steps_to_threshold=int(reached[0]) if reached.size else -1,
-        max_feasibility_gap=float(np.fmax.reduce(np.abs(cols[1]), initial=0.0)),  # skips nan gaps
+        max_feasibility_gap=float(np.fmax.reduce(np.abs(cols[1]), initial=0.0)),  # skips a non-finite last state's nan
         fraction_decreasing_windows=frac_decreasing,
         node_clamp_events=node_counter.events,
         link_clamp_events=link_counter.events,

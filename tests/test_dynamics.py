@@ -1,6 +1,7 @@
 """Tests for the resource-allocation update laws and their analytic bounds."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -585,12 +586,19 @@ class TestFeasibleInit:
         b = feasible_init(9, 12.0, mode="random_simplex", seed=3)
         assert np.array_equal(a, b)
 
-    def test_running_sum_past_the_double_range_is_a_numeric_error(self):
-        # Each numpy box sum is finite, but fsum's running sum of the clipped
-        # start overflows at its second term (an OverflowError before).
+    def test_running_sum_past_the_double_range_is_summed_exactly(self):
+        # Each numpy box sum is finite, and fsum's running sum of the clipped
+        # start overflows at its second term, but its exact sum is the total.
         big = 1.6e308
-        with pytest.raises(NumericError, match="start vector"):
-            feasible_init(16, 0.0, boxes=[(big, 1.7e308)] * 8 + [(-1.7e308, -big)] * 8)
+        x = feasible_init(16, 0.0, boxes=[(big, 1.7e308)] * 8 + [(-1.7e308, -big)] * 8)
+        assert x.tolist() == [big] * 8 + [-big] * 8
+        assert sum(map(Fraction, x.tolist())) == 0
+
+    def test_exact_sum_past_the_double_range_is_a_numeric_error(self):
+        # Floors sum to 3.4e308 and the last box holds the total only with
+        # -3.4e308, which no double is.
+        with pytest.raises(NumericError, match="the sum of the start vector leaves the double range"):
+            feasible_init(3, 0.0, boxes=[(1.7e308, 1.7e308)] * 2 + [(-math.inf, 0.0)])
 
     def test_infeasible_boxes_rejected(self):
         with pytest.raises(InfeasibilityError, match="below the box floor 3.0"):
@@ -602,8 +610,8 @@ class TestFeasibleInit:
         # A numpy sum of these floors overflows, to +inf or -inf by their
         # order, though sum(lo) <= 0 <= sum(hi) holds exactly.
         top, low = (1e308, 1.7e308), (-1.7e308, -1e308)
-        with pytest.raises(NumericError, match="start vector"):  # not an InfeasibilityError
-            feasible_init(4, 0.0, boxes=[top, top, low, low])
+        x = feasible_init(4, 0.0, boxes=[top, top, low, low])  # fsum's running sum overflows
+        assert x.tolist() == [1e308, 1e308, -1e308, -1e308] and sum(map(Fraction, x.tolist())) == 0
         x = feasible_init(4, 0.0, boxes=[top, low, low, top])
         assert x.tolist() == [1e308, -1e308, -1e308, 1e308]
         # Here the floor is past the double range itself.

@@ -260,20 +260,25 @@ class TestCentralSolve:
         with pytest.raises(ConfigurationError, match="lo <= hi"):
             central_solve([quadratic_cost(1.0)] * 2, 3.0, boxes=[(math.nan, 1.0), (0.0, 5.0)], mode="exact_box")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_bracket_sum_past_the_double_range_is_a_numeric_error(self):
-        # The clipped bracket ends' running sum overflows (an OverflowError before).
+    # The value sums costs of (1e308)**2, which overflow; no other overflow
+    # may warn, the bracket sums' numpy bound included.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+    def test_bracket_sum_past_the_double_range_is_summed_exactly(self):
+        # The clipped bracket ends' running sum overflows, but their exact
+        # sum is the total: the clamped floors and ceilings solve it.
         big = 1.6e308
         boxes = [(big, 1.7e308)] * 8 + [(-1.7e308, -big)] * 8
-        with pytest.raises(NumericError, match="bracket ends"):
-            central_solve([quadratic_cost(1.0)] * 16, 0.0, boxes=boxes, mode="exact_box")
+        sol = central_solve([quadratic_cost(1.0)] * 16, 0.0, boxes=boxes, mode="exact_box")
+        assert sol.x.tolist() == [big] * 8 + [-big] * 8
+        assert sol.gap == 0.0 and sol.value == math.inf
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
     def test_box_floor_past_the_double_range_is_not_infeasible(self):
         # sum(lo) is finite and below the total, but a numpy sum of lo overflows.
         boxes = [(1e308, 1.7e308)] * 2 + [(-1.7e308, -1e308)] * 2
-        with pytest.raises(NumericError, match="bracket ends"):
-            central_solve([quadratic_cost(1.0)] * 4, 0.0, boxes=boxes, mode="exact_box")
+        sol = central_solve([quadratic_cost(1.0)] * 4, 0.0, boxes=boxes, mode="exact_box")
+        assert sol.x.tolist() == [1e308, 1e308, -1e308, -1e308]
+        assert sol.gap == 0.0 and sol.value == math.inf
 
     def test_boxes_refused_outside_exact_box_mode(self):
         # Penalized mode honours only the costs' penalties; it would return

@@ -111,6 +111,14 @@ class TestMinWindow:
         with pytest.raises(DomainError):
             min_window(0.5, 1.0)
 
+    def test_subcritical_threshold_is_a_domain_error(self):
+        # dispatch_adversity's topology, ER(10, 0.2), has mean degree 0.9:
+        # no giant-component threshold, and a DomainError, not a TypeError.
+        threshold = er_threshold(10, 0.2).threshold
+        assert threshold is None
+        with pytest.raises(DomainError, match="got None"):
+            min_window(0.5, threshold)
+
 
 class TestMcUnionConnectivity:
     def test_no_failures_keeps_connected_base(self):

@@ -12,7 +12,9 @@ The examples are derandomized (see conftest.py).
 
 import math
 import struct
+import warnings
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,7 +52,7 @@ from dra_sim import (
     step_delayed,
     trace_to_csv,
 )
-from dra_sim.objective import _EXTRACT_MIN_SIZE, _penalty_power, _row_fsums
+from dra_sim.objective import _EXTRACT_MIN_SIZE, _check_box_total, _penalty_power, _row_fsums
 from dra_sim.scenario import PRESET_NAMES, build_instance, preset
 
 SHIPPED_MAPS = [
@@ -529,12 +531,8 @@ def same_float(a: float, b: float) -> bool:
 
 
 def one_row_total(cs, x):
-    """``total_value`` as one row's plain evaluation: fsum, or an infinity signed as the plain sum."""
-    v = cs.value_per_agent(x)
-    try:
-        return math.fsum(v.tolist())
-    except OverflowError:
-        return math.copysign(math.inf, v.sum())
+    """``total_value`` as one row's plain evaluation: the exact sum of its costs, correctly rounded."""
+    return exact_sum_or_error(cs.value_per_agent(x))
 
 
 @given(st.lists(local_costs(), min_size=1, max_size=20), seeds, st.floats(-3.0, 308.0))
@@ -564,14 +562,32 @@ def same_bits(a: float, b: float) -> bool:
     return struct.pack("<d", a) == struct.pack("<d", b)
 
 
-def fsum_or_error(row: np.ndarray):
-    """``math.fsum`` of a row: its value, None where it raises OverflowError, or the ValueError it raises."""
+def exact_sum_or_error(row: np.ndarray):
+    """A row's exact sum: fsum's value where fsum returns, or the ValueError it raises for inf - inf.
+
+    Where fsum's running sum overflows, the exact sum of the finite values as
+    a Fraction, correctly rounded or +-inf past the double range; an infinity
+    or nan among the values decides the sum as in fsum.
+    """
+    values = row.tolist()
     try:
-        return math.fsum(row.tolist())
-    except OverflowError:
-        return None
+        return math.fsum(values)
     except ValueError as exc:
         return exc
+    except OverflowError:
+        pass
+    infinities = {v for v in values if math.isinf(v)}
+    if len(infinities) == 2:
+        return ValueError("-inf + inf")
+    if any(map(math.isnan, values)):
+        return math.nan
+    if infinities:
+        return infinities.pop()
+    exact = sum(map(Fraction, values))
+    try:
+        return float(exact)  # int / int: correctly rounded
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 SUMMAND_ROWS = ("spread", "cancel", "subnormal", "zero", "special", "threshold", "overflow")
@@ -618,14 +634,20 @@ def summand_blocks(draw) -> np.ndarray:
 @example(block=np.full((1, _EXTRACT_MIN_SIZE - 1), 0.1))
 @example(block=np.array([[2.0**1000, 1.0, -(2.0**1000), 2.0**-1000]] * 600))
 @example(block=np.array([[2.0**1011] + [2.0**1007] * 2999]))
+@example(block=np.array([[1.7e308, 1.7e308, -1.7e308], [1.7e308, 1.7e308, 1.0]]))
+@example(block=np.array([[1.7e308, 1.7e308, -math.inf], [-1.7e308, -1.7e308, math.nan]]))
+@example(block=np.array([[1.7e308, 1.7e308, math.inf, -math.inf]]))
 @settings(max_examples=150)
 def test_row_fsums_is_fsum_of_each_row(block):
-    # Same value and same sign of zero as one fsum per row, and None exactly
-    # where fsum raises OverflowError; a row with inf and -inf raises fsum's
-    # ValueError.  The examples are one negative zero, subnormals, blocks
-    # just at and below the cutover, a spread of 2**2000 that cancels, and a
-    # row whose largest value is 8 times the fast path's limit.
-    expected = [fsum_or_error(row) for row in block]
+    # fsum's value and sign of zero where fsum returns; where its running sum
+    # overflows, the exact sum correctly rounded (+-inf past the double
+    # range, an infinity or nan as fsum would take it); a row with inf and
+    # -inf raises fsum's ValueError.  The examples are one negative zero,
+    # subnormals, blocks just at and below the cutover, a spread of 2**2000
+    # that cancels, a row whose largest value is 8 times the fast path's
+    # limit, and overflowing running sums that end inside the double range,
+    # past it, or at an infinity or nan.
+    expected = [exact_sum_or_error(row) for row in block]
     if any(isinstance(e, ValueError) for e in expected):
         with pytest.raises(ValueError):
             _row_fsums(block)
@@ -633,7 +655,7 @@ def test_row_fsums_is_fsum_of_each_row(block):
     got = _row_fsums(block)
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
-        assert g is None if e is None else same_bits(g, e)
+        assert same_bits(g, e) or (math.isnan(e) and math.isnan(g))
 
 
 def plain_power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
@@ -699,6 +721,49 @@ def test_feasible_init_sum_is_within_one_rounding(problem):
     except InfeasibilityError:  # the rounded box sums miss the total, or the rebalance fails
         return
     assert abs(math.fsum(x.tolist()) - total) <= 2.0**-52 * max(abs(total), float(np.abs(x).max()))
+
+
+@st.composite
+def huge_boxes(draw):
+    """(lo, hi, total): up to six boxes with ends at or near +-1.7e308 (or small), and a finite total."""
+    magnitude = st.one_of(st.sampled_from((1.7e308, 1e308, 1.0, 0.0)), st.floats(8e307, 1.7e308))
+    ends = [sorted(draw(magnitude) * draw(st.sampled_from((1.0, -1.0))) for _ in range(2))
+            for _ in range(draw(st.integers(1, 6)))]
+    total = draw(st.one_of(st.sampled_from((0.0, 1.0, 1e308, -1e308, 1.7e308)), st.floats(-1.79e308, 1.79e308)))
+    return [a for a, _ in ends], [b for _, b in ends], total
+
+
+@given(huge_boxes())
+@example(problem=([1e308, 1e308, -1.7e308, -1.7e308], [1.7e308, 1.7e308, -1e308, -1e308], 0.0))
+@example(problem=([1e308] * 4, [1.7e308] * 4, 1.7e308))
+@example(problem=([-8e307, 8e307], [0.0, 1.7e308], 1e308))
+@settings(max_examples=200)
+def test_box_feasibility_is_decided_on_exact_sums(problem):
+    # _check_box_total and feasible_init refuse a total exactly where the
+    # Fraction sums of the floors and ceilings do, though numpy and fsum
+    # sums of these ends overflow.  A feasible total is never refused on the
+    # box sums, but feasible_init's rebalance works in doubles and may still
+    # overflow on ends this large (the last example reports no room).
+    lo, hi, total = problem
+    floor, ceiling = sum(map(Fraction, lo)), sum(map(Fraction, hi))
+    boxes = list(zip(lo, hi))
+    if not floor <= total <= ceiling:
+        side = "below the box floor" if total < floor else "above the box ceiling"
+        with pytest.raises(InfeasibilityError, match=side):
+            _check_box_total(np.array(lo), np.array(hi), total)
+        with pytest.raises(InfeasibilityError, match=side):
+            feasible_init(len(lo), total, boxes=boxes)
+        return
+    _check_box_total(np.array(lo), np.array(hi), total)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            x = feasible_init(len(lo), total, boxes=boxes)
+    except (InfeasibilityError, NumericError) as exc:
+        assert "box floor" not in str(exc) and "box ceiling" not in str(exc)
+        return
+    assert all(a <= v <= b for a, v, b in zip(lo, x.tolist(), hi))
+    assert abs(sum(map(Fraction, x.tolist())) - Fraction(total)) <= 2.0**-52 * max(abs(total), np.abs(x).max())
 
 
 @st.composite

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,6 +49,18 @@ def small_static_config(**over):
                 costs_penalty="none", node_kind="identity", link_kind="identity")
     base.update(over)
     return ScenarioConfig(**base)
+
+
+def exact_sum(values: list[float]) -> float:
+    """fsum of finite values where it returns, else their exact sum correctly rounded, +-inf past the double range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        exact = sum(map(Fraction, values))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
 
 
 # One out-of-range value for every config key that has a rule.
@@ -470,7 +483,7 @@ class TestRun:
     def test_block_columns_equal_one_row_blocks(self, n):
         # n = 10 books with one fsum per row, n = 3000 with the batched sum.
         # Beside ordinary states: one with a value past the batched sum's
-        # fast path, one whose running sum leaves the double range (nan gap),
+        # fast path, one whose sum lies past the double range (gap inf),
         # and one whose objective overflows though each cost is finite.
         rng = np.random.default_rng(n)
         cs = CostSet([quartic_cost(0.01, t, BoxPenalty(1.0, 10.0, 20.0, 4)) for t in rng.uniform(0.0, 2.0, n)])
@@ -483,16 +496,9 @@ class TestRun:
         block = _book_block(cs, held, total)
         assert block.tobytes() == np.concatenate([_book_block(cs, [h], total) for h in held], axis=1).tobytes()
         for x, objective, gap in zip(xs, block[0], block[1]):
-            v = cs.value_per_agent(x)
-            try:
-                assert objective == math.fsum(v.tolist())
-            except OverflowError:
-                assert objective == math.copysign(math.inf, v.sum())
-            try:
-                assert gap == math.fsum(x.tolist()) - total
-            except OverflowError:
-                assert math.isnan(gap)
-        assert math.isnan(block[1, 5]) and math.isfinite(block[1, 4])
+            assert objective == exact_sum(cs.value_per_agent(x).tolist())
+            assert gap == exact_sum(x.tolist()) - total
+        assert block[1, 5] == math.inf and math.isfinite(block[1, 4])
         assert block[0, 6] == math.inf and np.isfinite(cs.value_per_agent(xs[6])).all()
 
     def test_threshold_and_windows_on_converging_run(self):
@@ -547,7 +553,7 @@ class TestRun:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_state_sum_past_the_double_range_is_a_divergence(self):
         # Step 1 lands on finite coordinates near +-1e308 whose running sum
-        # overflows; the gap cannot be summed exactly and is recorded as NaN.
+        # overflows; the gap is still their exact sum, correctly rounded.
         cfg = small_static_config(
             n=4, total=0.0, eta=3e307, seed=15, horizon=5, early_stop_spread=0.0, topology_p=1.0,
             costs_a_lo=1.0, costs_a_hi=1.0, costs_b_lo=-3.0, costs_b_hi=3.0,
@@ -557,8 +563,9 @@ class TestRun:
         assert np.isfinite(res.final_state).all()
         assert s.diverged and s.diverged_step == 1
         assert s.final_residual == math.inf
-        assert math.isnan(res.trace[-1].feasibility_gap)
-        assert s.max_feasibility_gap == 0.0
+        gap = exact_sum(res.final_state.tolist())
+        assert gap == res.trace[-1].feasibility_gap == -9.9792015476736e291
+        assert s.max_feasibility_gap == -gap
 
     def test_divergence_report_does_not_hide_program_errors(self, monkeypatch):
         # Only the package's own errors mean "no bound exists"; anything
