@@ -12,13 +12,12 @@ the equality-coupled problem.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, InfeasibilityError
+from .errors import ConfigurationError, DomainError, InfeasibilityError, NumericError
 from .graph import WeightedGraph
 from .mappings import ClampCounter, SectorMap, apply_map_array
 from .objective import CostSet, _box_bounds, _check_box_total, _exact_sums
@@ -38,34 +37,6 @@ __all__ = [
 
 def _as_costset(costs) -> CostSet:
     return costs if isinstance(costs, CostSet) else CostSet(costs)
-
-
-# --------------------------------------------------------------------------
-# flows
-# --------------------------------------------------------------------------
-
-
-def _flows(
-    gl: np.ndarray, ei: np.ndarray, ej: np.ndarray, w: np.ndarray, node_map: SectorMap, counter: ClampCounter | None
-) -> np.ndarray:
-    return w * apply_map_array(node_map, gl[ei] - gl[ej], counter)
-
-
-def _inflow(n: int, ei: np.ndarray, ej: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Net flow into each node when link k moves phi[k] from ei[k] to ej[k].
-
-    Each side is summed by ``bincount`` in input order, so the result is
-    reproducible bit for bit.
-    """
-    return np.bincount(ej, weights=phi, minlength=n) - np.bincount(ei, weights=phi, minlength=n)
-
-
-@functools.lru_cache(maxsize=16)
-def _ring_slots(depth: int) -> np.ndarray:
-    """Entry r + d is the ring slot of a flow emitted at ring position r with delay d."""
-    slots = np.arange(2 * depth) % depth
-    slots.flags.writeable = False  # shared by every caller
-    return slots
 
 
 # --------------------------------------------------------------------------
@@ -101,6 +72,12 @@ class DelaySchedule:
     order; with one row per block only that prefix is drawn, which equals
     the head of the full row.  A delay is thus a pure function of (seed,
     step, m, position), and draws may come in any order.
+
+    :meth:`draw` gives one step's delays.  ``scenario.run``'s link plan
+    looks up the delays of a block of steps at once, through the same
+    lookup: the block's rows of the uniform stream, gathered at each step's
+    live positions, or one ``per_link`` vector per graph, taken at the live
+    links.
     """
 
     def __init__(self, tau_bar: int, mode: str = "uniform", seed: int = 0):
@@ -126,41 +103,134 @@ class DelaySchedule:
             self._per_link[(i, j)] = got
         return got
 
+    def _link_delays(self, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
+        """The per_link delay of each link (ei[t], ej[t])."""
+        return np.array([self._per_link_delay(i, j) for i, j in zip(ei.tolist(), ej.tolist())], dtype=self._dtype)
+
     def _uniform(self, block: int, m: int, size) -> np.ndarray:
         """``size`` uniform delays from the start of block ``block`` of width ``m``."""
         words = np.array([self.seed, _DELAY_TAG, 0, block, m, 0], dtype=np.uint64)  # key, then counter
         gen = np.random.Generator(np.random.Philox(key=words[:2], counter=words[2:]))
         return gen.integers(0, self.tau_bar + 1, size=size, dtype=self._dtype)
 
+    def _rows(self, first: int, rows: int, m: int, width: int) -> np.ndarray:
+        """The uniform rows of width ``m`` of steps ``first`` to ``first + rows - 1``, cut to ``width``."""
+        per = max(1, _DELAY_BLOCK // m)
+        if per == 1 and rows == 1:
+            return self._uniform(first, m, (1, width))  # only the prefix is drawn
+        parts, step = [], first
+        while step < first + rows:
+            block, row = divmod(step, per)
+            if self._held[:2] != (block, m):
+                delays = self._uniform(block, m, (per, m))
+                delays.flags.writeable = False
+                self._held = (block, m, delays)
+            take = min(per - row, first + rows - step)
+            parts.append(self._held[2][row : row + take, :width])
+            step += take
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _live(self, first: int, m: int, counts, cols=None, link_delays=None) -> np.ndarray:
+        """The delays of the live links of steps ``first``, ``first + 1``, ..., flat in step then link order.
+
+        ``counts[r]`` links of a graph of ``m`` links are up at step
+        ``first + r``.  ``cols`` are the live links' indices in the graph, or
+        None when they are the first ``counts[r]`` links of that graph (all
+        ``m`` when there are several steps).  ``link_delays`` holds the
+        per_link delays of those links.
+        """
+        rows = len(counts)
+        total = len(cols) if cols is not None else sum(counts)
+        if self.tau_bar == 0 or total == 0:
+            return np.zeros(total, dtype=self._dtype)
+        if self.mode == "fixed":
+            return np.full(total, self.tau_bar, dtype=self._dtype)
+        if self.mode == "per_link":
+            if cols is not None:
+                return link_delays.take(cols)
+            return link_delays if rows == 1 else np.tile(link_delays, rows)
+        if rows == 1:
+            return self._rows(first, 1, m, total)[0]
+        delays = self._rows(first, rows, m, m)
+        return delays.reshape(-1) if cols is None else delays[np.arange(m) < counts[:, None]]
+
     def draw(self, step: int, ei: np.ndarray, ej: np.ndarray, m: int | None = None) -> np.ndarray:
         """Delays for the links (ei, ej) emitted at ``step``.
 
         ``m`` is the link count of the step's graph before failures, of which
-        (ei, ej) are the live links in link order; it defaults to ``len(ei)``.
+        (ei, ej) are the live links in link order; it defaults to ``len(ei)``
+        and may not be below it, in any mode.
         """
         if step < 0:
             raise ConfigurationError(f"delay step must be nonnegative, got step={step}")
         count = len(ei)
-        if self.tau_bar == 0 or count == 0:
-            return np.zeros(count, dtype=self._dtype)
-        if self.mode == "fixed":
-            return np.full(count, self.tau_bar, dtype=self._dtype)
-        if self.mode == "per_link":
-            return np.array(
-                [self._per_link_delay(i, j) for i, j in zip(ei.tolist(), ej.tolist())], dtype=self._dtype
-            )
         m = count if m is None else int(m)
         if m < count:
             raise ConfigurationError(f"{count} live links cannot come from a graph of {m} links")
-        rows = max(1, _DELAY_BLOCK // m)
-        block, row = divmod(int(step), rows)
-        if rows == 1:
-            return self._uniform(block, m, count)
-        if self._held[:2] != (block, m):
-            delays = self._uniform(block, m, (rows, m))
-            delays.flags.writeable = False
-            self._held = (block, m, delays)
-        return self._held[2][row, :count]
+        link_delays = self._link_delays(ei, ej) if self.mode == "per_link" and self.tau_bar else None
+        return self._live(int(step), m, [count], None, link_delays)
+
+
+def _live_links(graph: WeightedGraph, rows: int, keep, schedule: DelaySchedule, first: int, depth: int,
+                link_delays: np.ndarray | None = None) -> tuple[list[int], tuple]:
+    """The live links, delays and ring indices of ``rows`` steps of ``graph`` from step ``first``.
+
+    ``keep`` is the steps' (rows, m) failure mask over the graph's links, or
+    None when every link is up.  Returns the offsets ``bounds`` of the steps
+    and the arrays (ei, ej, w, delays, into_j, into_i), flat over the live
+    links in step then link order: step ``first + r`` owns the entries
+    ``bounds[r]`` to ``bounds[r + 1] - 1``.  With every link up, (ei, ej, w)
+    are the graph's own arrays, which every step shares.  A flow emitted at
+    step k with delay d lands in ring slot (k + d) % depth, whose 2n floats
+    start at (k + d) % depth * 2n in the flattened ring: ``into_j`` is that
+    start plus j, its index at the j end, and ``into_i`` that start plus i,
+    its index at the i end in the ring past its first n floats.  Without a
+    ring (depth 1) the last three are None.  ``link_delays`` is the
+    schedule's per_link vector for the graph, looked up when not given.
+    """
+    ei, ej, w = graph.edges()
+    m, n = len(ei), graph.n
+    if rows == 1:
+        cols = None if keep is None else keep[0].nonzero()[0]
+        counts = [m if cols is None else len(cols)]
+        bounds = [0, counts[0]]
+    elif keep is None:
+        cols, counts = None, [m] * rows
+        bounds = [m * t for t in range(rows + 1)]
+    else:
+        r, cols = keep.nonzero()
+        counts = np.count_nonzero(keep, axis=1)
+        bounds = [0, *np.cumsum(counts).tolist()]
+    if cols is not None:
+        ei, ej, w = ei.take(cols), ej.take(cols), w.take(cols)
+    if depth == 1:
+        return bounds, (ei, ej, w, None, None, None)
+    if link_delays is None and schedule.mode == "per_link":
+        link_delays = schedule._link_delays(*graph.edges()[:2])
+    delays = schedule._live(first, m, counts, cols, link_delays)
+    slots = np.arange(first, first + rows + depth - 1) % depth * (2 * n)  # entry r + d: the slot's offset
+    if rows == 1:
+        off = slots.take(delays)
+    elif cols is None:
+        off = slots.take(np.arange(rows)[:, None] + delays.reshape(rows, m))
+    else:
+        off = slots.take(r + delays)
+    return bounds, (ei, ej, w, delays, (off + ej).reshape(-1), (off + ei).reshape(-1))
+
+
+def _step_views(bounds: list[int], links: tuple, shared: bool):
+    """Each step's links, as views into the arrays of one block from ``_live_links``.
+
+    With ``shared`` every step has the graph's own (ei, ej, w).
+    """
+    ei, ej, w, d, into_j, into_i = links
+    for a, b in zip(bounds, bounds[1:]):
+        if d is None:
+            yield ei[a:b], ej[a:b], w[a:b], None, None, None
+        elif shared:
+            yield ei, ej, w, d[a:b], into_j[a:b], into_i[a:b]
+        else:
+            yield ei[a:b], ej[a:b], w[a:b], d[a:b], into_j[a:b], into_i[a:b]
 
 
 @dataclass
@@ -210,6 +280,7 @@ def step_delayed(
     grads: np.ndarray | None = None,
     node_counter: ClampCounter | None = None,
     link_counter: ClampCounter | None = None,
+    links: tuple | None = None,
 ) -> DelayedNetworkState:
     """Advance ``state`` by one step of the delayed dynamics, in place.
 
@@ -223,6 +294,13 @@ def step_delayed(
     happen only on active links, but flows already in flight arrive
     regardless of the link's later state.  ``grads`` may be supplied when
     the caller already computed them (the scenario loop does).
+
+    The step's live links, their delays and their ring indices do not
+    depend on the state.  ``links`` may carry them, as the
+    ``(ei, ej, w, delays, into_j, into_i)`` of this step that
+    ``scenario.run``'s link plan builds for a block of steps at once; the
+    graph's links and ``failure_keep`` are then not read.  Otherwise they
+    are built here for this one step, by the same builder.
 
     At tau_bar = 0 one ``bincount`` pair sums the flows per node.  Otherwise
     ``np.add.at`` adds the flows, in link order, into both rows of their
@@ -249,26 +327,27 @@ def step_delayed(
 
     if grads is None:
         grads = cs.grad(x)
-    ei, ej, w = graph.edges()
-    m = len(ei)
-    if failure_keep is not None:
-        keep = np.asarray(failure_keep, dtype=bool)
-        if keep.shape != ei.shape:
-            raise ConfigurationError(f"failure mask length {keep.shape} does not match link count {ei.shape}")
-        live = keep.nonzero()[0]
-        ei, ej, w = ei.take(live), ej.take(live), w.take(live)
+    if links is None:
+        keep = None
+        if failure_keep is not None:
+            keep = np.asarray(failure_keep, dtype=bool)
+            if keep.shape != (graph.edge_count,):
+                raise ConfigurationError(
+                    f"failure mask length {keep.shape} does not match link count {graph.edge_count}"
+                )
+            keep = keep[None]
+        links = _live_links(graph, 1, keep, schedule, k, depth)[1]
+    ei, ej, w, _, into_j, into_i = links
 
     gl = apply_map_array(link_map, grads, link_counter)
-    phi = _flows(gl, ei, ej, w, node_map, node_counter)
-    if depth == 1:
-        state.x = x + eta * _inflow(n, ei, ej, phi)
+    phi = w * apply_map_array(node_map, gl[ei] - gl[ej], node_counter)
+    if depth == 1:  # bincount sums each side in input order, so the sums repeat bit for bit
+        state.x = x + eta * (np.bincount(ej, weights=phi, minlength=n) - np.bincount(ei, weights=phi, minlength=n))
     else:
-        slot = k % depth
-        off = _ring_slots(depth)[slot:].take(schedule.draw(k, ei, ej, m)) * (2 * n)
         ring = state.pending.reshape(-1)
-        np.add.at(ring, off + ej, phi)
-        np.add.at(ring[n:], off + ei, phi)
-        due = state.pending[slot]
+        np.add.at(ring, into_j, phi)
+        np.add.at(ring[n:], into_i, phi)
+        due = state.pending[k % depth]
         state.x = x + eta * (due[0] - due[1])
         due.fill(0.0)
     state.step = k + 1
@@ -453,7 +532,8 @@ def feasible_init(
     one free coordinate absorbs the residue of the correctly rounded sum, and
     that coordinate rounds: the sum of x is within
     2**-52 * max(|total|, max_i |x_i|) of ``total``, not always equal to it.
-    Raises NumericError where the exact sum of x lies past the double range.
+    Raises NumericError where the exact sum of x lies past the double range,
+    or where the boxes hold the total only with a coordinate past it.
     """
     if n < 1:
         raise ConfigurationError(f"feasible_init needs n >= 1, got {n}")
@@ -477,20 +557,46 @@ def feasible_init(
 
     lo, hi = _box_bounds(boxes, n)
     _check_box_total(lo, hi, total)
+    # Ends past about 2**500 are rebalanced at a power-of-two scale at which
+    # no product of two of them leaves the double range.  That is exact but
+    # for scaled values below the normal range, whose lost bits the exact
+    # fix-up at scale 1 restores.
+    ends = np.abs(np.concatenate((lo, hi, [total])))
+    shift = max(0, math.frexp(float(ends[np.isfinite(ends)].max()))[1] + (n + 2).bit_length() - 511)
+    if not shift:
+        return _rebalance(x, lo, hi, total)
+    scale = math.ldexp(1.0, -shift)
+    with np.errstate(over="ignore"):
+        x = np.clip(_rebalance(x * scale, lo * scale, hi * scale, total * scale, scale) / scale, lo, hi)
+    if not np.isfinite(x).all():  # a box with an infinite end took a share past the range
+        raise NumericError("the sum of the start vector leaves the double range")
+    return _rebalance(x, lo, hi, total, steps=0)
+
+
+def _rebalance(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, total: float, unit: float = 1.0,
+               steps: int = 200) -> np.ndarray:
+    """``x`` clipped to [lo, hi] and moved until its correctly rounded sum is ``total``, to one rounding.
+
+    Up to ``steps`` proportional steps along the room on the needed side
+    come first, until the residue is within 1e-12 * (unit + |total|), then
+    an exact fix-up on the coordinate with the most room.  A room past the
+    double range is infinite, which only the fix-up takes.
+    """
     x = np.clip(x, lo, hi)
-    for _ in range(200):
+    for _ in range(steps):
         residue = total - _exact_sums(x[None], "the start vector")[0]
-        if abs(residue) <= 1e-12 * (1.0 + abs(total)):
+        if abs(residue) <= 1e-12 * (unit + abs(total)):
             break
-        room = (hi - x) if residue > 0 else (x - lo)
-        total_room = room.sum()
-        if total_room <= 0.0:
+        with np.errstate(over="ignore"):
+            room = (hi - x) if residue > 0 else (x - lo)
+            total_room = room.sum()
+        if not 0.0 < total_room < math.inf:
             break
         x = np.clip(x + residue * room / total_room, lo, hi)
-    # Exact fix-up on the coordinate with the most slack on the needed side.
     residue = total - _exact_sums(x[None], "the start vector")[0]
     if residue != 0.0:
-        room = (hi - x) if residue > 0 else (x - lo)
+        with np.errstate(over="ignore"):
+            room = (hi - x) if residue > 0 else (x - lo)
         idx = int(np.argmax(room))
         if room[idx] >= abs(residue):
             x[idx] = x[idx] + residue

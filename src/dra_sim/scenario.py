@@ -21,6 +21,8 @@ import numpy as np
 
 from .dynamics import (
     DelaySchedule,
+    _live_links,
+    _step_views,
     feasible_init,
     init_delayed_state,
     step_delay_free,
@@ -591,24 +593,42 @@ def _book_block(cs: CostSet, held: list[tuple], total: float) -> np.ndarray:
     return np.array([cs.row_totals(xs), gaps, dispersion, lo, hi, xs.sum(axis=1) / xs.shape[1]])
 
 
-def _link_plan(cfg: ScenarioConfig, graphs: list[WeightedGraph], rng: np.random.Generator):
-    """Yield each step's (graph, failure keep mask or None, links up), from step 0 to the horizon.
+def _link_plan(cfg: ScenarioConfig, graphs: list[WeightedGraph], rng: np.random.Generator, schedule: DelaySchedule):
+    """Yield each step's graph and its ``step_delayed`` links, from step 0 to the horizon.
 
-    Link failures take one uniform per link and step from ``rng``, drawn for
-    a block of steps at once (the same bits as one call per step) that stays
-    in one topology phase and under ``_FAIL_BLOCK`` uniforms.
+    A step's links are the ``(ei, ej, w, delays, into_j, into_i)`` of its
+    live links, which ``dynamics._live_links`` builds for a block of steps
+    at once: the steps of one topology phase (a one-graph topology has one)
+    inside one aligned run of ``max(1, _FAIL_BLOCK // m)`` steps, the
+    uniform delay stream's block, so at most ``_FAIL_BLOCK`` link-steps.
+    Each step gets views into its block's arrays as it is reached.  Link
+    failures take one uniform per link and step from ``rng``, drawn for the
+    whole block at once (the same bits as one call per step).  With neither
+    failures nor delays, every step shares the graph's own arrays.
     """
-    switch = cfg.topology_switch_period
+    depth = cfg.tau_bar + 1
+    switch = cfg.topology_switch_period if len(graphs) > 1 else cfg.horizon
+    link_delays: dict[int, np.ndarray] = {}  # the per_link delays of each graph
     for start in range(0, cfg.horizon, switch):
-        graph, steps = graphs[(start // switch) % len(graphs)], min(switch, cfg.horizon - start)
+        phase = (start // switch) % len(graphs)
+        graph, end = graphs[phase], min(start + switch, cfg.horizon)
         m = graph.edge_count
-        if cfg.p_fail == 0.0:
-            yield from itertools.repeat((graph, None, m), steps)
+        if cfg.p_fail == 0.0 and depth == 1:
+            yield from itertools.repeat((graph, _live_links(graph, 1, None, schedule, start, 1)[1]), end - start)
             continue
-        rows = max(1, _FAIL_BLOCK // max(m, 1))
-        for first in range(0, steps, rows):
-            keep = rng.random((min(rows, steps - first), m)) >= cfg.p_fail
-            yield from zip(itertools.repeat(graph), keep, np.count_nonzero(keep, axis=1).tolist())
+        if depth > 1 and schedule.mode == "per_link" and phase not in link_delays:
+            link_delays[phase] = schedule._link_delays(*graph.edges()[:2])
+        per = max(1, _FAIL_BLOCK // max(m, 1))
+        first = start
+        while first < end:
+            rows = min(end, first - first % per + per) - first
+            keep = rng.random((rows, m)) >= cfg.p_fail if cfg.p_fail else None
+            args = (graph, rows, keep, schedule, first, depth, link_delays.get(phase))
+            if rows == 1:  # held by the caller alone, so it goes with its step
+                yield graph, _live_links(*args)[1]
+            else:
+                yield from zip(itertools.repeat(graph), _step_views(*_live_links(*args), keep is None))
+            first += rows
 
 
 def run(cfg: ScenarioConfig) -> RunResult:
@@ -623,7 +643,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
     range) ``_book_block`` returns; the blocks, a nan column for a last state that is not
     finite, and the links up at each step are joined once the loop is over.
     The objective is evaluated at step 0, where it sets the divergence limit, and where
-    ``CostSet.value_bound`` cannot rule divergence out; each step's graph and failure mask
+    ``CostSet.value_bound`` cannot rule divergence out; each step's graph and live links
     come from one ``_link_plan``.
     """
     instance = build_instance(cfg)
@@ -636,8 +656,8 @@ def run(cfg: ScenarioConfig) -> RunResult:
     x0 = feasible_init(cfg.n, cfg.total, cfg.init_mode, seed=_child_seed(cfg.seed, _TAG_INIT), boxes=boxes)
 
     adv_seed = cfg.adversity_seed if cfg.adversity_seed >= 0 else cfg.seed
-    plan = _link_plan(cfg, graphs, np.random.default_rng([_child_seed(adv_seed, _TAG_FAIL), 0xFA11]))
     schedule = DelaySchedule(cfg.tau_bar, cfg.delay_mode, seed=_child_seed(adv_seed, _TAG_DELAY))
+    plan = _link_plan(cfg, graphs, np.random.default_rng([_child_seed(adv_seed, _TAG_FAIL), 0xFA11]), schedule)
 
     node_counter, link_counter = ClampCounter(), ClampCounter()
 
@@ -667,12 +687,14 @@ def run(cfg: ScenarioConfig) -> RunResult:
             held = []
         if done:
             break
-        graph, keep, active = next(plan)
+        graph, live = next(plan)
+        active = len(live[0])
         links.append(active)
         state = step_delayed(
-            state, graph, schedule, cs, node_map, link_map, cfg.eta, failure_keep=keep, grads=grads,
-            node_counter=node_counter, link_counter=link_counter,
+            state, graph, schedule, cs, node_map, link_map, cfg.eta, grads=grads,
+            node_counter=node_counter, link_counter=link_counter, links=live,
         )
+        del live  # so that a one-step block's arrays go before the next step is booked
 
     executed = k
     links.append(active)

@@ -185,6 +185,16 @@ class TestDelaySchedule:
         with pytest.raises(ConfigurationError, match="step=-1"):
             DelaySchedule(tau_bar, mode=mode, seed=99).draw(-1, ei, ej, 20000)
 
+    @pytest.mark.parametrize("mode", ["uniform", "fixed", "per_link"])
+    @pytest.mark.parametrize("tau_bar", [0, 4])
+    def test_more_live_links_than_the_graph_has_rejected(self, mode, tau_bar):
+        # Five live links cannot come from a graph of two, in any mode.
+        ei, ej = np.arange(5), np.arange(1, 6)
+        schedule = DelaySchedule(tau_bar, mode=mode, seed=99)
+        with pytest.raises(ConfigurationError, match="5 live links cannot come from a graph of 2 links"):
+            schedule.draw(3, ei, ej, 2)
+        assert len(schedule.draw(3, ei, ej, 5)) == 5
+
     def test_zero_bound_draws_zeros(self):
         s = DelaySchedule(0, mode="uniform", seed=1)
         d = s.draw(5, np.array([0, 1]), np.array([1, 2]))
@@ -259,31 +269,29 @@ class TestDelaySchedule:
         with pytest.raises(ConfigurationError):
             s.draw(0, ei, ej, m - 1)
 
-    def test_cycle_phases_of_different_link_counts(self, monkeypatch):
+    def test_cycle_phases_of_different_link_counts(self):
         # A three-graph cycle whose phases differ in link count, with
-        # failures: every step's delays are the stream's row for the
-        # step's graph width, whatever the phase order.
-        seen = []
-        draw = DelaySchedule.draw
-
-        def recording(self, step, ei, ej, m=None):
-            out = draw(self, step, ei, ej, m)
-            seen.append((self.seed, step, m, len(ei), out.tobytes()))
-            return out
-
-        monkeypatch.setattr(DelaySchedule, "draw", recording)
+        # failures: every step's delays, as the run's link plan yields them,
+        # are the stream's row for the step's graph width, whatever the
+        # phase order, and its ring indices are ((k + d) % depth) * 2n plus
+        # the link's j end, and plus its i end in the ring past n floats.
         cfg = scenario.ScenarioConfig(
             n=30, total=60.0, eta=0.02, horizon=120, seed=4, early_stop_spread=0.0,
             topology_kind="cycle", topology_cycle_ps=(0.5, 0.2, 0.35), topology_switch_period=7,
             costs_kind="quadratic", costs_penalty="none", p_fail=0.3, tau_bar=5,
         )
         graphs = scenario.build_instance(cfg)[0]
-        scenario.run(cfg)
+        schedule = DelaySchedule(5, seed=77)
+        plan = scenario._link_plan(cfg, graphs, np.random.default_rng(3), schedule)
+        seen = list(enumerate(plan))
         assert len(seen) == 120
-        assert len({m for _, _, m, _, _ in seen}) == 3
-        for (seed, step, m, count, got) in seen:
-            assert m == graphs[(step // 7) % 3].edge_count
-            assert got == philox_delays(seed, 5, step, m, count).tobytes()
+        assert len({g.edge_count for _, (g, _) in seen}) == 3
+        for step, (graph, (ei, ej, _, delays, into_j, into_i)) in seen:
+            assert graph is graphs[(step // 7) % 3]
+            want = philox_delays(77, 5, step, graph.edge_count, len(ei))
+            assert delays.tobytes() == want.tobytes()
+            off = (step + want.astype(np.intp)) % 6 * 60
+            assert [into_j.tolist(), into_i.tolist()] == [(off + ej).tolist(), (off + ei).tolist()]
 
     @pytest.mark.parametrize("tau_bar", [1, 2, 6, 300])
     def test_uniform_delays_pass_chi_square(self, tau_bar):

@@ -12,9 +12,9 @@ The examples are derandomized (see conftest.py).
 
 import math
 import struct
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,7 +53,8 @@ from dra_sim import (
     trace_to_csv,
 )
 from dra_sim.objective import _EXTRACT_MIN_SIZE, _check_box_total, _penalty_power, _row_fsums
-from dra_sim.scenario import PRESET_NAMES, build_instance, preset
+from dra_sim import dynamics, scenario
+from dra_sim.scenario import PRESET_NAMES, build_instance, preset, summary_to_text
 
 SHIPPED_MAPS = [
     identity_map(),
@@ -741,9 +742,10 @@ def huge_boxes(draw):
 def test_box_feasibility_is_decided_on_exact_sums(problem):
     # _check_box_total and feasible_init refuse a total exactly where the
     # Fraction sums of the floors and ceilings do, though numpy and fsum
-    # sums of these ends overflow.  A feasible total is never refused on the
-    # box sums, but feasible_init's rebalance works in doubles and may still
-    # overflow on ends this large (the last example reports no room).
+    # sums of these ends overflow.  For a feasible total feasible_init
+    # returns a vector inside the boxes, without an overflow warning: its
+    # rebalance runs at a power-of-two scale at which no room or product
+    # of two ends leaves the double range.
     lo, hi, total = problem
     floor, ceiling = sum(map(Fraction, lo)), sum(map(Fraction, hi))
     boxes = list(zip(lo, hi))
@@ -755,15 +757,95 @@ def test_box_feasibility_is_decided_on_exact_sums(problem):
             feasible_init(len(lo), total, boxes=boxes)
         return
     _check_box_total(np.array(lo), np.array(hi), total)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            x = feasible_init(len(lo), total, boxes=boxes)
-    except (InfeasibilityError, NumericError) as exc:
-        assert "box floor" not in str(exc) and "box ceiling" not in str(exc)
-        return
+    x = feasible_init(len(lo), total, boxes=boxes)
     assert all(a <= v <= b for a, v, b in zip(lo, x.tolist(), hi))
     assert abs(sum(map(Fraction, x.tolist())) - Fraction(total)) <= 2.0**-52 * max(abs(total), np.abs(x).max())
+
+
+def run_stepped_by_hand(cfg: ScenarioConfig):
+    """``run(cfg)`` with every step taken by a reference loop's hand call of ``step_delayed``.
+
+    The reference draws each step's failure mask as one row of uniforms
+    from the run's failure stream, takes its graph from the step's topology
+    phase, and calls ``step_delayed(..., failure_keep=keep)``, which builds
+    the step alone.  It also checks the links that the run's plan yielded
+    for the step against the masked graph, ``DelaySchedule.draw`` and the
+    ring slot ((k + d) % depth) * 2n.
+    """
+    graphs = build_instance(cfg)[0]
+    adv_seed = cfg.adversity_seed if cfg.adversity_seed >= 0 else cfg.seed
+    rng = np.random.default_rng([scenario._child_seed(adv_seed, scenario._TAG_FAIL), 0xFA11])
+    depth = cfg.tau_bar + 1
+    real_step = scenario.step_delayed
+
+    def by_hand(state, graph, schedule, *args, links, **kwargs):
+        k = state.step
+        want = graphs[(k // cfg.topology_switch_period) % len(graphs)]
+        assert [a.tobytes() for a in graph.edges()] == [a.tobytes() for a in want.edges()]
+        graph = want
+        keep = rng.random(graph.edge_count) >= cfg.p_fail if cfg.p_fail else None
+        ei, ej, w = (a if keep is None else a[keep] for a in graph.edges())
+        assert [a.tolist() for a in links[:3]] == [ei.tolist(), ej.tolist(), w.tolist()]
+        if depth == 1:
+            assert links[3:] == (None, None, None)
+        else:
+            delays = schedule.draw(k, ei, ej, graph.edge_count)
+            off = (k + delays.astype(np.intp)) % depth * (2 * cfg.n)
+            assert links[3].tobytes() == delays.tobytes()
+            assert [links[4].tolist(), links[5].tolist()] == [(off + ej).tolist(), (off + ei).tolist()]
+        return real_step(state, graph, schedule, *args, failure_keep=keep, **kwargs)
+
+    with mock.patch.object(scenario, "step_delayed", by_hand):
+        return run(cfg)
+
+
+def assert_same_run(a, b):
+    assert trace_to_csv(a.trace) == trace_to_csv(b.trace)
+    assert summary_to_text(a.summary) == summary_to_text(b.summary)
+    assert a.final_state.tobytes() == b.final_state.tobytes()
+
+
+@st.composite
+def plan_configs(draw):
+    """Runs of every delay mode at tau_bar 0-10, with the plan's and the delay stream's blocks cut small."""
+    cfg = replace(
+        draw(scenario_configs()),
+        tau_bar=draw(st.integers(0, 10)),
+        horizon=draw(st.integers(1, 300)),
+        early_stop_spread=draw(st.sampled_from((0.0, 1e-6))),
+    )
+    return cfg, draw(st.sampled_from((1 << 15, 256, 40))), draw(st.sampled_from((1 << 15, 100, 16)))
+
+
+@given(plan_configs())
+@settings(max_examples=60)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_equals_a_loop_stepped_by_hand(problem):
+    # Blocks of fail_block link-steps (one step each when a graph has more
+    # links), delay stream blocks of delay_block, topology phases and the
+    # horizon all cut the plan's blocks; none of it shows in the outputs.
+    cfg, fail_block, delay_block = problem
+    with mock.patch.object(scenario, "_FAIL_BLOCK", fail_block), \
+            mock.patch.object(dynamics, "_DELAY_BLOCK", delay_block):
+        try:
+            plain = run(cfg)
+        except NumericError:  # a finite state whose gradients overflow
+            return
+        assert_same_run(plain, run_stepped_by_hand(cfg))
+
+
+def test_one_step_blocks_equal_a_loop_stepped_by_hand():
+    # 16,471 links: each block of 2**15 link-steps holds one step, which the
+    # plan builds on its own.
+    cfg = ScenarioConfig(
+        n=182, total=364.0, eta=0.05, horizon=6, seed=5, topology_p=1.0,
+        topology_weight_lo=0.002, topology_weight_hi=0.004, costs_kind="quadratic", costs_penalty="none",
+        p_fail=0.4, tau_bar=3, early_stop_spread=0.0,
+    )
+    assert build_instance(cfg)[0][0].edge_count > 2**15 // 2
+    result = run(cfg)
+    assert result.summary.executed_steps == 6
+    assert_same_run(result, run_stepped_by_hand(cfg))
 
 
 @st.composite
