@@ -12,7 +12,9 @@ the equality-coupled problem.
 
 from __future__ import annotations
 
+import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +48,8 @@ def _as_costset(costs) -> CostSet:
 
 # Stream tag of the delay draws, the second word of every delay stream's key.
 _DELAY_TAG = 0xDE1A
-# Most delays in one block of uniform draws, whatever the link count.
-_DELAY_BLOCK = 1 << 15
+# Most link-steps in one block, whatever the link count: of the link plan, and of uniform delay draws.
+_BLOCK = 1 << 15
 
 
 class DelaySchedule:
@@ -65,19 +67,21 @@ class DelaySchedule:
     words (seed, 0xDE1A).  Steps are grouped by the link count ``m`` of
     their graph before failures into blocks of ``rows = max(1, 2**15 // m)``
     steps.  Block ``b`` holds steps ``b * rows`` to ``b * rows + rows - 1``;
-    it is one ``integers(0, tau_bar + 1, size=(rows, m))`` draw from a fresh
-    Philox4x64 generator with that key, whose counter starts at the words
-    [0, b, m, 0], and each step reads its own row.  The live
+    it is one ``integers(0, tau_bar + 1, size=(rows, m))`` draw with the
+    bits of a fresh Philox4x64 generator with that key, whose counter starts
+    at the words [0, b, m, 0], and each step reads its own row.  The live
     links of a step take the first ``len(ei)`` entries of that row, in link
     order; with one row per block only that prefix is drawn, which equals
     the head of the full row.  A delay is thus a pure function of (seed,
-    step, m, position), and draws may come in any order.
+    step, m, position), and draws may come in any order.  The schedule
+    keeps one Philox generator, whose state it resets for each block, and
+    holds the last block of each width ``m``.
 
-    :meth:`draw` gives one step's delays.  ``scenario.run``'s link plan
+    :meth:`draw` gives one step's delays.  The link plan (``_link_plan``)
     looks up the delays of a block of steps at once, through the same
     lookup: the block's rows of the uniform stream, gathered at each step's
-    live positions, or one ``per_link`` vector per graph, taken at the live
-    links.
+    live positions, or the graph's ``per_link`` vector, which the schedule
+    builds once per graph, taken at the live links.
     """
 
     def __init__(self, tau_bar: int, mode: str = "uniform", seed: int = 0):
@@ -92,7 +96,10 @@ class DelaySchedule:
         self.seed = int(seed)
         self._dtype = np.min_scalar_type(self.tau_bar)
         self._per_link: dict[tuple[int, int], int] = {}
-        self._held: tuple[int, int, np.ndarray | None] = (-1, 0, None)  # (block, m, delays)
+        self._graph_delays = weakref.WeakKeyDictionary()  # graph -> its per_link vector
+        self._held: dict[int, tuple[int, np.ndarray]] = {}  # width m -> (block, its delays)
+        self._bits = np.random.Philox(0)  # seeded, so it draws no OS entropy; its state is set for each block
+        self._gen = np.random.Generator(self._bits)
 
     # The per-link stream key ends in 0; changing it would change every delay.
     def _per_link_delay(self, i: int, j: int) -> int:
@@ -109,35 +116,33 @@ class DelaySchedule:
 
     def _uniform(self, block: int, m: int, size) -> np.ndarray:
         """``size`` uniform delays from the start of block ``block`` of width ``m``."""
-        words = np.array([self.seed, _DELAY_TAG, 0, block, m, 0], dtype=np.uint64)  # key, then counter
-        gen = np.random.Generator(np.random.Philox(key=words[:2], counter=words[2:]))
-        return gen.integers(0, self.tau_bar + 1, size=size, dtype=self._dtype)
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, block, m, 0], "key": [self.seed, _DELAY_TAG]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,  # as a fresh generator's
+        }
+        return self._gen.integers(0, self.tau_bar + 1, size=size, dtype=self._dtype)
 
     def _rows(self, first: int, rows: int, m: int, width: int) -> np.ndarray:
-        """The uniform rows of width ``m`` of steps ``first`` to ``first + rows - 1``, cut to ``width``."""
-        per = max(1, _DELAY_BLOCK // m)
-        if per == 1 and rows == 1:
-            return self._uniform(first, m, (1, width))  # only the prefix is drawn
-        parts, step = [], first
-        while step < first + rows:
-            block, row = divmod(step, per)
-            if self._held[:2] != (block, m):
-                delays = self._uniform(block, m, (per, m))
-                delays.flags.writeable = False
-                self._held = (block, m, delays)
-            take = min(per - row, first + rows - step)
-            parts.append(self._held[2][row : row + take, :width])
-            step += take
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        """The uniform rows of width ``m`` of steps ``first`` to ``first + rows - 1`` (one block), cut to ``width``."""
+        per = max(1, _BLOCK // m)
+        block, row = divmod(first, per)
+        if per == 1:
+            return self._uniform(block, m, (1, width))  # only the prefix is drawn
+        held = self._held.get(m)
+        if held is None or held[0] != block:
+            held = self._held[m] = (block, self._uniform(block, m, (per, m)))
+            held[1].flags.writeable = False
+        return held[1][row : row + rows, :width]
 
-    def _live(self, first: int, m: int, counts, cols=None, link_delays=None) -> np.ndarray:
+    def _live(self, first: int, m: int, counts, cols=None, graph: WeightedGraph | None = None) -> np.ndarray:
         """The delays of the live links of steps ``first``, ``first + 1``, ..., flat in step then link order.
 
-        ``counts[r]`` links of a graph of ``m`` links are up at step
-        ``first + r``.  ``cols`` are the live links' indices in the graph, or
-        None when they are the first ``counts[r]`` links of that graph (all
-        ``m`` when there are several steps).  ``link_delays`` holds the
-        per_link delays of those links.
+        ``counts[r]`` links of ``graph``, of ``m`` links, are up at step
+        ``first + r``; the steps lie in one block of the uniform stream.
+        ``cols`` are the live links' indices in the graph, or None when they
+        are the first ``counts[r]`` links of that graph (all ``m`` when there
+        are several steps).  The per_link mode reads ``graph``.
         """
         rows = len(counts)
         total = len(cols) if cols is not None else sum(counts)
@@ -146,6 +151,9 @@ class DelaySchedule:
         if self.mode == "fixed":
             return np.full(total, self.tau_bar, dtype=self._dtype)
         if self.mode == "per_link":
+            link_delays = self._graph_delays.get(graph)
+            if link_delays is None:
+                link_delays = self._graph_delays[graph] = self._link_delays(*graph.edges()[:2])
             if cols is not None:
                 return link_delays.take(cols)
             return link_delays if rows == 1 else np.tile(link_delays, rows)
@@ -167,70 +175,79 @@ class DelaySchedule:
         m = count if m is None else int(m)
         if m < count:
             raise ConfigurationError(f"{count} live links cannot come from a graph of {m} links")
-        link_delays = self._link_delays(ei, ej) if self.mode == "per_link" and self.tau_bar else None
-        return self._live(int(step), m, [count], None, link_delays)
+        if self.mode == "per_link" and self.tau_bar:
+            return self._link_delays(ei, ej)
+        return self._live(int(step), m, [count])
 
 
-def _live_links(graph: WeightedGraph, rows: int, keep, schedule: DelaySchedule, first: int, depth: int,
-                link_delays: np.ndarray | None = None) -> tuple[list[int], tuple]:
-    """The live links, delays and ring indices of ``rows`` steps of ``graph`` from step ``first``.
+def _live_links(graph: WeightedGraph, rows: int, keep, schedule: DelaySchedule, first: int):
+    """An iterator over the live links, delays and ring indices of ``rows`` steps of ``graph`` from step ``first``.
 
     ``keep`` is the steps' (rows, m) failure mask over the graph's links, or
-    None when every link is up.  Returns the offsets ``bounds`` of the steps
-    and the arrays (ei, ej, w, delays, into_j, into_i), flat over the live
-    links in step then link order: step ``first + r`` owns the entries
-    ``bounds[r]`` to ``bounds[r + 1] - 1``.  With every link up, (ei, ej, w)
-    are the graph's own arrays, which every step shares.  A flow emitted at
-    step k with delay d lands in ring slot (k + d) % depth, whose 2n floats
-    start at (k + d) % depth * 2n in the flattened ring: ``into_j`` is that
-    start plus j, its index at the j end, and ``into_i`` that start plus i,
-    its index at the i end in the ring past its first n floats.  Without a
-    ring (depth 1) the last three are None.  ``link_delays`` is the
-    schedule's per_link vector for the graph, looked up when not given.
+    None when every link is up; the steps lie in one block of the uniform
+    delay stream.  Each step gets the arrays (ei, ej, w, delays, into_j,
+    into_i) of its live links, as views into arrays built for all the steps
+    at once, flat over the live links in step then link order.  With every
+    link up, (ei, ej, w) are the graph's own arrays, which every step
+    shares.  A flow emitted at step k with delay d lands in ring slot
+    (k + d) % depth, whose 2n floats start at (k + d) % depth * 2n in the
+    flattened ring: ``into_j`` is that start plus j, its index at the j end,
+    and ``into_i`` that start plus i, its index at the i end in the ring past
+    its first n floats.  Without a ring (tau_bar 0) the last three are None.
     """
     ei, ej, w = graph.edges()
-    m, n = len(ei), graph.n
-    if rows == 1:
-        cols = None if keep is None else keep[0].nonzero()[0]
-        counts = [m if cols is None else len(cols)]
-        bounds = [0, counts[0]]
-    elif keep is None:
+    m, n, depth = len(ei), graph.n, schedule.tau_bar + 1
+    if keep is None:
         cols, counts = None, [m] * rows
-        bounds = [m * t for t in range(rows + 1)]
     else:
-        r, cols = keep.nonzero()
-        counts = np.count_nonzero(keep, axis=1)
-        bounds = [0, *np.cumsum(counts).tolist()]
-    if cols is not None:
+        flat = np.flatnonzero(keep)  # step r's live link c is entry r * m + c
+        r, cols = (0, flat) if rows == 1 else np.divmod(flat, m)
+        ends = flat.searchsorted(np.arange(rows + 1) * m)  # each step's first entry, and the end
+        counts = np.diff(ends)
         ei, ej, w = ei.take(cols), ej.take(cols), w.take(cols)
-    if depth == 1:
-        return bounds, (ei, ej, w, None, None, None)
-    if link_delays is None and schedule.mode == "per_link":
-        link_delays = schedule._link_delays(*graph.edges()[:2])
-    delays = schedule._live(first, m, counts, cols, link_delays)
-    slots = np.arange(first, first + rows + depth - 1) % depth * (2 * n)  # entry r + d: the slot's offset
-    if rows == 1:
-        off = slots.take(delays)
-    elif cols is None:
-        off = slots.take(np.arange(rows)[:, None] + delays.reshape(rows, m))
-    else:
-        off = slots.take(r + delays)
-    return bounds, (ei, ej, w, delays, (off + ej).reshape(-1), (off + ei).reshape(-1))
+    d = into_j = into_i = None
+    if depth > 1:
+        d = schedule._live(first, m, counts, cols, graph)
+        slots = np.arange(first, first + rows + depth - 1) % depth * (2 * n)  # entry r + d: the slot's offset
+        off = slots.take(np.arange(rows)[:, None] + d.reshape(rows, m) if keep is None else r + d)
+        into_j, into_i = (off + ej).reshape(-1), (off + ei).reshape(-1)
+    if rows == 1:  # the step's arrays are the block's
+        return iter([(ei, ej, w, d, into_j, into_i)])
+    bounds = [m * t for t in range(rows + 1)] if keep is None else ends.tolist()
+    spans = list(map(slice, bounds, bounds[1:]))  # each step's entries
+    same = (keep is None,) * 3 + (d is None,) * 3  # the same array, or None, at every step
+    return zip(*(itertools.repeat(a, rows) if one else map(a.__getitem__, spans)
+                 for a, one in zip((ei, ej, w, d, into_j, into_i), same)))
 
 
-def _step_views(bounds: list[int], links: tuple, shared: bool):
-    """Each step's links, as views into the arrays of one block from ``_live_links``.
+def _link_plan(graphs: list[WeightedGraph], switch_period: int, horizon: int, p_fail: float,
+               rng: np.random.Generator, schedule: DelaySchedule):
+    """Yield each step's graph and its ``step_delayed`` links, from step 0 to ``horizon``.
 
-    With ``shared`` every step has the graph's own (ei, ej, w).
+    The topology cycles through ``graphs``, each for ``switch_period``
+    steps.  A step's links are the ``(ei, ej, w, delays, into_j, into_i)``
+    of its live links, which ``_live_links`` builds for a block of steps at
+    once: the steps of one topology phase inside one aligned run of
+    ``max(1, _BLOCK // m)`` steps, which is one block of the uniform delay
+    stream, so at most ``_BLOCK`` link-steps.  Link failures take one
+    uniform per link and step from ``rng``, drawn for the whole block at
+    once (the same bits as one call per step).  With ``p_fail`` 0, every
+    step shares the graph's own (ei, ej, w).
     """
-    ei, ej, w, d, into_j, into_i = links
-    for a, b in zip(bounds, bounds[1:]):
-        if d is None:
-            yield ei[a:b], ej[a:b], w[a:b], None, None, None
-        elif shared:
-            yield ei, ej, w, d[a:b], into_j[a:b], into_i[a:b]
-        else:
-            yield ei[a:b], ej[a:b], w[a:b], d[a:b], into_j[a:b], into_i[a:b]
+    switch = switch_period if len(graphs) > 1 else horizon
+    for start in range(0, horizon, switch):
+        graph, end = graphs[(start // switch) % len(graphs)], min(start + switch, horizon)
+        m = graph.edge_count
+        per = max(1, _BLOCK // max(m, 1))
+        first = start
+        while first < end:
+            rows = min(end, first - first % per + per) - first
+            keep = rng.random((rows, m)) >= p_fail if p_fail else None
+            if rows == 1:  # held by the caller alone, so it goes with its step
+                yield graph, next(_live_links(graph, 1, keep, schedule, first))
+            else:
+                yield from zip(itertools.repeat(graph), _live_links(graph, rows, keep, schedule, first))
+            first += rows
 
 
 @dataclass
@@ -336,7 +353,7 @@ def step_delayed(
                     f"failure mask length {keep.shape} does not match link count {graph.edge_count}"
                 )
             keep = keep[None]
-        links = _live_links(graph, 1, keep, schedule, k, depth)[1]
+        links = next(_live_links(graph, 1, keep, schedule, k))
     ei, ej, w, _, into_j, into_i = links
 
     gl = apply_map_array(link_map, grads, link_counter)

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _MC_BLOCK = 1 << 17  # nodes plus links of the trials mc_union_connectivity searches at once
+_MC_DRAW = 1 << 15  # most uniforms a trial of mc_union_connectivity draws at once, unless one row has more
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,22 @@ def min_window(p_fail: float, threshold: float) -> int:
     return t
 
 
+def _union_up(rng: np.random.Generator, steps: int, m: int, p_fail: float) -> np.ndarray:
+    """Which of ``m`` links are up at some step of ``steps`` failure masks drawn from ``rng``.
+
+    The masks are rows of ``rng.random((steps, m)) >= p_fail``, drawn in
+    chunks of at most ``_MC_DRAW`` uniforms; once every link is up, the
+    rest are not drawn.
+    """
+    up = np.zeros(m, dtype=bool)
+    per = max(1, _MC_DRAW // max(m, 1))
+    for first in range(0, steps, per):
+        up |= (rng.random((min(per, steps - first), m)) >= p_fail).any(axis=0)
+        if up.all():
+            break
+    return up
+
+
 def mc_union_connectivity(
     base: WeightedGraph, p_fail: float, window: int, trials: int = 500, seed: int = 0
 ) -> McConnectivity:
@@ -122,8 +139,11 @@ def mc_union_connectivity(
     the union of surviving links, and checks connectivity.  Trial t draws
     from ``default_rng([seed, 0xACC3, t])``; trials are searched in batches of
     disjoint graph copies under a fixed budget of 2**17 nodes plus links, and
-    neither execution order nor batch split changes the estimate.  The
-    confidence interval is the 95% Wilson score interval.
+    neither execution order nor batch split changes the estimate.  A trial
+    draws its masks in chunks of at most 2**15 uniforms (one mask when it
+    has more links), and stops once every link is up, so memory is bounded
+    by the link count whatever the window.  The confidence interval is the
+    95% Wilson score interval.
     """
     effective_failure(p_fail, window)  # checks p_fail and window
     if trials < 1 or int(trials) != trials:
@@ -135,7 +155,7 @@ def mc_union_connectivity(
     batch = max(1, _MC_BLOCK // (n + len(ei)))
     successes = 0
     for t0 in range(0, trials, batch):
-        keep = np.array([(np.random.default_rng([int(seed), 0xACC3, t]).random((steps, len(ei))) >= p_fail).any(axis=0)
+        keep = np.array([_union_up(np.random.default_rng([int(seed), 0xACC3, t]), steps, len(ei), p_fail)
                          for t in range(t0, min(t0 + batch, trials))])
         offset = np.arange(len(keep))[:, None] * n  # row k is trial t0 + k, on nodes k*n .. k*n + n-1
         lab = _component_labels(len(keep) * n, (ei + offset)[keep], (ej + offset)[keep])

@@ -11,7 +11,6 @@ other.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -21,8 +20,7 @@ import numpy as np
 
 from .dynamics import (
     DelaySchedule,
-    _live_links,
-    _step_views,
+    _link_plan,
     feasible_init,
     init_delayed_state,
     step_delay_free,
@@ -462,8 +460,6 @@ _TAG_COSTS = 2
 _TAG_INIT = 3
 _TAG_FAIL = 4
 _TAG_DELAY = 5
-# Most uniforms in one block of failure draws: 256 KiB, whatever the link count.
-_FAIL_BLOCK = 1 << 15
 # Most held steps, and state elements, whose objective, gap and statistics are computed as one block.
 _RECORD_ROWS, _RECORD_BLOCK = 64, 1 << 15
 
@@ -593,44 +589,6 @@ def _book_block(cs: CostSet, held: list[tuple], total: float) -> np.ndarray:
     return np.array([cs.row_totals(xs), gaps, dispersion, lo, hi, xs.sum(axis=1) / xs.shape[1]])
 
 
-def _link_plan(cfg: ScenarioConfig, graphs: list[WeightedGraph], rng: np.random.Generator, schedule: DelaySchedule):
-    """Yield each step's graph and its ``step_delayed`` links, from step 0 to the horizon.
-
-    A step's links are the ``(ei, ej, w, delays, into_j, into_i)`` of its
-    live links, which ``dynamics._live_links`` builds for a block of steps
-    at once: the steps of one topology phase (a one-graph topology has one)
-    inside one aligned run of ``max(1, _FAIL_BLOCK // m)`` steps, the
-    uniform delay stream's block, so at most ``_FAIL_BLOCK`` link-steps.
-    Each step gets views into its block's arrays as it is reached.  Link
-    failures take one uniform per link and step from ``rng``, drawn for the
-    whole block at once (the same bits as one call per step).  With neither
-    failures nor delays, every step shares the graph's own arrays.
-    """
-    depth = cfg.tau_bar + 1
-    switch = cfg.topology_switch_period if len(graphs) > 1 else cfg.horizon
-    link_delays: dict[int, np.ndarray] = {}  # the per_link delays of each graph
-    for start in range(0, cfg.horizon, switch):
-        phase = (start // switch) % len(graphs)
-        graph, end = graphs[phase], min(start + switch, cfg.horizon)
-        m = graph.edge_count
-        if cfg.p_fail == 0.0 and depth == 1:
-            yield from itertools.repeat((graph, _live_links(graph, 1, None, schedule, start, 1)[1]), end - start)
-            continue
-        if depth > 1 and schedule.mode == "per_link" and phase not in link_delays:
-            link_delays[phase] = schedule._link_delays(*graph.edges()[:2])
-        per = max(1, _FAIL_BLOCK // max(m, 1))
-        first = start
-        while first < end:
-            rows = min(end, first - first % per + per) - first
-            keep = rng.random((rows, m)) >= cfg.p_fail if cfg.p_fail else None
-            args = (graph, rows, keep, schedule, first, depth, link_delays.get(phase))
-            if rows == 1:  # held by the caller alone, so it goes with its step
-                yield graph, _live_links(*args)[1]
-            else:
-                yield from zip(itertools.repeat(graph), _step_views(*_live_links(*args), keep is None))
-            first += rows
-
-
 def run(cfg: ScenarioConfig) -> RunResult:
     """Execute a scenario and return its trace, summary, and final state.
 
@@ -657,7 +615,8 @@ def run(cfg: ScenarioConfig) -> RunResult:
 
     adv_seed = cfg.adversity_seed if cfg.adversity_seed >= 0 else cfg.seed
     schedule = DelaySchedule(cfg.tau_bar, cfg.delay_mode, seed=_child_seed(adv_seed, _TAG_DELAY))
-    plan = _link_plan(cfg, graphs, np.random.default_rng([_child_seed(adv_seed, _TAG_FAIL), 0xFA11]), schedule)
+    fail_rng = np.random.default_rng([_child_seed(adv_seed, _TAG_FAIL), 0xFA11])
+    plan = _link_plan(graphs, cfg.topology_switch_period, cfg.horizon, cfg.p_fail, fail_rng, schedule)
 
     node_counter, link_counter = ClampCounter(), ClampCounter()
 

@@ -9,11 +9,12 @@ kept here in substance, and the kernel must agree with them exactly:
 on single nodes, graphs without links, stars, disjoint unions, permuted
 paths and rings up to 10^4 nodes, and random graphs; and, for the estimate,
 at trial counts around the batch size, p_fail of 0, 1 or in between, and
-windows 0-3.  The ``hop_diameter`` fixture, which the spectral checks use,
+windows 0-3, and at windows cut into chunks of draws.  The ``hop_diameter`` fixture, which the spectral checks use,
 is checked against the reference distances too.
 """
 
 import math
+import tracemalloc
 from collections import deque
 from unittest import mock
 
@@ -217,6 +218,31 @@ class TestMcUnionConnectivity:
             for trials in trial_counts(c):
                 got = mc_union_connectivity(base, p_fail, window, trials=trials, seed=11)
                 assert got == reference_mc(base, p_fail, window, trials, 11)
+
+    def test_equals_per_trial_loop_across_draw_chunks(self):
+        # Chunks of 1, 2 and 3 masks, and one chunk of the whole window,
+        # draw the same stream as one draw of every mask.
+        base = erdos_renyi(12, 0.3, (0.5, 1.0), seed=4)
+        m = base.edge_count
+        for draw in (1, m, 2 * m + 1, 3 * m, 1 << 15):
+            with mock.patch.object(percolation, "_MC_DRAW", draw):
+                for window, p_fail in ((0, 0.5), (1, 0.9), (5, 0.0), (6, 0.8), (7, 1.0), (40, 0.95)):
+                    got = mc_union_connectivity(base, p_fail, window, trials=30, seed=9)
+                    assert got == reference_mc(base, p_fail, window, 30, 9)
+
+    def test_memory_is_bounded_by_the_link_count_not_the_window(self):
+        # At p_fail 1 no link ever comes up, so every mask of the window is
+        # drawn: 20,001 masks of about 240 links, 38 MiB in one draw.
+        base = erdos_renyi(50, 0.2, (0.5, 1.0), seed=1)
+        assert base.edge_count > 200
+        tracemalloc.start()
+        try:
+            got = mc_union_connectivity(base, 1.0, 20_000, trials=2, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.successes == 0
+        assert peak < 2**21
 
     def test_batch_split_leaves_every_estimate_unchanged(self):
         base = erdos_renyi(60, 0.08, (0.5, 1.0), seed=5)

@@ -50,6 +50,15 @@ def philox_delays(seed, tau_bar, step, m, count):
     return gen.integers(0, tau_bar + 1, size=(rows, m), dtype=np.min_scalar_type(tau_bar))[row, :count]
 
 
+def cycle_config(horizon):
+    """A three-graph cycle of 30 nodes with phases of different link counts, failures and delays."""
+    return scenario.ScenarioConfig(
+        n=30, total=60.0, eta=0.02, horizon=horizon, seed=4, early_stop_spread=0.0,
+        topology_kind="cycle", topology_cycle_ps=(0.5, 0.2, 0.35), topology_switch_period=7,
+        costs_kind="quadratic", costs_penalty="none", p_fail=0.3, tau_bar=5,
+    )
+
+
 def two_node_instance():
     # f_i = x_i^2 / 2, so the gradient is the state itself.
     costs = [quadratic_cost(0.5), quadratic_cost(0.5)]
@@ -275,14 +284,9 @@ class TestDelaySchedule:
         # are the stream's row for the step's graph width, whatever the
         # phase order, and its ring indices are ((k + d) % depth) * 2n plus
         # the link's j end, and plus its i end in the ring past n floats.
-        cfg = scenario.ScenarioConfig(
-            n=30, total=60.0, eta=0.02, horizon=120, seed=4, early_stop_spread=0.0,
-            topology_kind="cycle", topology_cycle_ps=(0.5, 0.2, 0.35), topology_switch_period=7,
-            costs_kind="quadratic", costs_penalty="none", p_fail=0.3, tau_bar=5,
-        )
-        graphs = scenario.build_instance(cfg)[0]
+        graphs = scenario.build_instance(cycle_config(120))[0]
         schedule = DelaySchedule(5, seed=77)
-        plan = scenario._link_plan(cfg, graphs, np.random.default_rng(3), schedule)
+        plan = dynamics._link_plan(graphs, 7, 120, 0.3, np.random.default_rng(3), schedule)
         seen = list(enumerate(plan))
         assert len(seen) == 120
         assert len({g.edge_count for _, (g, _) in seen}) == 3
@@ -292,6 +296,51 @@ class TestDelaySchedule:
             assert delays.tobytes() == want.tobytes()
             off = (step + want.astype(np.intp)) % 6 * 60
             assert [into_j.tolist(), into_i.tolist()] == [(off + ej).tolist(), (off + ei).tolist()]
+
+    def test_cycle_draws_each_block_of_each_width_once(self, monkeypatch):
+        # Phases of 238, 94 and 157 links take turns every 7 steps.  The
+        # schedule holds the last block of each width, so a run draws each
+        # block it reaches once (10 blocks), not once per phase (91).
+        cfg = cycle_config(600)
+        ms = [g.edge_count for g in scenario.build_instance(cfg)[0]]
+        assert ms == [238, 94, 157]
+        drawn = []
+        uniform = DelaySchedule._uniform
+
+        def counting(self, block, m, size):
+            drawn.append((block, m))
+            return uniform(self, block, m, size)
+
+        monkeypatch.setattr(DelaySchedule, "_uniform", counting)
+        assert scenario.run(cfg).summary.executed_steps == 600
+        reached = {(k // (2**15 // m), m) for k, m in ((k, ms[(k // 7) % 3]) for k in range(600))}
+        assert len(drawn) == 10 and sorted(drawn) == sorted(reached)
+
+    def test_stream_reset_gives_a_fresh_generators_bits(self):
+        # The schedule's one Philox generator, reset for each block after
+        # draws that left half a word and part of its buffer unread, gives
+        # the bits of a fresh generator keyed and countered for the block.
+        seed = 2**64 - 1
+        s = DelaySchedule(300, seed=seed)
+        for block, m in ((0, 9), (3, 250), (0, 9), (7, 20000), (2**40, 3)):
+            while not (s._bits.state["has_uint32"] == 1 and s._bits.state["buffer_pos"] < 4):
+                s._gen.integers(0, 2**32, dtype=np.uint32)
+            key = np.array([seed, 0xDE1A], dtype=np.uint64)
+            fresh = np.random.Generator(np.random.Philox(key=key, counter=[0, block, m, 0]))
+            want = fresh.integers(0, 301, size=(2, m), dtype=np.uint16)
+            assert s._uniform(block, m, (2, m)).tobytes() == want.tobytes()
+
+    def test_plan_without_failures_or_delays_shares_the_graphs_arrays(self):
+        # With p_fail 0 and tau_bar 0, every step of a horizon of several
+        # blocks gets the graph's own (ei, ej, w) and no ring indices.
+        g = erdos_renyi(30, 0.5, (0.5, 1.0), seed=1)
+        horizon = 3 * (2**15 // g.edge_count) + 5
+        plan = list(dynamics._link_plan([g], 7, horizon, 0.0, np.random.default_rng(0), DelaySchedule(0)))
+        assert len(plan) == horizon
+        for graph, links in plan:
+            assert graph is g
+            assert all(a is b for a, b in zip(links[:3], g.edges()))
+            assert links[3:] == (None, None, None)
 
     @pytest.mark.parametrize("tau_bar", [1, 2, 6, 300])
     def test_uniform_delays_pass_chi_square(self, tau_bar):

@@ -807,26 +807,25 @@ def assert_same_run(a, b):
 
 @st.composite
 def plan_configs(draw):
-    """Runs of every delay mode at tau_bar 0-10, with the plan's and the delay stream's blocks cut small."""
+    """Runs of every delay mode at tau_bar 0-10, with the block of the plan and the delay stream cut small."""
     cfg = replace(
         draw(scenario_configs()),
         tau_bar=draw(st.integers(0, 10)),
         horizon=draw(st.integers(1, 300)),
         early_stop_spread=draw(st.sampled_from((0.0, 1e-6))),
     )
-    return cfg, draw(st.sampled_from((1 << 15, 256, 40))), draw(st.sampled_from((1 << 15, 100, 16)))
+    return cfg, draw(st.sampled_from((1 << 15, 256, 100, 40, 16)))
 
 
 @given(plan_configs())
 @settings(max_examples=60)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_equals_a_loop_stepped_by_hand(problem):
-    # Blocks of fail_block link-steps (one step each when a graph has more
-    # links), delay stream blocks of delay_block, topology phases and the
-    # horizon all cut the plan's blocks; none of it shows in the outputs.
-    cfg, fail_block, delay_block = problem
-    with mock.patch.object(scenario, "_FAIL_BLOCK", fail_block), \
-            mock.patch.object(dynamics, "_DELAY_BLOCK", delay_block):
+    # Blocks of block link-steps (one step each when a graph has more
+    # links), topology phases and the horizon all cut the plan's blocks;
+    # none of it shows in the outputs.
+    cfg, block = problem
+    with mock.patch.object(dynamics, "_BLOCK", block):
         try:
             plain = run(cfg)
         except NumericError:  # a finite state whose gradients overflow

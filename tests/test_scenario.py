@@ -395,7 +395,7 @@ class TestFailureMask:
         rng = np.random.default_rng([_child_seed(adv_seed, _TAG_FAIL), 0xFA11])
         want = [int(np.count_nonzero(rng.random(ms[(k // 7) % 3]) >= cfg.p_fail)) for k in range(cfg.horizon)]
         default = run(cfg)
-        monkeypatch.setattr("dra_sim.scenario._FAIL_BLOCK", max(ms))
+        monkeypatch.setattr("dra_sim.dynamics._BLOCK", max(ms))
         small = run(cfg)
         for res in (default, small):
             assert res.summary.executed_steps == cfg.horizon
