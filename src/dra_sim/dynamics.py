@@ -74,8 +74,10 @@ class DelaySchedule:
     order; with one row per block only that prefix is drawn, which equals
     the head of the full row.  A delay is thus a pure function of (seed,
     step, m, position), and draws may come in any order.  The schedule
-    keeps one Philox generator, whose state it resets for each block, and
-    holds the last block of each width ``m``.
+    keeps one Philox generator, whose state it resets for each block.  It
+    holds the last block of the width of each live graph that the link plan
+    has read, which the plan reads again when that graph's phase comes
+    back, and besides those only the last block of any other width.
 
     :meth:`draw` gives one step's delays.  The link plan (``_link_plan``)
     looks up the delays of a block of steps at once, through the same
@@ -98,6 +100,7 @@ class DelaySchedule:
         self._per_link: dict[tuple[int, int], int] = {}
         self._graph_delays = weakref.WeakKeyDictionary()  # graph -> its per_link vector
         self._held: dict[int, tuple[int, np.ndarray]] = {}  # width m -> (block, its delays)
+        self._plan_widths = weakref.WeakKeyDictionary()  # graph -> its width m, for each graph the plan read
         self._bits = np.random.Philox(0)  # seeded, so it draws no OS entropy; its state is set for each block
         self._gen = np.random.Generator(self._bits)
 
@@ -123,14 +126,17 @@ class DelaySchedule:
         }
         return self._gen.integers(0, self.tau_bar + 1, size=size, dtype=self._dtype)
 
-    def _rows(self, first: int, rows: int, m: int, width: int) -> np.ndarray:
+    def _rows(self, first: int, rows: int, m: int, width: int, graph: WeightedGraph | None) -> np.ndarray:
         """The uniform rows of width ``m`` of steps ``first`` to ``first + rows - 1`` (one block), cut to ``width``."""
         per = max(1, _BLOCK // m)
         block, row = divmod(first, per)
         if per == 1:
             return self._uniform(block, m, (1, width))  # only the prefix is drawn
+        if graph is not None:  # the link plan's graph of m links
+            self._plan_widths[graph] = m
         held = self._held.get(m)
-        if held is None or held[0] != block:
+        if held is None or held[0] != block:  # drop the blocks of every width no live plan graph has
+            self._held = {w: h for w, h in self._held.items() if w in self._plan_widths.values()}
             held = self._held[m] = (block, self._uniform(block, m, (per, m)))
             held[1].flags.writeable = False
         return held[1][row : row + rows, :width]
@@ -142,7 +148,7 @@ class DelaySchedule:
         ``first + r``; the steps lie in one block of the uniform stream.
         ``cols`` are the live links' indices in the graph, or None when they
         are the first ``counts[r]`` links of that graph (all ``m`` when there
-        are several steps).  The per_link mode reads ``graph``.
+        are several steps).  ``graph`` is the plan's, or None (see ``_rows``).
         """
         rows = len(counts)
         total = len(cols) if cols is not None else sum(counts)
@@ -158,8 +164,8 @@ class DelaySchedule:
                 return link_delays.take(cols)
             return link_delays if rows == 1 else np.tile(link_delays, rows)
         if rows == 1:
-            return self._rows(first, 1, m, total)[0]
-        delays = self._rows(first, rows, m, m)
+            return self._rows(first, 1, m, total, graph)[0]
+        delays = self._rows(first, rows, m, m, graph)
         return delays.reshape(-1) if cols is None else delays[np.arange(m) < counts[:, None]]
 
     def draw(self, step: int, ei: np.ndarray, ej: np.ndarray, m: int | None = None) -> np.ndarray:
@@ -189,11 +195,12 @@ def _live_links(graph: WeightedGraph, rows: int, keep, schedule: DelaySchedule, 
     into_i) of its live links, as views into arrays built for all the steps
     at once, flat over the live links in step then link order.  With every
     link up, (ei, ej, w) are the graph's own arrays, which every step
-    shares.  A flow emitted at step k with delay d lands in ring slot
-    (k + d) % depth, whose 2n floats start at (k + d) % depth * 2n in the
-    flattened ring: ``into_j`` is that start plus j, its index at the j end,
-    and ``into_i`` that start plus i, its index at the i end in the ring past
-    its first n floats.  Without a ring (tau_bar 0) the last three are None.
+    shares; with no ring as well, every step gets one tuple.  A flow
+    emitted at step k with delay d lands in ring slot (k + d) % depth,
+    whose 2n floats start at (k + d) % depth * 2n in the flattened ring:
+    ``into_j`` is that start plus j, its index at the j end, and ``into_i``
+    that start plus i, its index at the i end in the ring past its first n
+    floats.  Without a ring (tau_bar 0) the last three are None.
     """
     ei, ej, w = graph.edges()
     m, n, depth = len(ei), graph.n, schedule.tau_bar + 1
@@ -211,8 +218,8 @@ def _live_links(graph: WeightedGraph, rows: int, keep, schedule: DelaySchedule, 
         slots = np.arange(first, first + rows + depth - 1) % depth * (2 * n)  # entry r + d: the slot's offset
         off = slots.take(np.arange(rows)[:, None] + d.reshape(rows, m) if keep is None else r + d)
         into_j, into_i = (off + ej).reshape(-1), (off + ei).reshape(-1)
-    if rows == 1:  # the step's arrays are the block's
-        return iter([(ei, ej, w, d, into_j, into_i)])
+    if rows == 1 or keep is None and d is None:  # one step, or every step shares the block's arrays
+        return itertools.repeat((ei, ej, w, d, into_j, into_i), rows)
     bounds = [m * t for t in range(rows + 1)] if keep is None else ends.tolist()
     spans = list(map(slice, bounds, bounds[1:]))  # each step's entries
     same = (keep is None,) * 3 + (d is None,) * 3  # the same array, or None, at every step
@@ -361,7 +368,7 @@ def step_delayed(
     if depth == 1:  # bincount sums each side in input order, so the sums repeat bit for bit
         state.x = x + eta * (np.bincount(ej, weights=phi, minlength=n) - np.bincount(ei, weights=phi, minlength=n))
     else:
-        ring = state.pending.reshape(-1)
+        ring = state.pending.ravel()
         np.add.at(ring, into_j, phi)
         np.add.at(ring[n:], into_i, phi)
         due = state.pending[k % depth]

@@ -9,6 +9,7 @@ differences (link side).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,11 @@ class SectorMap:
     rho: float = 0.0
     cap: float = 0.0
     exponent: float = 1.0
+
+    @functools.cached_property
+    def _operands(self) -> tuple[np.ndarray, ...]:
+        """(rho, d_min, d_max, cap) as 0-d arrays, which ufuncs take without converting a float on every call."""
+        return tuple(map(np.array, (self.rho, *self.abs_domain, self.cap)))
 
 
 @dataclass(frozen=True)
@@ -139,23 +145,21 @@ def apply_map_array(
     first; when ``counter`` is given, each such input adds one clamp event.
     """
     z = np.asarray(z, dtype=float)
-    if not np.isfinite(z).all():
+    if not np.logical_and.reduce(np.isfinite(z), None):
         raise NumericError("sector map input must be finite")
-    if m.kind == "identity":
+    kind = m.kind
+    if kind == "identity":
         return z
-
-    if m.kind == "log_quantizer":
-        # z = 0 falls through cleanly: log -> -inf, exp -> 0, sign(0) = 0.
-        with np.errstate(divide="ignore"):
-            mag = np.exp(m.rho * np.rint(np.log(np.abs(z)) / m.rho))
-        return np.sign(z) * mag
-
-    lo, hi = m.abs_domain
     a = np.abs(z)
-    if m.kind == "saturation":
+    rho, lo, hi, cap = m._operands
+    if kind == "log_quantizer":
+        # |z| + (|z| == 0) is |z| bit for bit, and 1 at a zero, which log sends
+        # to 0 without log 0's divide-by-zero; sign(0) = 0 then zeroes it.
+        return np.sign(z) * np.exp(rho * np.rint(np.log(a + np.logical_not(a)) / rho))
+    if kind == "saturation":
         if counter is not None:  # the domain starts at 0, so only |z| > d_max is outside
             counter.events += int(np.count_nonzero(a > hi))
-        return np.sign(z) * np.minimum(np.minimum(a, hi), m.cap)
+        return np.sign(z) * np.minimum(np.minimum(a, hi), cap)
     # sign_power: clamp into [d_min, d_max], zeros stay zero via sign().  On
     # finite inputs this is np.clip's result, without its Python wrappers.
     clamped = np.minimum(np.maximum(a, lo), hi)

@@ -120,7 +120,7 @@ def _sigmoid(u):
     # exp(-|u|) never overflows: 1 / (1 + e) where u >= 0, e / (1 + e) below.
     u = np.asarray(u, dtype=float)
     e = np.exp(-np.abs(u))
-    return np.where(u >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(u >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def _rounded_sum(values: list[float]) -> float:
@@ -380,7 +380,10 @@ class CostSet:
 
     def base_grad(self, x: np.ndarray) -> np.ndarray:
         """Per-agent base gradient, without the penalty terms."""
-        x = self._state(x)
+        return self._base_grad(self._state(x))
+
+    def _base_grad(self, x: np.ndarray) -> np.ndarray:
+        """``base_grad`` of a state that ``_state`` has checked."""
         if self._all_quadratic:
             return self._p1x2 * x + self.p2
         if self._all_quartic:
@@ -392,14 +395,19 @@ class CostSet:
         )
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = self.base_grad(x)
+        """Per-agent gradient: ``base_grad`` plus the penalty terms.
+
+        A square box term is 2 weight (x - min(max(lo, x), hi)): the bits of 2 weight (up - dn), up =
+        max(0, x - hi) and dn = max(0, lo - x), less the overflow flag of an excess that max(0, .) zeroes.
+        """
+        x = self._state(x)
+        out = self._base_grad(x)
         if self._any_box:
-            up = np.maximum(0.0, x - self.pen_hi)
-            dn = np.maximum(0.0, self.pen_lo - x)
             if self._pen_square:
-                pg = self._pen_wm * (up - dn)
+                pg = self._pen_wm * (x - np.minimum(np.maximum(self.pen_lo, x), self.pen_hi))
             else:
+                up = np.maximum(0.0, x - self.pen_hi)
+                dn = np.maximum(0.0, self.pen_lo - x)
                 pg = self._pen_wm * (_penalty_power(up, self._pen_m1) - _penalty_power(dn, self._pen_m1))
             out = out + (pg if self._all_box else np.where(self._box, pg, 0.0))
         if self._any_log:

@@ -582,10 +582,10 @@ def _book_block(cs: CostSet, held: list[tuple], total: float) -> np.ndarray:
     mean; each column is bit-equal to a one-row block's.
     """
     xs, gs, lo, hi = zip(*held)
-    xs, gs = np.stack(xs), np.stack(gs)
+    xs, gs = np.array(xs), np.array(gs)  # np.stack's rows, in one call
     dev = gs - (gs.sum(axis=1) / xs.shape[1])[:, None]
     gaps = [s - total for s in _row_fsums(xs)]
-    dispersion = [math.sqrt(g.dot(g)) for g in dev]
+    dispersion = list(map(math.sqrt, map(np.ndarray.dot, dev, dev)))  # sqrt(g.dot(g)) of each row g
     return np.array([cs.row_totals(xs), gaps, dispersion, lo, hi, xs.sum(axis=1) / xs.shape[1]])
 
 
@@ -628,15 +628,16 @@ def run(cfg: ScenarioConfig) -> RunResult:
     active = graphs[0].edge_count  # links up at the last step taken, which the final step repeats
     held: list[tuple] = []  # (x, grads, lo, hi) of finite steps whose columns wait
     block = max(1, min(_RECORD_ROWS, _RECORD_BLOCK // cfg.n))
+    least, most = np.minimum.reduce, np.maximum.reduce  # x.min() and x.max() without their Python wrappers
 
     for k in range(horizon + 1):
         x = state.x
-        lo, hi = float(x.min()), float(x.max())  # nan or infinite unless x is finite
+        lo, hi = float(least(x)), float(most(x))  # nan or infinite unless x is finite
         finite = math.isfinite(lo) and math.isfinite(hi)
         spread, diverged = math.nan, not finite
         if finite:
             grads = cs.grad(x)
-            spread = float(grads.max() - grads.min())
+            spread = float(most(grads) - least(grads))
             if k and cs.value_bound(max(-lo, hi)) - oracle.value > limit:
                 diverged = cs.total_value(x) - oracle.value > limit
             held.append((x, grads, lo, hi))

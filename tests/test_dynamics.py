@@ -316,6 +316,30 @@ class TestDelaySchedule:
         reached = {(k // (2**15 // m), m) for k, m in ((k, ms[(k // 7) % 3]) for k in range(600))}
         assert len(drawn) == 10 and sorted(drawn) == sorted(reached)
 
+    def test_held_blocks_stay_bounded(self):
+        # A caller that passes each step's live links as a whole graph (m the
+        # live count) meets a new width at most steps; the schedule keeps the
+        # block of the last such width alone, besides one block per width of
+        # the live graphs a link plan read, until those graphs are gone.
+        graphs = scenario.build_instance(cycle_config(120))[0]
+        widths = sorted(g.edge_count for g in graphs)
+        schedule = DelaySchedule(5, seed=77)
+        for _ in dynamics._link_plan(graphs, 7, 120, 0.3, np.random.default_rng(3), schedule):
+            pass
+        assert sorted(schedule._held) == widths
+        ei, ej, _ = erdos_renyi(40, 0.4, (0.5, 1.0), seed=1).edges()
+        rng = np.random.default_rng(0)
+        counts = set()
+        for k in range(2000):
+            keep = rng.random(len(ei)) >= 0.5
+            schedule.draw(k, ei[keep], ej[keep])
+            counts.add(int(keep.sum()))
+            assert len(schedule._held) <= 4
+        assert len(counts - set(widths)) > 40
+        del graphs
+        schedule.draw(2000, ei[:3], ej[:3])
+        assert sorted(schedule._held) == [3]
+
     def test_stream_reset_gives_a_fresh_generators_bits(self):
         # The schedule's one Philox generator, reset for each block after
         # draws that left half a word and part of its buffer unread, gives
@@ -341,6 +365,7 @@ class TestDelaySchedule:
             assert graph is g
             assert all(a is b for a, b in zip(links[:3], g.edges()))
             assert links[3:] == (None, None, None)
+        assert len({id(links) for _, links in plan}) == 4  # one tuple per block
 
     @pytest.mark.parametrize("tau_bar", [1, 2, 6, 300])
     def test_uniform_delays_pass_chi_square(self, tau_bar):
