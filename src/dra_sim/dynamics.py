@@ -48,7 +48,7 @@ def _as_costset(costs) -> CostSet:
 
 # Stream tag of the delay draws, the second word of every delay stream's key.
 _DELAY_TAG = 0xDE1A
-# Most link-steps in one block, whatever the link count: of the link plan, and of uniform delay draws.
+# Most link-steps in one block, whatever the link count: of failure masks, the link plan, and uniform delays.
 _BLOCK = 1 << 15
 
 
@@ -75,15 +75,16 @@ class DelaySchedule:
     the head of the full row.  A delay is thus a pure function of (seed,
     step, m, position), and draws may come in any order.  The schedule
     keeps one Philox generator, whose state it resets for each block.  It
-    holds the last block of the width of each live graph that the link plan
-    has read, which the plan reads again when that graph's phase comes
-    back, and besides those only the last block of any other width.
+    holds the last block of each width of the last link plan's graphs, which
+    the plan reads again when a graph's phase comes back, and besides those
+    only the last block of any other width.
 
     :meth:`draw` gives one step's delays.  The link plan (``_link_plan``)
     looks up the delays of a block of steps at once, through the same
     lookup: the block's rows of the uniform stream, gathered at each step's
     live positions, or the graph's ``per_link`` vector, which the schedule
-    builds once per graph, taken at the live links.
+    builds once per graph, taken at the live links (:meth:`draw` builds its
+    links' ``per_link`` delays each time).
     """
 
     def __init__(self, tau_bar: int, mode: str = "uniform", seed: int = 0):
@@ -97,25 +98,17 @@ class DelaySchedule:
         self.mode = mode
         self.seed = int(seed)
         self._dtype = np.min_scalar_type(self.tau_bar)
-        self._per_link: dict[tuple[int, int], int] = {}
         self._graph_delays = weakref.WeakKeyDictionary()  # graph -> its per_link vector
         self._held: dict[int, tuple[int, np.ndarray]] = {}  # width m -> (block, its delays)
-        self._plan_widths = weakref.WeakKeyDictionary()  # graph -> its width m, for each graph the plan read
+        self._plan_widths: frozenset[int] = frozenset()  # the link counts of the last link plan's graphs
         self._bits = np.random.Philox(0)  # seeded, so it draws no OS entropy; its state is set for each block
         self._gen = np.random.Generator(self._bits)
 
     # The per-link stream key ends in 0; changing it would change every delay.
-    def _per_link_delay(self, i: int, j: int) -> int:
-        got = self._per_link.get((i, j))
-        if got is None:
-            rng = np.random.default_rng([self.seed, _DELAY_TAG, i, j, 0])
-            got = int(rng.integers(0, self.tau_bar + 1))
-            self._per_link[(i, j)] = got
-        return got
-
     def _link_delays(self, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
-        """The per_link delay of each link (ei[t], ej[t])."""
-        return np.array([self._per_link_delay(i, j) for i, j in zip(ei.tolist(), ej.tolist())], dtype=self._dtype)
+        """The per_link delay of each link (ei[t], ej[t]), drawn from the link's own stream."""
+        return np.array([np.random.default_rng([self.seed, _DELAY_TAG, i, j, 0]).integers(0, self.tau_bar + 1)
+                         for i, j in zip(ei.tolist(), ej.tolist())], dtype=self._dtype)
 
     def _uniform(self, block: int, m: int, size) -> np.ndarray:
         """``size`` uniform delays from the start of block ``block`` of width ``m``."""
@@ -126,17 +119,15 @@ class DelaySchedule:
         }
         return self._gen.integers(0, self.tau_bar + 1, size=size, dtype=self._dtype)
 
-    def _rows(self, first: int, rows: int, m: int, width: int, graph: WeightedGraph | None) -> np.ndarray:
+    def _rows(self, first: int, rows: int, m: int, width: int) -> np.ndarray:
         """The uniform rows of width ``m`` of steps ``first`` to ``first + rows - 1`` (one block), cut to ``width``."""
         per = max(1, _BLOCK // m)
         block, row = divmod(first, per)
         if per == 1:
             return self._uniform(block, m, (1, width))  # only the prefix is drawn
-        if graph is not None:  # the link plan's graph of m links
-            self._plan_widths[graph] = m
         held = self._held.get(m)
-        if held is None or held[0] != block:  # drop the blocks of every width no live plan graph has
-            self._held = {w: h for w, h in self._held.items() if w in self._plan_widths.values()}
+        if held is None or held[0] != block:  # drop the blocks of every width the last plan's graphs lack
+            self._held = {w: h for w, h in self._held.items() if w in self._plan_widths}
             held = self._held[m] = (block, self._uniform(block, m, (per, m)))
             held[1].flags.writeable = False
         return held[1][row : row + rows, :width]
@@ -148,7 +139,7 @@ class DelaySchedule:
         ``first + r``; the steps lie in one block of the uniform stream.
         ``cols`` are the live links' indices in the graph, or None when they
         are the first ``counts[r]`` links of that graph (all ``m`` when there
-        are several steps).  ``graph`` is the plan's, or None (see ``_rows``).
+        are several steps).  ``graph`` is the plan's, or None if not per_link.
         """
         rows = len(counts)
         total = len(cols) if cols is not None else sum(counts)
@@ -160,12 +151,10 @@ class DelaySchedule:
             link_delays = self._graph_delays.get(graph)
             if link_delays is None:
                 link_delays = self._graph_delays[graph] = self._link_delays(*graph.edges()[:2])
-            if cols is not None:
-                return link_delays.take(cols)
-            return link_delays if rows == 1 else np.tile(link_delays, rows)
+            return np.tile(link_delays, rows) if cols is None else link_delays.take(cols)
         if rows == 1:
-            return self._rows(first, 1, m, total, graph)[0]
-        delays = self._rows(first, rows, m, m, graph)
+            return self._rows(first, 1, m, total)[0]
+        delays = self._rows(first, rows, m, m)
         return delays.reshape(-1) if cols is None else delays[np.arange(m) < counts[:, None]]
 
     def draw(self, step: int, ei: np.ndarray, ej: np.ndarray, m: int | None = None) -> np.ndarray:
@@ -198,9 +187,9 @@ def _live_links(graph: WeightedGraph, rows: int, keep, schedule: DelaySchedule, 
     shares; with no ring as well, every step gets one tuple.  A flow
     emitted at step k with delay d lands in ring slot (k + d) % depth,
     whose 2n floats start at (k + d) % depth * 2n in the flattened ring:
-    ``into_j`` is that start plus j, its index at the j end, and ``into_i``
-    that start plus i, its index at the i end in the ring past its first n
-    floats.  Without a ring (tau_bar 0) the last three are None.
+    ``into_j`` is that start plus j, its index at the j end in row 0, and
+    ``into_i`` that start plus n + i, its index at the i end in row 1.
+    Without a ring (tau_bar 0) the last three are None.
     """
     ei, ej, w = graph.edges()
     m, n, depth = len(ei), graph.n, schedule.tau_bar + 1
@@ -217,7 +206,7 @@ def _live_links(graph: WeightedGraph, rows: int, keep, schedule: DelaySchedule, 
         d = schedule._live(first, m, counts, cols, graph)
         slots = np.arange(first, first + rows + depth - 1) % depth * (2 * n)  # entry r + d: the slot's offset
         off = slots.take(np.arange(rows)[:, None] + d.reshape(rows, m) if keep is None else r + d)
-        into_j, into_i = (off + ej).reshape(-1), (off + ei).reshape(-1)
+        into_j, into_i = (off + ej).reshape(-1), (off + n + ei).reshape(-1)
     if rows == 1 or keep is None and d is None:  # one step, or every step shares the block's arrays
         return itertools.repeat((ei, ej, w, d, into_j, into_i), rows)
     bounds = [m * t for t in range(rows + 1)] if keep is None else ends.tolist()
@@ -227,6 +216,21 @@ def _live_links(graph: WeightedGraph, rows: int, keep, schedule: DelaySchedule, 
                  for a, one in zip((ei, ej, w, d, into_j, into_i), same)))
 
 
+def _failure_blocks(rng: np.random.Generator, first: int, end: int, m: int, p_fail: float):
+    """Yield ``(first, rows, keep)`` for each run of steps ``first`` to ``end - 1`` inside one aligned block.
+
+    Blocks are ``max(1, _BLOCK // m)`` steps from a multiple of that count.
+    ``keep`` is the run's (rows, m) mask of links up: those whose uniform
+    from ``rng``, one per link and step, is at least ``p_fail``; with
+    ``p_fail`` 0 nothing is drawn and ``keep`` is None.
+    """
+    per = max(1, _BLOCK // max(m, 1))
+    while first < end:
+        rows = min(end, first - first % per + per) - first
+        yield first, rows, (rng.random((rows, m)) >= p_fail if p_fail else None)
+        first += rows
+
+
 def _link_plan(graphs: list[WeightedGraph], switch_period: int, horizon: int, p_fail: float,
                rng: np.random.Generator, schedule: DelaySchedule):
     """Yield each step's graph and its ``step_delayed`` links, from step 0 to ``horizon``.
@@ -234,27 +238,21 @@ def _link_plan(graphs: list[WeightedGraph], switch_period: int, horizon: int, p_
     The topology cycles through ``graphs``, each for ``switch_period``
     steps.  A step's links are the ``(ei, ej, w, delays, into_j, into_i)``
     of its live links, which ``_live_links`` builds for a block of steps at
-    once: the steps of one topology phase inside one aligned run of
-    ``max(1, _BLOCK // m)`` steps, which is one block of the uniform delay
-    stream, so at most ``_BLOCK`` link-steps.  Link failures take one
-    uniform per link and step from ``rng``, drawn for the whole block at
-    once (the same bits as one call per step).  With ``p_fail`` 0, every
-    step shares the graph's own (ei, ej, w).
+    once: the steps of one topology phase inside one block of
+    ``_failure_blocks``, which is one block of the uniform delay stream, so
+    at most ``_BLOCK`` link-steps, with its failure masks from ``rng``.
+    With ``p_fail`` 0, every step shares the graph's own (ei, ej, w).
+    ``schedule`` holds the uniform blocks of its graphs' widths.
     """
+    schedule._plan_widths = frozenset(g.edge_count for g in graphs)
     switch = switch_period if len(graphs) > 1 else horizon
     for start in range(0, horizon, switch):
         graph, end = graphs[(start // switch) % len(graphs)], min(start + switch, horizon)
-        m = graph.edge_count
-        per = max(1, _BLOCK // max(m, 1))
-        first = start
-        while first < end:
-            rows = min(end, first - first % per + per) - first
-            keep = rng.random((rows, m)) >= p_fail if p_fail else None
+        for first, rows, keep in _failure_blocks(rng, start, end, graph.edge_count, p_fail):
             if rows == 1:  # held by the caller alone, so it goes with its step
                 yield graph, next(_live_links(graph, 1, keep, schedule, first))
             else:
                 yield from zip(itertools.repeat(graph), _live_links(graph, rows, keep, schedule, first))
-            first += rows
 
 
 @dataclass
@@ -266,8 +264,8 @@ class DelayedNetworkState:
     (tau_bar + 1) * 2n * 8 bytes, so its length is the ring depth.  Row 0
     of a slot sums per node the flows arriving at the ``j`` end of their
     link, row 1 those leaving the ``i`` end, each from +0.0 in emission
-    order (emission step, then link order).  :func:`step_delayed` advances
-    the state in place.
+    order (emission step, then link order); flattened, slot s's row r
+    starts at (2s + r) * n.  :func:`step_delayed` advances it in place.
     """
 
     x: np.ndarray
@@ -328,9 +326,9 @@ def step_delayed(
 
     At tau_bar = 0 one ``bincount`` pair sums the flows per node.  Otherwise
     ``np.add.at`` adds the flows, in link order, into both rows of their
-    arrival slots (see :class:`DelayedNetworkState`), so each node's sum is
-    the additions of one ``bincount`` over the slot's flows in emission
-    order.  Every step applies the slot due now as
+    arrival slots in the flattened ring (see :class:`DelayedNetworkState`),
+    so each node's sum is the additions of one ``bincount`` over the slot's
+    flows in emission order.  Every step applies the slot due now as
     ``x + eta * (row 0 - row 1)`` and zeroes it, as the delay-free step adds
     its ``bincount`` pair: a node that no flow reaches gets +0.0 added.
     ``state.x`` is replaced by a new array; ``state`` itself is returned.
@@ -370,7 +368,7 @@ def step_delayed(
     else:
         ring = state.pending.ravel()
         np.add.at(ring, into_j, phi)
-        np.add.at(ring[n:], into_i, phi)
+        np.add.at(ring, into_i, phi)
         due = state.pending[k % depth]
         state.x = x + eta * (due[0] - due[1])
         due.fill(0.0)

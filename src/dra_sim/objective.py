@@ -111,8 +111,10 @@ def _penalty_power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     """
     if base.size >= _MASKED_POW_MIN_SIZE and base.shape[-1] > 1:
         outside = base.view(np.int64) != 0
-        if np.count_nonzero(outside) <= _MASKED_POW_MAX_SHARE * base.size:
-            return np.power(base, exponent, out=np.zeros(base.shape), where=outside)
+        count = np.count_nonzero(outside)
+        if count <= _MASKED_POW_MAX_SHARE * base.size:
+            out = np.zeros(base.shape)
+            return np.power(base, exponent, out=out, where=outside) if count else out  # no pow if none is outside
     return _power(base, exponent)
 
 

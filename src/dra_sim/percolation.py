@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _failure_blocks
 from .errors import ConfigurationError, DomainError
 from .graph import WeightedGraph, _component_labels
 
@@ -26,7 +27,6 @@ __all__ = [
 ]
 
 _MC_BLOCK = 1 << 17  # nodes plus links of the trials mc_union_connectivity searches at once
-_MC_DRAW = 1 << 15  # most uniforms a trial of mc_union_connectivity draws at once, unless one row has more
 
 
 @dataclass(frozen=True)
@@ -116,14 +116,12 @@ def min_window(p_fail: float, threshold: float) -> int:
 def _union_up(rng: np.random.Generator, steps: int, m: int, p_fail: float) -> np.ndarray:
     """Which of ``m`` links are up at some step of ``steps`` failure masks drawn from ``rng``.
 
-    The masks are rows of ``rng.random((steps, m)) >= p_fail``, drawn in
-    chunks of at most ``_MC_DRAW`` uniforms; once every link is up, the
-    rest are not drawn.
+    The masks are a link plan's of steps 0 to ``steps - 1`` over one graph
+    (``dynamics._failure_blocks``); once every link is up, no more are drawn.
     """
     up = np.zeros(m, dtype=bool)
-    per = max(1, _MC_DRAW // max(m, 1))
-    for first in range(0, steps, per):
-        up |= (rng.random((min(per, steps - first), m)) >= p_fail).any(axis=0)
+    for _, _, keep in _failure_blocks(rng, 0, steps, m, p_fail):
+        up |= True if keep is None else keep.any(axis=0)  # None: every link is up
         if up.all():
             break
     return up
@@ -140,10 +138,11 @@ def mc_union_connectivity(
     from ``default_rng([seed, 0xACC3, t])``; trials are searched in batches of
     disjoint graph copies under a fixed budget of 2**17 nodes plus links, and
     neither execution order nor batch split changes the estimate.  A trial
-    draws its masks in chunks of at most 2**15 uniforms (one mask when it
-    has more links), and stops once every link is up, so memory is bounded
-    by the link count whatever the window.  The confidence interval is the
-    95% Wilson score interval.
+    draws its masks as ``scenario.run``'s link plan draws those of steps 0
+    to window over one graph, in blocks of at most 2**15 uniforms (one mask
+    when it has more links), and stops once every link is up, so memory is
+    bounded by the link count whatever the window.  The confidence interval
+    is the 95% Wilson score interval.
     """
     effective_failure(p_fail, window)  # checks p_fail and window
     if trials < 1 or int(trials) != trials:

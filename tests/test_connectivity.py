@@ -9,7 +9,8 @@ kept here in substance, and the kernel must agree with them exactly:
 on single nodes, graphs without links, stars, disjoint unions, permuted
 paths and rings up to 10^4 nodes, and random graphs; and, for the estimate,
 at trial counts around the batch size, p_fail of 0, 1 or in between, and
-windows 0-3, and at windows cut into chunks of draws.  The ``hop_diameter`` fixture, which the spectral checks use,
+windows 0-3, and at windows cut into chunks of draws, whose union is the
+run's link plan's.  The ``hop_diameter`` fixture, which the spectral checks use,
 is checked against the reference distances too.
 """
 
@@ -24,8 +25,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dra_sim import (
+    DelaySchedule,
     McConnectivity,
     WeightedGraph,
+    dynamics,
     erdos_renyi,
     is_connected,
     mc_union_connectivity,
@@ -225,10 +228,31 @@ class TestMcUnionConnectivity:
         base = erdos_renyi(12, 0.3, (0.5, 1.0), seed=4)
         m = base.edge_count
         for draw in (1, m, 2 * m + 1, 3 * m, 1 << 15):
-            with mock.patch.object(percolation, "_MC_DRAW", draw):
+            with mock.patch.object(dynamics, "_BLOCK", draw):
                 for window, p_fail in ((0, 0.5), (1, 0.9), (5, 0.0), (6, 0.8), (7, 1.0), (40, 0.95)):
                     got = mc_union_connectivity(base, p_fail, window, trials=30, seed=9)
                     assert got == reference_mc(base, p_fail, window, 30, 9)
+
+    @pytest.mark.parametrize("p_fail", [0.0, 0.5, 0.92, 1.0])
+    def test_trial_union_is_the_union_of_a_link_plans_live_links(self, p_fail):
+        # Monte Carlo and the run's link plan draw one failure model: from
+        # equal generators, a trial's union of W + 1 masks holds the links
+        # that the plan over the base graph has up at some step 0 to W, for
+        # windows inside one block of the plan and across several.
+        base = erdos_renyi(30, 0.3, (0.5, 1.0), seed=6)
+        ei, ej, _ = base.edges()
+        m, keys = len(ei), ei * base.n + ej
+        per = 2**15 // m
+        assert per < 300
+        for window in (0, 1, 6, per - 1, per, 3 * per + 5):
+            for t in range(3):
+                got = percolation._union_up(np.random.default_rng([5, 0xACC3, t]), window + 1, m, p_fail)
+                plan = dynamics._link_plan([base], 1, window + 1, p_fail, np.random.default_rng([5, 0xACC3, t]),
+                                           DelaySchedule(0))
+                want = np.zeros(m, dtype=bool)
+                for _, (up_i, up_j, *_) in plan:
+                    want[np.searchsorted(keys, up_i * base.n + up_j)] = True
+                assert got.tolist() == want.tolist()
 
     def test_memory_is_bounded_by_the_link_count_not_the_window(self):
         # At p_fail 1 no link ever comes up, so every mask of the window is

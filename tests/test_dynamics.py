@@ -283,7 +283,7 @@ class TestDelaySchedule:
         # failures: every step's delays, as the run's link plan yields them,
         # are the stream's row for the step's graph width, whatever the
         # phase order, and its ring indices are ((k + d) % depth) * 2n plus
-        # the link's j end, and plus its i end in the ring past n floats.
+        # the link's j end, and plus n and its i end, in the whole ring.
         graphs = scenario.build_instance(cycle_config(120))[0]
         schedule = DelaySchedule(5, seed=77)
         plan = dynamics._link_plan(graphs, 7, 120, 0.3, np.random.default_rng(3), schedule)
@@ -295,7 +295,7 @@ class TestDelaySchedule:
             want = philox_delays(77, 5, step, graph.edge_count, len(ei))
             assert delays.tobytes() == want.tobytes()
             off = (step + want.astype(np.intp)) % 6 * 60
-            assert [into_j.tolist(), into_i.tolist()] == [(off + ej).tolist(), (off + ei).tolist()]
+            assert [into_j.tolist(), into_i.tolist()] == [(off + ej).tolist(), (off + 30 + ei).tolist()]
 
     def test_cycle_draws_each_block_of_each_width_once(self, monkeypatch):
         # Phases of 238, 94 and 157 links take turns every 7 steps.  The
@@ -320,7 +320,7 @@ class TestDelaySchedule:
         # A caller that passes each step's live links as a whole graph (m the
         # live count) meets a new width at most steps; the schedule keeps the
         # block of the last such width alone, besides one block per width of
-        # the live graphs a link plan read, until those graphs are gone.
+        # the last link plan's graphs, until another plan replaces them.
         graphs = scenario.build_instance(cycle_config(120))[0]
         widths = sorted(g.edge_count for g in graphs)
         schedule = DelaySchedule(5, seed=77)
@@ -336,9 +336,12 @@ class TestDelaySchedule:
             counts.add(int(keep.sum()))
             assert len(schedule._held) <= 4
         assert len(counts - set(widths)) > 40
-        del graphs
         schedule.draw(2000, ei[:3], ej[:3])
-        assert sorted(schedule._held) == [3]
+        assert sorted(schedule._held) == sorted(widths + [3])
+        other = erdos_renyi(40, 0.4, (0.5, 1.0), seed=1)
+        for _ in dynamics._link_plan([other], 7, 20, 0.3, np.random.default_rng(4), schedule):
+            pass
+        assert sorted(schedule._held) == [other.edge_count]
 
     def test_stream_reset_gives_a_fresh_generators_bits(self):
         # The schedule's one Philox generator, reset for each block after

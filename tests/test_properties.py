@@ -674,15 +674,17 @@ def plain_power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
 @example(rows=3000, n=1, seed=0, exponents=(2,), outside=0.05)
 @example(rows=64, n=300, seed=0, exponents=(2,), outside=0.02)
 @example(rows=64, n=300, seed=0, exponents=(2,), outside=1.0)
+@example(rows=64, n=10, seed=0, exponents=(2,), outside=0.0)
 @settings(max_examples=80)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_masked_power_is_plain_power(rows, n, seed, exponents, outside):
     # Bases as the penalties make them, max(0, x - hi), with a drawn share
     # outside the box: +0.0 inside, -0.0 where x = -0.0 meets hi = 0.0, nan
     # and inf, in blocks on both sides of the masked call's size and share
-    # limits.  n = 1 with exponent 2 is the stride-0 case in which numpy
-    # squares, as the masked loop would on 3000 rows with few outside; each
-    # row must equal the one-row call, whichever call each takes.
+    # limits, and with none outside, where no pow is called.  n = 1 with
+    # exponent 2 is the stride-0 case in which numpy squares, as the masked
+    # loop would on 3000 rows with few outside; each row must equal the
+    # one-row call, whichever call each takes.
     rng = np.random.default_rng(seed)
     hi = rng.choice([0.0, 1.0, 10.0], n)
     side = np.where(rng.random((rows, n)) < outside, 1.0, rng.choice([-1.0, 0.0], (rows, n)))
@@ -770,7 +772,7 @@ def run_stepped_by_hand(cfg: ScenarioConfig):
     phase, and calls ``step_delayed(..., failure_keep=keep)``, which builds
     the step alone.  It also checks the links that the run's plan yielded
     for the step against the masked graph, ``DelaySchedule.draw`` and the
-    ring slot ((k + d) % depth) * 2n.
+    ring slot ((k + d) % depth) * 2n, whose row 1 starts n floats later.
     """
     graphs = build_instance(cfg)[0]
     adv_seed = cfg.adversity_seed if cfg.adversity_seed >= 0 else cfg.seed
@@ -792,7 +794,7 @@ def run_stepped_by_hand(cfg: ScenarioConfig):
             delays = schedule.draw(k, ei, ej, graph.edge_count)
             off = (k + delays.astype(np.intp)) % depth * (2 * cfg.n)
             assert links[3].tobytes() == delays.tobytes()
-            assert [links[4].tolist(), links[5].tolist()] == [(off + ej).tolist(), (off + ei).tolist()]
+            assert [links[4].tolist(), links[5].tolist()] == [(off + ej).tolist(), (off + cfg.n + ei).tolist()]
         return real_step(state, graph, schedule, *args, failure_keep=keep, **kwargs)
 
     with mock.patch.object(scenario, "step_delayed", by_hand):
