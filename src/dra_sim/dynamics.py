@@ -377,6 +377,7 @@ def step_delayed(
 
 
 _NO_DELAY = DelaySchedule(0)
+_NO_RING = np.zeros((1, 0, 0))  # a ring of depth 1 that holds nothing: a step at tau_bar 0 reads only its length
 
 
 def step_delay_free(
@@ -392,16 +393,18 @@ def step_delay_free(
 ) -> np.ndarray:
     """One synchronous update over all links of ``graph``.
 
-    The zero-delay case of :func:`step_delayed`, run on a fresh state, so
-    both share one kernel and agree bit for bit.  ``grads`` may be supplied
-    when the caller already computed it.  Returns the next state; the input
-    is not modified.
+    The zero-delay case of :func:`step_delayed`, run on a fresh state of
+    ring depth 1 over the graph's own links, so both share one kernel and
+    agree bit for bit.  ``grads`` may be supplied when the caller already
+    computed it.  Returns the next state; the input is not modified.
     """
     cs = _as_costset(costs)
-    state = init_delayed_state(x, 0, cs, link_map)
+    x = np.asarray(x, dtype=float)  # step_delayed replaces the state's x, so x needs no copy
+    if x.shape != (cs.n,):
+        raise ConfigurationError("initial state length must match the cost count")
     return step_delayed(
-        state, graph, _NO_DELAY, cs, node_map, link_map, eta,
-        grads=grads, node_counter=node_counter, link_counter=link_counter,
+        DelayedNetworkState(x, 0, _NO_RING), graph, _NO_DELAY, cs, node_map, link_map, eta,
+        grads=grads, node_counter=node_counter, link_counter=link_counter, links=(*graph.edges(), None, None, None),
     ).x
 
 

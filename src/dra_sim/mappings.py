@@ -145,12 +145,14 @@ def apply_map_array(
     first; when ``counter`` is given, each such input adds one clamp event.
     """
     z = np.asarray(z, dtype=float)
-    if not np.logical_and.reduce(np.isfinite(z), None):
-        raise NumericError("sector map input must be finite")
     kind = m.kind
     if kind == "identity":
+        if not np.logical_and.reduce(np.isfinite(z), None):
+            raise NumericError("sector map input must be finite")
         return z
     a = np.abs(z)
+    if not np.maximum.reduce(a, None, initial=0.0) < np.inf:  # max|z| is nan or inf unless z is finite
+        raise NumericError("sector map input must be finite")
     rho, lo, hi, cap = m._operands
     if kind == "log_quantizer":
         # |z| + (|z| == 0) is |z| bit for bit, and 1 at a zero, which log sends

@@ -167,7 +167,8 @@ def _row_fsums(a: np.ndarray) -> list[float]:
     m = (a.shape[1] + 1).bit_length()  # 2**m >= n + 2
     top = np.abs(a).max(axis=1)
     fast = (top > 0.0) & (top < 2.0 ** (1020 - m))  # false where a row holds a nan
-    out = [0.0 if f else _rounded_sum(row.tolist()) for f, row in zip(fast.tolist(), a)]
+    every = bool(fast.all())  # then no row is visited in Python but for its fsum
+    out = [] if every else [0.0 if f else _rounded_sum(row.tolist()) for f, row in zip(fast.tolist(), a)]
     p = a[fast]
     sigma = np.ldexp(1.0, np.frexp(top[fast])[1] + m)[:, None]
     q = np.empty_like(p)
@@ -177,14 +178,16 @@ def _row_fsums(a: np.ndarray) -> list[float]:
         q -= sigma
         p -= q
         sums.append(q.sum(axis=1))
-        if not p.any():
+        if not (left := p.any()):
             break
         sigma *= 2.0 ** (m - 53)  # above the remainder, which is at most 2**-53 sigma
     parts = np.stack(sums, axis=1).tolist()
-    for r in np.flatnonzero(p.any(axis=1)).tolist():
+    for r in np.flatnonzero(p.any(axis=1)).tolist() if left else ():
         parts[r] += p[r][p[r] != 0.0].tolist()
+    if every:
+        return list(map(math.fsum, parts))  # below 2**1020 in every partial sum
     for r, s in zip(np.flatnonzero(fast).tolist(), parts):
-        out[r] = math.fsum(s)  # below 2**1020 in every partial sum
+        out[r] = math.fsum(s)
     return out
 
 

@@ -10,6 +10,7 @@ other.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import time
@@ -585,8 +586,23 @@ def _book_block(cs: CostSet, held: list[tuple], total: float) -> np.ndarray:
     xs, gs = np.array(xs), np.array(gs)  # np.stack's rows, in one call
     dev = gs - (gs.sum(axis=1) / xs.shape[1])[:, None]
     gaps = [s - total for s in _row_fsums(xs)]
-    dispersion = list(map(math.sqrt, map(np.ndarray.dot, dev, dev)))  # sqrt(g.dot(g)) of each row g
+    dispersion = np.sqrt(np.vecdot(dev, dev))  # sqrt(g.dot(g)) of each row g, bit for bit
     return np.array([cs.row_totals(xs), gaps, dispersion, lo, hi, xs.sum(axis=1) / xs.shape[1]])
+
+
+def _guard_floor(cs: CostSet, value: float, limit: float) -> float:
+    """The largest m up to which ``run``'s guard ``cs.value_bound(m) - value > limit`` cannot hold, or -inf.
+
+    ``value_bound`` is nondecreasing in m up to its rounding: s = max(1, m + shift) is, rounding being
+    monotone, and so are its terms c * s**e (c >= 0, e >= 1) and their sum, but for a few ulps of pow and of
+    the sum, far below the relative margin 1e-6.  So where value_bound(m) * (1 + 1e-6) - value > limit is
+    false, the guard is false at every m' <= m; the bisection runs over the bit patterns of the doubles >= 0,
+    which they order as the doubles.
+    """
+    double = lambda bits: float(np.int64(bits).view(np.float64))
+    first = bisect.bisect_left(range(0x7FF0000000000000), True,  # the bits of +0.0 up to inf, excluded
+                               key=lambda bits: cs.value_bound(double(bits)) * (1.0 + 1e-6) - value > limit)
+    return double(first - 1) if first else -math.inf
 
 
 def run(cfg: ScenarioConfig) -> RunResult:
@@ -601,8 +617,8 @@ def run(cfg: ScenarioConfig) -> RunResult:
     range) ``_book_block`` returns; the blocks, a nan column for a last state that is not
     finite, and the links up at each step are joined once the loop is over.
     The objective is evaluated at step 0, where it sets the divergence limit, and where
-    ``CostSet.value_bound`` cannot rule divergence out; each step's graph and live links
-    come from one ``_link_plan``.
+    ``CostSet.value_bound``, called above ``_guard_floor`` only, cannot rule divergence out;
+    each step's graph and live links come from one ``_link_plan``.
     """
     instance = build_instance(cfg)
     graphs, costs, node_map, link_map = instance
@@ -625,6 +641,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
     blocks: list[np.ndarray] = []  # the columns of each booked block of steps
     links: list[int] = []  # links up at each step taken
     limit = 1e9 * (abs(cs.total_value(x0) - oracle.value) + 1.0)  # the residual past which a run diverges
+    floor = _guard_floor(cs, oracle.value, limit)  # where max|x_i| <= floor, value_bound cannot trip the guard
     active = graphs[0].edge_count  # links up at the last step taken, which the final step repeats
     held: list[tuple] = []  # (x, grads, lo, hi) of finite steps whose columns wait
     block = max(1, min(_RECORD_ROWS, _RECORD_BLOCK // cfg.n))
@@ -638,7 +655,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
         if finite:
             grads = cs.grad(x)
             spread = float(most(grads) - least(grads))
-            if k and cs.value_bound(max(-lo, hi)) - oracle.value > limit:
+            if k and max(-lo, hi) > floor and cs.value_bound(max(-lo, hi)) - oracle.value > limit:
                 diverged = cs.total_value(x) - oracle.value > limit
             held.append((x, grads, lo, hi))
         done = diverged or spread <= cfg.early_stop_spread or k == horizon
@@ -700,8 +717,9 @@ def run(cfg: ScenarioConfig) -> RunResult:
         oracle_multiplier=oracle.multiplier,
     )
     rows = [*range(0, executed, cfg.record_stride), executed]
-    up = [links[r] for r in rows]
-    trace = list(map(TraceRecord, rows, residuals[rows].tolist(), *cols[1:, rows].tolist(), up))
+    picked = np.concatenate((cols[:, :executed:cfg.record_stride], cols[:, executed:]), axis=1)  # rows' columns
+    up = links[:executed:cfg.record_stride] + links[executed:]
+    trace = list(map(TraceRecord, rows, (picked[0] - oracle.value).tolist(), *picked[1:].tolist(), up))
     return RunResult(config=cfg, trace=trace, summary=summary, final_state=x.copy())
 
 
@@ -754,8 +772,9 @@ def scaling_benchmark(
     """Time the delay-free step across sizes and fit time ~ n^slope.
 
     Uses a quantizer node map on plain quadratic costs so the per-step work
-    is dominated by the per-link transform, wall-clocked over ``steps``
-    updates after a short warmup.  One update touches every link a constant
+    is dominated by the per-link transform: the best of three rounds over all
+    sizes of ``steps`` updates each, after a short warmup, so that a slow
+    phase of the host slows a round, not a size.  One update touches every link a constant
     number of times, so the expected slope is 2 for dense graphs (link
     probability ``density`` at every size) and below 2 when
     ``constant_degree`` fixes the expected degree instead.
@@ -770,7 +789,7 @@ def scaling_benchmark(
         raise ConfigurationError(f"constant_degree must be positive, got {constant_degree}")
     node_map = log_quantizer(1.0 / 1024.0)
     link_map = identity_map()
-    timings = []
+    runs = []  # each size's (x after the warmup, graph, costs, eta)
     for n in sizes:
         p = density if constant_degree is None else min(1.0, constant_degree / (n - 1))
         g = erdos_renyi(n, p, (0.5, 1.0), seed=_child_seed(seed, _TAG_TOPOLOGY, n))
@@ -782,11 +801,14 @@ def scaling_benchmark(
         x = feasible_init(n, float(n), "random_simplex", seed=seed)
         for _ in range(5):
             x = step_delay_free(x, g, cs, node_map, link_map, eta)
-        t0 = time.perf_counter()
-        for _ in range(steps):
-            x = step_delay_free(x, g, cs, node_map, link_map, eta)
-        elapsed = time.perf_counter() - t0
-        timings.append(elapsed / steps)
+        runs.append((x, g, cs, eta))
+    timings = [math.inf] * len(sizes)
+    for _ in range(3):  # rounds
+        for i, (x, g, cs, eta) in enumerate(runs):
+            t0 = time.perf_counter()
+            for _ in range(steps):
+                x = step_delay_free(x, g, cs, node_map, link_map, eta)
+            timings[i] = min(timings[i], (time.perf_counter() - t0) / steps)
     logs_n = np.log(np.asarray(sizes, dtype=float))
     logs_t = np.log(np.asarray(timings))
     slope = float(np.polyfit(logs_n, logs_t, 1)[0])

@@ -66,14 +66,17 @@ def test_run_calls_per_step(monkeypatch):
     under dispatch_adversity's failures the node map sees each step's live
     link count, which the trace records.  Runs that stop before the horizon
     (fig_fail's early stop, the pinned divergence) take no step past their
-    stop.  The loop evaluates ``CostSet.total_value`` at step 0 and then only
-    where ``CostSet.value_bound`` exceeds the divergence limit.
+    stop.  The loop calls ``CostSet.value_bound`` at the steps whose
+    max|x_i| lies above the run's floor from ``scenario._guard_floor``, and
+    evaluates ``CostSet.total_value`` at step 0 and then only where that
+    bound exceeds the divergence limit.
     """
     steps: list[list] = []
     grads = {"loop": 0, "oracle": 0}
     values = {"loop": 0, "oracle": 0}
-    bounds: list[float] = []
-    in_oracle = []
+    bounds: list[tuple[float, float]] = []  # (m, value_bound(m)) of the loop's calls
+    floors: list[float] = []
+    in_oracle, in_floor = [], []
 
     real_step = scenario.step_delayed
     real_map = dynamics.apply_map_array
@@ -81,6 +84,7 @@ def test_run_calls_per_step(monkeypatch):
     real_value = objective.CostSet.total_value
     real_bound = objective.CostSet.value_bound
     real_solve = scenario.central_solve
+    real_floor = scenario._guard_floor
 
     def step(*args, **kwargs):
         steps.append([])
@@ -99,8 +103,18 @@ def test_run_calls_per_step(monkeypatch):
         return real_value(self, x)
 
     def value_bound(self, m):
-        bounds.append(real_bound(self, m))
-        return bounds[-1]
+        bound = real_bound(self, m)
+        if not in_floor:
+            bounds.append((m, bound))
+        return bound
+
+    def guard_floor(*args):
+        in_floor.append(True)
+        try:
+            floors.append(real_floor(*args))
+        finally:
+            in_floor.pop()
+        return floors[-1]
 
     def solve(*args, **kwargs):
         in_oracle.append(True)
@@ -115,6 +129,7 @@ def test_run_calls_per_step(monkeypatch):
     monkeypatch.setattr(objective.CostSet, "total_value", total_value)
     monkeypatch.setattr(objective.CostSet, "value_bound", value_bound)
     monkeypatch.setattr(scenario, "central_solve", solve)
+    monkeypatch.setattr(scenario, "_guard_floor", guard_floor)
     for name, p_fail in (("fig_delay", 0.0), ("dispatch_adversity", 0.5)):
         cfg = replace(scenario.preset(name), horizon=300)
         assert cfg.p_fail == p_fail
@@ -145,14 +160,17 @@ def test_run_calls_per_step(monkeypatch):
         grads.update(loop=0, oracle=0)
         values.update(loop=0, oracle=0)
         bounds.clear()
-        summary = scenario.run(cfg).summary
+        result = scenario.run(cfg)
+        summary = result.summary
         executed = summary.executed_steps
         assert getattr(summary, stop) and executed < cfg.horizon
         assert len(steps) == executed
         assert grads["loop"] == executed + 1
-        assert len(bounds) == executed
+        peaks = [max(-r.state_min, r.state_max) for r in result.trace]  # max|x_i|, nan for a state not finite
+        assert [r.step for r in result.trace] == list(range(executed + 1))
+        assert [m for m, _ in bounds] == [m for m in peaks[1:] if m > floors[-1]]
         limit = 1e9 * (abs(summary.initial_residual) + 1.0)
-        assert values["loop"] == 1 + sum(b - summary.oracle_value > limit for b in bounds)
+        assert values["loop"] == 1 + sum(b - summary.oracle_value > limit for _, b in bounds)
     assert values["loop"] > 1
 
 

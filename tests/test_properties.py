@@ -559,6 +559,73 @@ def test_value_bound_covers_total_value(costs, seed, exponent):
     assert all(same_float(a, one_row_total(cs, r)) for a, r in zip(cs.row_totals(rows), rows))
 
 
+@st.composite
+def guard_problems(draw):
+    """A CostSet of quadratic and quartic agents with box penalties of exponent 2-5, smooth-log or no
+    penalties, mixed, up to the double range, and an oracle value and a divergence limit as ``run`` sets them."""
+    costs = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("none", "box", "smooth_log")))
+        lo = draw(st.floats(-1e6, 1e6))
+        hi = lo + draw(st.floats(0.5, 1e6))
+        pen = None
+        if kind == "box":
+            pen = BoxPenalty(lo, hi, draw(st.floats(1e-3, 1e300)), draw(st.integers(2, 5)))
+        elif kind == "smooth_log":
+            pen = SmoothLogPenalty(lo, hi, draw(st.floats(1e-3, 1e300)))
+        p1, p2 = draw(st.floats(1e-3, 1e300)), draw(st.floats(-1e6, 1e6))
+        costs.append(quadratic_cost(p1, p2, draw(st.floats(-1e6, 1e6)), pen) if draw(st.booleans())
+                     else quartic_cost(p1, p2, pen))
+    residual = draw(st.one_of(st.floats(0.0, 1e300), st.just(math.inf)))
+    return CostSet(costs), draw(st.floats(-1e12, 1e12)), 1e9 * (residual + 1.0)
+
+
+@given(guard_problems(), st.floats(0.0, 1.0))
+@example(problem=(CostSet([quadratic_cost(1.0)]), 0.0, 1e9), fraction=0.5)
+@example(problem=(CostSet([quadratic_cost(1e300)]), 0.0, 1e9), fraction=0.5)
+@example(problem=(CostSet([quartic_cost(1.0, 0.0, BoxPenalty(-1.0, 1.0, 1.0, 5))]), -1e12, 1e9), fraction=0.0)
+@settings(max_examples=300)
+def test_guard_floor_rules_out_only_what_value_bound_rules_out(problem, fraction):
+    """``run`` calls ``value_bound`` only above ``_guard_floor``: the guard is false at the floor and below
+    it and, whenever some finite m trips it, true at the m whose max(1, m + shift) is a relative 1e-5 above
+    that of the floor's next double, past the floor's margin of 1e-6."""
+    cs, value, limit = problem
+
+    def guard(m):
+        return cs.value_bound(m) - value > limit
+
+    floor = scenario._guard_floor(cs, value, limit)
+    if floor >= 0.0:
+        below = (floor, math.nextafter(floor, 0.0), floor * fraction, 0.0)
+        assert not any(map(guard, below))
+    else:
+        assert floor == -math.inf
+    if guard(math.nextafter(math.inf, 0.0)):  # the largest double
+        shift = cs._bound[0]
+        up = math.nextafter(floor, math.inf) if floor >= 0.0 else 0.0
+        beyond = max(1.0, up + shift) * (1.0 + 1e-5) - shift
+        assert beyond == math.inf or guard(beyond)
+
+
+@given(maps, st.integers(0, 40), st.sampled_from((math.nan, math.inf, -math.inf)), st.data())
+@settings(max_examples=200)
+def test_every_map_rejects_a_nonfinite_input_anywhere(sector_map, n, bad, data):
+    """Every kind raises one NumericError for nan or +-inf at any position of a 1-D or 2-D input, sets no
+    floating-point flag on the way, counts no clamp event, and passes an empty input."""
+    z = np.random.default_rng(n).uniform(-20.0, 20.0, n + 1)
+    z[data.draw(st.integers(0, n))] = bad
+    counter = ClampCounter()
+    with np.errstate(all="raise"):
+        for shaped in (z, z.reshape(1, -1), z.reshape(-1, 1)):
+            with pytest.raises(NumericError, match=r"^sector map input must be finite$"):
+                apply_map_array(sector_map, shaped, counter)
+        assert counter.events == 0
+        for empty in (np.empty(0), np.empty((0, 3)), []):
+            out = apply_map_array(sector_map, empty, counter)
+            assert out.shape == np.shape(empty) and out.dtype == float
+    assert counter.events == 0
+
+
 def same_bits(a: float, b: float) -> bool:
     return struct.pack("<d", a) == struct.pack("<d", b)
 
