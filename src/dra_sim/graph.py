@@ -305,21 +305,23 @@ def _lanczos_extremes(lap) -> tuple[float, float]:
 
 
 def _component_labels(n: int, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
-    """The least node of each node's component over the links (ei[k], ej[k]).
+    """The least node of each node's component over the links (ei[k], ej[k]), each with ei[k] < ej[k].
 
     Hook-and-jump rounds (Shiloach & Vishkin, J. Algorithms 1982): hook each
     link's larger root onto its smaller one, pointer-jump until every label
     is a root, and drop the links whose ends agree.  lab[v] <= v throughout.
     """
     lab = np.arange(n, dtype=ei.dtype)
-    a, b = ei, ej  # the labels of the links' ends
-    while len(a):
-        np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
+    lo, hi = ei, ej  # each live link's smaller and larger root; in round 1 its ends, as ei < ej
+    while len(hi):
+        np.minimum.at(lab, hi, lo)
         while not np.array_equal(jumped := lab[lab], lab):
             lab = jumped
         a, b = lab[ei], lab[ej]
-        live = np.flatnonzero(a != b)
-        ei, ej, a, b = ei[live], ej[live], a[live], b[live]
+        if hi is not ej:  # not after round 1, which leaves most links live: round 2 takes them all
+            live = np.flatnonzero(a != b)
+            ei, ej, a, b = ei[live], ej[live], a[live], b[live]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
     return lab
 
 

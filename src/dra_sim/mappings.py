@@ -157,7 +157,12 @@ def apply_map_array(
     if kind == "log_quantizer":
         # |z| + (|z| == 0) is |z| bit for bit, and 1 at a zero, which log sends
         # to 0 without log 0's divide-by-zero; sign(0) = 0 then zeroes it.
-        return np.sign(z) * np.exp(rho * np.rint(np.log(a + np.logical_not(a)) / rho))
+        if not z.ndim:  # the steps below run in place, on an array
+            return apply_map_array(m, z[None])[0]
+        t = np.log(a + np.logical_not(a))
+        t /= rho
+        np.multiply(np.rint(t, out=t), rho, out=t)
+        return np.multiply(np.exp(t, out=t), np.sign(z), out=t)
     if kind == "saturation":
         if counter is not None:  # the domain starts at 0, so only |z| > d_max is outside
             counter.events += int(np.count_nonzero(a > hi))

@@ -158,12 +158,14 @@ def _row_fsums(a: np.ndarray) -> list[float]:
     below sigma.  Up to four levels leave each row a few level sums and a
     remainder with the row's exact total.  fsum is correctly rounded and that
     rounding is unique, so fsum of those is fsum of the row, bit for bit.
-    Rows that are zero, not finite or near the double range, and blocks too
-    small to pay for the numpy calls, take ``_rounded_sum`` itself (a
-    ValueError from inf - inf propagates).
+    Rows that are zero, not finite or near the double range, and small blocks,
+    take fsum or ``_rounded_sum`` (a ValueError from inf - inf propagates).
     """
     if a.size < _EXTRACT_MIN_SIZE:
-        return [_rounded_sum(row) for row in a.tolist()]
+        try:
+            return list(map(math.fsum, rows := a.tolist()))
+        except OverflowError:  # a row's running sum left the double range
+            return list(map(_rounded_sum, rows))
     m = (a.shape[1] + 1).bit_length()  # 2**m >= n + 2
     top = np.abs(a).max(axis=1)
     fast = (top > 0.0) & (top < 2.0 ** (1020 - m))  # false where a row holds a nan

@@ -135,14 +135,14 @@ def mc_union_connectivity(
     Each trial draws window + 1 independent failure masks over the base
     graph's links (each link up with probability 1 - p_fail per step), takes
     the union of surviving links, and checks connectivity.  Trial t draws
-    from ``default_rng([seed, 0xACC3, t])``; trials are searched in batches of
-    disjoint graph copies under a fixed budget of 2**17 nodes plus links, and
-    neither execution order nor batch split changes the estimate.  A trial
-    draws its masks as ``scenario.run``'s link plan draws those of steps 0
-    to window over one graph, in blocks of at most 2**15 uniforms (one mask
-    when it has more links), and stops once every link is up, so memory is
-    bounded by the link count whatever the window.  The confidence interval
-    is the 95% Wilson score interval.
+    from ``default_rng([seed, 0xACC3, t])`` as ``scenario.run``'s link plan
+    draws steps 0 to window over one graph, in blocks of at most 2**15
+    uniforms, and stops once every link is up, so memory follows the link
+    count, not the window.  Trials are labelled in batches of disjoint graph
+    copies under a budget of 2**17 nodes plus links: the links of
+    min(batch, trials) copies are shifted once per call, and each batch takes
+    its up links from them with one flatnonzero and two takes.  Neither order
+    nor batch split changes the estimate; the interval is the 95% Wilson one.
     """
     effective_failure(p_fail, window)  # checks p_fail and window
     if trials < 1 or int(trials) != trials:
@@ -152,13 +152,14 @@ def mc_union_connectivity(
     ei, ej, _ = base.edges()
     n, trials, steps = base.n, int(trials), int(window) + 1
     batch = max(1, _MC_BLOCK // (n + len(ei)))
+    offset = np.arange(min(batch, trials))[:, None] * n  # row k is trial t0 + k, on nodes k*n .. k*n + n-1
+    eib, ejb = (ei + offset).ravel(), (ej + offset).ravel()  # every row's links, shifted once per call
     successes = 0
     for t0 in range(0, trials, batch):
-        keep = np.array([_union_up(np.random.default_rng([int(seed), 0xACC3, t]), steps, len(ei), p_fail)
-                         for t in range(t0, min(t0 + batch, trials))])
-        offset = np.arange(len(keep))[:, None] * n  # row k is trial t0 + k, on nodes k*n .. k*n + n-1
-        lab = _component_labels(len(keep) * n, (ei + offset)[keep], (ej + offset)[keep])
-        successes += int(np.count_nonzero((lab.reshape(-1, n) == offset).all(axis=1)))
+        cols = np.flatnonzero([_union_up(np.random.default_rng([int(seed), 0xACC3, t]), steps, len(ei), p_fail)
+                               for t in range(t0, min(t0 + batch, trials))])  # the rows' up links, as eib orders them
+        lab = _component_labels(n * min(batch, trials - t0), eib.take(cols), ejb.take(cols))
+        successes += int(np.count_nonzero((lab.reshape(-1, n) == offset[: len(lab) // n]).all(axis=1)))
     frac = successes / trials
     z = 1.959963984540054  # two-sided 95% normal quantile
     denom = 1.0 + z * z / trials

@@ -181,6 +181,30 @@ class TestIsConnected:
         assert is_connected(g) == (n == 1 or cut is None or ring)
 
 
+@given(random_graphs(max_n=25), st.integers(1, 6), st.sampled_from(("off", "one", "on", "random")),
+       st.integers(0, 2**32 - 1))
+@example(g=graph_from_pairs(1, [], []), copies=3, masks="on", seed=0)
+@example(g=permuted_path(12, 1, ring=True), copies=6, masks="one", seed=5)
+@settings(max_examples=80)
+def test_stacked_copies_label_as_one_graph(g, copies, masks, seed):
+    # The Monte Carlo's batch: copy k of the graph on nodes k*n .. k*n + n-1,
+    # its links shifted once (ei < ej in every copy), and the up links picked
+    # from the flat mask; no links, one copy's, all of them, or a random mask.
+    ei, ej, _ = g.edges()
+    offset = np.arange(copies)[:, None] * g.n
+    eib, ejb = (ei + offset).ravel(), (ej + offset).ravel()
+    rng = np.random.default_rng(seed)
+    keep = np.full((copies, len(ei)), masks == "on")
+    if masks == "one":
+        keep[rng.integers(copies)] = True
+    elif masks == "random":
+        keep = rng.random(keep.shape) < rng.random()
+    cols = np.flatnonzero(keep)
+    assert (eib[cols] < ejb[cols]).all()
+    np.testing.assert_array_equal(_component_labels(copies * g.n, eib.take(cols), ejb.take(cols)),
+                                  reference_labels(copies * g.n, eib[cols], ejb[cols]))
+
+
 # --------------------------------------------------------------------------
 # Monte Carlo estimate
 # --------------------------------------------------------------------------
@@ -189,6 +213,11 @@ class TestIsConnected:
 def chunk(g):
     """Trials per batch of mc_union_connectivity on graph g."""
     return max(1, percolation._MC_BLOCK // (g.n + g.edge_count))
+
+
+def sparse_3000():
+    """The ``sparse_scale`` benchmark's kind of graph: n = 3000, mean degree 15."""
+    return erdos_renyi(3000, 15.0 / 2999, (0.02, 0.04), seed=8)
 
 
 def trial_counts(c):
@@ -221,6 +250,32 @@ class TestMcUnionConnectivity:
             for trials in trial_counts(c):
                 got = mc_union_connectivity(base, p_fail, window, trials=trials, seed=11)
                 assert got == reference_mc(base, p_fail, window, trials, 11)
+
+    def test_equals_per_trial_loop_below_one_batch_at_n_3000(self):
+        # A sparse n = 3000 graph holds 5 trials per batch; 1 to 4 trials
+        # fill less than one, and the shifted links have only their rows.
+        base = sparse_3000()
+        assert chunk(base) == 5
+        for trials, window, p_fail in ((1, 0, 0.5), (2, 2, 0.5), (4, 1, 0.7), (3, 0, 0.0)):
+            got = mc_union_connectivity(base, p_fail, window, trials=trials, seed=13)
+            assert got == reference_mc(base, p_fail, window, trials, 13)
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_shifted_links_are_sized_by_the_trials_not_the_batch(self, trials):
+        # At p_fail 1 no link comes up, so the labelling is free and the
+        # peak is the two shifted link arrays, 16 bytes a link for each of
+        # min(batch, trials) rows, plus one mask draw: well below the 5 rows
+        # of a whole batch.
+        base = sparse_3000()
+        m = base.edge_count
+        tracemalloc.start()
+        try:
+            got = mc_union_connectivity(base, 1.0, 0, trials=trials, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.successes == 0
+        assert peak < 16 * m * (trials + 2) < 16 * m * chunk(base)
 
     def test_equals_per_trial_loop_across_draw_chunks(self):
         # Chunks of 1, 2 and 3 masks, and one chunk of the whole window,

@@ -146,6 +146,30 @@ def test_apply_map_array_is_the_reference(m, z, counted):
     assert map_outcome(apply_map_array, m, z, counted) == map_outcome(reference_map, m, z, counted)
 
 
+# Zeros, subnormals, the normal range's lower end and values near overflow.
+LOG_EDGES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.0**-1074 * 7, math.nextafter(2.0**-1022, 0.0), 2.0**-1022, 1.0, -1.0,
+    1e308, BIG, -BIG, math.nextafter(math.inf, 0.0), -math.nextafter(math.inf, 0.0),
+)
+
+
+@pytest.mark.parametrize("rho", (2.0**-10, 0.125, 0.25, 1.0, 3.0))
+def test_log_quantizer_in_place_is_the_plain_formula(rho):
+    # The quantizer's steps run in place on one array, and a scalar goes
+    # through as a one-entry array.  Each edge value, as a scalar and as a
+    # one-entry array, and all of them at once: under errstate(all="raise")
+    # both sides raise the same underflow or overflow in exp, or return the
+    # same bits; with the flags ignored, both return the same bits (0 where
+    # exp underflows, inf where rho rounds log|z| up past log(max double)).
+    m = log_quantizer(rho)
+    for z in [*LOG_EDGES, *([v] for v in LOG_EDGES), list(LOG_EDGES)]:
+        z = np.array(z, dtype=float)
+        assert outcome(apply_map_array, m, z) == outcome(reference_map, m, z)
+        with np.errstate(all="ignore"):
+            got, want = apply_map_array(m, z), reference_map(m, z)
+        assert (type(got), np.shape(got), got.tobytes()) == (type(want), np.shape(want), want.tobytes())
+
+
 @st.composite
 def grad_instances(draw):
     """(CostSet, x): mixed costs with no, box (exponent 2, 3 or 4) or smooth-log penalties."""
