@@ -436,9 +436,13 @@ class CostSet:
             up = np.maximum(0.0, x - self.pen_hi)
             dn = np.maximum(0.0, self.pen_lo - x)
             # Guard the m = 2 case: 0**0 is 1 under numpy, so gate each side
-            # by whether it is actually outside the box.
-            up_side = _power(up, np.maximum(m - 2, 0)) * (up > 0)
-            dn_side = _power(dn, np.maximum(m - 2, 0)) * (dn > 0)
+            # by whether it is actually outside the box; x**0 is 1.0 for
+            # every x, nan and inf included, so square boxes skip the pow.
+            if self._pen_square:
+                up_side, dn_side = (up > 0) * 1.0, (dn > 0) * 1.0
+            else:
+                up_side = _power(up, np.maximum(m - 2, 0)) * (up > 0)
+                dn_side = _power(dn, np.maximum(m - 2, 0)) * (dn > 0)
             pc = self._pen_wm * (m - 1) * (up_side + dn_side)
             out = out + (pc if self._all_box else np.where(self._box, pc, 0.0))
         if self._any_log:
@@ -484,8 +488,9 @@ def smoothness_bound(costs: list[LocalCost], domain: tuple[float, float]) -> Smo
     Cut at the penalty edges, f_i'' is convex on each piece but a smooth-log
     band, so its supremum is at a piece end or, for a box of exponent 2,
     beside an edge; each quarter of a band is bounded by the base curvature at
-    its ends plus each bump at its point nearest its edge.  Raises
-    ConfigurationError unless lo < hi, DomainError unless f'' is finite there.
+    its ends plus each bump at its point nearest its edge.  One ``_curvature``
+    call takes every piece and [lo, lo], [hi, hi].  Raises ConfigurationError
+    unless lo < hi, DomainError unless f'' is finite there.
     """
     lo, hi = domain
     if not lo < hi:
@@ -498,11 +503,10 @@ def smoothness_bound(costs: list[LocalCost], domain: tuple[float, float]) -> Smo
         # Per edge, the ends of a band's quarters or of the edge and its neighbours.
         ends = np.where(cs._log, edges + _BAND_CUTS / cs.pen_mu, np.nextafter(edges, edges + _BAND_CUTS))
         ends = np.clip(ends, lo, hi)
-        rim = np.full((2, cs.n), [[lo], [hi]])
-        worst = float(np.max([  # each piece [a, b] (a bump taken nearest its edge), or [lo, lo] and [hi, hi]
-            cs._curvature(np.stack([a, b]), np.clip(cs.pen_hi, a, b), np.clip(cs.pen_lo, a, b)).max()
-            for a, b in [(rim, rim), *zip(ends[:-1], ends[1:])]
-        ]))
+        rim = np.full((1, 2, cs.n), [[lo], [hi]])
+        # Every piece [a, b] at once (a bump taken nearest its edge): [lo, lo] and [hi, hi], then the quarters.
+        a, b = np.concatenate([rim, ends[:-1]]), np.concatenate([rim, ends[1:]])
+        worst = float(cs._curvature(np.stack([a, b]), np.clip(cs.pen_hi, a, b), np.clip(cs.pen_lo, a, b)).max())
     if not math.isfinite(worst):
         raise DomainError(f"the curvature over the smoothness domain {domain} is not finite")
     return SmoothnessEstimate(u=0.55 * worst, max_curvature=worst)

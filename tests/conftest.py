@@ -7,6 +7,12 @@ The same source therefore always runs the same examples.
 
 The ``hop_diameter`` fixture gives the hop diameter of a graph, which the
 spectral checks need for the bound lambda2 >= 1 / (n * diameter).
+
+The report header (under -q, a line after the summary) names numpy's
+version and whether its X86_V4 (AVX-512) dispatch is on: numpy's power, exp
+and log differ from libm in the last bit on some inputs with it on, so the
+pinned SHA-256s hold for one numpy build at one dispatch level (see the
+README's Determinism).
 """
 
 import os
@@ -29,6 +35,25 @@ else:
     if "HYPOTHESIS_STORAGE_DIRECTORY" not in os.environ:
         _storage = tempfile.TemporaryDirectory(prefix="dra-sim-hypothesis-")
         set_hypothesis_home_dir(_storage.name)
+
+
+def numpy_dispatch() -> str:
+    """numpy's version and the state of its X86_V4 dispatch, as one line."""
+    try:
+        features = np._core._multiarray_umath.__cpu_features__
+    except AttributeError:  # a numpy that does not expose its dispatch
+        return f"numpy {np.__version__}, X86_V4 dispatch unknown"
+    state = "on" if features.get("X86_V4") else "off"
+    return f"numpy {np.__version__}, X86_V4 dispatch {state}"
+
+
+def pytest_report_header(config):
+    return numpy_dispatch()
+
+
+def pytest_terminal_summary(terminalreporter):
+    if terminalreporter.verbosity < 0:  # -q drops the header: name the dispatch at the end
+        terminalreporter.write_line(numpy_dispatch())
 
 
 def _hop_diameter(g):

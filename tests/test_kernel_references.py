@@ -3,8 +3,9 @@
 ``apply_map_array`` and ``CostSet.grad`` take shortcuts that must not show:
 the quantizer sends a zero through log 1 instead of log 0 under an
 ``errstate``, and the square box term clamps x into the box instead of
-forming both one-sided excesses.  The references below are the plain
-formulas.  Every example is evaluated under ``np.errstate(all="raise")``,
+forming both one-sided excesses.  ``CostSet.curvature`` takes a square box
+side as its excess's sign test instead of the excess to the power 0.  The
+references below are the plain formulas.  Every example is evaluated under ``np.errstate(all="raise")``,
 so a floating-point flag that either side sets is an error: both sides
 must raise the same error, or return the same bits, type and shape (and
 count the same clamp events).
@@ -31,7 +32,7 @@ from dra_sim import (
     saturation,
     sign_power,
 )
-from dra_sim.objective import _penalty_power
+from dra_sim.objective import _penalty_power, _power
 
 BIG = 2.0**1023
 SPECIAL = (
@@ -84,6 +85,26 @@ def reference_grad(cs, x):
         mu = cs.pen_mu
         pg = reference_sigmoid(mu * (x - cs.pen_hi)) - reference_sigmoid(mu * (cs.pen_lo - x))
         out = out + (pg if cs._all_log else np.where(cs._log, pg, 0.0))
+    return out
+
+
+def reference_curvature(cs, x):
+    """f''(x) by the plain formulas: each box side excess ** max(m - 2, 0), gated by excess > 0, at every exponent."""
+    x = np.asarray(x, dtype=float)
+    out = np.where(cs.quartic, 12.0 * cs.p1 * (x - cs.p2) ** 2, 2.0 * cs.p1 + 0.0 * x)
+    if cs._any_box:
+        m = cs.pen_exponent
+        up = np.maximum(0.0, x - cs.pen_hi)
+        dn = np.maximum(0.0, cs.pen_lo - x)
+        sides = _power(up, np.maximum(m - 2, 0)) * (up > 0) + _power(dn, np.maximum(m - 2, 0)) * (dn > 0)
+        pc = cs._pen_wm * (m - 1) * sides
+        out = out + (pc if cs._all_box else np.where(cs._box, pc, 0.0))
+    if cs._any_log:
+        mu = cs.pen_mu
+        s1 = reference_sigmoid(mu * (x - cs.pen_hi))
+        s2 = reference_sigmoid(mu * (cs.pen_lo - x))
+        pc = mu * (s1 * (1.0 - s1) + s2 * (1.0 - s2))
+        out = out + (pc if cs._all_log else np.where(cs._log, pc, 0.0))
     return out
 
 
@@ -236,3 +257,28 @@ def test_square_box_term_forms_no_discarded_excess():
         assert cs.grad(x).tobytes() == want.tobytes()
         with pytest.raises(FloatingPointError, match="overflow encountered in subtract"):
             reference_grad(cs, x)
+
+
+@given(grad_instances())
+@example(inst=(CostSet([quartic_cost(0.01, 0.0, penalty=BoxPenalty(-1.0, 0.0, 2.0, 2))]), np.array([5e-324])))
+@example(inst=(CostSet([quadratic_cost(1.0, penalty=BoxPenalty(1.0, 2.0, 3.0, 2)),
+                        quadratic_cost(1.0, penalty=BoxPenalty(1.0, 2.0, 3.0, 5))]), np.array([-BIG, BIG])))
+@settings(max_examples=400)
+def test_curvature_is_the_reference(inst):
+    cs, x = inst
+    assert outcome(cs.curvature, x) == outcome(reference_curvature, cs, x)
+
+
+# Excesses of +-0.0, subnormals, a normal, +-inf and nan on each side of two square boxes.
+SIDE_XS = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1040, -(2.0**-1040), 1.0, math.inf, -math.inf, math.nan)
+
+
+@pytest.mark.parametrize("box", ((-1.0, 0.0), (0.0, 1.0), (-1.0, -0.0), (-0.0, 1.0)))
+def test_square_box_side_is_the_zeroth_power_of_its_excess(box):
+    cs = CostSet([quadratic_cost(1.0, penalty=BoxPenalty(*box, 3.0, 2)), quartic_cost(0.5, 0.0)])
+    x = np.repeat(np.array(SIDE_XS)[:, None], 2, axis=1)
+    with np.errstate(all="ignore"):
+        up, dn = np.maximum(0.0, x - cs.pen_hi), np.maximum(0.0, cs.pen_lo - x)
+        assert ((up > 0) * 1.0).tobytes() == (_power(up, np.zeros(2, dtype=int)) * (up > 0)).tobytes()
+        assert ((dn > 0) * 1.0).tobytes() == (_power(dn, np.zeros(2, dtype=int)) * (dn > 0)).tobytes()
+        assert cs.curvature(x).tobytes() == reference_curvature(cs, x).tobytes()

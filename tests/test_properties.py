@@ -6,7 +6,8 @@ symmetric delay schedules with tau_bar 0-4 in all three modes, the shipped
 sector maps, and mixed quadratic and quartic costs with no, box or
 smooth-log penalty.  The oracle is also checked against the plain
 one-multiplier-at-a-time bisection it must reproduce bit for bit, and the
-smoothness bound against a dense sample of the curvature.
+smoothness bound against a dense sample of the curvature and against its
+one-call-per-piece evaluation.
 The examples are derandomized (see conftest.py).
 """
 
@@ -52,7 +53,15 @@ from dra_sim import (
     step_delayed,
     trace_to_csv,
 )
-from dra_sim.objective import _EXTRACT_MIN_SIZE, _check_box_total, _penalty_power, _row_fsums
+from dra_sim.errors import DomainError
+from dra_sim.objective import (
+    _BAND_CUTS,
+    _EXTRACT_MIN_SIZE,
+    SmoothnessEstimate,
+    _check_box_total,
+    _penalty_power,
+    _row_fsums,
+)
 from dra_sim import dynamics, scenario
 from dra_sim.scenario import PRESET_NAMES, build_instance, preset, summary_to_text
 
@@ -525,6 +534,69 @@ def test_smoothness_bound_dominates_a_dense_sample(costs, lo, width):
         assert est.max_curvature <= 1.25 * sample
     else:
         assert est.max_curvature == sample
+
+
+def per_piece_bound(costs, domain):
+    """``smoothness_bound`` of a valid domain with one ``_curvature`` call per piece and the max of their maxima."""
+    lo, hi = domain
+    cs = CostSet(costs)
+    edges = np.stack([cs.pen_lo, cs.pen_hi])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = np.where(cs._log, edges + _BAND_CUTS / cs.pen_mu, np.nextafter(edges, edges + _BAND_CUTS))
+        ends = np.clip(ends, lo, hi)
+        rim = np.full((2, cs.n), [[lo], [hi]])
+        worst = float(np.max([
+            cs._curvature(np.stack([a, b]), np.clip(cs.pen_hi, a, b), np.clip(cs.pen_lo, a, b)).max()
+            for a, b in [(rim, rim), *zip(ends[:-1], ends[1:])]
+        ]))
+    if not math.isfinite(worst):
+        raise DomainError(f"the curvature over the smoothness domain {domain} is not finite")
+    return SmoothnessEstimate(u=0.55 * worst, max_curvature=worst)
+
+
+def bound_outcome(fn, costs, domain):
+    """The bits of u and max_curvature, or the error's type and message."""
+    try:
+        est = fn(costs, domain)
+    except Exception as err:  # noqa: BLE001  (compared, not swallowed)
+        return type(err), str(err)
+    return est.u.hex(), est.max_curvature.hex()
+
+
+@st.composite
+def bound_costs(draw):
+    """1-40 quadratic and quartic costs: square boxes only, box exponents 2-7, smooth-log, none, or a mixture."""
+    layout = draw(st.sampled_from(("square", "box", "smooth_log", "none", "mixture")))
+    costs = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(("square", "box", "smooth_log", "none"))) if layout == "mixture" else layout
+        lo = draw(st.floats(-5.0, 4.0))
+        hi = lo + draw(st.floats(1e-3, 10.0))
+        pen = {
+            "square": lambda: BoxPenalty(lo, hi, draw(st.floats(0.5, 40.0)), 2),
+            "box": lambda: BoxPenalty(lo, hi, draw(st.floats(0.5, 40.0)), draw(st.integers(2, 7))),
+            "smooth_log": lambda: SmoothLogPenalty(lo, hi, draw(st.floats(0.5, 300.0))),
+            "none": lambda: None,
+        }[kind]()
+        if draw(st.booleans()):
+            costs.append(quadratic_cost(draw(st.floats(0.1, 2.0)), draw(st.floats(-3.0, 3.0)), penalty=pen))
+        else:
+            costs.append(quartic_cost(draw(st.floats(0.001, 0.05)), draw(st.floats(-3.0, 3.0)), penalty=pen))
+    return costs
+
+
+@given(bound_costs(), st.floats(-10.0, 10.0), st.floats(-2.0, 160.0), st.floats(-2.0, 160.0))
+@example(costs=[quadratic_cost(1.0, penalty=BoxPenalty(0.0, 1.0, 3.0, 2))], center=0.5, below=0.0, above=0.0)
+@example(costs=[quartic_cost(0.01, 1.0, penalty=BoxPenalty(0.0, 1.0, 3.0, 2))], center=0.0, below=1.0, above=155.0)
+@example(costs=[quadratic_cost(1.0, penalty=BoxPenalty(0.0, 1.0, 3.0, 7))] * 3, center=0.0, below=70.0, above=1.0)
+@example(costs=[quadratic_cost(1.0, penalty=SmoothLogPenalty(0.0, 1.0, 100.0))], center=0.5, below=-2.0, above=3.0)
+@settings(max_examples=200)
+def test_smoothness_bound_is_its_per_piece_loop(costs, center, below, above):
+    # One _curvature call over every piece gives the bits of one call per
+    # piece, or the same error.  One agent reaches _power's (rows, 1) path;
+    # domains up to 10**160 wide overflow a quartic's or a wide box's f''.
+    domain = (center - 10.0**below, center + 10.0**above)
+    assert bound_outcome(smoothness_bound, costs, domain) == bound_outcome(per_piece_bound, costs, domain)
 
 
 def same_float(a: float, b: float) -> bool:
