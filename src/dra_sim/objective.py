@@ -248,6 +248,15 @@ def quartic_cost(
 # --------------------------------------------------------------------------
 
 
+def _penalty_fields(pen) -> tuple:
+    """``CostSet``'s (kind, lo, hi, weight, exponent, sharpness) of a penalty, neutral where it has none."""
+    if pen is None:
+        return 0, -math.inf, math.inf, 0.0, 2, 1.0
+    if isinstance(pen, BoxPenalty):
+        return 1, pen.lo, pen.hi, pen.weight, pen.exponent, 1.0
+    return 2, pen.lo, pen.hi, 0.0, 2, pen.sharpness
+
+
 class CostSet:
     """Array-backed view of a cost list: the one evaluator of the cost math.
 
@@ -263,48 +272,39 @@ class CostSet:
         n = len(costs)
         self.n = n
         self._shape = (n,)  # every evaluator checks the state against it in _state
-        self.quartic = np.array([c.kind == "quartic" for c in costs])
-        self.p1 = np.array([c.p1 for c in costs])
-        self.p2 = np.array([c.p2 for c in costs])
-        self.p3 = np.array([c.p3 for c in costs])
-        # penalty layout: 0 none, 1 box, 2 smooth-log; neutral rows use
+        # One pass reads every field and numbers the distinct penalty objects, whose fields are read
+        # once and gathered.  Penalty layout: 0 none, 1 box, 2 smooth-log; neutral rows use
         # parameters that make the corresponding branch evaluate to zero.
-        kind = np.zeros(n, dtype=int)
-        lo = np.full(n, -np.inf)
-        hi = np.full(n, np.inf)
-        wt = np.zeros(n)
-        ex = np.full(n, 2, dtype=int)
-        mu = np.ones(n)
-        for idx, c in enumerate(costs):
-            pen = c.penalty
-            if pen is None:
-                continue
-            lo[idx], hi[idx] = pen.lo, pen.hi
-            if isinstance(pen, BoxPenalty):
-                kind[idx] = 1
-                wt[idx] = pen.weight
-                ex[idx] = pen.exponent
-            else:
-                kind[idx] = 2
-                mu[idx] = pen.sharpness
-        self.pen_kind = kind
-        self.pen_lo = lo
-        self.pen_hi = hi
-        self.pen_weight = wt
-        self.pen_exponent = ex
-        self.pen_mu = mu
-        self._box = kind == 1
-        self._log = kind == 2
-        self._any_box, self._any_log = bool(self._box.any()), bool(self._log.any())
+        at: dict[int, int] = {}
+        quartic, p1, p2, p3, pick, pens = zip(
+            *[(c.kind == "quartic", c.p1, c.p2, c.p3, at.setdefault(id(c.penalty), len(at)), c.penalty) for c in costs]
+        )
+        table = list(zip(*map(_penalty_fields, dict(zip(pick, pens)).values())))
+        rows = np.array(pick) if len(at) < n else slice(None)  # no gather where each cost has its own
+        types = (int, float, float, float, int, float)
+        kind, lo, hi, wt, ex, mu = (np.array(col, dtype=t)[rows] for col, t in zip(table, types))
+        self.quartic, self.p1, self.p2, self.p3 = np.array(quartic), np.array(p1), np.array(p2), np.array(p3)
+        self.pen_kind, self.pen_lo, self.pen_hi = kind, lo, hi
+        self.pen_weight, self.pen_exponent, self.pen_mu = wt, ex, mu
+        self._box, self._log = kind == 1, kind == 2
+        kinds = set(table[0])
+        self._any_box, self._any_log = 1 in kinds, 2 in kinds
         # Penalties that every agent has skip the select; the factors below
         # associate as the formulas did; with exponent 2, u ** (m-1) is u.
-        self._all_box, self._all_log = bool(self._box.all()), bool(self._log.all())
+        self._all_box, self._all_log = kinds == {1}, kinds == {2}
         self._p1x2, self._p1x4 = 2.0 * self.p1, 4.0 * self.p1
         self._pen_wm, self._pen_m1 = wt * ex, ex - 1
-        self._pen_square = bool((ex == 2).all())
+        self._pen_square = all(e == 2 for e in table[4])
         # Homogeneous cost lists skip the two-branch select in the hot path.
-        self._all_quadratic = not self.quartic.any()
-        self._all_quartic = bool(self.quartic.all())
+        self._all_quadratic, self._all_quartic = not any(quartic), all(quartic)
+
+    def _tiled(self, m: int, top: CostSet | None = None) -> CostSet:
+        """This list m times over, for m states end to end: arrays tiled, or views of ``top``, a longer tiling."""
+        out, size = object.__new__(CostSet), self.n * m
+        tile = (lambda k, v: vars(top)[k][:size]) if top else (lambda k, v: np.concatenate([v] * m))
+        out.__dict__ = {k: tile(k, v) if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
+        out.costs, out.n, out._shape = self.costs * m, size, (size,)
+        return out
 
     # -- per-agent vector evaluations ------------------------------------
 
@@ -562,6 +562,14 @@ def _check_box_total(lo: np.ndarray, hi: np.ndarray, total: float, tol: float = 
 _MAX_EXPAND = 200
 _INNER_ITERS = 110
 _OUTER_ITERS = 320
+# A multiplier round evaluates 2**d - 1 multipliers, the next d levels of the
+# bisection, as one block of about this many entries (BENCH_rounds.json).
+_ROUND_ELEMENTS = 400
+
+
+def _round_depth(n: int) -> int:
+    """The levels d >= 1 of the multiplier bisection that one round of ``central_solve`` takes for n agents."""
+    return max(1, (_ROUND_ELEMENTS // n + 1).bit_length() - 1)
 
 
 def central_solve(
@@ -592,8 +600,14 @@ def central_solve(
     rounded sums of the agents' lower and of their upper bracket ends bound
     the aggregate, and a multiplier stops as soon as both sums give the same
     decision.  Only the multiplier that ends the search runs every path to
-    its end.  The result is the plain one-multiplier-at-a-time bisection's,
-    ``iterations`` included, bit for bit.
+    its end.  Each round takes the 2**d - 1 multipliers of the next d levels
+    of the bisection, d from ``_round_depth``, in ascending order as rows of
+    one vector, every row from the state that all their paths share; once a
+    row's decision is certain, only the rows of the subtree it chooses step
+    on.  The state at which the last row's paths leave those of the bracket
+    end that stays is found after the round, from its recorded steps, and
+    starts the next round.  The result is the plain one-multiplier-at-a-time
+    bisection's, ``iterations`` included, bit for bit.
 
     Raises InfeasibilityError when no multiplier can meet the total (only
     possible with hard boxes) and NumericError if the tolerance is not met.
@@ -618,10 +632,9 @@ def central_solve(
         hi_box = np.where(cs.pen_kind > 0, cs.pen_hi, np.inf)
     if mode == "exact_box":
         _check_box_total(lo_box, hi_box, total, tol)
-        grad = cs.base_grad
         clip = lambda v: np.clip(v, lo_box, hi_box)  # noqa: E731
     else:
-        grad, lo_box, hi_box = cs.grad, -np.inf, np.inf
+        lo_box, hi_box = -np.inf, np.inf
         clip = lambda v: v  # noqa: E731
 
     center = np.where(cs.quartic, cs.p2, -cs.p2 / (2.0 * cs.p1))
@@ -629,71 +642,88 @@ def central_solve(
     # upwards and downwards, 2 bisects it), its bracket, and its span while
     # doubling or its step count while bisecting.
     root = np.stack([np.zeros(n), center - 1.0, center + 1.0, np.ones(n)])
-    ceiling = 2.0**_MAX_EXPAND
+    depth, ceiling, agents = _round_depth(n), 2.0**_MAX_EXPAND, np.arange(n)
+    block, centers = cs._tiled(2**depth - 1) if depth > 1 else cs, np.tile(center, 2**depth - 1)
+    flat, moving = np.ones(centers.size), np.ones(centers.size, dtype=bool)  # a bisection step's flips and movers
 
-    def probe(state, nu, ends, outcome, final=None):
-        """Follow nu's paths from ``state`` until ``outcome`` of their sum is certain.
+    @functools.cache
+    def tiled(m: int):
+        """The gradient, without the penalties in mode "exact_box", of m states laid end to end."""
+        return getattr(cs._tiled(m, block) if m > 1 else cs, "base_grad" if mode == "exact_box" else "grad")
 
-        ``outcome`` is nondecreasing and ``ends`` = (a, b) with a <= nu <= b.
-        Returns the outcome, x when it is ``final`` (every path then runs to
-        its end), and per end the state at which nu's paths leave its paths.
+    def probe(state, nus, ends, outcome, final=None):
+        """Follow the paths of the ascending multipliers ``nus``, a complete bisection tree, from ``state``.
+
+        ``outcome`` is nondecreasing and ``ends[k]`` = (a, b) with a <= nus[k] <= b.  The walk visits the
+        middle row, then the middle of the rows below a positive outcome or above any other, which alone
+        step on until its outcome is certain.  Returns the walk's (row, outcome) pairs, x when the last
+        outcome is ``final`` (that row's paths then run to their end), and otherwise the state at which
+        the last row's paths leave those of its end a after a positive outcome, or b after any other.
         """
-        cur = state.copy()
-        ph, lo, hi, t = cur
-        forks = [state.copy(), state.copy()]
-        shared = [np.ones(n, dtype=bool), np.ones(n, dtype=bool)]
-        x = None
-        # The doublings come first; bisecting agents wait.  A step asks
-        # whether g < nu, a downward doubling whether g > nu.
+        rows, cur, every_nu = len(nus), np.concatenate([state] * len(nus), axis=1), np.array(nus).repeat(n)
+        first, stop, walk, steps = 0, rows, [], []  # the rows first:stop step on
+
+        def live_rows():
+            """The state, multipliers and gradient of the rows first:stop."""
+            live = slice(first * n, stop * n)
+            nu = nus[first] if stop - first == 1 else every_nu[live]  # scalars broadcast faster than vectors
+            return cur[:, live], nu, tiled(stop - first)
+
+        live, nu, step_grad = live_rows()
+        ph, lo, hi, t = live
+        # The doublings come first; bisecting agents wait.  A step asks whether g < nu, a downward
+        # doubling whether g > nu.  Each step records its first row, the state before it, g, its flips
+        # and its moving agents: the fork is found from them at the end.
         while ph.min() < 2:
             up, dn, doubling = ph == 0, ph == 1, ph < 2
             flip = np.where(dn, -1.0, 1.0)
-            g = flip * grad(np.where(dn, lo, hi))
+            g = flip * step_grad(np.where(dn, lo, hi))
+            steps.append((first, cur.copy(), g, flip, doubling))
             go = doubling & (g < flip * nu)
-            for end, same, fork in zip(ends, shared, forks):
-                split = same & doubling & ((g < flip * end) != go)
-                np.copyto(fork, cur, where=split)
-                same ^= split
             np.multiply(t, 2.0, out=t, where=go)
-            np.copyto(hi, center + t, where=go & up)
-            np.copyto(lo, center - t, where=go & dn)
-            if (up & (t == ceiling)).any():
+            np.copyto(hi, centers[: t.size] + t, where=go & up)
+            np.copyto(lo, centers[: t.size] - t, where=go & dn)
+            if (top := t.max() >= ceiling) and (up & (t == ceiling)).any():
                 raise NumericError("bracket expansion failed on the upper side")
-            stop = doubling & ~go
-            np.copyto(t, up, where=stop)
-            ph += stop
-            if ph.min() > 0 and ((ph == 1) & (t >= ceiling)).any():
+            done = doubling & ~go
+            np.copyto(t, up, where=done)
+            ph += done
+            if top and ph.min() > 0 and ((ph == 1) & (t >= ceiling)).any():
                 raise NumericError("bracket expansion failed on the lower side")
-        # Every bracket lies inside the one before, so a numpy sum within its
-        # rounding bound ``err`` tells when the correctly rounded sums of the
-        # lower and upper ends may decide.  Where ``err`` is infinite, a numpy
-        # sum may overflow and the correctly rounded sums decide every step.
-        lb, ub = clip(lo), clip(hi)
+        # Every bracket lies inside the one before, so a numpy sum within its rounding bound ``err``
+        # tells when the correctly rounded sums of a row's lower and upper ends may decide.  Where
+        # ``err`` is infinite, a numpy sum may overflow and the correctly rounded sums decide every step.
         with np.errstate(over="ignore"):
-            err = 2.0**-50 * (n + 1) * float(np.maximum(np.abs(lb), np.abs(ub)).sum())
+            err = (2.0**-50 * (n + 1) * np.abs(clip(cur[1:3].reshape(2, rows, n))).max(axis=0).sum(axis=1)).tolist()
         uncapped = _INNER_ITERS - t.max()
-        a, b = ends
         while True:
-            if err == math.inf or outcome(float(lb.sum()) + err) >= outcome(float(ub.sum()) - err):
-                decided, other = map(outcome, _row_fsums(clip(cur[1:3])))
-                if decided == other:
-                    if decided != final:
-                        break
-                    # A pair whose midpoint is an end is at its fixed point.
-                    mid = 0.5 * (lo + hi)
-                    if ((mid == lo) | (mid == hi) | (hi < lo_box) | (lo > hi_box)).all():
-                        x = clip(mid)
-                        break
-            mid = 0.5 * (lo + hi)
-            g = grad(mid)
+            k, fixing = (first + stop) // 2, bool(walk) and walk[-1][1] == final
+            if fixing:  # a pair whose midpoint is an end, or whose box clips it, is at its fixed point
+                mid = 0.5 * (lo + hi)
+                fixed = (mid == lo) | (mid == hi)
+                if (fixed | (hi < lo_box) | (lo > hi_box) if mode == "exact_box" else fixed).all():
+                    return walk, clip(mid), None
+            elif first == stop:
+                break
+            else:
+                bounds = clip(cur[1:3, k * n : k * n + n])
+                sums = bounds.sum(axis=1).tolist() if err[k] < math.inf else None
+                if sums is None or outcome(sums[0] + err[k]) >= outcome(sums[1] - err[k]):
+                    decided, other = map(outcome, _row_fsums(bounds))
+                    if decided == other:
+                        walk.append((k, decided))
+                        first, stop = (k, k + 1) if decided == final else (first, k) if decided > 0 else (k + 1, stop)
+                        if first < stop:
+                            live, nu, step_grad = live_rows()
+                            ph, lo, hi, t = live
+                        continue
+                mid = 0.5 * (lo + hi)
+            g = step_grad(mid)
+            if not fixing:
+                steps.append((first, live.copy(), g, flat, moving))
             go = g < nu
-            stay = ~go
-            for same, fork, split in zip(shared, forks, (go & (g >= a), stay & (g < b))):
-                split &= same
-                np.copyto(fork, cur, where=split)
-                same ^= split
             np.copyto(lo, mid, where=go)
-            np.copyto(hi, mid, where=stay)
+            np.copyto(hi, mid, where=~go)
             t += 1.0
             uncapped -= 1
             if uncapped <= 0:
@@ -701,24 +731,30 @@ def central_solve(
                 capped = t >= _INNER_ITERS
                 np.copyto(lo, mid, where=capped)
                 np.copyto(hi, mid, where=capped)
-            lb, ub = clip(lo), clip(hi)
-        for same, fork in zip(shared, forks):
-            np.copyto(fork, cur, where=same)
-        return decided, x, forks
+        # The last row's paths leave the end's paths before the first step
+        # whose comparison with the end differs from that with the row's nu.
+        k, decided = walk[-1]
+        row = cur[:, k * n : k * n + n]
+        if not steps:
+            return walk, None, row
+        at = [slice((k - s[0]) * n, (k - s[0] + 1) * n) for s in steps]
+        before, g, flip, moved = (np.array([s[j][..., i] for i, s in zip(at, steps)]) for j in range(1, 5))
+        split = moved & ((g < flip * ends[k][decided <= 0]) != (g < flip * nus[k]))
+        return walk, None, np.where(split.any(axis=0), before[split.argmax(axis=0), :, agents].T, row)
 
     # Bracket the multiplier, then bisect: the aggregate is nondecreasing in
     # nu.  Each new multiplier lies between the two ends of its bracket.
     nu_hi, floor, state = 1.0, -np.inf, root
     for _ in range(_MAX_EXPAND):
-        reached, _, forks = probe(state, nu_hi, (floor, np.inf), lambda s: s >= total)
+        ((_, reached),), _, fork = probe(state, [nu_hi], [(floor, np.inf)], lambda s: s >= total)
         if reached:
             break
-        floor, state, nu_hi = nu_hi, forks[1], 2.0 * nu_hi
+        floor, state, nu_hi = nu_hi, fork, 2.0 * nu_hi
     else:
         raise InfeasibilityError("no multiplier reaches the requested total from below")
     nu_lo = -1.0
     for _ in range(_MAX_EXPAND):
-        above, _, forks = probe(root, nu_lo, (-np.inf, nu_hi), lambda s: s > total)
+        ((_, above),), _, fork = probe(root, [nu_lo], [(-np.inf, nu_hi)], lambda s: s > total)
         if not above:
             break
         nu_lo *= 2.0
@@ -728,20 +764,24 @@ def central_solve(
     def side(s: float) -> int:
         return 0 if abs(s - total) <= tol else (-1 if s < total else 1)
 
-    state = forks[1]
-    for iterations in range(1, _OUTER_ITERS + 1):
-        nu = 0.5 * (nu_lo + nu_hi)
-        sign, x, forks = probe(state, nu, (nu_lo, nu_hi), side, final=0)
-        if sign == 0:
-            break
-        if sign < 0:
-            nu_lo, state = nu, forks[1]
-        else:
-            nu_hi, state = nu, forks[0]
-    else:
-        raise NumericError(
-            f"multiplier bisection did not reach |sum - total| <= {tol}"
-        )
+    # Each round takes the next ``depth`` levels of the bisection from a state that the paths of every
+    # multiplier in the bracket share.  The ascending points cut the bracket at every level; a
+    # multiplier's bracket ends are the nearest points of the levels above it, lowbit(j) places away.
+    state, iterations, sign = fork, 0, None
+    while sign != 0:
+        pts = [nu_lo, nu_hi]
+        for _ in range(depth):
+            pts[1:] = [p for a, b in zip(pts, pts[1:]) for p in (0.5 * (a + b), b)]
+        nus = pts[1:-1]
+        ends = [(pts[j - (j & -j)], pts[j + (j & -j)]) for j in range(1, len(pts) - 1)]
+        walk, x, state = probe(state, nus, ends, side, final=0)
+        for k, sign in walk:
+            nu, iterations = nus[k], iterations + 1
+            if sign == 0:
+                break
+            if iterations == _OUTER_ITERS:
+                raise NumericError(f"multiplier bisection did not reach |sum - total| <= {tol}")
+            nu_lo, nu_hi = (nu, nu_hi) if sign < 0 else (nu_lo, nu)
 
     if mode == "penalized":
         (x_sum,), value = _row_fsums(x[None]), cs.total_value(x)

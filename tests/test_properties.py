@@ -57,9 +57,11 @@ from dra_sim.errors import DomainError
 from dra_sim.objective import (
     _BAND_CUTS,
     _EXTRACT_MIN_SIZE,
+    _ROUND_ELEMENTS,
     SmoothnessEstimate,
     _check_box_total,
     _penalty_power,
+    _round_depth,
     _row_fsums,
 )
 from dra_sim import dynamics, scenario
@@ -431,12 +433,71 @@ def reference_solve(costs, total, boxes, mode, tol=1e-9):
 def cost_lists(draw, max_size):
     """Up to ``max_size`` costs: a few drawn ones, repeated to the drawn length.
 
-    Long lists reach the sizes where the oracle evaluates one multiplier per
-    call.
+    Lists of more than ``_ROUND_ELEMENTS // 3`` (133) costs reach the sizes
+    where each round of the oracle takes one multiplier; shorter ones take
+    several levels of the multiplier bisection per round.
     """
     base = draw(st.lists(local_costs(), min_size=1, max_size=8))
     n = draw(st.integers(1, max_size))
     return [base[i % len(base)] for i in range(n)]
+
+
+def loop_costset(costs) -> dict:
+    """Every attribute of ``CostSet(costs)`` as a loop over the costs sets it, item by item."""
+    n = len(costs)
+    kind, lo, hi = np.zeros(n, dtype=int), np.full(n, -np.inf), np.full(n, np.inf)
+    wt, ex, mu = np.zeros(n), np.full(n, 2, dtype=int), np.ones(n)
+    for idx, c in enumerate(costs):
+        if (pen := c.penalty) is not None:
+            lo[idx], hi[idx] = pen.lo, pen.hi
+            if isinstance(pen, BoxPenalty):
+                kind[idx], wt[idx], ex[idx] = 1, pen.weight, pen.exponent
+            else:
+                kind[idx], mu[idx] = 2, pen.sharpness
+    quartic, p1 = np.array([c.kind == "quartic" for c in costs]), np.array([c.p1 for c in costs])
+    box, log = kind == 1, kind == 2
+    return {
+        "costs": list(costs), "n": n, "_shape": (n,), "quartic": quartic, "p1": p1,
+        "p2": np.array([c.p2 for c in costs]), "p3": np.array([c.p3 for c in costs]),
+        "pen_kind": kind, "pen_lo": lo, "pen_hi": hi, "pen_weight": wt, "pen_exponent": ex, "pen_mu": mu,
+        "_box": box, "_log": log, "_any_box": bool(box.any()), "_any_log": bool(log.any()),
+        "_all_box": bool(box.all()), "_all_log": bool(log.all()), "_p1x2": 2.0 * p1, "_p1x4": 4.0 * p1,
+        "_pen_wm": wt * ex, "_pen_m1": ex - 1, "_pen_square": bool((ex == 2).all()),
+        "_all_quadratic": not quartic.any(), "_all_quartic": bool(quartic.all()),
+    }
+
+
+# Integer and float parameters, so that the arrays' dtypes are drawn too.
+numbers = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))
+positive = st.one_of(st.integers(1, 40), st.floats(0.001, 40.0))
+
+
+@st.composite
+def mixed_costs(draw) -> LocalCost:
+    lo = draw(numbers)
+    pen = draw(st.sampled_from((
+        None,
+        BoxPenalty(lo, lo + draw(positive), draw(positive), draw(st.sampled_from((2, 3, 4, 2.0)))),
+        SmoothLogPenalty(lo, lo + draw(positive), draw(positive)),
+    )))
+    if draw(st.booleans()):
+        return quadratic_cost(draw(positive), draw(numbers), draw(numbers), penalty=pen)
+    return quartic_cost(draw(positive), draw(numbers), penalty=pen)
+
+
+# Every other cost repeats, as scenario-built lists share one penalty object.
+@given(st.lists(mixed_costs(), min_size=1, max_size=40).map(lambda costs: costs + costs[::2]))
+def test_costset_build_matches_the_loop(costs):
+    cs = CostSet(costs)
+    want = loop_costset(costs)
+    assert list(vars(cs)) == list(want)
+    for name, value in want.items():
+        got = getattr(cs, name)
+        if isinstance(value, np.ndarray):
+            assert (got.dtype, got.shape, got.tobytes(), got.flags.c_contiguous) == (
+                value.dtype, value.shape, value.tobytes(), True), name
+        else:
+            assert type(got) is type(value) and got == value, name
 
 
 @st.composite
@@ -466,10 +527,29 @@ def assert_matches_reference(costs, total, boxes, mode):
 # The root of 2x = 0 at nu = 0 is 0 itself, which halving [-1, 1] only
 # nears: the bisection takes all of its _INNER_ITERS steps.
 CAPPED = ([quadratic_cost(1.0)], 0.0, None, "penalized")
+# The largest list whose oracle rounds take two or more levels, and the
+# smallest whose rounds take one.
+CUTOVER = _ROUND_ELEMENTS // 3
+# Two agents x = nu / 2 meet this total at nu = 2**-d, the multiplier after
+# 0, 1/2, ..., 2**(1-d): the search ends on the first row of the second round.
+SECOND_ROUND = ([quadratic_cost(1.0)] * 2, 2.0 ** -_round_depth(2), None, "penalized")
 
 
 @given(oracle_problems())
 @example(problem=CAPPED)
+@example(problem=([quartic_cost(0.02, 1.0), quadratic_cost(0.5, -1.0, penalty=BoxPenalty(-1.0, 2.0, 5.0))]
+                  * (CUTOVER // 2) + [quadratic_cost(1.0)], 60.0, None, "penalized"))
+@example(problem=([quartic_cost(0.02, 1.0), quadratic_cost(0.5, -1.0, penalty=BoxPenalty(-1.0, 2.0, 5.0))]
+                  * (CUTOVER // 2 + 1), 60.0, None, "penalized"))
+@example(problem=SECOND_ROUND)
+# Five agents take six levels per round; agents 1 and 3 end clipped to their boxes.
+@example(problem=(
+    [quadratic_cost(1.0, 1.0), quartic_cost(0.02, 3.0), quadratic_cost(0.5, -1.0), quartic_cost(0.01, -2.0),
+     quadratic_cost(2.0)],
+    2.0,
+    [(-1.0, 0.5), (0.0, 2.0), (-0.5, 1.5), (-3.0, -1.0), (0.0, 0.25)],
+    "exact_box",
+))
 # Between nu_lo = -1 and nu_hi = 1 the flat agent's upward doubling
 # stops at once for one end and goes on for the other.
 @example(problem=([quadratic_cost(0.25), quadratic_cost(4.0)], 1.0, None, "penalized"))
@@ -484,6 +564,14 @@ CAPPED = ([quadratic_cost(1.0)], 0.0, None, "penalized")
 @settings(max_examples=40)
 def test_oracle_matches_plain_bisection(problem):
     assert_matches_reference(*problem)
+
+
+def test_round_examples():
+    # The cutover examples sit on both sides of the last depth above one, and
+    # SECOND_ROUND ends on the first multiplier of the second round.
+    assert (_round_depth(CUTOVER), _round_depth(CUTOVER + 1)) == (2, 1)
+    costs, total, _, _ = SECOND_ROUND
+    assert central_solve(costs, total).iterations == _round_depth(2) + 1
 
 
 def test_capped_example_takes_every_inner_step():
