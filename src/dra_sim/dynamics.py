@@ -79,12 +79,13 @@ class DelaySchedule:
     the plan reads again when a graph's phase comes back, and besides those
     only the last block of any other width.
 
-    :meth:`draw` gives one step's delays.  The link plan (``_link_plan``)
-    looks up the delays of a block of steps at once, through the same
-    lookup: the block's rows of the uniform stream, gathered at each step's
-    live positions, or the graph's ``per_link`` vector, which the schedule
-    builds once per graph, taken at the live links (:meth:`draw` builds its
-    links' ``per_link`` delays each time).
+    :meth:`draw` gives one step's delays, and :meth:`links` one step's
+    :func:`step_delayed` links, as a hand loop takes them.  The link plan
+    (``_link_plan``) looks up the delays of a block of steps at once,
+    through the same lookup: the block's rows of the uniform stream,
+    gathered at each step's live positions, or the graph's ``per_link``
+    vector, which the schedule builds once per graph, taken at the live
+    links (:meth:`draw` builds its links' ``per_link`` delays each time).
     """
 
     def __init__(self, tau_bar: int, mode: str = "uniform", seed: int = 0):
@@ -174,6 +175,29 @@ class DelaySchedule:
             return self._link_delays(ei, ej)
         return self._live(int(step), m, [count])
 
+    def links(self, state: DelayedNetworkState, graph: WeightedGraph, failure_keep: np.ndarray | None = None) -> tuple:
+        """The :func:`step_delayed` links of ``state``'s next step on ``graph``, with this schedule's delays.
+
+        ``failure_keep`` is an optional boolean mask over the graph's links
+        (row-major i < j order) selecting which are up this step; None keeps
+        every link.  The links are the ``(ei, ej, w, delays, into_j,
+        into_i)`` that the link plan builds, by the same builder.
+        """
+        depth = len(state.pending)
+        if self.tau_bar + 1 != depth:
+            raise ConfigurationError(f"schedule tau_bar {self.tau_bar} does not match state tau_bar {depth - 1}")
+        if graph.n != state.x.shape[0]:
+            raise ConfigurationError("state, graph, and costs must agree on n")
+        keep = None
+        if failure_keep is not None:
+            keep = np.asarray(failure_keep, dtype=bool)
+            if keep.shape != (graph.edge_count,):
+                raise ConfigurationError(
+                    f"failure mask length {keep.shape} does not match link count {graph.edge_count}"
+                )
+            keep = keep[None]
+        return next(_live_links(graph, 1, keep, self, state.step))
+
 
 def _live_links(graph: WeightedGraph, rows: int, keep, schedule: DelaySchedule, first: int):
     """An iterator over the live links, delays and ring indices of ``rows`` steps of ``graph`` from step ``first``.
@@ -233,7 +257,7 @@ def _failure_blocks(rng: np.random.Generator, first: int, end: int, m: int, p_fa
 
 def _link_plan(graphs: list[WeightedGraph], switch_period: int, horizon: int, p_fail: float,
                rng: np.random.Generator, schedule: DelaySchedule):
-    """Yield each step's graph and its ``step_delayed`` links, from step 0 to ``horizon``.
+    """Yield each step's ``step_delayed`` links, from step 0 to ``horizon``.
 
     The topology cycles through ``graphs``, each for ``switch_period``
     steps.  A step's links are the ``(ei, ej, w, delays, into_j, into_i)``
@@ -241,7 +265,9 @@ def _link_plan(graphs: list[WeightedGraph], switch_period: int, horizon: int, p_
     once: the steps of one topology phase inside one block of
     ``_failure_blocks``, which is one block of the uniform delay stream, so
     at most ``_BLOCK`` link-steps, with its failure masks from ``rng``.
-    With ``p_fail`` 0, every step shares the graph's own (ei, ej, w).
+    With ``p_fail`` 0, every step shares the graph's own (ei, ej, w).  Step
+    k's graph is ``graphs[(k // switch_period) % len(graphs)]``, which
+    :meth:`DelaySchedule.links` turns into the same links for one step.
     ``schedule`` holds the uniform blocks of its graphs' widths.
     """
     schedule._plan_widths = frozenset(g.edge_count for g in graphs)
@@ -250,9 +276,9 @@ def _link_plan(graphs: list[WeightedGraph], switch_period: int, horizon: int, p_
         graph, end = graphs[(start // switch) % len(graphs)], min(start + switch, horizon)
         for first, rows, keep in _failure_blocks(rng, start, end, graph.edge_count, p_fail):
             if rows == 1:  # held by the caller alone, so it goes with its step
-                yield graph, next(_live_links(graph, 1, keep, schedule, first))
+                yield next(_live_links(graph, 1, keep, schedule, first))
             else:
-                yield from zip(itertools.repeat(graph), _live_links(graph, rows, keep, schedule, first))
+                yield from _live_links(graph, rows, keep, schedule, first)
 
 
 @dataclass
@@ -292,37 +318,29 @@ def init_delayed_state(
 
 def step_delayed(
     state: DelayedNetworkState,
-    graph: WeightedGraph,
-    schedule: DelaySchedule,
+    links: tuple,
     costs,
     node_map: SectorMap,
     link_map: SectorMap,
     eta: float,
-    failure_keep: np.ndarray | None = None,
     grads: np.ndarray | None = None,
     node_counter: ClampCounter | None = None,
     link_counter: ClampCounter | None = None,
-    links: tuple | None = None,
 ) -> DelayedNetworkState:
     """Advance ``state`` by one step of the delayed dynamics, in place.
 
-    Every link active at the current step emits one flow computed from the
-    current link-mapped gradients; the flow is applied to both endpoints
-    with opposite signs at arrival, ``delay`` steps later, where ``delay``
-    comes from the schedule (no delays are drawn at tau_bar = 0).  The
-    delay-free update is the tau_bar = 0 case, see :func:`step_delay_free`.
-    ``failure_keep`` is an optional boolean mask over the graph's links
-    (row-major i < j order) selecting which are up this step; emissions
-    happen only on active links, but flows already in flight arrive
-    regardless of the link's later state.  ``grads`` may be supplied when
-    the caller already computed them (the scenario loop does).
-
-    The step's live links, their delays and their ring indices do not
-    depend on the state.  ``links`` may carry them, as the
-    ``(ei, ej, w, delays, into_j, into_i)`` of this step that
-    ``scenario.run``'s link plan builds for a block of steps at once; the
-    graph's links and ``failure_keep`` are then not read.  Otherwise they
-    are built here for this one step, by the same builder.
+    ``links`` are the step's live links, their delays and their ring
+    indices, as the ``(ei, ej, w, delays, into_j, into_i)`` that
+    :meth:`DelaySchedule.links` builds for one step and ``scenario.run``'s
+    link plan for a block of steps at once; none of it depends on the
+    state.  Every live link emits one flow computed from the current
+    link-mapped gradients; the flow is applied to both endpoints with
+    opposite signs at arrival, ``delay`` steps later.  Emissions happen only
+    on live links, but flows already in flight arrive regardless of the
+    link's later state.  The delay-free update is the tau_bar = 0 case, see
+    :func:`step_delay_free`.  ``grads`` may be supplied when the caller
+    already computed them (the scenario loop does); ``costs`` is then not
+    read.
 
     At tau_bar = 0 one ``bincount`` pair sums the flows per node.  Otherwise
     ``np.add.at`` adds the flows, in link order, into both rows of their
@@ -333,32 +351,12 @@ def step_delayed(
     its ``bincount`` pair: a node that no flow reaches gets +0.0 added.
     ``state.x`` is replaced by a new array; ``state`` itself is returned.
     """
-    depth = len(state.pending)
-    if schedule.tau_bar + 1 != depth:
-        raise ConfigurationError(
-            f"schedule tau_bar {schedule.tau_bar} does not match state tau_bar {depth - 1}"
-        )
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ConfigurationError(f"step rate must be positive and finite, got {eta}")
-    cs = _as_costset(costs)
-    x = state.x
+    x, k, depth = state.x, state.step, len(state.pending)
     n = x.shape[0]
-    if not graph.n == cs.n == n:
-        raise ConfigurationError("state, graph, and costs must agree on n")
-    k = state.step
-
     if grads is None:
-        grads = cs.grad(x)
-    if links is None:
-        keep = None
-        if failure_keep is not None:
-            keep = np.asarray(failure_keep, dtype=bool)
-            if keep.shape != (graph.edge_count,):
-                raise ConfigurationError(
-                    f"failure mask length {keep.shape} does not match link count {graph.edge_count}"
-                )
-            keep = keep[None]
-        links = next(_live_links(graph, 1, keep, schedule, k))
+        grads = _as_costset(costs).grad(x)
     ei, ej, w, _, into_j, into_i = links
 
     gl = apply_map_array(link_map, grads, link_counter)
@@ -376,7 +374,6 @@ def step_delayed(
     return state
 
 
-_NO_DELAY = DelaySchedule(0)
 _NO_RING = np.zeros((1, 0, 0))  # a ring of depth 1 that holds nothing: a step at tau_bar 0 reads only its length
 
 
@@ -402,9 +399,11 @@ def step_delay_free(
     x = np.asarray(x, dtype=float)  # step_delayed replaces the state's x, so x needs no copy
     if x.shape != (cs.n,):
         raise ConfigurationError("initial state length must match the cost count")
+    if graph.n != cs.n:
+        raise ConfigurationError("state, graph, and costs must agree on n")
     return step_delayed(
-        DelayedNetworkState(x, 0, _NO_RING), graph, _NO_DELAY, cs, node_map, link_map, eta,
-        grads=grads, node_counter=node_counter, link_counter=link_counter, links=(*graph.edges(), None, None, None),
+        DelayedNetworkState(x, 0, _NO_RING), (*graph.edges(), None, None, None), cs, node_map, link_map, eta,
+        grads=grads, node_counter=node_counter, link_counter=link_counter,
     ).x
 
 

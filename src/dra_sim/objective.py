@@ -268,7 +268,6 @@ class CostSet:
     def __init__(self, costs: list[LocalCost]):
         if not costs:
             raise ConfigurationError("CostSet needs at least one cost")
-        self.costs = list(costs)
         n = len(costs)
         self.n = n
         self._shape = (n,)  # every evaluator checks the state against it in _state
@@ -303,7 +302,7 @@ class CostSet:
         out, size = object.__new__(CostSet), self.n * m
         tile = (lambda k, v: vars(top)[k][:size]) if top else (lambda k, v: np.concatenate([v] * m))
         out.__dict__ = {k: tile(k, v) if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
-        out.costs, out.n, out._shape = self.costs * m, size, (size,)
+        out.n, out._shape = size, (size,)
         return out
 
     # -- per-agent vector evaluations ------------------------------------

@@ -618,7 +618,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
     finite, and the links up at each step are joined once the loop is over.
     The objective is evaluated at step 0, where it sets the divergence limit, and where
     ``CostSet.value_bound``, called above ``_guard_floor`` only, cannot rule divergence out;
-    each step's graph and live links come from one ``_link_plan``.
+    each step's live links come from one ``_link_plan``.
     """
     instance = build_instance(cfg)
     graphs, costs, node_map, link_map = instance
@@ -664,12 +664,12 @@ def run(cfg: ScenarioConfig) -> RunResult:
             held = []
         if done:
             break
-        graph, live = next(plan)
+        live = next(plan)
         active = len(live[0])
         links.append(active)
         state = step_delayed(
-            state, graph, schedule, cs, node_map, link_map, cfg.eta, grads=grads,
-            node_counter=node_counter, link_counter=link_counter, links=live,
+            state, live, cs, node_map, link_map, cfg.eta, grads=grads, node_counter=node_counter,
+            link_counter=link_counter,
         )
         del live  # so that a one-step block's arrays go before the next step is booked
 

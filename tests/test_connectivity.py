@@ -305,7 +305,7 @@ class TestMcUnionConnectivity:
                 plan = dynamics._link_plan([base], 1, window + 1, p_fail, np.random.default_rng([5, 0xACC3, t]),
                                            DelaySchedule(0))
                 want = np.zeros(m, dtype=bool)
-                for _, (up_i, up_j, *_) in plan:
+                for up_i, up_j, *_ in plan:
                     want[np.searchsorted(keys, up_i * base.n + up_j)] = True
                 assert got.tolist() == want.tolist()
 

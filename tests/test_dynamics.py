@@ -289,9 +289,9 @@ class TestDelaySchedule:
         plan = dynamics._link_plan(graphs, 7, 120, 0.3, np.random.default_rng(3), schedule)
         seen = list(enumerate(plan))
         assert len(seen) == 120
-        assert len({g.edge_count for _, (g, _) in seen}) == 3
-        for step, (graph, (ei, ej, _, delays, into_j, into_i)) in seen:
-            assert graph is graphs[(step // 7) % 3]
+        assert len({graphs[(step // 7) % 3].edge_count for step, _ in seen}) == 3
+        for step, (ei, ej, _, delays, into_j, into_i) in seen:
+            graph = graphs[(step // 7) % 3]
             want = philox_delays(77, 5, step, graph.edge_count, len(ei))
             assert delays.tobytes() == want.tobytes()
             off = (step + want.astype(np.intp)) % 6 * 60
@@ -364,11 +364,10 @@ class TestDelaySchedule:
         horizon = 3 * (2**15 // g.edge_count) + 5
         plan = list(dynamics._link_plan([g], 7, horizon, 0.0, np.random.default_rng(0), DelaySchedule(0)))
         assert len(plan) == horizon
-        for graph, links in plan:
-            assert graph is g
+        for links in plan:
             assert all(a is b for a, b in zip(links[:3], g.edges()))
             assert links[3:] == (None, None, None)
-        assert len({id(links) for _, links in plan}) == 4  # one tuple per block
+        assert len({id(links) for links in plan}) == 4  # one tuple per block
 
     @pytest.mark.parametrize("tau_bar", [1, 2, 6, 300])
     def test_uniform_delays_pass_chi_square(self, tau_bar):
@@ -438,16 +437,16 @@ class TestStepDelayed:
         sched = DelaySchedule(0, mode="uniform", seed=1)
         for _ in range(40):
             x_free = step_delay_free(x_free, graph, costs, q, q, 0.05)
-            state = step_delayed(state, graph, sched, costs, q, q, 0.05)
+            state = step_delayed(state, sched.links(state, graph), costs, q, q, 0.05)
             assert np.array_equal(state.x, x_free)
 
     def test_constant_delay_hand_trace(self):
         costs, graph = two_node_instance()
         sched = DelaySchedule(1, mode="fixed")
         state = init_delayed_state(np.array([3.0, 1.0]), 1, costs, IDM)
-        s1 = step_delayed(state, graph, sched, costs, IDM, IDM, 0.25)
+        s1 = step_delayed(state, sched.links(state, graph), costs, IDM, IDM, 0.25)
         assert s1.x.tolist() == [3.0, 1.0]
-        s2 = step_delayed(s1, graph, sched, costs, IDM, IDM, 0.25)
+        s2 = step_delayed(s1, sched.links(s1, graph), costs, IDM, IDM, 0.25)
         assert s2.x.tolist() == [2.5, 1.5]
         assert s2.step == 2
 
@@ -466,7 +465,7 @@ class TestStepDelayed:
         m = base.edge_count
         for _ in range(2000):
             keep = rng.random(m) >= 0.5
-            state = step_delayed(state, base, sched, costs, q, q, 0.05, failure_keep=keep)
+            state = step_delayed(state, sched.links(state, base, keep), costs, q, q, 0.05)
             assert abs(math.fsum(state.x.tolist()) - total) <= tol
 
     def test_empty_due_slot_adds_positive_zero(self):
@@ -482,9 +481,9 @@ class TestStepDelayed:
         free = step_delay_free(x0, graph, costs, IDM, IDM, 0.25)
         assert not np.signbit(free[0])
         for _ in range(2):
-            state = step_delayed(state, graph, sched, costs, IDM, IDM, 0.25)
+            state = step_delayed(state, sched.links(state, graph), costs, IDM, IDM, 0.25)
             assert state.x.tolist() == [0.0, 3.0, 1.0] and not np.signbit(state.x[0])
-        state = step_delayed(state, graph, sched, costs, IDM, IDM, 0.25)
+        state = step_delayed(state, sched.links(state, graph), costs, IDM, IDM, 0.25)
         assert state.x.tolist() == [0.0, 2.5, 1.5] and not np.signbit(state.x[0])
 
     def test_graph_size_must_match_state(self):
@@ -492,20 +491,22 @@ class TestStepDelayed:
         path3 = WeightedGraph(3, np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
         state = init_delayed_state(np.array([3.0, 1.0]), 0, costs, IDM)
         with pytest.raises(ConfigurationError, match="agree on n"):
-            step_delayed(state, path3, DelaySchedule(0), costs, IDM, IDM, 0.25)
+            step_delayed(state, DelaySchedule(0).links(state, path3), costs, IDM, IDM, 0.25)
+        with pytest.raises(ConfigurationError, match="agree on n"):
+            step_delay_free(state.x, path3, costs, IDM, IDM, 0.25)
 
     def test_failure_mask_must_cover_every_link(self):
         costs, graph = two_node_instance()
         state = init_delayed_state(np.array([3.0, 1.0]), 0, costs, IDM)
         with pytest.raises(ConfigurationError, match="failure mask length"):
-            step_delayed(state, graph, DelaySchedule(0), costs, IDM, IDM, 0.25, failure_keep=np.ones(2, dtype=bool))
+            step_delayed(state, DelaySchedule(0).links(state, graph, np.ones(2, dtype=bool)), costs, IDM, IDM, 0.25)
 
     def test_tau_bar_mismatch_rejected(self):
         costs, graph = two_node_instance()
         state = init_delayed_state(np.array([3.0, 1.0]), 1, costs, IDM)
         sched = DelaySchedule(4, mode="uniform", seed=0)
-        with pytest.raises(ConfigurationError):
-            step_delayed(state, graph, sched, costs, IDM, IDM, 0.25)
+        with pytest.raises(ConfigurationError, match="^schedule tau_bar 4 does not match state tau_bar 1$"):
+            step_delayed(state, sched.links(state, graph), costs, IDM, IDM, 0.25)
 
     def test_init_validation(self):
         costs, _ = two_node_instance()
@@ -881,7 +882,7 @@ class TestFinitenessChecks:
         state = init_delayed_state(np.array([1e308, -1e308]), tau_bar, costs, IDM)
         calls = self.record_maps(monkeypatch)
         with np.errstate(over="ignore"), pytest.raises(NumericError, match=self.MESSAGE):
-            step_delayed(state, graph, DelaySchedule(tau_bar, seed=3), costs, node_map, IDM, 0.1)
+            step_delayed(state, DelaySchedule(tau_bar, seed=3).links(state, graph), costs, node_map, IDM, 0.1)
         assert calls == [(IDM, 2)]
         assert state.step == 0 and state.x.tolist() == [1e308, -1e308]
         assert not state.pending.any()
@@ -894,7 +895,7 @@ class TestFinitenessChecks:
         state = init_delayed_state(np.array([1e308, -1e308]), tau_bar, costs, IDM)
         calls = self.record_maps(monkeypatch)
         with np.errstate(over="ignore"), pytest.raises(NumericError, match=self.MESSAGE):
-            step_delayed(state, graph, DelaySchedule(tau_bar, seed=3), costs, node_map, IDM, 0.1)
+            step_delayed(state, DelaySchedule(tau_bar, seed=3).links(state, graph), costs, node_map, IDM, 0.1)
         assert calls == [(IDM, 2), (node_map, 1)]
         assert state.step == 0 and state.x.tolist() == [1e308, -1e308]
         assert not state.pending.any()

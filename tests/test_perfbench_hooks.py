@@ -3,7 +3,9 @@
 ``perfbench/run.py --trace 1`` wraps functions by (namespace, attribute)
 and attributes the ``apply_map_array`` calls inside ``step_delayed`` by
 their order, so a refactor of the kernel could break it with no other test
-failing.
+failing.  It counts one ``step_delayed`` span per executed step, so
+``scenario.run`` calls that public name, which is itself the kernel: it
+takes a step's links, with no wrapper or second kernel beside it.
 """
 
 import importlib.util
@@ -37,6 +39,11 @@ def test_every_traced_name_resolves():
 def test_init_delayed_state_keeps_its_signature():
     params = list(inspect.signature(dynamics.init_delayed_state).parameters)
     assert params == ["x0", "tau_bar", "costs", "link_map"]
+
+
+def test_traced_step_is_the_kernel():
+    assert scenario.step_delayed is dynamics.step_delayed
+    assert list(inspect.signature(dynamics.step_delayed).parameters)[:2] == ["state", "links"]
 
 
 def test_step_applies_link_map_before_node_map(monkeypatch):

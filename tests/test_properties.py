@@ -157,9 +157,7 @@ def test_total_conserved_at_every_step(inst, tau_bar, mode, p_fail, seed):
     tol = inst.tolerance()
     for _ in range(STEPS):
         keep = rng.random(m) >= p_fail
-        state = step_delayed(
-            state, inst.graph, sched, cs, inst.node_map, inst.link_map, eta, failure_keep=keep
-        )
+        state = step_delayed(state, sched.links(state, inst.graph, keep), cs, inst.node_map, inst.link_map, eta)
         assert abs(math.fsum(state.x.tolist()) - inst.total) <= tol
 
 
@@ -205,7 +203,7 @@ def test_zero_delay_is_delay_free_bit_for_bit(inst, mode, p_fail, seed):
             node_counter=counters[0], link_counter=counters[1],
         )
         state = step_delayed(
-            state, inst.graph, sched, cs, inst.node_map, inst.link_map, eta, failure_keep=keep,
+            state, sched.links(state, inst.graph, keep), cs, inst.node_map, inst.link_map, eta,
             node_counter=counters[2], link_counter=counters[3],
         )
         assert state.x.tobytes() == x.tobytes()
@@ -243,7 +241,7 @@ def test_delay_grouping_matches_per_delay_loop(inst, tau_bar, mode, p_fail, seed
     for k in range(STEPS):
         keep = rng.random(len(inst.graph.edges()[0])) >= p_fail
         x = reference_delayed_step(x, pending, k, inst.graph, ref_sched, cs, inst.node_map, inst.link_map, eta, keep)
-        state = step_delayed(state, inst.graph, sched, cs, inst.node_map, inst.link_map, eta, failure_keep=keep)
+        state = step_delayed(state, sched.links(state, inst.graph, keep), cs, inst.node_map, inst.link_map, eta)
         assert state.x.tobytes() == x.tobytes()
         assert state.pending.tobytes() == np.array([replay_slot(bucket, inst.n) for bucket in pending]).tobytes()
 
@@ -457,7 +455,7 @@ def loop_costset(costs) -> dict:
     quartic, p1 = np.array([c.kind == "quartic" for c in costs]), np.array([c.p1 for c in costs])
     box, log = kind == 1, kind == 2
     return {
-        "costs": list(costs), "n": n, "_shape": (n,), "quartic": quartic, "p1": p1,
+        "n": n, "_shape": (n,), "quartic": quartic, "p1": p1,
         "p2": np.array([c.p2 for c in costs]), "p3": np.array([c.p3 for c in costs]),
         "pen_kind": kind, "pen_lo": lo, "pen_hi": hi, "pen_weight": wt, "pen_exponent": ex, "pen_mu": mu,
         "_box": box, "_log": log, "_any_box": bool(box.any()), "_any_log": bool(log.any()),
@@ -996,22 +994,22 @@ def run_stepped_by_hand(cfg: ScenarioConfig):
 
     The reference draws each step's failure mask as one row of uniforms
     from the run's failure stream, takes its graph from the step's topology
-    phase, and calls ``step_delayed(..., failure_keep=keep)``, which builds
-    the step alone.  It also checks the links that the run's plan yielded
-    for the step against the masked graph, ``DelaySchedule.draw`` and the
-    ring slot ((k + d) % depth) * 2n, whose row 1 starts n floats later.
+    phase, and calls ``step_delayed`` with ``schedule.links(state, graph,
+    keep)``, which builds the step alone from its own schedule of the run's
+    delay seed.  It also checks the links that the run's plan yielded for
+    the step against the masked graph, ``DelaySchedule.draw`` and the ring
+    slot ((k + d) % depth) * 2n, whose row 1 starts n floats later.
     """
     graphs = build_instance(cfg)[0]
     adv_seed = cfg.adversity_seed if cfg.adversity_seed >= 0 else cfg.seed
     rng = np.random.default_rng([scenario._child_seed(adv_seed, scenario._TAG_FAIL), 0xFA11])
+    schedule = DelaySchedule(cfg.tau_bar, cfg.delay_mode, seed=scenario._child_seed(adv_seed, scenario._TAG_DELAY))
     depth = cfg.tau_bar + 1
     real_step = scenario.step_delayed
 
-    def by_hand(state, graph, schedule, *args, links, **kwargs):
+    def by_hand(state, links, *args, **kwargs):
         k = state.step
-        want = graphs[(k // cfg.topology_switch_period) % len(graphs)]
-        assert [a.tobytes() for a in graph.edges()] == [a.tobytes() for a in want.edges()]
-        graph = want
+        graph = graphs[(k // cfg.topology_switch_period) % len(graphs)]
         keep = rng.random(graph.edge_count) >= cfg.p_fail if cfg.p_fail else None
         ei, ej, w = (a if keep is None else a[keep] for a in graph.edges())
         assert [a.tolist() for a in links[:3]] == [ei.tolist(), ej.tolist(), w.tolist()]
@@ -1022,7 +1020,7 @@ def run_stepped_by_hand(cfg: ScenarioConfig):
             off = (k + delays.astype(np.intp)) % depth * (2 * cfg.n)
             assert links[3].tobytes() == delays.tobytes()
             assert [links[4].tolist(), links[5].tolist()] == [(off + ej).tolist(), (off + cfg.n + ei).tolist()]
-        return real_step(state, graph, schedule, *args, failure_keep=keep, **kwargs)
+        return real_step(state, schedule.links(state, graph, keep), *args, **kwargs)
 
     with mock.patch.object(scenario, "step_delayed", by_hand):
         return run(cfg)

@@ -351,7 +351,7 @@ def masked_step(graph, keep=None):
     costs = [quadratic_cost(0.5)] * graph.n
     idm = identity_map()
     state = init_delayed_state(np.arange(graph.n, dtype=float), 0, costs, idm)
-    return step_delayed(state, graph, DelaySchedule(0), costs, idm, idm, 0.1, failure_keep=keep).x
+    return step_delayed(state, DelaySchedule(0).links(state, graph, keep), costs, idm, idm, 0.1).x
 
 
 class TestFailureMask:
