@@ -19,7 +19,7 @@ from .objective import *  # noqa: F403
 from .percolation import *  # noqa: F403
 from .scenario import *  # noqa: F403
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = ["__version__"]
 for _module in (errors, graph, mappings, objective, percolation, dynamics, scenario):

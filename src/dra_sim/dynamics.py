@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, InfeasibilityError, NumericError
 from .graph import WeightedGraph
 from .mappings import ClampCounter, SectorMap, apply_map_array
-from .objective import CostSet, _box_bounds, _check_box_total, _exact_sums
+from .objective import _as_costset, _box_bounds, _check_box_total, _exact_sums
 
 __all__ = [
     "DelayedNetworkState",
@@ -35,10 +35,6 @@ __all__ = [
     "max_delay_bound",
     "feasible_init",
 ]
-
-
-def _as_costset(costs) -> CostSet:
-    return costs if isinstance(costs, CostSet) else CostSet(costs)
 
 
 # --------------------------------------------------------------------------
@@ -75,9 +71,10 @@ class DelaySchedule:
     the head of the full row.  A delay is thus a pure function of (seed,
     step, m, position), and draws may come in any order.  The schedule
     keeps one Philox generator, whose state it resets for each block.  It
-    holds the last block of each width of the last link plan's graphs, which
-    the plan reads again when a graph's phase comes back, and besides those
-    only the last block of any other width.
+    holds the last block of each width of the last link plan's graphs and
+    of every graph given to :meth:`links`, which a later step reads again
+    when that graph's phase comes back, and besides those only the last
+    block of any other width.
 
     :meth:`draw` gives one step's delays, and :meth:`links` one step's
     :func:`step_delayed` links, as a hand loop takes them.  The link plan
@@ -101,7 +98,7 @@ class DelaySchedule:
         self._dtype = np.min_scalar_type(self.tau_bar)
         self._graph_delays = weakref.WeakKeyDictionary()  # graph -> its per_link vector
         self._held: dict[int, tuple[int, np.ndarray]] = {}  # width m -> (block, its delays)
-        self._plan_widths: frozenset[int] = frozenset()  # the link counts of the last link plan's graphs
+        self._kept_widths: frozenset[int] = frozenset()  # the link counts of the graphs whose blocks it keeps
         self._bits = np.random.Philox(0)  # seeded, so it draws no OS entropy; its state is set for each block
         self._gen = np.random.Generator(self._bits)
 
@@ -128,7 +125,7 @@ class DelaySchedule:
             return self._uniform(block, m, (1, width))  # only the prefix is drawn
         held = self._held.get(m)
         if held is None or held[0] != block:  # drop the blocks of every width the last plan's graphs lack
-            self._held = {w: h for w, h in self._held.items() if w in self._plan_widths}
+            self._held = {w: h for w, h in self._held.items() if w in self._kept_widths}
             held = self._held[m] = (block, self._uniform(block, m, (per, m)))
             held[1].flags.writeable = False
         return held[1][row : row + rows, :width]
@@ -196,6 +193,7 @@ class DelaySchedule:
                     f"failure mask length {keep.shape} does not match link count {graph.edge_count}"
                 )
             keep = keep[None]
+        self._kept_widths |= {graph.edge_count}  # a hand loop's cycle of graphs keeps each one's block
         return next(_live_links(graph, 1, keep, self, state.step))
 
 
@@ -270,7 +268,7 @@ def _link_plan(graphs: list[WeightedGraph], switch_period: int, horizon: int, p_
     :meth:`DelaySchedule.links` turns into the same links for one step.
     ``schedule`` holds the uniform blocks of its graphs' widths.
     """
-    schedule._plan_widths = frozenset(g.edge_count for g in graphs)
+    schedule._kept_widths = frozenset(g.edge_count for g in graphs)
     switch = switch_period if len(graphs) > 1 else horizon
     for start in range(0, horizon, switch):
         graph, end = graphs[(start // switch) % len(graphs)], min(start + switch, horizon)

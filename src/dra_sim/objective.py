@@ -2,9 +2,10 @@
 
 Each agent holds one strictly convex scalar cost, optionally augmented with a
 soft box penalty.  The oracle solves min sum_i f_i(x_i) subject to
-sum_i x_i = total by bisection on the shared marginal-price multiplier: at
-the optimum every unconstrained coordinate satisfies f_i'(x_i) = nu, and the
-coordinate solutions are monotone in nu, so the aggregate is as well.
+sum_i x_i = total: at the optimum every free coordinate satisfies
+f_i'(x_i) = nu for one shared multiplier nu.  Each x_i(nu) has a closed form
+on each piece of its cost, or a guarded Newton loop where it has none, and
+their sum is nondecreasing in nu, so guarded Newton steps on nu meet the total.
 """
 
 from __future__ import annotations
@@ -116,6 +117,24 @@ def _penalty_power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
             out = np.zeros(base.shape)
             return np.power(base, exponent, out=out, where=outside) if count else out  # no pow if none is outside
     return _power(base, exponent)
+
+
+def _cubic_root(p, q):
+    """The real root of y**3 + p y + q = 0 where p >= 0, by Cardano's formula without its cancellation.
+
+    With t = -q / 2, u = cbrt(t + sign(t) sqrt(t**2 + (p/3)**3)) and v = -p / (3u), the root is u + v;
+    since u**3 + v**3 = 2t, it is also 2t / (u**2 + p/3 + v**2), whose denominator adds positive terms.
+    """
+    t, s = -0.5 * q, p / 3.0
+    u = np.cbrt(t + np.copysign(np.hypot(t, s * np.sqrt(s)), t))
+    return 2.0 * t / (u * u + s + (s / u) ** 2)
+
+
+# Most multipliers of one ``central_solve``, and most Newton or bisection steps
+# of one root in ``CostSet._roots``, above the 2,098 halvings that take any
+# finite bracket down to two adjacent doubles.
+_OUTER_ITERS = 320
+_ROOT_ITERS = 2200
 
 
 def _sigmoid(u):
@@ -257,6 +276,11 @@ def _penalty_fields(pen) -> tuple:
     return 2, pen.lo, pen.hi, 0.0, 2, pen.sharpness
 
 
+def _as_costset(costs) -> CostSet:
+    """``costs`` itself if it is a built ``CostSet``, else the ``CostSet`` of the list."""
+    return costs if isinstance(costs, CostSet) else CostSet(costs)
+
+
 class CostSet:
     """Array-backed view of a cost list: the one evaluator of the cost math.
 
@@ -296,14 +320,6 @@ class CostSet:
         self._pen_square = all(e == 2 for e in table[4])
         # Homogeneous cost lists skip the two-branch select in the hot path.
         self._all_quadratic, self._all_quartic = not any(quartic), all(quartic)
-
-    def _tiled(self, m: int, top: CostSet | None = None) -> CostSet:
-        """This list m times over, for m states end to end: arrays tiled, or views of ``top``, a longer tiling."""
-        out, size = object.__new__(CostSet), self.n * m
-        tile = (lambda k, v: vars(top)[k][:size]) if top else (lambda k, v: np.concatenate([v] * m))
-        out.__dict__ = {k: tile(k, v) if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
-        out.n, out._shape = size, (size,)
-        return out
 
     # -- per-agent vector evaluations ------------------------------------
 
@@ -429,7 +445,7 @@ class CostSet:
     def _curvature(self, x, hi_at, lo_at) -> np.ndarray:
         """``curvature`` at x, but with the upper and lower smooth-log bumps at ``hi_at`` and ``lo_at``."""
         x = self._state(x)
-        out = np.where(self.quartic, 12.0 * self.p1 * (x - self.p2) ** 2, 2.0 * self.p1 + 0.0 * x)
+        out = self._base_curvature(x)
         if self._any_box:
             m = self.pen_exponent
             up = np.maximum(0.0, x - self.pen_hi)
@@ -451,6 +467,70 @@ class CostSet:
             pc = mu * (s1 * (1.0 - s1) + s2 * (1.0 - s2))
             out = out + (pc if self._all_log else np.where(self._log, pc, 0.0))
         return out
+
+    def _base_curvature(self, x: np.ndarray) -> np.ndarray:
+        """The base's second derivative at a checked state x, without the penalty terms."""
+        return np.where(self.quartic, 12.0 * self.p1 * (x - self.p2) ** 2, 2.0 * self.p1 + 0.0 * x)
+
+    def _base_root(self, nu) -> np.ndarray:
+        """Each agent's root of base_grad(x) = nu: (nu - p2) / (2 p1), or p2 + cbrt(nu / (4 p1)) for a quartic."""
+        if self._all_quadratic:
+            return (nu - self.p2) / self._p1x2
+        quartic = self.p2 + np.cbrt(nu / self._p1x4)
+        return quartic if self._all_quartic else np.where(self.quartic, quartic, (nu - self.p2) / self._p1x2)
+
+    def _roots(self, nu: float, warm: np.ndarray | None = None, box: tuple | None = None) -> tuple:
+        """Each agent's root x_i of f_i'(x) = nu, and 1 / f_i''(x_i), the slope of x_i in nu.
+
+        With ``box`` = (lo, hi): the roots of ``base_grad``, clipped to the
+        boxes, of slope 0 where clipped.  Otherwise a closed form gives the
+        root without a penalty or inside a box, and outside a square box
+        that of a linear equation or, for a quartic, of a depressed cubic
+        (``_cubic_root``).  The cubic roots, and those outside a box of
+        exponent above 2 or with a smooth-log penalty, take Newton steps
+        inside a bracket: [hi, x_base] above a box, [x_base, lo] below it,
+        and [x_base(nu - 1), x_base(nu + 1)] for a smooth-log penalty, whose
+        gradient lies in (-1, 1).  They start from ``warm`` where given.  A
+        step that leaves the bracket (its ends are in it), is not at most
+        half the last step or meets no finite curvature bisects instead.  An
+        agent stops after a Newton step within 2**-50 (1 + |x|), or a
+        bisection that leaves x as it is; NumericError after ``_ROOT_ITERS``.
+        """
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = a = c = self._base_root(nu)  # [a, c] brackets each root; a == c where x is exact
+            if box is not None:
+                clipped = np.clip(x, *box)
+                return clipped, np.where(clipped == x, 1.0 / self._base_curvature(x), 0.0)
+            guessed = False  # the roots that start from a closed form, not from ``warm``
+            if self._any_box:
+                up, dn = self._box & (x > self.pen_hi), self._box & (x < self.pen_lo)
+                edge, w2 = np.where(up, self.pen_hi, self.pen_lo), 2.0 * self.pen_weight
+                guessed = (up | dn) & (self.pen_exponent == 2)
+                line = (nu - self.p2 + w2 * edge) / (self._p1x2 + w2)
+                cubic = self.p2 + _cubic_root(self.pen_weight / self._p1x2, (w2 * (self.p2 - edge) - nu) / self._p1x4)
+                a, c = np.where(up, self.pen_hi, x), np.where(dn, self.pen_lo, x)
+                x = np.where(guessed, np.where(self.quartic, cubic, line), x)
+                exact = guessed & ~self.quartic
+                a, c = np.where(exact, x, a), np.where(exact, x, c)
+            if self._any_log:
+                a = np.where(self._log, self._base_root(nu - 1.0), a)
+                c = np.where(self._log, self._base_root(nu + 1.0), c)
+            active = a < c
+            if warm is not None:
+                x = np.where(active & ~guessed, warm, x)
+            x, last = np.clip(x, a, c), np.full(self.n, np.inf)
+            for _ in range(_ROOT_ITERS):
+                if not active.any():
+                    return x, 1.0 / self.curvature(x)
+                g = self.grad(x) - nu
+                a, c = np.where(active & (g < 0.0), x, a), np.where(active & (g > 0.0), x, c)
+                h = self.curvature(x)
+                newton = x - g / h
+                ok = (a <= newton) & (newton <= c) & (np.abs(newton - x) <= 0.5 * last) & (h < np.inf)
+                new = np.where(ok, newton, 0.5 * (a + c))
+                x, last = np.where(active, new, x), np.abs(new - x)
+                active &= np.where(ok, last > 2.0**-50 * (1.0 + np.abs(x)), last > 0.0)
+        raise NumericError(f"the roots of f_i'(x) = {nu} did not converge in {_ROOT_ITERS} steps")
 
 
 # --------------------------------------------------------------------------
@@ -481,22 +561,23 @@ class SmoothnessEstimate:
     max_curvature: float
 
 
-def smoothness_bound(costs: list[LocalCost], domain: tuple[float, float]) -> SmoothnessEstimate:
+def smoothness_bound(costs: list[LocalCost] | CostSet, domain: tuple[float, float]) -> SmoothnessEstimate:
     """The quadratic-upper-bound constant u of ``costs`` over ``domain`` = (lo, hi).
 
     Cut at the penalty edges, f_i'' is convex on each piece but a smooth-log
     band, so its supremum is at a piece end or, for a box of exponent 2,
     beside an edge; each quarter of a band is bounded by the base curvature at
     its ends plus each bump at its point nearest its edge.  One ``_curvature``
-    call takes every piece and [lo, lo], [hi, hi].  Raises ConfigurationError
-    unless lo < hi, DomainError unless f'' is finite there.
+    call takes every piece and [lo, lo], [hi, hi].  ``costs`` is a list or
+    its built ``CostSet``.  Raises ConfigurationError unless lo < hi,
+    DomainError unless f'' is finite there.
     """
     lo, hi = domain
     if not lo < hi:
         raise ConfigurationError(f"smoothness domain must be an interval lo < hi, got {domain}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"smoothness domain must be finite, got {domain}")
-    cs = CostSet(costs)
+    cs = _as_costset(costs)
     edges = np.stack([cs.pen_lo, cs.pen_hi])
     with np.errstate(over="ignore", invalid="ignore"):
         # Per edge, the ends of a band's quarters or of the edge and its neighbours.
@@ -526,6 +607,7 @@ class CentralSolution:
     mode: str
     gap: float
     iterations: int
+    kkt_residual: float
 
 
 def _box_bounds(boxes: list[tuple[float, float]], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -558,27 +640,14 @@ def _check_box_total(lo: np.ndarray, hi: np.ndarray, total: float, tol: float = 
             raise InfeasibilityError(f"total {total} is {name} {_rounded_sum(ends.tolist())}")
 
 
-_MAX_EXPAND = 200
-_INNER_ITERS = 110
-_OUTER_ITERS = 320
-# A multiplier round evaluates 2**d - 1 multipliers, the next d levels of the
-# bisection, as one block of about this many entries (BENCH_rounds.json).
-_ROUND_ELEMENTS = 400
-
-
-def _round_depth(n: int) -> int:
-    """The levels d >= 1 of the multiplier bisection that one round of ``central_solve`` takes for n agents."""
-    return max(1, (_ROUND_ELEMENTS // n + 1).bit_length() - 1)
-
-
 def central_solve(
-    costs: list[LocalCost],
+    costs: list[LocalCost] | CostSet,
     total: float,
     boxes: list[tuple[float, float]] | None = None,
     tol: float = 1e-9,
     mode: str = "penalized",
 ) -> CentralSolution:
-    """Solve min sum f_i(x_i) s.t. sum x_i = total by bisection on nu.
+    """Solve min sum f_i(x_i) s.t. sum x_i = total by guarded Newton steps on nu.
 
     mode "penalized" treats each f_i (with its penalty) as the objective and
     searches the unconstrained stationary point at shared marginal price nu.
@@ -587,29 +656,21 @@ def central_solve(
     clipped aggregate meets ``total``.  Boxes default to each cost's penalty
     interval; agents without one are unbounded.  ``boxes`` are refused in
     mode "penalized", which honours only the costs' own penalties.
+    ``costs`` is a list or its built ``CostSet``.
 
-    For each multiplier every agent solves f_i'(x_i) = nu by a bracket about
-    its unconstrained centre: doubled upwards, then downwards, then bisected
-    until a step leaves it unchanged or ``_INNER_ITERS`` steps are taken
-    (bisection tolerates the quartic's vanishing curvature at its target).
-    Each step compares one gradient with nu, so a multiplier between the
-    bracket ends nu_lo and nu_hi takes every branch on which their paths
-    agree: each agent resumes from the deepest state the two paths share.
-    Each later bracket lies inside every earlier one, so the correctly
-    rounded sums of the agents' lower and of their upper bracket ends bound
-    the aggregate, and a multiplier stops as soon as both sums give the same
-    decision.  Only the multiplier that ends the search runs every path to
-    its end.  Each round takes the 2**d - 1 multipliers of the next d levels
-    of the bisection, d from ``_round_depth``, in ascending order as rows of
-    one vector, every row from the state that all their paths share; once a
-    row's decision is certain, only the rows of the subtree it chooses step
-    on.  The state at which the last row's paths leave those of the bracket
-    end that stays is found after the round, from its recorded steps, and
-    starts the next round.  The result is the plain one-multiplier-at-a-time
-    bisection's, ``iterations`` included, bit for bit.
+    ``CostSet._roots`` gives each x_i(nu) and its slope 1 / f_i''(x_i), so
+    S(nu) = sum x_i(nu) is nondecreasing with slope sum 1 / f_i''.  The first
+    nu is the gradients' mean at the even split, weighted by 1 / f_i''.  The
+    next is a Newton step on S - total strictly inside the bracket that the
+    signs of S - total have given; otherwise, or when a finite bracket's
+    last step did not halve |S - total|, nu bisects the bracket, or steps
+    by max(1, 2 |nu|) towards its unbounded end.  It stops at
+    |S - total| <= tol, S correctly rounded (``_row_fsums``); ``iterations``
+    counts the nu.
+    ``kkt_residual`` is max |f_i'(x_i) - nu| over the agents not clipped.
 
-    Raises InfeasibilityError when no multiplier can meet the total (only
-    possible with hard boxes) and NumericError if the tolerance is not met.
+    Raises InfeasibilityError when the boxes cannot hold the total and
+    NumericError if the tolerance is not met.
     """
     if mode not in ("penalized", "exact_box"):
         raise ConfigurationError(f"unknown central_solve mode {mode!r}")
@@ -620,176 +681,56 @@ def central_solve(
     if not (tol > 0.0):
         raise ConfigurationError(f"tol must be positive, got {tol}")
 
-    cs = CostSet(costs)
-    n = cs.n
+    cs = _as_costset(costs)
+    n, box, grad, curvature = cs.n, None, cs.grad, cs.curvature
     if boxes is not None:
         if mode != "exact_box":
             raise ConfigurationError(f"boxes apply in mode 'exact_box' only, not {mode!r}")
-        lo_box, hi_box = _box_bounds(boxes, n)
-    else:
-        lo_box = np.where(cs.pen_kind > 0, cs.pen_lo, -np.inf)
-        hi_box = np.where(cs.pen_kind > 0, cs.pen_hi, np.inf)
-    if mode == "exact_box":
-        _check_box_total(lo_box, hi_box, total, tol)
-        clip = lambda v: np.clip(v, lo_box, hi_box)  # noqa: E731
-    else:
-        lo_box, hi_box = -np.inf, np.inf
-        clip = lambda v: v  # noqa: E731
+        box = _box_bounds(boxes, n)
+    elif mode == "exact_box":
+        box = np.where(cs.pen_kind > 0, cs.pen_lo, -np.inf), np.where(cs.pen_kind > 0, cs.pen_hi, np.inf)
+    if box is not None:
+        _check_box_total(*box, total, tol)
+        grad, curvature = cs.base_grad, cs._base_curvature
 
-    center = np.where(cs.quartic, cs.p2, -cs.p2 / (2.0 * cs.p1))
-    # An agent's state is a column: its phase (0 and 1 double the bracket
-    # upwards and downwards, 2 bisects it), its bracket, and its span while
-    # doubling or its step count while bisecting.
-    root = np.stack([np.zeros(n), center - 1.0, center + 1.0, np.ones(n)])
-    depth, ceiling, agents = _round_depth(n), 2.0**_MAX_EXPAND, np.arange(n)
-    block, centers = cs._tiled(2**depth - 1) if depth > 1 else cs, np.tile(center, 2**depth - 1)
-    flat, moving = np.ones(centers.size), np.ones(centers.size, dtype=bool)  # a bisection step's flips and movers
-
-    @functools.cache
-    def tiled(m: int):
-        """The gradient, without the penalties in mode "exact_box", of m states laid end to end."""
-        return getattr(cs._tiled(m, block) if m > 1 else cs, "base_grad" if mode == "exact_box" else "grad")
-
-    def probe(state, nus, ends, outcome, final=None):
-        """Follow the paths of the ascending multipliers ``nus``, a complete bisection tree, from ``state``.
-
-        ``outcome`` is nondecreasing and ``ends[k]`` = (a, b) with a <= nus[k] <= b.  The walk visits the
-        middle row, then the middle of the rows below a positive outcome or above any other, which alone
-        step on until its outcome is certain.  Returns the walk's (row, outcome) pairs, x when the last
-        outcome is ``final`` (that row's paths then run to their end), and otherwise the state at which
-        the last row's paths leave those of its end a after a positive outcome, or b after any other.
-        """
-        rows, cur, every_nu = len(nus), np.concatenate([state] * len(nus), axis=1), np.array(nus).repeat(n)
-        first, stop, walk, steps = 0, rows, [], []  # the rows first:stop step on
-
-        def live_rows():
-            """The state, multipliers and gradient of the rows first:stop."""
-            live = slice(first * n, stop * n)
-            nu = nus[first] if stop - first == 1 else every_nu[live]  # scalars broadcast faster than vectors
-            return cur[:, live], nu, tiled(stop - first)
-
-        live, nu, step_grad = live_rows()
-        ph, lo, hi, t = live
-        # The doublings come first; bisecting agents wait.  A step asks whether g < nu, a downward
-        # doubling whether g > nu.  Each step records its first row, the state before it, g, its flips
-        # and its moving agents: the fork is found from them at the end.
-        while ph.min() < 2:
-            up, dn, doubling = ph == 0, ph == 1, ph < 2
-            flip = np.where(dn, -1.0, 1.0)
-            g = flip * step_grad(np.where(dn, lo, hi))
-            steps.append((first, cur.copy(), g, flip, doubling))
-            go = doubling & (g < flip * nu)
-            np.multiply(t, 2.0, out=t, where=go)
-            np.copyto(hi, centers[: t.size] + t, where=go & up)
-            np.copyto(lo, centers[: t.size] - t, where=go & dn)
-            if (top := t.max() >= ceiling) and (up & (t == ceiling)).any():
-                raise NumericError("bracket expansion failed on the upper side")
-            done = doubling & ~go
-            np.copyto(t, up, where=done)
-            ph += done
-            if top and ph.min() > 0 and ((ph == 1) & (t >= ceiling)).any():
-                raise NumericError("bracket expansion failed on the lower side")
-        # Every bracket lies inside the one before, so a numpy sum within its rounding bound ``err``
-        # tells when the correctly rounded sums of a row's lower and upper ends may decide.  Where
-        # ``err`` is infinite, a numpy sum may overflow and the correctly rounded sums decide every step.
-        with np.errstate(over="ignore"):
-            err = (2.0**-50 * (n + 1) * np.abs(clip(cur[1:3].reshape(2, rows, n))).max(axis=0).sum(axis=1)).tolist()
-        uncapped = _INNER_ITERS - t.max()
-        while True:
-            k, fixing = (first + stop) // 2, bool(walk) and walk[-1][1] == final
-            if fixing:  # a pair whose midpoint is an end, or whose box clips it, is at its fixed point
-                mid = 0.5 * (lo + hi)
-                fixed = (mid == lo) | (mid == hi)
-                if (fixed | (hi < lo_box) | (lo > hi_box) if mode == "exact_box" else fixed).all():
-                    return walk, clip(mid), None
-            elif first == stop:
-                break
-            else:
-                bounds = clip(cur[1:3, k * n : k * n + n])
-                sums = bounds.sum(axis=1).tolist() if err[k] < math.inf else None
-                if sums is None or outcome(sums[0] + err[k]) >= outcome(sums[1] - err[k]):
-                    decided, other = map(outcome, _row_fsums(bounds))
-                    if decided == other:
-                        walk.append((k, decided))
-                        first, stop = (k, k + 1) if decided == final else (first, k) if decided > 0 else (k + 1, stop)
-                        if first < stop:
-                            live, nu, step_grad = live_rows()
-                            ph, lo, hi, t = live
-                        continue
-                mid = 0.5 * (lo + hi)
-            g = step_grad(mid)
-            if not fixing:
-                steps.append((first, live.copy(), g, flat, moving))
-            go = g < nu
-            np.copyto(lo, mid, where=go)
-            np.copyto(hi, mid, where=~go)
-            t += 1.0
-            uncapped -= 1
-            if uncapped <= 0:
-                mid = 0.5 * (lo + hi)
-                capped = t >= _INNER_ITERS
-                np.copyto(lo, mid, where=capped)
-                np.copyto(hi, mid, where=capped)
-        # The last row's paths leave the end's paths before the first step
-        # whose comparison with the end differs from that with the row's nu.
-        k, decided = walk[-1]
-        row = cur[:, k * n : k * n + n]
-        if not steps:
-            return walk, None, row
-        at = [slice((k - s[0]) * n, (k - s[0] + 1) * n) for s in steps]
-        before, g, flip, moved = (np.array([s[j][..., i] for i, s in zip(at, steps)]) for j in range(1, 5))
-        split = moved & ((g < flip * ends[k][decided <= 0]) != (g < flip * nus[k]))
-        return walk, None, np.where(split.any(axis=0), before[split.argmax(axis=0), :, agents].T, row)
-
-    # Bracket the multiplier, then bisect: the aggregate is nondecreasing in
-    # nu.  Each new multiplier lies between the two ends of its bracket.
-    nu_hi, floor, state = 1.0, -np.inf, root
-    for _ in range(_MAX_EXPAND):
-        ((_, reached),), _, fork = probe(state, [nu_hi], [(floor, np.inf)], lambda s: s >= total)
-        if reached:
+    with np.errstate(all="ignore"):
+        even = np.full(n, total / n)
+        weight = 1.0 / curvature(even)
+        nu = float((grad(even) * weight).sum() / weight.sum())
+    nu, lo_nu, hi_nu, x, last = nu if math.isfinite(nu) else 0.0, -math.inf, math.inf, None, math.inf
+    for iterations in range(1, _OUTER_ITERS + 1):
+        x, slope = cs._roots(nu, x, box)
+        try:
+            miss = _row_fsums(x[None])[0] - total  # +-inf where roots overflow on one side only
+        except ValueError:  # inf - inf
+            miss = math.nan
+        if math.isnan(miss):
+            raise NumericError(f"the roots at the multiplier {nu} are not numbers or overflow on both sides")
+        if abs(miss) <= tol:
             break
-        floor, state, nu_hi = nu_hi, fork, 2.0 * nu_hi
-    else:
-        raise InfeasibilityError("no multiplier reaches the requested total from below")
-    nu_lo = -1.0
-    for _ in range(_MAX_EXPAND):
-        ((_, above),), _, fork = probe(root, [nu_lo], [(-np.inf, nu_hi)], lambda s: s > total)
-        if not above:
-            break
-        nu_lo *= 2.0
-    else:
-        raise InfeasibilityError("no multiplier reaches the requested total from above")
-
-    def side(s: float) -> int:
-        return 0 if abs(s - total) <= tol else (-1 if s < total else 1)
-
-    # Each round takes the next ``depth`` levels of the bisection from a state that the paths of every
-    # multiplier in the bracket share.  The ascending points cut the bracket at every level; a
-    # multiplier's bracket ends are the nearest points of the levels above it, lowbit(j) places away.
-    state, iterations, sign = fork, 0, None
-    while sign != 0:
-        pts = [nu_lo, nu_hi]
-        for _ in range(depth):
-            pts[1:] = [p for a, b in zip(pts, pts[1:]) for p in (0.5 * (a + b), b)]
-        nus = pts[1:-1]
-        ends = [(pts[j - (j & -j)], pts[j + (j & -j)]) for j in range(1, len(pts) - 1)]
-        walk, x, state = probe(state, nus, ends, side, final=0)
-        for k, sign in walk:
-            nu, iterations = nus[k], iterations + 1
-            if sign == 0:
+        lo_nu, hi_nu = (nu, hi_nu) if miss < 0.0 else (lo_nu, nu)
+        rate = float(slope.sum())
+        step = nu - miss / rate if rate > 0.0 else math.nan
+        bounded = math.isfinite(lo_nu) and math.isfinite(hi_nu)
+        if not lo_nu < step < hi_nu or bounded and abs(miss) > 0.5 * last:
+            step = 0.5 * lo_nu + 0.5 * hi_nu if bounded else nu - math.copysign(max(1.0, 2.0 * abs(nu)), miss)
+            if not lo_nu < step < hi_nu:  # the bracket holds no other double
                 break
-            if iterations == _OUTER_ITERS:
-                raise NumericError(f"multiplier bisection did not reach |sum - total| <= {tol}")
-            nu_lo, nu_hi = (nu, nu_hi) if sign < 0 else (nu_lo, nu)
+        nu, last = step, abs(miss)
+    if abs(miss) > tol:
+        raise NumericError(f"the multiplier search did not reach |sum - total| <= {tol}")
 
-    if mode == "penalized":
-        (x_sum,), value = _row_fsums(x[None]), cs.total_value(x)
+    free = slice(None) if box is None else (box[0] < x) & (x < box[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # at a clipped agent's box end, which is not read
+        kkt = float(np.abs(grad(x) - nu)[free].max(initial=0.0))
+    if box is None:
+        value = cs.total_value(x)
     else:
-        x_sum, value = _row_fsums(np.stack([x, cs.base_value(x)]))
-    gap = abs(x_sum - total)
+        (value,) = _row_fsums(cs.base_value(x)[None])
     x.flags.writeable = False
     return CentralSolution(
-        x=x, multiplier=float(nu), value=float(value), mode=mode, gap=float(gap), iterations=iterations
+        x=x, multiplier=float(nu), value=float(value), mode=mode, gap=float(abs(miss)), iterations=iterations,
+        kkt_residual=kkt,
     )
 
 

@@ -556,7 +556,7 @@ def default_smoothness_domain(cfg: ScenarioConfig) -> tuple[float, float]:
 
 
 def _certificate(cfg: ScenarioConfig, instance: tuple, domain: tuple[float, float] | None = None) -> tuple:
-    """The step-rate certificate of a scenario, from its ``build_instance`` pieces.
+    """The step-rate certificate of a scenario, from its ``build_instance`` pieces (the costs may be a ``CostSet``).
 
     Returns the ``SpectralSummary`` of the union of the topology phases, the
     smoothness constant u over ``domain`` (by default
@@ -624,7 +624,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
     graphs, costs, node_map, link_map = instance
     cs = CostSet(costs)
 
-    oracle = central_solve(costs, cfg.total, tol=1e-9, mode="penalized")
+    oracle = central_solve(cs, cfg.total, tol=1e-9, mode="penalized")
 
     boxes = [(cfg.costs_box_lo, cfg.costs_box_hi)] * cfg.n if cfg.init_respect_boxes else None
     x0 = feasible_init(cfg.n, cfg.total, cfg.init_mode, seed=_child_seed(cfg.seed, _TAG_INIT), boxes=boxes)
@@ -693,7 +693,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
     ratio = None
     if diverged:
         with contextlib.suppress(DomainError):  # no certificate: the ratio stays unset
-            bound = _certificate(cfg, instance)[2]
+            bound = _certificate(cfg, (graphs, cs, node_map, link_map))[2]
             ratio = None if bound is None else cfg.eta / bound.eta_max
     summary = RunSummary(
         n=cfg.n,

@@ -188,6 +188,12 @@ def test_delayed_state_fields_are_pinned():
     assert [f.name for f in fields(dra_sim.DelayedNetworkState)] == ["x", "step", "pending"]
 
 
+def test_central_solution_fields_are_pinned():
+    # The oracle reports its KKT residual beside the gap, and iterations counts its multipliers (0.8.0).
+    assert [f.name for f in fields(dra_sim.objective.CentralSolution)] == [
+        "x", "multiplier", "value", "mode", "gap", "iterations", "kkt_residual"]
+
+
 @pytest.mark.parametrize("name, module", sorted(RESULT_TYPES.items()))
 def test_result_type_stays_in_its_module(name, module):
     mod = importlib.import_module(f"dra_sim.{module}")

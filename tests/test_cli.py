@@ -189,10 +189,11 @@ class TestRunCommand:
         assert "diverged=true" in out and "final_residual=inf" in out
 
     def test_numeric_failure_exits_three(self, tmp_path, capsys):
-        # A quartic this flat needs x near 1e100 to reach unit marginal cost,
-        # which is beyond the oracle's bracket expansion budget.
+        # No multiplier meets the total: near nu = 1e300, where the gradient
+        # 2e-300 x + 1e300 meets nu, the next double of nu moves each root
+        # by about 1e584, past the double range.
         rows = ["i,kind,p1,p2,p3,lo,hi"]
-        rows += [f"{i},quartic,1e-300,1.0,0,," for i in range(4)]
+        rows += [f"{i},quadratic,1e-300,1e300,0,," for i in range(4)]
         csv = tmp_path / "costs.csv"
         csv.write_text("\n".join(rows) + "\n")
         cfg = tmp_path / "flat.cfg"

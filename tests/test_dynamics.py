@@ -316,6 +316,30 @@ class TestDelaySchedule:
         reached = {(k // (2**15 // m), m) for k, m in ((k, ms[(k // 7) % 3]) for k in range(600))}
         assert len(drawn) == 10 and sorted(drawn) == sorted(reached)
 
+    def test_hand_loop_draws_each_block_of_each_width_once(self, monkeypatch):
+        # A hand loop over the same cycle through DelaySchedule.links, with
+        # failures, draws the run's 10 blocks too: links keeps the block of
+        # each width it sees, as the link plan keeps its graphs' widths.
+        cfg = cycle_config(600)
+        graphs, costs, _, _ = scenario.build_instance(cfg)
+        ms = [g.edge_count for g in graphs]
+        drawn = []
+        uniform = DelaySchedule._uniform
+
+        def counting(self, block, m, size):
+            drawn.append((block, m))
+            return uniform(self, block, m, size)
+
+        monkeypatch.setattr(DelaySchedule, "_uniform", counting)
+        schedule, rng = DelaySchedule(cfg.tau_bar, seed=4), np.random.default_rng(3)
+        state = init_delayed_state(np.full(cfg.n, 2.0), cfg.tau_bar, costs, IDM)
+        for k in range(600):
+            graph = graphs[(k // 7) % 3]
+            keep = rng.random(graph.edge_count) >= cfg.p_fail
+            state = step_delayed(state, schedule.links(state, graph, keep), costs, IDM, IDM, cfg.eta)
+        reached = {(k // (2**15 // m), m) for k, m in ((k, ms[(k // 7) % 3]) for k in range(600))}
+        assert len(drawn) == 10 and sorted(drawn) == sorted(reached)
+
     def test_held_blocks_stay_bounded(self):
         # A caller that passes each step's live links as a whole graph (m the
         # live count) meets a new width at most steps; the schedule keeps the

@@ -1,6 +1,11 @@
 """Tests for local costs, penalties, the aggregate objective, and the oracle."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +25,7 @@ from dra_sim import (
     smoothness_bound,
 )
 from dra_sim.objective import CostSet
-from dra_sim.scenario import ScenarioConfig, _build_costs, build_instance, preset
+from dra_sim.scenario import PRESET_NAMES, ScenarioConfig, _build_costs, build_instance, preset
 
 
 def central_diff(c, x, h):
@@ -261,11 +266,11 @@ class TestCentralSolve:
             central_solve([quadratic_cost(1.0)] * 2, 3.0, boxes=[(math.nan, 1.0), (0.0, 5.0)], mode="exact_box")
 
     # The value sums costs of (1e308)**2, which overflow; no other overflow
-    # may warn, the bracket sums' numpy bound included.
+    # may warn.
     @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
     def test_bracket_sum_past_the_double_range_is_summed_exactly(self):
-        # The clipped bracket ends' running sum overflows, but their exact
-        # sum is the total: the clamped floors and ceilings solve it.
+        # The clipped roots' running sum overflows, but their exact sum is
+        # the total: the clamped floors and ceilings solve it.
         big = 1.6e308
         boxes = [(big, 1.7e308)] * 8 + [(-1.7e308, -big)] * 8
         sol = central_solve([quadratic_cost(1.0)] * 16, 0.0, boxes=boxes, mode="exact_box")
@@ -303,18 +308,61 @@ class TestCentralSolve:
     def test_gradient_calls_per_solve(self, monkeypatch):
         # A count, not a time: one solve on the fig_dyn costs made 850
         # CostSet.grad calls when every multiplier's bisection started
-        # afresh and ran to its fixed point, and 230 with one multiplier per
-        # gradient round.  Rounds of three bisection levels make 136.
+        # afresh and ran to its fixed point, 230 with one multiplier per
+        # gradient round and 136 with rounds of three bisection levels.  The
+        # closed-form roots make 6 over 5 multipliers.
         cfg = preset("fig_dyn")
         assert 0 < self.grad_calls(monkeypatch, build_instance(cfg)[1], cfg.total) < 850 // 5
 
     def test_gradient_calls_per_solve_at_scale(self, monkeypatch):
         # The benchmark's n = 3000 instance (quartic costs, box penalty
-        # [1, 10], total 4n) made 2,678 calls with one multiplier per call.
+        # [1, 10], total 4n) made 2,678 calls with one multiplier per call;
+        # the closed-form roots make 8 over 6 multipliers.
         n = 3000
         cfg = ScenarioConfig(n=n, total=4.0 * n, costs_kind="quartic", costs_penalty="box",
                              costs_box_lo=1.0, costs_box_hi=10.0)
         assert 0 < self.grad_calls(monkeypatch, _build_costs(cfg), cfg.total) < 2678 // 5
+
+    def test_a_built_cost_set_gives_the_lists_result(self):
+        cfg = preset("fig_dyn_logpenalty")
+        costs = build_instance(cfg)[1]
+        cs = CostSet(costs)
+        a, b = central_solve(costs, cfg.total), central_solve(cs, cfg.total)
+        assert (a.x.tobytes(), a.multiplier, a.value, a.kkt_residual) == (b.x.tobytes(), b.multiplier, b.value,
+                                                                          b.kkt_residual)
+        assert smoothness_bound(costs, (-5.0, 5.0)) == smoothness_bound(cs, (-5.0, 5.0))
+
+    def test_flat_quartic_is_solved_in_closed_form(self):
+        # Unit marginal cost lies at x near 1e100 for so flat a quartic; its
+        # root at nu = 4e-300 is 1 + cbrt(1), exactly the even split.
+        sol = central_solve([quartic_cost(1e-300, 1.0)] * 4, 8.0)
+        assert sol.x.tolist() == [2.0] * 4 and sol.multiplier == 4e-300
+        assert (sol.gap, sol.kkt_residual, sol.iterations) == (0.0, 0.0, 1)
+
+    def test_presets_at_a_second_dispatch_level(self):
+        # numpy's power, exp and log differ in the last bit between dispatch
+        # levels, so only the oracle's guarantees are compared there: the
+        # gap within tol and the KKT residual within 1e-8 (1 + |nu|).
+        script = (
+            "import json, numpy\n"
+            "from dra_sim.scenario import PRESET_NAMES, build_instance, preset\n"
+            "from dra_sim.objective import central_solve\n"
+            "try:\n"
+            "    out = {'v4': bool(numpy._core._multiarray_umath.__cpu_features__.get('X86_V4'))}\n"
+            "except AttributeError:  # a numpy that does not expose its dispatch\n"
+            "    out = {'v4': None}\n"
+            "for name in PRESET_NAMES:\n"
+            "    sol = central_solve(build_instance(preset(name))[1], preset(name).total, tol=1e-9)\n"
+            "    out[name] = [sol.gap, sol.kkt_residual, sol.multiplier]\n"
+            "print(json.dumps(out))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        out = json.loads(done.stdout)
+        assert out.pop("v4") is not True and sorted(out) == sorted(PRESET_NAMES)
+        for gap, kkt, nu in out.values():
+            assert gap <= 1e-9 and kkt <= 1e-8 * (1.0 + abs(nu))
 
     def test_quartic_instances(self):
         costs = [quartic_cost(0.01, 1.0), quartic_cost(0.02, 2.0), quartic_cost(0.05, -1.0)]

@@ -8,8 +8,9 @@ failures drawn in every mode, an early stop, a divergence, ``per_link`` and
 ``fixed`` delays, a delay bound above 255, a record stride, a box penalty
 exponent other than 2, and cost tables that mix penalized and unpenalized
 agents (so the per-agent penalty selects run).  Any change
-to the step kernel, the cost evaluation, or the failure or delay draws that
-moves one bit of one output fails here.  The standard output of the
+to the step kernel, the cost evaluation, the oracle (whose value sets the
+trace's residual column and the summary's oracle lines), or the failure or
+delay draws that moves one bit of one output fails here.  The standard output of the
 README's ``dra-sim percolation`` example, Monte Carlo estimate included, is
 pinned too (its successes per window are pinned in test_percolation.py),
 and so is the standard output of ``dra-sim bounds`` for every preset, over
@@ -46,38 +47,38 @@ PRESET_CONFIGS = {
 
 PRESETS = {
     "fig_dyn": (
-        "87dd5ec19b2456450ac37b6cc746931ef88774b82a4790def4e40a4a6369b350",
-        "202e6fbb7e993ec3151f190b3007b17d644a69e9a5ba52b2b09615e391497c17",
+        "fc3b9f62f539eaa268d018f2e0704f4971b62fa0cad98b22584d6e2a27cd0ca0",
+        "539a3f3b2103e9d1c2d41a7bde672ec113056144a0d47464a14908c9428d890d",
         "e18d9b8fd75d06e5ea890a8f221ab97f5aeba49a4aa74e5e6078bfe98bc799ff",
     ),
     "fig_dyn_logpenalty": (
-        "f18a8781d8f0af83157d395ce081edbcb620aa5634d22400bddf14471ac8fb93",
-        "46d21667c5520dcc061a5e32a138751c859f565f0cc2d7f905da6df3e26abcf8",
+        "e32aae7e48ef58b28d7e6c8a5157058f08b3a2589f694dca70142207a6670994",
+        "13de95e3428fe2836bfb1aace8a64b795ebf9c23c3bc0fc34c975b8458d3e2fe",
         "2fb2b828b8d12ce9c3118e966f7bf9348456a992c9746f5fe27c990d1aa231ef",
     ),
     "fig_fail": (
-        "2e89ab25335c26db05c3adbb170714ee8fb3ecad3e0cbe636df505237bf6365a",
-        "4b0996caf016029bae5c7459782729f938b6d2b23de5da17356577f8238e55f7",
+        "66fc71087536fa3d02791c861fd3c90ac70b01fe9489cae47b94f4444a1312eb",
+        "7536718a707c43d046f28f38b5c119c6d981ca62ce9a79ac8febae8cd033957c",
         "b9ef40a6a1626166efcb6838213a403687f8912c3950242df1bb7ab108c6e5f9",
     ),
     "fig_delay": (
-        "639d421399c3d4164cf0a0d3e70cac294dad67d0fef1b7632c038265192b1d7d",
-        "87cfdc2714dc9822c3fa46e6a81cae4672a25b0e20e518ae0e436bebea6ff5c3",
+        "b88c556762312d3b169a26c43eaa5d36e54abe63edc415f77b805e6a804dfd25",
+        "186bf49a812cc5a1de28bb2378e3257afbe9fcace3142b3e3a409d5e95ecaa2a",
         "3a0cc1aea437a73a72a01b790593f41e0177fb88b8c4d46dc3c4f04ea78d6114",
     ),
     "dispatch": (
-        "bde2a2b62c0a176cbb3dd29ae2ca7e101efcd0da1371a4cf7b49e6958319794e",
-        "5a785f023d588ae0a4ce9ff6ed2e20f4aff0e91002c87069320eeaf5edfdc8f3",
+        "83f316928ebe51f713a2f31a4bf3e410a48604f4d3e5d3bb68e44c33fafe8fe1",
+        "34f6e006e4d7101b7b2c4df668ef5fd4ae114d4a75ef6185dcbf8d0eb2f7fdc1",
         "b2c1c5fe47ccb28954ffce33f67950f503c589f10317368627a93f62e2a245e6",
     ),
     "dispatch_uniform": (
-        "6b6cdcbd9a83b2d9aa27016b0ec5a8a1c64a91b71de695aa42811054550343a4",
-        "347236ab1fd6b813ee78af9cbc4fa5ee202d4a67f6a390042dab76075b825d67",
+        "d78afe0c488a5c31b618baa70f547e6b166db4bcfaea07e489d0c6306c439926",
+        "cad6fde360511064d3a0e5ec806180f97e6d9fd704612d13a94d41d87d52a96f",
         "1df9ccf77d05c73a55fe3e51793053cdd3506e2ec14c2f7f6cf606417569cb4b",
     ),
     "dispatch_adversity": (
-        "e44387c75213aa0c87bfc27ee560b426b8450272d5088a7f254220666a8072e1",
-        "441fa9bf7746b5bc26c0d7f66351ba6e04c17aa2331bceac647bf9a0c775466c",
+        "0e446e0d004e1d2c053f12460e7ae4bda863c8cc6d9054d45af79c00fb56ffad",
+        "5678134a5e0cb783acca1b080a16206e35f7b0c2d9877acab543064bcc91fcc8",
         "370ee1c3d4fbb44d55a215c6b62b03b751779cd6d068711784f506942bda9a57",
     ),
 }
@@ -86,44 +87,44 @@ PRESETS = {
 VARIANTS = {
     # three graphs with different link counts; 7 does not divide 600
     "cycle_fail": ("fig_fail", dict(topology_kind="cycle", topology_cycle_ps=(0.2, 0.35, 0.1), topology_switch_period=7, p_fail=0.3, horizon=600), (
-        "26c45f9561bf3b77348e72889641adeca38bc7058c91b0f99ae66ad6fd7aed94",
-        "fc0facc8a2ae6d3be89ee30f37617b8a88ac836d9c17f5d8a80289326a9c74bd",
+        "caf5108842c10c600a6d249766ff9d81bf40e12472f18ae1fddb2fe65ca495a0",
+        "92d3c68cd0a66b40cf282b0e2a84afcbde9ac03db5d72af1cacd5b6cd79cdd96",
         "ce8dcfa05bff63051d207dc830159e6adbefd9e8202e88290b52b99fefcc545d",
     )),
     # stops at step 1879 of 5000
     "early_stop": ("dispatch_adversity", dict(early_stop_spread=0.5, p_fail=0.2), (
-        "fb49ea11162b64af4badf2f05d1eb4d635f66897354238573f0b883c605f3b16",
-        "936254ab18ee5407855edc640eb33103c7613f4fe76ff9bce3c2549c92abfd1c",
+        "6283a8e1a14881c6c612aa2bb180e1c9023ce82997461a6daa8f2be4e4c6740a",
+        "5350e723d11569f98105f3a7763cc59a0753fe2e92e5b5b24c1bd0984ea46646",
         "8a41ac11a677a399aa019937cc9f2c7ae1c5a9dbb002e3fea0a302255dc0629d",
     )),
     # one delay per link, with failures
     "per_link": ("fig_delay", dict(delay_mode="per_link", p_fail=0.2, horizon=800), (
-        "1b861e853bfaa55cb95313f5881a13789d0c9723b92130c3524199d8d6e7c751",
-        "e73c7ed0fa1220342d30bc30f4088f5ad2ccdf5d6f60048092bc79f77f39707b",
+        "447f9c14d619025d6d58dee0c4fb86a5bbc780b1f795de0381a86ebbbe4c105b",
+        "1a4ab3a1effdef15779fbfaa7e896cc4ca1248abb63f5261021a6ff77017b8fd",
         "fd3a70d006c10b00acc3fbd4e84f34a7ff345f760221ebd2906a78a8ff0dbf3e",
     )),
     # every flow arrives tau_bar steps later
     "fixed": ("fig_delay", dict(delay_mode="fixed", tau_bar=3, horizon=800), (
-        "bf433150dae706d898e7f0d368cb387c38778dc44ee39e54697bf5d97078710b",
-        "6c8f51c39add78445dc80de3b55be2fab5e9a6c51467477c70a0acabdd1ed806",
+        "15903ddbcbd832572162d0099dd3f533b3c05a9898189e7d934b2c62b1de660a",
+        "e1db0ee80999eab6fe938440d198d7fa9068c6cbc7ae6d060838ea9cacd54baa",
         "ea6103b97adafb874f95a79c5518d55e008d4bc0b22e32bcb392520009bedcaf",
     )),
     # delays up to 300: wider than one byte
     "tau_300": ("dispatch_adversity", dict(tau_bar=300, eta=0.002, horizon=900), (
-        "ff2befe08e66fb8719736de2554e68611b0bb56ac4990a7328d8a5e5640e2d89",
-        "be7ea318dd2bdda8d657cb27172eb37c10cd1f29b0f93f8e8eb46171744e7c42",
+        "b7b7304d22b9ab78941fa8479f65459a4d91054a0dd8024602ed128831c95401",
+        "d39f58b2063226efec425662077899c438c574353df6697410098ff9bf3015b9",
         "15db51ab52bf02675f94857cc43a03c9a6da51d7f1fb0d73c9b257904b1ef71b",
     )),
     # records every 7th step, with failures
     "stride_7": ("fig_dyn", dict(record_stride=7, horizon=1000, p_fail=0.1), (
-        "fd8ff96c5d1493048d838170ff345790edb42def2f6838d37f39a3527ea09a4e",
-        "9084843c3f42529c498f20e52526af8d85ab6a8fbcaafed8cb69b6d3692ba59f",
+        "7d819d2c05dfa80b8f3823444f71bf86cd6633ab1982d60d379b1d44215a4a53",
+        "75ff579e3c6399373893cfc4ee36baf95c54edc462e35caa55ffbd9ea38faf0f",
         "15a21684044e04d273a0e62872d985dc23f8db74d3df77dad102f842eb7d382d",
     )),
     # stops at step 4; the summary's eta_bound_ratio is computed
     "diverge": ("fig_delay", dict(eta=8.0, horizon=400, p_fail=0.3), (
-        "8026e16471ffdf6cd15a407bc915233de147785aaf413d6b6df9dfc463c59b2c",
-        "18c2bc531e1fa71f031b9516d3f508b8f64d26aa8cdb9d5801ff57c41c44043c",
+        "4d1a02547c8708c96598910a38629b67f854ccd3cec249d26d934ce16f548236",
+        "21762e2d23d924e7389d7a74ad6c5c18a58af5a2a10acfebb7672b3feab45d4b",
         "cb0f1c43ae78b81a1dc73e89a6aa61f23b0c9fd14927fc029fe5122444b7976a",
     )),
 }
@@ -173,20 +174,20 @@ PENALTY_VARIANTS = {
     # an odd exponent and a weight that is not dyadic make w * m inexact, so
     # regrouping w * m * (u**(m-1) - v**(m-1)) moves bits
     "exponent_3": (dict(costs_penalty_exponent=3, costs_penalty_weight=7.3), (
-        "41fb17b2f15cd9c32118729898a93260400abbf83da36335168f52d4a5e01c7f",
-        "d4afde3bd3dfb81789a29d0a8c1bbc2f332ee7742bff038b56b9697863c17de9",
+        "efcb1e73fef9102afb8e74fb5b18983b8d1d50f32ca033923f0f237ddb209ead",
+        "78352a16c18db2454ba71a7da2667cfcd7128148e6728b830cc11fa58bf29759",
         "88f9a98dd5c492796c312fc4fcfa1aeb7dd21bbf1975a2763bff4e396b15b607",
     )),
     # mixed table, box exponent 3: the power path and the box select
     "table_box_3": (dict(costs_kind="csv", costs_penalty_exponent=3, costs_penalty_weight=7.3), (
-        "32c3ab7b4fd732200b26afc1c2ffbe6f4c2f22c3fb9d0bf2605f02755661c423",
-        "f5d25b666816a25bc982579af4ee167c28a5070b87b7023e84106b423780d2a7",
+        "51d59d9b259270ee98b9499db2a896986fc5482fa6d2ab5c263f3632a35a1287",
+        "c8d3cea741b27779afce370fab5aa51bdeef3bf823bf20295bf107f657e07719",
         "4e8a413cf86d03edc691f21bab94f463757221966e696b016f9a1496195624dd",
     )),
     # mixed table, smooth-log penalty: the log select
     "table_log": (dict(costs_kind="csv", costs_penalty="smooth_log"), (
-        "8e187db11913601976759bedff65f7c383d81acfb63a4519fc8891d6a70584e9",
-        "3cb6f1e0368d5c470d884c3aad79325f8d40d296c12ef148644a8bf055b0e3e7",
+        "c814f757513fce633a5a52871869992b9146aaee5f63a7aaef711ffcc5665092",
+        "81ab86815485d7b0e161f1f1e2c00e81304f1351e32b81437cfec1ee38cbed31",
         "205f1c5db3ae54bd8f7f829c009547029b6b8897def20bffbf3f4b4743a3c200",
     )),
 }

@@ -416,6 +416,23 @@ class TestFailureMask:
 
 
 class TestRun:
+    @pytest.mark.parametrize("cfg", [dataclasses.replace(preset("fig_dyn"), horizon=50),
+                                     dataclasses.replace(preset("fig_delay"), eta=8.0, horizon=400, p_fail=0.3)],
+                             ids=["converges", "diverges"])
+    def test_builds_one_cost_set(self, cfg, monkeypatch):
+        # The oracle, the run and, on divergence, the certificate share the
+        # run's CostSet, where each once built its own.
+        built = []
+        init = CostSet.__init__
+
+        def counting(self, costs):
+            built.append(len(costs))
+            init(self, costs)
+
+        monkeypatch.setattr(CostSet, "__init__", counting)
+        result = run(cfg)
+        assert built == [cfg.n] and (result.summary.eta_bound_ratio is not None) == result.summary.diverged
+
     def test_deterministic_traces(self):
         cfg = small_static_config(horizon=150, p_fail=0.3, tau_bar=2)
         a = run(cfg)
