@@ -156,6 +156,8 @@ def _worker_cap(n_jobs: int) -> int:
             raise ConfigurationError(f"DRA_SIM_THREADS must be an integer, got {raw!r}") from None
         if cap < 1:
             raise ConfigurationError(f"DRA_SIM_THREADS must be >= 1, got {cap}")
+    elif hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on, not the machine's
+        cap = len(os.sched_getaffinity(0))
     else:
         cap = os.cpu_count() or 1
     return max(1, min(n_jobs, cap))

@@ -11,7 +11,6 @@ their sum is nondecreasing in nu, so guarded Newton steps on nu meet the total.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from dataclasses import dataclass
@@ -285,8 +284,7 @@ class CostSet:
     """Array-backed view of a cost list: the one evaluator of the cost math.
 
     Every value, gradient and curvature in the package is computed here,
-    with one vector expression per call; the scalar ``cost_*`` functions
-    below are one-element calls into it.
+    with one vector expression per call.
     """
 
     def __init__(self, costs: list[LocalCost]):
@@ -367,38 +365,6 @@ class CostSet:
     def row_totals(self, xs: np.ndarray) -> list[float]:
         """``total_value`` of each row of a (rows, n) block: one ``value_per_agent`` and one ``_row_fsums`` call."""
         return _row_fsums(self.value_per_agent(xs))
-
-    @functools.cached_property
-    def _bound(self) -> tuple[float, float, int, list[tuple[int, float]]]:
-        """``value_bound``'s (shift, mu, top exponent, (exponent, c) terms), built on first use."""
-        coef = np.concatenate([
-            np.where(self.quartic, self.p1, np.abs(self.p1) + np.abs(self.p2) + np.abs(self.p3)),
-            np.where(self._box, self.pen_weight, 0.0),
-            np.where(self._log, 1.0 + 2.0 * math.log(2.0) / self.pen_mu, 0.0),
-        ])
-        expo = np.concatenate([np.where(self.quartic, 4, 2), self.pen_exponent, np.ones(self.n, dtype=int)])
-        edge = np.where(self.pen_kind > 0, np.maximum(np.abs(self.pen_lo), np.abs(self.pen_hi)), 0.0)
-        shift = float(max(np.abs(np.where(self.quartic, self.p2, 0.0)).max(), edge.max()))
-        mu = max(1.0, float(np.where(self._log, self.pen_mu, 0.0).max()))
-        return shift, mu, int(expo.max()), [(int(e), float(coef[expo == e].sum())) for e in np.unique(expo).tolist()]
-
-    def value_bound(self, m: float) -> float:
-        """An upper bound on |total_value(x)| over every x with max|x_i| <= m.
-
-        With s = max(1, m + shift), |f_i(x)| is at most c * s**e summed over the
-        base, (|p1| + |p2| + |p3|) s**2 or p1 s**4, and the penalty, weight
-        s**exponent or (1 + 2 ln 2 / mu) s; the sum has a margin for rounding.
-        It is inf where a power of s, or mu * s, nears the double range, since a
-        term of ``value_per_agent`` could overflow there while its exact value does not.
-        """
-        shift, mu, top, terms = self._bound
-        s = max(1.0, m + shift)
-        try:
-            if mu * s**top > 2.0**1000:
-                return math.inf
-            return (1.0 + 1e-9) * sum(c * s**e for e, c in terms)
-        except OverflowError:  # a Python float power past the double range
-            return math.inf
 
     def base_grad(self, x: np.ndarray) -> np.ndarray:
         """Per-agent base gradient, without the penalty terms."""

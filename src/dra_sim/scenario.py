@@ -591,18 +591,19 @@ def _book_block(cs: CostSet, held: list[tuple], total: float) -> np.ndarray:
 
 
 def _guard_floor(cs: CostSet, value: float, limit: float) -> float:
-    """The largest m up to which ``run``'s guard ``cs.value_bound(m) - value > limit`` cannot hold, or -inf.
+    """The largest power of two m at which no state with max|x_i| <= m trips ``run``'s guard, or -inf.
 
-    ``value_bound`` is nondecreasing in m up to its rounding: s = max(1, m + shift) is, rounding being
-    monotone, and so are its terms c * s**e (c >= 0, e >= 1) and their sum, but for a few ulps of pow and of
-    the sum, far below the relative margin 1e-6.  So where value_bound(m) * (1 + 1e-6) - value > limit is
-    false, the guard is false at every m' <= m; the bisection runs over the bit patterns of the doubles >= 0,
-    which they order as the doubles.
+    Each cost is convex, so on [-m, m] it is largest at -m or at m: where the sum of those maxima, raised
+    by a rounding margin of 1e-6 (sum |max_i| + |value|), less value is within the limit (nan is not),
+    ``total_value(x) - value > limit`` is false.  The bisection's answer is an m that it tested.
     """
-    double = lambda bits: float(np.int64(bits).view(np.float64))
-    first = bisect.bisect_left(range(0x7FF0000000000000), True,  # the bits of +0.0 up to inf, excluded
-                               key=lambda bits: cs.value_bound(double(bits)) * (1.0 + 1e-6) - value > limit)
-    return double(first - 1) if first else -math.inf
+    def over(e: int) -> bool:  # the corner sum at m = 2**e, with its margin, lies past the limit
+        top = cs.value_per_agent(np.ldexp(np.repeat([[-1.0], [1.0]], cs.n, axis=1), e)).max(axis=0)
+        return not float(top.sum()) + 1e-6 * (float(np.abs(top).sum()) + abs(value)) - value <= limit
+
+    with np.errstate(all="ignore"):  # a corner value past the double range reads as inf or nan, silently
+        first = bisect.bisect_left(range(-1074, 1024), True, key=over)
+    return math.ldexp(1.0, first - 1075) if first else -math.inf
 
 
 def run(cfg: ScenarioConfig) -> RunResult:
@@ -616,9 +617,9 @@ def run(cfg: ScenarioConfig) -> RunResult:
     dispersion, min, max, mean; gap and objective are exact sums, +-inf only past the double
     range) ``_book_block`` returns; the blocks, a nan column for a last state that is not
     finite, and the links up at each step are joined once the loop is over.
-    The objective is evaluated at step 0, where it sets the divergence limit, and where
-    ``CostSet.value_bound``, called above ``_guard_floor`` only, cannot rule divergence out;
-    each step's live links come from one ``_link_plan``.
+    The objective is evaluated at step 0, where it sets the divergence limit, and at the
+    steps whose max|x_i| lies above ``_guard_floor``; each step's live links come from one
+    ``_link_plan``.
     """
     instance = build_instance(cfg)
     graphs, costs, node_map, link_map = instance
@@ -641,7 +642,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
     blocks: list[np.ndarray] = []  # the columns of each booked block of steps
     links: list[int] = []  # links up at each step taken
     limit = 1e9 * (abs(cs.total_value(x0) - oracle.value) + 1.0)  # the residual past which a run diverges
-    floor = _guard_floor(cs, oracle.value, limit)  # where max|x_i| <= floor, value_bound cannot trip the guard
+    floor = _guard_floor(cs, oracle.value, limit)  # where max|x_i| <= floor, no state trips the guard
     active = graphs[0].edge_count  # links up at the last step taken, which the final step repeats
     held: list[tuple] = []  # (x, grads, lo, hi) of finite steps whose columns wait
     block = max(1, min(_RECORD_ROWS, _RECORD_BLOCK // cfg.n))
@@ -655,8 +656,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
         if finite:
             grads = cs.grad(x)
             spread = float(most(grads) - least(grads))
-            if k and max(-lo, hi) > floor and cs.value_bound(max(-lo, hi)) - oracle.value > limit:
-                diverged = cs.total_value(x) - oracle.value > limit
+            diverged = k > 0 and max(-lo, hi) > floor and cs.total_value(x) - oracle.value > limit
             held.append((x, grads, lo, hi))
         done = diverged or spread <= cfg.early_stop_spread or k == horizon
         if held and (done or len(held) == block):

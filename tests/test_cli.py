@@ -321,6 +321,18 @@ class TestSweepCommand:
                      "--out-dir", str(out)]) == 1
         capsys.readouterr()
 
+    def test_default_cap_is_the_cpus_this_process_may_use(self, monkeypatch):
+        # Under taskset or a CPU-limited container the affinity mask, not the machine, sizes the pool.
+        monkeypatch.delenv("DRA_SIM_THREADS", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert (cli._worker_cap(100), cli._worker_cap(2)) == (3, 2)
+        monkeypatch.setenv("DRA_SIM_THREADS", "8")
+        assert cli._worker_cap(100) == 8
+        monkeypatch.delenv("DRA_SIM_THREADS")
+        monkeypatch.delattr(cli.os, "sched_getaffinity")  # a platform without affinity masks
+        assert cli._worker_cap(100) == 64
+
     def test_summary_table_doubles_quotes(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DRA_SIM_THREADS", "1")
         cfg = write_small_config(tmp_path, horizon=5)

@@ -17,6 +17,7 @@ from dra_sim import (
     NumericError,
     SmoothLogPenalty,
     central_solve,
+    feasible_init,
     identity_map,
     init_delayed_state,
     load_costs_csv,
@@ -284,6 +285,16 @@ class TestCentralSolve:
         sol = central_solve([quadratic_cost(1.0)] * 4, 0.0, boxes=boxes, mode="exact_box")
         assert sol.x.tolist() == [1e308, 1e308, -1e308, -1e308]
         assert sol.gap == 0.0 and sol.value == math.inf
+
+    @pytest.mark.xfail(strict=True, raises=NumericError,
+                       reason="the multiplier that solves it, 2e308, lies past the double range")
+    def test_multiplier_past_the_double_range_still_solves(self):
+        # x = (0, 1e308) solves it, and feasible_init finds that start through
+        # its power-of-two rescale; the oracle's multiplier search does not.
+        boxes = [(-8e307, 0.0), (8e307, 1.7e308)]
+        assert feasible_init(2, 1e308, boxes=boxes).tolist() == [0.0, 1e308]
+        sol = central_solve([quadratic_cost(1.0)] * 2, 1e308, boxes=boxes, mode="exact_box")
+        assert sol.x.tolist() == [0.0, 1e308]
 
     def test_boxes_refused_outside_exact_box_mode(self):
         # Penalized mode honours only the costs' penalties; it would return

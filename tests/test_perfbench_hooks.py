@@ -73,23 +73,21 @@ def test_run_calls_per_step(monkeypatch):
     under dispatch_adversity's failures the node map sees each step's live
     link count, which the trace records.  Runs that stop before the horizon
     (fig_fail's early stop, the pinned divergence) take no step past their
-    stop.  The loop calls ``CostSet.value_bound`` at the steps whose
-    max|x_i| lies above the run's floor from ``scenario._guard_floor``, and
-    evaluates ``CostSet.total_value`` at step 0 and then only where that
-    bound exceeds the divergence limit.
+    stop.  The loop evaluates ``CostSet.total_value`` at step 0 and then
+    only at the steps whose max|x_i| lies above the run's floor from
+    ``scenario._guard_floor``.
     """
     steps: list[list] = []
     grads = {"loop": 0, "oracle": 0}
     values = {"loop": 0, "oracle": 0}
-    bounds: list[tuple[float, float]] = []  # (m, value_bound(m)) of the loop's calls
+    peaks_checked: list[float] = []  # max|x_i| of each state whose total_value the loop evaluates
     floors: list[float] = []
-    in_oracle, in_floor = [], []
+    in_oracle = []
 
     real_step = scenario.step_delayed
     real_map = dynamics.apply_map_array
     real_grad = objective.CostSet.grad
     real_value = objective.CostSet.total_value
-    real_bound = objective.CostSet.value_bound
     real_solve = scenario.central_solve
     real_floor = scenario._guard_floor
 
@@ -107,20 +105,12 @@ def test_run_calls_per_step(monkeypatch):
 
     def total_value(self, x):
         values["oracle" if in_oracle else "loop"] += 1
+        if not in_oracle:
+            peaks_checked.append(float(np.abs(x).max()))
         return real_value(self, x)
 
-    def value_bound(self, m):
-        bound = real_bound(self, m)
-        if not in_floor:
-            bounds.append((m, bound))
-        return bound
-
     def guard_floor(*args):
-        in_floor.append(True)
-        try:
-            floors.append(real_floor(*args))
-        finally:
-            in_floor.pop()
+        floors.append(real_floor(*args))
         return floors[-1]
 
     def solve(*args, **kwargs):
@@ -134,7 +124,6 @@ def test_run_calls_per_step(monkeypatch):
     monkeypatch.setattr(dynamics, "apply_map_array", apply_map)
     monkeypatch.setattr(objective.CostSet, "grad", grad)
     monkeypatch.setattr(objective.CostSet, "total_value", total_value)
-    monkeypatch.setattr(objective.CostSet, "value_bound", value_bound)
     monkeypatch.setattr(scenario, "central_solve", solve)
     monkeypatch.setattr(scenario, "_guard_floor", guard_floor)
     for name, p_fail in (("fig_delay", 0.0), ("dispatch_adversity", 0.5)):
@@ -166,7 +155,7 @@ def test_run_calls_per_step(monkeypatch):
         steps.clear()
         grads.update(loop=0, oracle=0)
         values.update(loop=0, oracle=0)
-        bounds.clear()
+        peaks_checked.clear()
         result = scenario.run(cfg)
         summary = result.summary
         executed = summary.executed_steps
@@ -175,9 +164,8 @@ def test_run_calls_per_step(monkeypatch):
         assert grads["loop"] == executed + 1
         peaks = [max(-r.state_min, r.state_max) for r in result.trace]  # max|x_i|, nan for a state not finite
         assert [r.step for r in result.trace] == list(range(executed + 1))
-        assert [m for m, _ in bounds] == [m for m in peaks[1:] if m > floors[-1]]
-        limit = 1e9 * (abs(summary.initial_residual) + 1.0)
-        assert values["loop"] == 1 + sum(b - summary.oracle_value > limit for _, b in bounds)
+        assert peaks_checked[1:] == [m for m in peaks[1:] if m > floors[-1]]
+        assert values["loop"] == len(peaks_checked)
     assert values["loop"] > 1
 
 

@@ -741,29 +741,6 @@ def one_row_total(cs, x):
     return exact_sum_or_error(cs.value_per_agent(x))
 
 
-@given(st.lists(local_costs(), min_size=1, max_size=20), seeds, st.floats(-3.0, 308.0))
-@example(costs=[quartic_cost(0.001, 0.0)], seed=0, exponent=77.2)
-@example(costs=[quadratic_cost(0.1, 3.0, -1.0)], seed=1, exponent=154.0)
-@example(costs=[quadratic_cost(0.1, penalty=SmoothLogPenalty(-5.0, 5.0, 10.0))], seed=2, exponent=307.0)
-@example(costs=[quartic_cost(0.03125, 0.0, penalty=BoxPenalty(0.8, 1.8, 1.0, 2))], seed=3, exponent=0.5)
-@example(costs=[quadratic_cost(0.1, penalty=SmoothLogPenalty(-5.0, 5.0, 1e300))], seed=4, exponent=10.0)
-@settings(max_examples=200)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_value_bound_covers_total_value(costs, seed, exponent):
-    # The examples put a tiny coefficient on a power that overflows while
-    # the product would not, terms near the double range, one agent whose
-    # squared box penalty a (rows, 1) block could evaluate otherwise, and a
-    # smooth-log sharpness mu whose mu * (x - hi) overflows though x does not.
-    cs = CostSet(costs)
-    x = np.random.default_rng(seed).uniform(-1.0, 1.0, cs.n) * 10.0**exponent
-    total, bound = cs.total_value(x), cs.value_bound(float(np.abs(x).max()))
-    assert bound == math.inf or abs(total) <= bound
-    assert bound >= cs.value_bound(float(np.abs(x).max()) / 2.0)
-    rows = np.stack([x, -x, x / 3.0])
-    assert same_float(total, one_row_total(cs, x))
-    assert all(same_float(a, one_row_total(cs, r)) for a, r in zip(cs.row_totals(rows), rows))
-
-
 @st.composite
 def guard_problems(draw):
     """A CostSet of quadratic and quartic agents with box penalties of exponent 2-5, smooth-log or no
@@ -785,31 +762,47 @@ def guard_problems(draw):
     return CostSet(costs), draw(st.floats(-1e12, 1e12)), 1e9 * (residual + 1.0)
 
 
-@given(guard_problems(), st.floats(0.0, 1.0))
-@example(problem=(CostSet([quadratic_cost(1.0)]), 0.0, 1e9), fraction=0.5)
-@example(problem=(CostSet([quadratic_cost(1e300)]), 0.0, 1e9), fraction=0.5)
-@example(problem=(CostSet([quartic_cost(1.0, 0.0, BoxPenalty(-1.0, 1.0, 1.0, 5))]), -1e12, 1e9), fraction=0.0)
+@given(guard_problems(), seeds, st.floats(0.0, 1.0))
+@example(problem=(CostSet([quadratic_cost(1.0)]), 0.0, 1e9), seed=0, fraction=0.5)
+@example(problem=(CostSet([quadratic_cost(1e300)]), 0.0, 1e9), seed=0, fraction=0.5)
+@example(problem=(CostSet([quartic_cost(1.0, 0.0, BoxPenalty(-1.0, 1.0, 1.0, 5))]), -1e12, 1e9), seed=0, fraction=0.0)
+@example(problem=(CostSet([quartic_cost(0.001, 0.0)]), 0.0, 1e307), seed=0, fraction=0.5)
+@example(problem=(CostSet([quadratic_cost(0.1, 3.0, -1.0)]), 0.0, 1e308), seed=1, fraction=0.5)
+@example(problem=(CostSet([quadratic_cost(0.1, penalty=SmoothLogPenalty(-5.0, 5.0, 10.0))]), 0.0, math.inf),
+         seed=2, fraction=1.0)
+@example(problem=(CostSet([quartic_cost(0.03125, 0.0, penalty=BoxPenalty(0.8, 1.8, 1.0, 2))]), 0.0, 1e9),
+         seed=3, fraction=0.5)
+@example(problem=(CostSet([quadratic_cost(0.1, penalty=SmoothLogPenalty(-5.0, 5.0, 1e300))]), 0.0, 1e9),
+         seed=4, fraction=0.5)
 @settings(max_examples=300)
-def test_guard_floor_rules_out_only_what_value_bound_rules_out(problem, fraction):
-    """``run`` calls ``value_bound`` only above ``_guard_floor``: the guard is false at the floor and below
-    it and, whenever some finite m trips it, true at the m whose max(1, m + shift) is a relative 1e-5 above
-    that of the floor's next double, past the floor's margin of 1e-6."""
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_no_state_inside_the_guard_floor_trips_the_guard(problem, seed, fraction):
+    """``run`` evaluates its guard ``total_value(x) - value > limit`` only where max|x_i| lies above
+    ``_guard_floor``, a power of two or -inf: the guard is false at both corners of the floor's cube, at
+    a random sign pattern of its corners and at interior points, each total is its row's exact sum, and
+    at twice the floor the worse corner of each cost trips the guard within a relative 1e-5.
+
+    The examples put a tiny coefficient on a power that overflows while the product would not, terms
+    near the double range, one agent whose squared box penalty a (rows, 1) block could evaluate
+    otherwise, and a smooth-log sharpness mu whose mu * (x - hi) overflows though x does not.
+    """
     cs, value, limit = problem
-
-    def guard(m):
-        return cs.value_bound(m) - value > limit
-
     floor = scenario._guard_floor(cs, value, limit)
-    if floor >= 0.0:
-        below = (floor, math.nextafter(floor, 0.0), floor * fraction, 0.0)
-        assert not any(map(guard, below))
-    else:
-        assert floor == -math.inf
-    if guard(math.nextafter(math.inf, 0.0)):  # the largest double
-        shift = cs._bound[0]
-        up = math.nextafter(floor, math.inf) if floor >= 0.0 else 0.0
-        beyond = max(1.0, up + shift) * (1.0 + 1e-5) - shift
-        assert beyond == math.inf or guard(beyond)
+    assert floor == -math.inf or floor == math.ldexp(1.0, math.frexp(floor)[1] - 1)
+    if floor > 0.0:
+        rng = np.random.default_rng(seed)
+        rows = np.stack([np.full(cs.n, -floor), np.full(cs.n, floor), rng.choice([-floor, floor], cs.n),
+                         rng.uniform(-1.0, 1.0, cs.n) * floor, np.full(cs.n, fraction * floor)])
+        totals = cs.row_totals(rows)
+        assert not any(t - value > limit for t in totals)
+        assert all(same_float(t, one_row_total(cs, r)) for t, r in zip(totals, rows))
+    if floor < 2.0**1023:
+        m = 2.0 * floor if floor > 0.0 else 5e-324
+        corners = np.stack([np.full(cs.n, -m), np.full(cs.n, m)])
+        vals = cs.value_per_agent(corners)
+        top = vals.max(axis=0)
+        total = cs.total_value(corners[vals.argmax(axis=0), np.arange(cs.n)])
+        assert not total - value <= limit - 1e-5 * (float(np.abs(top).sum()) + abs(value))
 
 
 @given(maps, st.integers(0, 40), st.sampled_from((math.nan, math.inf, -math.inf)), st.data())

@@ -648,8 +648,8 @@ class TestRun:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exact_objective_at_every_step_changes_no_output(self, monkeypatch):
-        # With the bound never ruling divergence out, every step evaluates
-        # total_value; the outputs stay those of the bounded loop.
+        # With the guard's floor at -inf, every step evaluates total_value;
+        # the outputs stay those of the loop with its floor.
         configs = [
             dataclasses.replace(preset("fig_dyn_logpenalty"), horizon=300),
             dataclasses.replace(preset("dispatch_adversity"), early_stop_spread=0.5, p_fail=0.2),
@@ -658,7 +658,7 @@ class TestRun:
         ]
         want = [run(cfg) for cfg in configs]
         assert want[2].summary.diverged and want[3].summary.diverged
-        monkeypatch.setattr("dra_sim.objective.CostSet.value_bound", lambda self, m: math.inf)
+        monkeypatch.setattr("dra_sim.scenario._guard_floor", lambda cs, value, limit: -math.inf)
         for cfg, w in zip(configs, want):
             got = run(cfg)
             assert trace_to_csv(got.trace) == trace_to_csv(w.trace)
