@@ -89,9 +89,12 @@ def _softplus(u):
 def _power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     # numpy squares instead of calling pow (the last bit can differ) where an
     # exponent of 2 repeats with stride 0, as a one-agent (1,) exponent does
-    # down a (rows, 1) block; a full-shape one makes row k the one-row call.
+    # down a (rows, 1) block, and a (1, 1) block takes the scalar pow, not the
+    # vector one of a (1,) call; a contiguous column with a full-length
+    # exponent makes row k the one-row call.
     if base.ndim > 1 and base.shape[-1] == 1:
-        exponent = np.broadcast_to(exponent, base.shape).copy()
+        column = np.ascontiguousarray(base).reshape(-1)
+        return (column ** np.broadcast_to(exponent, column.shape).copy()).reshape(base.shape)
     return base**exponent
 
 

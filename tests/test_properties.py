@@ -741,6 +741,43 @@ def one_row_total(cs, x):
     return exact_sum_or_error(cs.value_per_agent(x))
 
 
+def corner_bound(cs, m):
+    """The value bound at m that ``_guard_floor`` compares, the sum over agents of max(f_i(-m), f_i(m)),
+    and the sum of those maxima's magnitudes, which scales its rounding margin."""
+    top = cs.value_per_agent(np.stack([np.full(cs.n, -m), np.full(cs.n, m)])).max(axis=0)
+    return float(top.sum()), float(np.abs(top).sum())
+
+
+@given(st.lists(local_costs(), min_size=1, max_size=20), seeds, st.floats(-3.0, 308.0))
+@example(costs=[quartic_cost(0.001, 0.0)], seed=0, exponent=77.2)
+@example(costs=[quadratic_cost(0.1, 3.0, -1.0)], seed=1, exponent=154.0)
+@example(costs=[quadratic_cost(0.1, penalty=SmoothLogPenalty(-5.0, 5.0, 10.0))], seed=2, exponent=307.0)
+@example(costs=[quartic_cost(0.03125, 0.0, penalty=BoxPenalty(0.8, 1.8, 1.0, 2))], seed=3, exponent=0.5)
+@example(costs=[quadratic_cost(0.1, penalty=SmoothLogPenalty(-5.0, 5.0, 1e300))], seed=4, exponent=10.0)
+@settings(max_examples=200)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_value_bound_covers_total_value(costs, seed, exponent):
+    """Every cost is convex, so at any x with max|x_i| <= m, ``total_value(x)`` lies within the value bound
+    at m (``corner_bound``) raised by ``_guard_floor``'s rounding margin of 1e-6 sum |max_i|, where that
+    bound is finite, and the bound at m/2 lies within it too; ``total_value`` and ``row_totals`` are each row's exact sum.
+
+    The examples put a tiny coefficient on a power that overflows while the product would not, terms
+    near the double range, one agent whose squared box penalty a (rows, 1) block could evaluate
+    otherwise, and a smooth-log sharpness mu whose mu * (x - hi) overflows though x does not.
+    """
+    cs = CostSet(costs)
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, cs.n) * 10.0**exponent
+    m = float(np.abs(x).max())
+    total = cs.total_value(x)
+    bound, size = corner_bound(cs, m)
+    if math.isfinite(bound):  # inf or nan, as where inf - inf meets inside a cost, bounds nothing
+        assert total <= bound + 1e-6 * size
+        assert corner_bound(cs, m / 2.0)[0] <= bound + 1e-6 * size
+    rows = np.stack([x, -x, x / 3.0])
+    assert same_float(total, one_row_total(cs, x))
+    assert all(same_float(a, one_row_total(cs, r)) for a, r in zip(cs.row_totals(rows), rows))
+
+
 @st.composite
 def guard_problems(draw):
     """A CostSet of quadratic and quartic agents with box penalties of exponent 2-5, smooth-log or no
@@ -776,9 +813,10 @@ def guard_problems(draw):
          seed=4, fraction=0.5)
 @settings(max_examples=300)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_no_state_inside_the_guard_floor_trips_the_guard(problem, seed, fraction):
+def test_guard_floor_rules_out_only_what_value_bound_rules_out(problem, seed, fraction):
     """``run`` evaluates its guard ``total_value(x) - value > limit`` only where max|x_i| lies above
-    ``_guard_floor``, a power of two or -inf: the guard is false at both corners of the floor's cube, at
+    ``_guard_floor``, a power of two or -inf, below which the value bound (``corner_bound``) keeps every
+    state within the limit: the guard is false at both corners of the floor's cube, at
     a random sign pattern of its corners and at interior points, each total is its row's exact sum, and
     at twice the floor the worse corner of each cost trips the guard within a relative 1e-5.
 
