@@ -86,39 +86,12 @@ def _softplus(u):
     return np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
 
 
-def _power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    # numpy squares instead of calling pow (the last bit can differ) where an
-    # exponent of 2 repeats with stride 0, as a one-agent (1,) exponent does
-    # down a (rows, 1) block, and a (1, 1) block takes the scalar pow, not the
-    # vector one of a (1,) call; a contiguous column with a full-length
-    # exponent makes row k the one-row call.
-    if base.ndim > 1 and base.shape[-1] == 1:
-        column = np.ascontiguousarray(base).reshape(-1)
-        return (column ** np.broadcast_to(exponent, column.shape).copy()).reshape(base.shape)
-    return base**exponent
-
-
-# A masked pow pays a fixed cost and goes stretch by stretch of nonzero bases,
-# so it beats plain pow, whose slow case is +0.0, only on blocks this large
-# with at most this share of nonzero bases (BENCH_rowsum.json).
-_MASKED_POW_MIN_SIZE = 512
-_MASKED_POW_MAX_SHARE = 0.1
-
-
-def _penalty_power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """``_power`` of box-penalty bases max(0, .) for exponents >= 1, calling pow only on nonzero bases where few are.
-
-    Inside the box the base is +0.0, whose power is +0.0 for every exponent
-    >= 1.  The mask compares bits, so -0.0 and nan still go through pow.  One
-    agent always takes ``_power``: the masked loop squares a lone entry.
-    """
-    if base.size >= _MASKED_POW_MIN_SIZE and base.shape[-1] > 1:
-        outside = base.view(np.int64) != 0
-        count = np.count_nonzero(outside)
-        if count <= _MASKED_POW_MAX_SHARE * base.size:
-            out = np.zeros(base.shape)
-            return np.power(base, exponent, out=out, where=outside) if count else out  # no pow if none is outside
-    return _power(base, exponent)
+def _int_power(base: np.ndarray, e: int) -> np.ndarray:
+    """base**e, e >= 0, as products by squaring: each is correctly rounded, so no shape or CPU dispatch moves a bit."""
+    if e < 2:
+        return base if e else np.ones_like(base)
+    square = _int_power(base * base, e // 2)
+    return square * base if e % 2 else square
 
 
 def _cubic_root(p, q):
@@ -314,11 +287,12 @@ class CostSet:
         kinds = set(table[0])
         self._any_box, self._any_log = 1 in kinds, 2 in kinds
         # Penalties that every agent has skip the select; the factors below
-        # associate as the formulas did; with exponent 2, u ** (m-1) is u.
+        # associate as the formulas did.
         self._all_box, self._all_log = kinds == {1}, kinds == {2}
         self._p1x2, self._p1x4 = 2.0 * self.p1, 4.0 * self.p1
-        self._pen_wm, self._pen_m1 = wt * ex, ex - 1
+        self._pen_wm = wt * ex
         self._pen_square = all(e == 2 for e in table[4])
+        self._box_exponents = sorted({int(e) for k, e in zip(table[0], table[4]) if k == 1})
         # Homogeneous cost lists skip the two-branch select in the hot path.
         self._all_quadratic, self._all_quartic = not any(quartic), all(quartic)
 
@@ -337,10 +311,10 @@ class CostSet:
         if self._all_quadratic:
             return self.p1 * x**2 + self.p2 * x + self.p3
         if self._all_quartic:
-            return self.p1 * (x - self.p2) ** 4
+            return self.p1 * _int_power(x - self.p2, 4)
         return np.where(
             self.quartic,
-            self.p1 * (x - self.p2) ** 4,
+            self.p1 * _int_power(x - self.p2, 4),
             self.p1 * x**2 + self.p2 * x + self.p3,
         )
 
@@ -350,7 +324,7 @@ class CostSet:
         if self._any_box:
             up = np.maximum(0.0, x - self.pen_hi)
             dn = np.maximum(0.0, self.pen_lo - x)
-            pv = self.pen_weight * (_penalty_power(up, self.pen_exponent) + _penalty_power(dn, self.pen_exponent))
+            pv = self.pen_weight * (self._box_power(up, 0) + self._box_power(dn, 0))
             out = out + (pv if self._all_box else np.where(self._box, pv, 0.0))
         if self._any_log:
             mu = self.pen_mu
@@ -378,10 +352,10 @@ class CostSet:
         if self._all_quadratic:
             return self._p1x2 * x + self.p2
         if self._all_quartic:
-            return self._p1x4 * (x - self.p2) ** 3
+            return self._p1x4 * _int_power(x - self.p2, 3)
         return np.where(
             self.quartic,
-            self._p1x4 * (x - self.p2) ** 3,
+            self._p1x4 * _int_power(x - self.p2, 3),
             self._p1x2 * x + self.p2,
         )
 
@@ -399,7 +373,7 @@ class CostSet:
             else:
                 up = np.maximum(0.0, x - self.pen_hi)
                 dn = np.maximum(0.0, self.pen_lo - x)
-                pg = self._pen_wm * (_penalty_power(up, self._pen_m1) - _penalty_power(dn, self._pen_m1))
+                pg = self._pen_wm * (self._box_power(up, 1) - self._box_power(dn, 1))
             out = out + (pg if self._all_box else np.where(self._box, pg, 0.0))
         if self._any_log:
             mu = self.pen_mu
@@ -411,6 +385,15 @@ class CostSet:
         """Per-agent second derivative (one-sided at box corners)."""
         return self._curvature(x, x, x)
 
+    def _box_power(self, base: np.ndarray, less: int) -> np.ndarray:
+        """base ** (m - less), m each agent's box exponent: one ``_int_power`` per exponent; 0 where no box is."""
+        first, *rest = self._box_exponents
+        base = base if self._all_box else np.where(self._box, base, 0.0)  # unread smooth-log powers: no overflow
+        out = _int_power(base, first - less)
+        for m in rest:
+            out = np.where(self.pen_exponent == m, _int_power(base, m - less), out)
+        return out
+
     def _curvature(self, x, hi_at, lo_at) -> np.ndarray:
         """``curvature`` at x, but with the upper and lower smooth-log bumps at ``hi_at`` and ``lo_at``."""
         x = self._state(x)
@@ -419,14 +402,13 @@ class CostSet:
             m = self.pen_exponent
             up = np.maximum(0.0, x - self.pen_hi)
             dn = np.maximum(0.0, self.pen_lo - x)
-            # Guard the m = 2 case: 0**0 is 1 under numpy, so gate each side
-            # by whether it is actually outside the box; x**0 is 1.0 for
-            # every x, nan and inf included, so square boxes skip the pow.
+            # Gate each side by whether it is outside the box, as 0**0 is 1;
+            # x**0 is 1.0 for every x, nan and inf included, so square boxes
+            # skip the power.
             if self._pen_square:
                 up_side, dn_side = (up > 0) * 1.0, (dn > 0) * 1.0
             else:
-                up_side = _power(up, np.maximum(m - 2, 0)) * (up > 0)
-                dn_side = _power(dn, np.maximum(m - 2, 0)) * (dn > 0)
+                up_side, dn_side = self._box_power(up, 2) * (up > 0), self._box_power(dn, 2) * (dn > 0)
             pc = self._pen_wm * (m - 1) * (up_side + dn_side)
             out = out + (pc if self._all_box else np.where(self._box, pc, 0.0))
         if self._any_log:

@@ -9,10 +9,11 @@ The ``hop_diameter`` fixture gives the hop diameter of a graph, which the
 spectral checks need for the bound lambda2 >= 1 / (n * diameter).
 
 The report header (under -q, a line after the summary) names numpy's
-version and whether its X86_V4 (AVX-512) dispatch is on: numpy's power, exp
-and log differ from libm in the last bit on some inputs with it on, so the
-pinned SHA-256s hold for one numpy build at one dispatch level (see the
-README's Determinism).
+version and whether its X86_V4 (AVX-512) dispatch is on: numpy's exp, log,
+cbrt and fractional power differ from libm in the last bit on some inputs
+with it on, so the pinned SHA-256s hold for one numpy build at one dispatch
+level (see the README's Determinism).  Integer powers are products and do
+not depend on it.
 """
 
 import os

@@ -1,5 +1,6 @@
 """Tests for local costs, penalties, the aggregate objective, and the oracle."""
 
+import hashlib
 import json
 import math
 import os
@@ -27,6 +28,43 @@ from dra_sim import (
 )
 from dra_sim.objective import CostSet
 from dra_sim.scenario import PRESET_NAMES, ScenarioConfig, _build_costs, build_instance, preset
+
+
+def at_reduced_dispatch(script: str):
+    """What ``script`` prints as JSON, run in a subprocess with numpy's AVX-512 dispatch off.
+
+    The tests directory and the package source are on its path.
+    """
+    prelude = (
+        "import json, numpy\n"
+        "try:\n"
+        "    assert not numpy._core._multiarray_umath.__cpu_features__.get('X86_V4')\n"
+        "except AttributeError:  # a numpy that does not expose its dispatch\n"
+        "    pass\n"
+    )
+    here = Path(__file__).resolve().parent
+    env = {
+        **os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)]),
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    }
+    done = subprocess.run([sys.executable, "-c", prelude + script], env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def cost_evaluator_digests() -> dict:
+    """SHA-256 of each cost evaluator's bytes on 40 quartic costs boxed in [-1, 2], per box exponent 2, 3 and 4.
+
+    The (8, 40) states lie on both sides of the boxes and inside them.
+    """
+    rng = np.random.default_rng(7)
+    scale, target, xs = rng.uniform(0.01, 0.05, 40), rng.uniform(-2.0, 3.0, 40), rng.uniform(-6.0, 7.0, (8, 40))
+    out = {}
+    for m in (2, 3, 4):
+        cs = CostSet([quartic_cost(a, t, penalty=BoxPenalty(-1.0, 2.0, 7.3, m)) for a, t in zip(scale, target)])
+        for name in ("base_value", "value_per_agent", "grad", "curvature", "row_totals"):
+            got = np.asarray(getattr(cs, name)(xs))
+            out[f"{name} {m}"] = hashlib.sha256(got.tobytes()).hexdigest()
+    return out
 
 
 def central_diff(c, x, h):
@@ -351,29 +389,29 @@ class TestCentralSolve:
         assert (sol.gap, sol.kkt_residual, sol.iterations) == (0.0, 0.0, 1)
 
     def test_presets_at_a_second_dispatch_level(self):
-        # numpy's power, exp and log differ in the last bit between dispatch
-        # levels, so only the oracle's guarantees are compared there: the
-        # gap within tol and the KKT residual within 1e-8 (1 + |nu|).
-        script = (
-            "import json, numpy\n"
+        # The oracle's cbrt and smooth-log's exp may differ in the last bit
+        # between dispatch levels, so only the oracle's guarantees are
+        # compared there: the gap within tol and the KKT residual within
+        # 1e-8 (1 + |nu|).
+        out = at_reduced_dispatch(
             "from dra_sim.scenario import PRESET_NAMES, build_instance, preset\n"
             "from dra_sim.objective import central_solve\n"
-            "try:\n"
-            "    out = {'v4': bool(numpy._core._multiarray_umath.__cpu_features__.get('X86_V4'))}\n"
-            "except AttributeError:  # a numpy that does not expose its dispatch\n"
-            "    out = {'v4': None}\n"
+            "out = {}\n"
             "for name in PRESET_NAMES:\n"
             "    sol = central_solve(build_instance(preset(name))[1], preset(name).total, tol=1e-9)\n"
             "    out[name] = [sol.gap, sol.kkt_residual, sol.multiplier]\n"
             "print(json.dumps(out))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-        out = json.loads(done.stdout)
-        assert out.pop("v4") is not True and sorted(out) == sorted(PRESET_NAMES)
+        assert sorted(out) == sorted(PRESET_NAMES)
         for gap, kkt, nu in out.values():
             assert gap <= 1e-9 and kkt <= 1e-8 * (1.0 + abs(nu))
+
+    def test_cost_evaluators_at_a_second_dispatch_level(self):
+        # Integer powers are correctly rounded products, so the quartic's
+        # powers and the box penalties' give the same bits at both levels.
+        out = at_reduced_dispatch("from test_objective import cost_evaluator_digests\n"
+                                  "print(json.dumps(cost_evaluator_digests()))\n")
+        assert out == cost_evaluator_digests()
 
     def test_quartic_instances(self):
         costs = [quartic_cost(0.01, 1.0), quartic_cost(0.02, 2.0), quartic_cost(0.05, -1.0)]

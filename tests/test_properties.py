@@ -61,7 +61,7 @@ from dra_sim.objective import (
     SmoothnessEstimate,
     _check_box_total,
     _cubic_root,
-    _penalty_power,
+    _int_power,
     _row_fsums,
 )
 from dra_sim import dynamics, scenario
@@ -455,7 +455,7 @@ def loop_costset(costs) -> dict:
         "pen_kind": kind, "pen_lo": lo, "pen_hi": hi, "pen_weight": wt, "pen_exponent": ex, "pen_mu": mu,
         "_box": box, "_log": log, "_any_box": bool(box.any()), "_any_log": bool(log.any()),
         "_all_box": bool(box.all()), "_all_log": bool(log.all()), "_p1x2": 2.0 * p1, "_p1x4": 4.0 * p1,
-        "_pen_wm": wt * ex, "_pen_m1": ex - 1, "_pen_square": bool((ex == 2).all()),
+        "_pen_wm": wt * ex, "_pen_square": bool((ex == 2).all()), "_box_exponents": sorted(set(ex[box].tolist())),
         "_all_quadratic": not quartic.any(), "_all_quartic": bool(quartic.all()),
     }
 
@@ -726,7 +726,7 @@ def bound_costs(draw):
 @settings(max_examples=200)
 def test_smoothness_bound_is_its_per_piece_loop(costs, center, below, above):
     # One _curvature call over every piece gives the bits of one call per
-    # piece, or the same error.  One agent reaches _power's (rows, 1) path;
+    # piece, or the same error.  One agent makes (rows, 1) blocks;
     # domains up to 10**160 wide overflow a quartic's or a wide box's f''.
     domain = (center - 10.0**below, center + 10.0**above)
     assert bound_outcome(smoothness_bound, costs, domain) == bound_outcome(per_piece_bound, costs, domain)
@@ -962,43 +962,59 @@ def test_row_fsums_is_fsum_of_each_row(block):
         assert same_bits(g, e) or (math.isnan(e) and math.isnan(g))
 
 
-def plain_power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """pow at every entry: full-shape exponents where one agent's would repeat with stride 0."""
-    if base.ndim > 1 and base.shape[-1] == 1:
-        exponent = np.broadcast_to(exponent, base.shape).copy()
-    return base**exponent
-
-
 @given(
-    st.integers(1, 64), st.sampled_from((1, 2, 3, 50, 300, 3000)), seeds,
-    st.sampled_from(((1,), (2,), (3, 4, 5), (1, 2, 3, 4, 5))), st.sampled_from((0.0, 0.02, 0.1, 0.3, 1.0)),
+    st.integers(1, 64), st.sampled_from((1, 2, 3, 50, 300, 3000)), seeds, st.integers(2, 5),
+    st.sampled_from((0.0, 0.02, 0.1, 0.3, 1.0)), st.booleans(),
 )
-@example(rows=64, n=1, seed=0, exponents=(2,), outside=0.02)
-@example(rows=3000, n=1, seed=0, exponents=(2,), outside=0.05)
-@example(rows=64, n=300, seed=0, exponents=(2,), outside=0.02)
-@example(rows=64, n=300, seed=0, exponents=(2,), outside=1.0)
-@example(rows=64, n=10, seed=0, exponents=(2,), outside=0.0)
+@example(rows=64, n=1, seed=0, exponent=2, outside=0.02, signed=False)
+@example(rows=3000, n=1, seed=0, exponent=2, outside=0.05, signed=False)
+@example(rows=1, n=1, seed=0, exponent=3, outside=1.0, signed=True)
+@example(rows=64, n=300, seed=0, exponent=4, outside=0.02, signed=True)
+@example(rows=64, n=10, seed=0, exponent=5, outside=0.3, signed=False)
 @settings(max_examples=80)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_masked_power_is_plain_power(rows, n, seed, exponents, outside):
-    # Bases as the penalties make them, max(0, x - hi), with a drawn share
-    # outside the box: +0.0 inside, -0.0 where x = -0.0 meets hi = 0.0, nan
-    # and inf, in blocks on both sides of the masked call's size and share
-    # limits, and with none outside, where no pow is called.  n = 1 with
-    # exponent 2 is the stride-0 case in which numpy squares, as the masked
-    # loop would on 3000 rows with few outside; each row must equal the
-    # one-row call, whichever call each takes.
+def test_int_power_rows_are_the_one_row_call(rows, n, seed, exponent, outside, signed):
+    # Bases as the penalties make them, max(0, x - hi), or as the quartic
+    # does, x - p2, with a drawn share outside the box, magnitudes from
+    # 1e-80 to 1e80 and a quarter of that share -0.0, nan, inf or -inf.
+    # Each row of a (rows, n) block, (rows, 1) and (1, 1) included, has the
+    # bits of its one-row call, and a (rows, 1) column those of its vector.
     rng = np.random.default_rng(seed)
     hi = rng.choice([0.0, 1.0, 10.0], n)
     side = np.where(rng.random((rows, n)) < outside, 1.0, rng.choice([-1.0, 0.0], (rows, n)))
-    x = hi + side * rng.uniform(0.0, 1e80, (rows, n))
-    special = rng.random((rows, n))
-    x = np.where(special < outside / 4, -0.0, np.where(special > 1.0 - outside / 4, rng.choice([math.nan, math.inf]), x))
-    base = np.maximum(0.0, x - hi)
-    exponent = rng.choice(exponents, n)
-    got = _penalty_power(base, exponent)
-    assert got.tobytes() == plain_power(base, exponent).tobytes()
-    assert got.tobytes() == np.stack([_penalty_power(b, exponent) for b in base]).tobytes()
+    x = hi + side * rng.uniform(0.0, 1.0, (rows, n)) * 10.0 ** rng.integers(-80, 81, (rows, n))
+    base = x - hi if signed else np.maximum(0.0, x - hi)
+    special = rng.random((rows, n)) < outside / 4
+    base = np.where(special, rng.choice([-0.0, math.nan, math.inf, -math.inf], (rows, n)), base)
+    got = _int_power(base, exponent)
+    assert got.tobytes() == np.stack([_int_power(b, exponent) for b in base]).tobytes()
+    if n == 1:
+        assert got.tobytes() == _int_power(base[:, 0], exponent).tobytes()
+
+
+@given(st.integers(2, 5), st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20), seeds)
+@example(e=4, drawn=[-(2.0**-255.5), -1.0 - 2.0**-52, 1.0 - 2.0**-53, 2.0**255.75, -3.0], seed=0)
+@example(e=5, drawn=[-(2.0**-204.4), 2.0**204.6, math.nextafter(1.5, 2.0)], seed=1)
+@settings(max_examples=60)
+def test_int_power_is_within_gamma_of_the_exact_power(e, drawn, seed):
+    # e - 1 correctly rounded products, so wherever the exact power is a
+    # normal double (below 2**1023, where no product rounds past the double
+    # range) the result lies within gamma_(e-1) = (e-1) u / (1 - (e-1) u),
+    # u = 2**-53, of it (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2002, section 3.1).  Beside the drawn bases, 1,000 with a
+    # uniform significand and sign over the exponents where that holds.
+    rng = np.random.default_rng(seed)
+    spread = np.ldexp(rng.uniform(1.0, 2.0, 1000), rng.integers(-(1022 // e), 1023 // e, 1000))
+    base = np.concatenate([np.array(drawn, dtype=float), rng.choice([-1.0, 1.0], 1000) * spread])
+    with np.errstate(all="ignore"):  # the drawn bases' powers may leave the double range
+        got = _int_power(base, e).tolist()
+    gamma, checked = Fraction(e - 1, 2**53 - (e - 1)), 0
+    for b, g in zip(base.tolist(), got):
+        exact = Fraction(b) ** e
+        if 2.0**-1022 <= abs(exact) <= 2.0**1023:
+            assert abs(Fraction(g) - exact) <= gamma * abs(exact), (b, e, g)
+            checked += 1
+    assert checked >= 1000
 
 
 @st.composite
